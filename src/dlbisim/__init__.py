@@ -12,8 +12,9 @@ What is here:
 
 - construction and validation of signatures and interpretations,
 - an AST, parser and printer for concepts, roles and knowledge bases,
-- concept and role evaluation, axiom checking, least closure of an
-  interpretation under role inclusion axioms,
+- concept and role evaluation by preimages on boolean vectors, axiom
+  checking, least closure of an interpretation under role inclusion
+  axioms,
 - the coarsest stable partition of an interpretation via worklist
   refinement (a kernel compiled with numba when it is installed,
   otherwise a pure-Python loop over lists; select with the

@@ -265,8 +265,9 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices,
     block_of, elems, pos, first, last and the trace arrays.  The arrays
     are read into lists on entry and written back on exit, because
     CPython indexes a list far faster than a numpy array; the scratch
-    arrays (counts through in_l) are unused, a dict of counts, a dict of
-    per-block groups and a deque take their place.  Touched elements are
+    arguments (counts through in_l) are unused and compute_partition
+    passes None for them, a dict of counts, a dict of per-block groups
+    and a deque take their place.  Touched elements are
     ordered by sorted() on the keys _refine_loop hands to argsort; the
     keys are unique, so both orders, and hence block ids and the trace,
     agree.

@@ -176,6 +176,31 @@ class Interpretation:
     def predecessors(self, role: str, y: int) -> tuple[int, ...]:
         return self._pred[role].get(y, ())
 
+    @cached_property
+    def _in_edges(self) -> dict:
+        return {}
+
+    def in_edges(self, role: str, inverted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edges of one basic role as int64 arrays grouped by target.
+
+        The basic role is the role name, or its inverse when inverted.
+        Returns (ptr, tail, head): edge i runs from tail[i] to head[i],
+        edges are sorted by head, and ptr[y]:ptr[y + 1] are the positions
+        of the edges into y.  Built on first use and kept; concept
+        evaluation reads roles through these arrays only.
+        """
+        key = (role, inverted)
+        if key not in self._in_edges:
+            pairs = self.role_ext[role]
+            flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64,
+                               count=2 * len(pairs))
+            tail, head = (flat[1::2], flat[0::2]) if inverted else (flat[0::2], flat[1::2])
+            order = np.argsort(head, kind="stable")
+            ptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(head, minlength=self.n), out=ptr[1:])
+            self._in_edges[key] = (ptr, tail[order], head[order])
+        return self._in_edges[key]
+
 
 def build_interpretation(
     signature: Signature,
@@ -255,6 +280,20 @@ class QSInterpretation:
     @property
     def n(self) -> int:
         return self.base.n
+
+    @cached_property
+    def _in_weights(self) -> dict:
+        return {}
+
+    def in_weights(self, role: str, inverted: bool) -> np.ndarray:
+        """The qu multiplicities of one basic role, aligned to base.in_edges."""
+        key = (role, inverted)
+        if key not in self._in_weights:
+            _, tail, head = self.base.in_edges(role, inverted)
+            table = self.qu[key]
+            self._in_weights[key] = np.array(
+                [table[edge] for edge in zip(tail.tolist(), head.tolist())], dtype=np.float64)
+        return self._in_weights[key]
 
 
 def build_qs_interpretation(base, qu, se) -> QSInterpretation:
@@ -472,24 +511,21 @@ def _label_nodes(parts) -> tuple:
     )
 
 
-def to_labeled_graph(interp: Interpretation, phi: FeatureSet | None = None) -> LabeledGraph:
+def to_labeled_graph(interp: Interpretation) -> LabeledGraph:
     """Array form of a single interpretation.
 
-    All label families and both adjacency directions are populated no
-    matter what phi says; phi is accepted for interface symmetry only.
+    All label families and both adjacency directions are populated; the
+    feature set is applied by the consumers.
     """
-    del phi
     return _label_nodes([(interp, 0, 0)])
 
 
-def disjoint_union_graph(a: Interpretation, b: Interpretation,
-                         phi: FeatureSet | None = None) -> LabeledGraph:
+def disjoint_union_graph(a: Interpretation, b: Interpretation) -> LabeledGraph:
     """Disjoint union of two interpretations over one signature.
 
     Nodes of a keep their ids, nodes of b are shifted by a.n.  Each
     individual name labels two nodes, one per side.
     """
-    del phi
     if a.signature != b.signature:
         raise SignatureMismatchError("disjoint union requires a shared signature")
     return _label_nodes([(a, 0, 0), (b, a.n, 1)])

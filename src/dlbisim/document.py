@@ -86,6 +86,11 @@ class Workspace:
     qs: dict[str, QSInterpretation] = field(default_factory=dict)
     kb: KnowledgeBase | None = None
     kb_strings: dict[str, tuple[str, ...]] | None = None
+    element_index: dict[str, dict[str, int]] = field(init=False)
+
+    def __post_init__(self):
+        self.element_index = {iname: _name_index(names)
+                              for iname, names in self.element_names.items()}
 
     def interpretation(self, name: str) -> Interpretation:
         if name not in self.interpretations:
@@ -95,19 +100,7 @@ class Workspace:
 
     def resolve(self, iname: str, ref) -> int:
         """Element index from an index or a domain name."""
-        names = self.element_names[iname]
-        if isinstance(ref, bool):
-            raise DocumentError("element reference %r is not an index or name" % ref)
-        if isinstance(ref, int):
-            _expect(0 <= ref < len(names),
-                    "element index %d outside 0..%d in %r" % (ref, len(names) - 1, iname))
-            return ref
-        if isinstance(ref, str):
-            try:
-                return names.index(ref)
-            except ValueError:
-                raise DocumentError("unknown element %r in interpretation %r" % (ref, iname))
-        raise DocumentError("element reference %r is not an index or name" % ref)
+        return _resolve_ref(ref, self.element_index[iname], "interpretation %r" % iname)
 
     def display(self, iname: str, idx: int) -> str:
         return self.element_names[iname][idx]
@@ -137,21 +130,25 @@ def _load_domain(val, where: str) -> tuple[str, ...]:
     raise DocumentError("%s.domain must be a size or a list of names" % where)
 
 
-def _resolve_ref(ref, names: tuple[str, ...], where: str) -> int:
-    if isinstance(ref, bool):
-        raise DocumentError("%s: element reference %r is not an index or name" % (where, ref))
-    if isinstance(ref, int):
-        _expect(0 <= ref < len(names), "%s: index %d outside the domain" % (where, ref))
-        return ref
-    if isinstance(ref, str):
-        try:
-            return names.index(ref)
-        except ValueError:
-            raise DocumentError("%s: unknown element %r" % (where, ref))
+def _name_index(names: tuple[str, ...]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(names)}
+
+
+def _resolve_ref(ref, index: dict[str, int], where: str) -> int:
+    """Element index from an index or a domain name; index maps names to indices."""
+    # exact types: JSON true/false are bools, which are ints to isinstance
+    if type(ref) is int:
+        if 0 <= ref < len(index):
+            return ref
+        raise DocumentError("%s: index %d outside 0..%d" % (where, ref, len(index) - 1))
+    if type(ref) is str:
+        if ref in index:
+            return index[ref]
+        raise DocumentError("%s: unknown element %r" % (where, ref))
     raise DocumentError("%s: element reference %r is not an index or name" % (where, ref))
 
 
-def _load_counts(obj, sig: Signature, names, interp: Interpretation, where: str):
+def _load_counts(obj, sig: Signature, index, interp: Interpretation, where: str):
     _expect(isinstance(obj, dict), "%s.counts must be an object" % where)
     qu: dict[tuple[str, bool], dict[tuple[int, int], int]] = {}
     for role, spec in obj.items():
@@ -167,8 +164,8 @@ def _load_counts(obj, sig: Signature, names, interp: Interpretation, where: str)
             for item in entries:
                 _expect(isinstance(item, list) and len(item) == 3,
                         "%s.counts.%s.%s entries must be [src, dst, count]" % (where, role, key))
-                src = _resolve_ref(item[0], names, where)
-                dst = _resolve_ref(item[1], names, where)
+                src = _resolve_ref(item[0], index, where)
+                dst = _resolve_ref(item[1], index, where)
                 _expect(isinstance(item[2], int) and not isinstance(item[2], bool) and item[2] >= 0,
                         "%s.counts.%s.%s: count must be a non-negative integer" % (where, role, key))
                 table[(src, dst)] = item[2]
@@ -187,6 +184,7 @@ def _load_interpretation(obj, sig: Signature, where: str):
     _check_keys(obj, ("domain", "concepts", "roles", "individuals", "counts", "self_loops"), where)
     _expect("domain" in obj, "%s is missing the domain field" % where)
     names = _load_domain(obj["domain"], where)
+    index = _name_index(names)
     n = len(names)
 
     concepts = obj.get("concepts", {})
@@ -194,7 +192,7 @@ def _load_interpretation(obj, sig: Signature, where: str):
     concept_ext = {}
     for cname, refs in concepts.items():
         _expect(isinstance(refs, list), "%s.concepts.%s must be a list" % (where, cname))
-        concept_ext[cname] = {_resolve_ref(r, names, "%s.concepts.%s" % (where, cname))
+        concept_ext[cname] = {_resolve_ref(r, index, "%s.concepts.%s" % (where, cname))
                               for r in refs}
 
     roles = obj.get("roles", {})
@@ -206,20 +204,20 @@ def _load_interpretation(obj, sig: Signature, where: str):
         for item in pairs:
             _expect(isinstance(item, list) and len(item) == 2,
                     "%s.roles.%s entries must be [src, dst]" % (where, rname))
-            out.add((_resolve_ref(item[0], names, "%s.roles.%s" % (where, rname)),
-                     _resolve_ref(item[1], names, "%s.roles.%s" % (where, rname))))
+            out.add((_resolve_ref(item[0], index, "%s.roles.%s" % (where, rname)),
+                     _resolve_ref(item[1], index, "%s.roles.%s" % (where, rname))))
         role_ext[rname] = out
 
     individuals = obj.get("individuals", {})
     _expect(isinstance(individuals, dict), "%s.individuals must be an object" % where)
-    individual_map = {a: _resolve_ref(ref, names, "%s.individuals.%s" % (where, a))
+    individual_map = {a: _resolve_ref(ref, index, "%s.individuals.%s" % (where, a))
                       for a, ref in individuals.items()}
 
     interp = build_interpretation(sig, n, concept_ext, role_ext, individual_map)
 
     qsi = None
     if "counts" in obj or "self_loops" in obj:
-        qu = _load_counts(obj.get("counts", {}), sig, names, interp, where)
+        qu = _load_counts(obj.get("counts", {}), sig, index, interp, where)
         if "self_loops" in obj:
             loops_obj = obj["self_loops"]
             _expect(isinstance(loops_obj, dict), "%s.self_loops must be an object" % where)
@@ -228,7 +226,7 @@ def _load_interpretation(obj, sig: Signature, where: str):
                 _expect(role in sig.role_index,
                         "%s.self_loops: %r is not a role name" % (where, role))
                 _expect(isinstance(refs, list), "%s.self_loops.%s must be a list" % (where, role))
-                se[role] = {_resolve_ref(r, names, "%s.self_loops.%s" % (where, role))
+                se[role] = {_resolve_ref(r, index, "%s.self_loops.%s" % (where, role))
                             for r in refs}
         else:
             se = {role: {x for x, y in interp.role_ext[role] if x == y}

@@ -145,6 +145,28 @@ def _splitter_structures(phi: FeatureSet, graph: LabeledGraph):
     return np.ascontiguousarray(pred_indptr), np.ascontiguousarray(pred_indices), degrees
 
 
+def _loop_scratch(loop, n: int, nsr: int) -> tuple:
+    """The scratch arrays of the array loop, counts through in_l.
+
+    The list loop keeps its scratch state in Python containers and gets
+    None for each, so it allocates nothing here.
+    """
+    if loop is _kernels._refine_list_loop:
+        return (None,) * 10
+    return (
+        np.zeros(n, dtype=np.int64),                       # counts
+        np.zeros(n, dtype=np.int32),                       # touched
+        np.zeros(n, dtype=np.int32),                       # tlist
+        np.zeros(n + 1, dtype=np.int32),                   # tb_cnt
+        np.zeros(n + 1, dtype=np.int32),                   # tb_start
+        np.zeros(n + 1, dtype=np.int32),                   # tb_fill
+        np.zeros(n, dtype=np.int32),                       # affected
+        np.zeros(n, dtype=np.int64),                       # sort_keys
+        np.zeros(3 * n * nsr + nsr + 8, dtype=np.int64),   # queue
+        np.zeros(max(n * nsr, 1), dtype=np.uint8),         # in_l
+    )
+
+
 def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = True,
                       engine: str | None = None) -> tuple[Partition, RefinementTrace | None]:
     """Coarsest partition refining the label partition and stable for phi.
@@ -175,17 +197,6 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     first[:nblocks0] = bounds[:-1]
     last[:nblocks0] = bounds[1:]
 
-    counts = np.zeros(n, dtype=np.int64)
-    touched = np.zeros(n, dtype=np.int32)
-    tlist = np.zeros(n, dtype=np.int32)
-    tb_cnt = np.zeros(n + 1, dtype=np.int32)
-    tb_start = np.zeros(n + 1, dtype=np.int32)
-    tb_fill = np.zeros(n + 1, dtype=np.int32)
-    affected = np.zeros(n, dtype=np.int32)
-    sort_keys = np.zeros(n, dtype=np.int64)
-    queue = np.zeros(3 * n * nsr + nsr + 8, dtype=np.int64)
-    in_l = np.zeros(max(n * nsr, 1), dtype=np.uint8)
-
     if want_trace:
         ev_parent = np.zeros(n + 1, dtype=np.int32)
         ev_role = np.zeros(n + 1, dtype=np.int32)
@@ -208,8 +219,7 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
         n, nsr, pred_indptr, pred_indices,
         block_of, elems, pos, first, last, nblocks0,
         bool(phi.counting), bool(phi.counting), bool(want_trace),
-        counts, touched, tlist, tb_cnt, tb_start, tb_fill, affected,
-        sort_keys, queue, in_l,
+        *_loop_scratch(loop, n, nsr),
         ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start,
         sub_block, sub_count,
     )

@@ -1,18 +1,46 @@
 """Model checking: concept and role evaluation, axiom and KB verdicts.
 
-Role constructors get their usual relational reading: composition is a
-join, union a set union, star the reflexive transitive closure, a test
-C? the diagonal restricted to C, eps the diagonal, U the full square.
-Number restrictions count distinct successors along a basic role.
+A concept's extension is a numpy bool vector over the domain 0..n-1,
+and no role is ever stored as a set of pairs.  `some R C` is the
+preimage pre_R(C), the elements with an R-successor in C, and `all R C`
+is the complement of pre_R(not C).  The preimage recurses over the
+role's syntax tree, one work item per role node:
 
-QS-interpretations reinterpret exactly two constructor families: number
-restrictions sum the stored edge multiplicities instead of counting
-edges, and self tests read the stored se sets instead of the diagonal.
-Everything else is inherited from the underlying interpretation.
+    pre_r(T)      tails of the r-edges whose head is in T
+    pre_inv(R)    the same walk with every edge reversed (the image of T)
+    pre_(R;S)(T)  pre_R(pre_S(T))
+    pre_(R|S)(T)  pre_R(T) or pre_S(T)
+    pre_R*(T)     T, then pre_R of the elements reached in the round
+                  before, until no round reaches a new element
+    pre_C?(T)     T and C
+    pre_eps(T)    T
+    pre_U(T)      every element when T is non-empty, else none
 
-Evaluation memoises per call on subterm object identity, so shared
-subtrees (the witness builder produces heavily shared DAGs) are
-evaluated once.
+Roles are read through Interpretation.in_edges, per basic role the edge
+arrays grouped by target.  Number restrictions count along a basic role
+with np.bincount over those arrays, self tests read the diagonal.
+QS-interpretations reinterpret exactly these two: counts sum the stored
+edge multiplicities (QSInterpretation.in_weights, aligned to the edge
+arrays), and self tests read the stored se sets.  Everything else is
+inherited from the underlying interpretation.
+
+Cost, for n elements and m edges: a concept node costs O(n) vector
+work plus the role steps under it.  A role-name step reads its input
+at the head of every edge, O(n + m).  The
+closure of a role name or its inverse walks index arrays of the newly
+reached elements only, O(n + m) in all.  The closure of a compound role
+costs one preimage of that role per round; stars and inverses directly
+under a star are peeled first ((R*)* = R*, (inv R)* = inv(R*)), but a
+star inside a compound role under a star is walked afresh in every
+outer round, which is quadratic in the worst case.  Evaluation is
+bottom-up from an explicit stack and memoised on subterm identity, so
+shared subtrees (the witness builder produces heavily shared DAGs) are
+evaluated once and nesting depth costs no Python frames.
+
+Only role extensions and role assertions need pairs.  They come from
+the preimages of singletons, computed as the columns of n x k bool
+matrices, so eval_role costs O(n (n + m)) for the up to n^2 pairs it
+returns.
 """
 
 from __future__ import annotations
@@ -20,9 +48,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import syntax as sx
 from .core import Interpretation, QSInterpretation
 from .errors import FeatureViolationError, UnknownNameError
+
+# work items of the preimage loop
+_EVAL, _UNION, _OR, _STAR = range(4)
+# cells per bool matrix of singleton targets in Evaluator.role
+_BATCH_CELLS = 1 << 22
 
 
 def _require(phi, expr):
@@ -35,144 +70,234 @@ def _require(phi, expr):
         )
 
 
-class Evaluator:
-    """Evaluates concepts and roles against one interpretation.
+def _children(node) -> tuple:
+    """The subterms a node's value is computed from, roles included."""
+    if isinstance(node, (sx.Not, sx.Test)):
+        return (node.concept,)
+    if isinstance(node, (sx.And, sx.Or, sx.Compose, sx.RoleUnion)):
+        return (node.left, node.right)
+    if isinstance(node, (sx.Some, sx.All, sx.AtLeast, sx.AtMost)):
+        return (node.role, node.concept)
+    if isinstance(node, (sx.Inverse, sx.Star)):
+        return (node.role,)
+    return ()
 
-    Reusable across many terms; memo tables are keyed by subterm object
-    identity and live as long as the evaluator.
+
+def _closure(ptr, tail, targets: np.ndarray) -> np.ndarray:
+    """pre_b* of every column of targets for a basic role b (semi-naive).
+
+    Each round gathers, through the CSR ranges of ptr, the edges into
+    the elements reached in the round before, and keeps each newly
+    reached (element, column) cell once, so the closure costs O(n + m)
+    per column.
+    """
+    k = targets.shape[1]
+    seen = targets.copy()
+    flat = seen.reshape(-1)
+    last = np.zeros(len(flat), dtype=np.int64)
+    frontier = np.flatnonzero(flat)
+    while len(frontier):
+        heads = frontier // k if k > 1 else frontier
+        lo = ptr[heads]
+        cnt = ptr[heads + 1] - lo
+        cells = tail[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+        if k > 1:
+            cells = cells * k + np.repeat(frontier % k, cnt)
+        cells = cells[~flat[cells]]
+        # keep one occurrence of each cell: the one whose position was stored
+        order = np.arange(len(cells))
+        last[cells] = order
+        frontier = cells[last[cells] == order]
+        flat[frontier] = True
+    return seen
+
+
+class Evaluator:
+    """Evaluates concepts, roles and axioms against one interpretation.
+
+    Reusable across many terms; the memo is keyed by subterm object
+    identity and lives as long as the evaluator.
     """
 
     def __init__(self, interp: Interpretation, phi, qs: QSInterpretation | None = None):
         self.interp = interp
         self.phi = phi
         self.qs = qs
-        self._cmemo: dict[int, frozenset] = {}
-        self._rmemo: dict[int, frozenset] = {}
+        self._memo: dict[int, np.ndarray | None] = {}
         self._keepalive: list = []
 
     def concept(self, c) -> frozenset[int]:
         _require(self.phi, c)
         sx.check_names(self.interp.signature, c)
-        return self._concept(c)
+        return frozenset(np.flatnonzero(self._value(c)).tolist())
 
     def role(self, r) -> frozenset[tuple[int, int]]:
         _require(self.phi, r)
         sx.check_names(self.interp.signature, r)
-        return self._role(r)
+        self._value(r)
+        n = self.interp.n
+        m = sum(len(pairs) for pairs in self.interp.role_ext.values())
+        k = max(1, min(n, _BATCH_CELLS // max(n, m)))
+        pairs = []
+        for lo in range(0, n, k):
+            # column j: the singleton {lo + j}
+            targets = np.eye(n, min(k, n - lo), -lo, dtype=bool)
+            xs, ys = np.divmod(np.flatnonzero(self._pre(r, targets)), targets.shape[1])
+            pairs.extend(zip(xs.tolist(), (ys + lo).tolist()))
+        return frozenset(pairs)
 
-    def _concept(self, c) -> frozenset[int]:
-        got = self._cmemo.get(id(c))
-        if got is not None:
-            return got
-        out = self._concept_raw(c)
-        self._cmemo[id(c)] = out
-        self._keepalive.append(c)
-        return out
+    def _value(self, root):
+        """Bool vector of a concept, None for a role; memoises every subterm."""
+        memo = self._memo
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            pending = [c for c in _children(node) if id(c) not in memo]
+            if pending:
+                stack.extend(pending)
+            else:
+                stack.pop()
+                memo[id(node)] = self._node(node)
+                self._keepalive.append(node)
+        return memo[id(root)]
 
-    def _concept_raw(self, c) -> frozenset[int]:
+    def _node(self, c):
+        """Value of one node whose children are memoised."""
         interp = self.interp
+        memo = self._memo
+        n = interp.n
         if isinstance(c, sx.Top):
-            return frozenset(interp.domain)
+            return np.ones(n, dtype=bool)
         if isinstance(c, sx.Bottom):
-            return frozenset()
-        if isinstance(c, sx.ConceptName):
-            return interp.concept_ext[c.name]
-        if isinstance(c, sx.Nominal):
-            return frozenset((interp.individual_map[c.name],))
+            return np.zeros(n, dtype=bool)
+        if isinstance(c, (sx.ConceptName, sx.Nominal, sx.HasSelf)):
+            out = np.zeros(n, dtype=bool)
+            if isinstance(c, sx.ConceptName):
+                ext = interp.concept_ext[c.name]
+                out[np.fromiter(ext, dtype=np.int64, count=len(ext))] = True
+            elif isinstance(c, sx.Nominal):
+                out[interp.individual_map[c.name]] = True
+            elif self.qs is not None:
+                se = self.qs.se[c.role]
+                out[np.fromiter(se, dtype=np.int64, count=len(se))] = True
+            else:
+                _, tail, head = interp.in_edges(c.role, False)
+                out[tail[tail == head]] = True
+            return out
         if isinstance(c, sx.Not):
-            return frozenset(interp.domain) - self._concept(c.concept)
+            return ~memo[id(c.concept)]
         if isinstance(c, sx.And):
-            return self._concept(c.left) & self._concept(c.right)
+            return memo[id(c.left)] & memo[id(c.right)]
         if isinstance(c, sx.Or):
-            return self._concept(c.left) | self._concept(c.right)
+            return memo[id(c.left)] | memo[id(c.right)]
         if isinstance(c, sx.Some):
-            targets = self._concept(c.concept)
-            return frozenset(x for x, y in self._role(c.role) if y in targets)
+            return self._pre(c.role, memo[id(c.concept)][:, None])[:, 0]
         if isinstance(c, sx.All):
-            targets = self._concept(c.concept)
-            bad = frozenset(x for x, y in self._role(c.role) if y not in targets)
-            return frozenset(interp.domain) - bad
-        if isinstance(c, sx.AtLeast):
-            return self._count(c.role, self._concept(c.concept), c.bound, True)
-        if isinstance(c, sx.AtMost):
-            return self._count(c.role, self._concept(c.concept), c.bound, False)
-        if isinstance(c, sx.HasSelf):
-            if self.qs is not None:
-                return self.qs.se[c.role]
-            return frozenset(x for x, y in interp.role_ext[c.role] if x == y)
-        raise TypeError("not a concept node: %r" % (c,))
+            return ~self._pre(c.role, ~memo[id(c.concept)][:, None])[:, 0]
+        if isinstance(c, (sx.AtLeast, sx.AtMost)):
+            inverted = isinstance(c.role, sx.Inverse)
+            name = c.role.role.name if inverted else c.role.name
+            _, tail, head = interp.in_edges(name, inverted)
+            hit = memo[id(c.concept)][head]
+            if self.qs is None:
+                counts = np.bincount(tail[hit], minlength=n)
+            else:
+                weights = self.qs.in_weights(name, inverted)
+                counts = np.bincount(tail, weights=weights * hit, minlength=n)
+            return counts >= c.bound if isinstance(c, sx.AtLeast) else counts <= c.bound
+        if isinstance(c, (sx.RoleName, sx.Inverse, sx.Compose, sx.RoleUnion, sx.Star,
+                          sx.Test, sx.Epsilon, sx.UniversalRole)):
+            return None
+        raise TypeError("not a concept or role node: %r" % (c,))
 
-    def _basic_neighbours(self, role, x):
-        if isinstance(role, sx.RoleName):
-            return self.interp.successors(role.name, x)
-        return self.interp.predecessors(role.role.name, x)
+    def _pre(self, role, targets: np.ndarray) -> np.ndarray:
+        """pre_R of every column of the n x k bool matrix targets.
 
-    def _count(self, role, targets, bound, at_least) -> frozenset[int]:
-        out = []
-        if self.qs is not None:
-            key = (role.name, False) if isinstance(role, sx.RoleName) else (role.role.name, True)
-            counts = self.qs.qu[key]
-            for x in self.interp.domain:
-                total = 0
-                for y in self._basic_neighbours(role, x):
-                    if y in targets:
-                        total += counts[(x, y)]
-                if (total >= bound) if at_least else (total <= bound):
-                    out.append(x)
-        else:
-            for x in self.interp.domain:
-                total = sum(1 for y in self._basic_neighbours(role, x) if y in targets)
-                if (total >= bound) if at_least else (total <= bound):
-                    out.append(x)
-        return frozenset(out)
+        The tests under role must already be memoised (see _value).  A
+        work stack replaces recursion; cur holds the value flowing
+        through it, and inv marks a subterm read under an odd number of
+        inversions, whose preimage is its image.
+        """
+        memo = self._memo
+        edges = self.interp.in_edges
+        cur = targets
+        work = [(_EVAL, role, False, None)]
+        while work:
+            op, node, inv, aux = work.pop()
+            if op == _EVAL:
+                kind = type(node)
+                if kind is sx.RoleName:
+                    _, tail, head = edges(node.name, inv)
+                    hits, cols = np.divmod(np.flatnonzero(cur[head]), cur.shape[1])
+                    cur = np.zeros(cur.shape, dtype=bool)
+                    cur[tail[hits], cols] = True
+                elif kind is sx.Inverse:
+                    work.append((_EVAL, node.role, not inv, None))
+                elif kind is sx.Compose:
+                    first, then = (node.left, node.right) if inv else (node.right, node.left)
+                    work.append((_EVAL, then, inv, None))
+                    work.append((_EVAL, first, inv, None))
+                elif kind is sx.RoleUnion:
+                    work.append((_UNION, node.right, inv, cur))
+                    work.append((_EVAL, node.left, inv, None))
+                elif kind is sx.Star:
+                    # (R*)* = R* and (inv R)* = inv(R*): peel both before iterating
+                    inner = node.role
+                    while type(inner) in (sx.Star, sx.Inverse):
+                        inv ^= type(inner) is sx.Inverse
+                        inner = inner.role
+                    if type(inner) is sx.RoleName:
+                        ptr, tail, _ = edges(inner.name, inv)
+                        cur = _closure(ptr, tail, cur)
+                    else:
+                        work.append((_STAR, inner, inv, cur))
+                        work.append((_EVAL, inner, inv, None))
+                elif kind is sx.Test:
+                    cur = cur & memo[id(node.concept)][:, None]
+                elif kind is sx.UniversalRole:
+                    cur = np.repeat(cur.any(axis=0, keepdims=True), len(cur), axis=0)
+                elif kind is not sx.Epsilon:
+                    raise TypeError("not a role node: %r" % (node,))
+            elif op == _STAR:
+                new = cur & ~aux
+                if new.any():
+                    work.append((_STAR, node, inv, aux | new))
+                    work.append((_EVAL, node, inv, None))
+                    cur = new
+                else:
+                    cur = aux
+            elif op == _UNION:
+                # cur is the left operand's preimage, aux the union's input
+                work.append((_OR, None, inv, cur))
+                work.append((_EVAL, node, inv, None))
+                cur = aux
+            else:
+                cur = cur | aux
+        return cur
 
-    def _role(self, r) -> frozenset[tuple[int, int]]:
-        got = self._rmemo.get(id(r))
-        if got is not None:
-            return got
-        out = self._role_raw(r)
-        self._rmemo[id(r)] = out
-        self._keepalive.append(r)
-        return out
-
-    def _role_raw(self, r) -> frozenset[tuple[int, int]]:
-        interp = self.interp
-        if isinstance(r, sx.RoleName):
-            return interp.role_ext[r.name]
-        if isinstance(r, sx.Inverse):
-            return frozenset((y, x) for x, y in self._role(r.role))
-        if isinstance(r, sx.Compose):
-            left = self._role(r.left)
-            right_succ: dict[int, list[int]] = {}
-            for y, z in self._role(r.right):
-                right_succ.setdefault(y, []).append(z)
-            return frozenset((x, z) for x, y in left for z in right_succ.get(y, ()))
-        if isinstance(r, sx.RoleUnion):
-            return self._role(r.left) | self._role(r.right)
-        if isinstance(r, sx.Star):
-            adj: dict[int, list[int]] = {}
-            for x, y in self._role(r.role):
-                adj.setdefault(x, []).append(y)
-            pairs = set()
-            for start in interp.domain:
-                seen = {start}
-                stack = [start]
-                while stack:
-                    x = stack.pop()
-                    for y in adj.get(x, ()):
-                        if y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-                pairs.update((start, y) for y in seen)
-            return frozenset(pairs)
-        if isinstance(r, sx.Test):
-            return frozenset((x, x) for x in self._concept(r.concept))
-        if isinstance(r, sx.Epsilon):
-            return frozenset((x, x) for x in interp.domain)
-        if isinstance(r, sx.UniversalRole):
-            dom = interp.domain
-            return frozenset((x, y) for x in dom for y in dom)
-        raise TypeError("not a role node: %r" % (r,))
+    def _holds(self, axiom) -> bool:
+        """Verdict of one KB axiom, without validation."""
+        imap = self.interp.individual_map
+        if isinstance(axiom, (sx.EpsilonSub, sx.ChainSub)):
+            return check_role_axiom(self.interp, axiom)
+        if isinstance(axiom, sx.GCI):
+            return not (self._value(axiom.lhs) & ~self._value(axiom.rhs)).any()
+        if isinstance(axiom, sx.ConceptAssertion):
+            return bool(self._value(axiom.concept)[imap[axiom.individual]])
+        if isinstance(axiom, (sx.RoleAssertion, sx.NegatedRoleAssertion)):
+            self._value(axiom.role)
+            target = np.zeros((self.interp.n, 1), dtype=bool)
+            target[imap[axiom.b], 0] = True
+            related = bool(self._pre(axiom.role, target)[imap[axiom.a], 0])
+            return related == isinstance(axiom, sx.RoleAssertion)
+        if isinstance(axiom, sx.SameAs):
+            return imap[axiom.a] == imap[axiom.b]
+        if isinstance(axiom, sx.DifferentFrom):
+            return imap[axiom.a] != imap[axiom.b]
+        raise TypeError("not an axiom: %r" % (axiom,))
 
 
 def eval_concept(interp: Interpretation, concept, phi) -> frozenset[int]:
@@ -195,38 +320,31 @@ def check_role_axiom(interp: Interpretation, axiom) -> bool:
         target = interp.role_ext[axiom.role]
         return all((x, x) in target for x in interp.domain)
     if isinstance(axiom, sx.ChainSub):
-        current = {(x, x) for x in interp.domain}
-        for basic in axiom.chain:
-            step = set()
-            for x, y in current:
-                if isinstance(basic, sx.RoleName):
-                    step.update((x, z) for z in interp.successors(basic.name, y))
-                else:
-                    step.update((x, z) for z in interp.predecessors(basic.role.name, y))
-            current = step
-        return current <= set(interp.role_ext[axiom.role])
+        # per start element, the set the chain reaches must lie in its successors
+        steps = [_basic_parts(b) for b in axiom.chain]
+        for x in interp.domain:
+            reach = {x}
+            for name, inverted in steps:
+                step = interp.predecessors if inverted else interp.successors
+                reach = {z for y in reach for z in step(name, y)}
+            if not reach.issubset(interp.successors(axiom.role, x)):
+                return False
+        return True
     raise TypeError("not a role axiom: %r" % (axiom,))
 
 
+def _checked_verdict(interp: Interpretation, axiom, phi) -> bool:
+    _require(phi, axiom)
+    sx.check_names(interp.signature, axiom)
+    return Evaluator(interp, phi)._holds(axiom)
+
+
 def check_gci(interp: Interpretation, gci: sx.GCI, phi) -> bool:
-    ev = Evaluator(interp, phi)
-    return ev.concept(gci.lhs) <= ev.concept(gci.rhs)
+    return _checked_verdict(interp, gci, phi)
 
 
 def check_assertion(interp: Interpretation, assertion, phi) -> bool:
-    if isinstance(assertion, sx.ConceptAssertion):
-        return interp.individual_map[assertion.individual] in eval_concept(interp, assertion.concept, phi)
-    if isinstance(assertion, sx.RoleAssertion):
-        pair = (interp.individual_map[assertion.a], interp.individual_map[assertion.b])
-        return pair in eval_role(interp, assertion.role, phi)
-    if isinstance(assertion, sx.NegatedRoleAssertion):
-        pair = (interp.individual_map[assertion.a], interp.individual_map[assertion.b])
-        return pair not in eval_role(interp, assertion.role, phi)
-    if isinstance(assertion, sx.SameAs):
-        return interp.individual_map[assertion.a] == interp.individual_map[assertion.b]
-    if isinstance(assertion, sx.DifferentFrom):
-        return interp.individual_map[assertion.a] != interp.individual_map[assertion.b]
-    raise TypeError("not an assertion: %r" % (assertion,))
+    return _checked_verdict(interp, assertion, phi)
 
 
 @dataclass
@@ -248,16 +366,13 @@ class KBReport:
 
 
 def check_kb(interp: Interpretation, kb: sx.KnowledgeBase, phi) -> KBReport:
-    """Verdict per axiom; rejects the KB if it leaves the active language."""
+    """Verdict per axiom, from one evaluator; rejects a KB outside the active language."""
     _require(phi, kb)
     sx.check_names(interp.signature, kb)
-    entries = []
-    for i, axiom in enumerate(kb.rbox):
-        entries.append(("rbox", i, axiom, check_role_axiom(interp, axiom)))
-    for i, axiom in enumerate(kb.tbox):
-        entries.append(("tbox", i, axiom, check_gci(interp, axiom, phi)))
-    for i, axiom in enumerate(kb.abox):
-        entries.append(("abox", i, axiom, check_assertion(interp, axiom, phi)))
+    ev = Evaluator(interp, phi)
+    entries = [(section, i, axiom, ev._holds(axiom))
+               for section, axioms in (("rbox", kb.rbox), ("tbox", kb.tbox), ("abox", kb.abox))
+               for i, axiom in enumerate(axioms)]
     return KBReport(entries)
 
 

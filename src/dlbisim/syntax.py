@@ -25,6 +25,12 @@ separated ASCII:
 Keywords (top bottom not and or some all atleast atmost self inv test
 eps sub U) are reserved and cannot be used as names.  The printer emits
 exactly this grammar, so print and parse are mutually inverse.
+
+Parsed terms nest at most MAX_DEPTH levels deep: every name, keyword
+constructor, star and pair of brackets on the way from the outside of a
+term to its innermost part is one level, so `not not A` is three levels
+deep.  Deeper input raises ParseError, which keeps the recursive
+walkers below far from Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from typing import Union
 from .errors import ParseError, UnknownNameError
 
 MAX_COUNT = 2 ** 32
+MAX_DEPTH = 200
 
 
 # --- role constructors ---
@@ -661,7 +668,21 @@ def _tokenize(text: str) -> list[_Tok]:
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
-        self.pos = 0
+        self.rewind(0)
+
+    def rewind(self, pos: int):
+        self.pos = pos
+        self.depth = 0    # levels open around the current token
+        self.deepest = 0  # deepest level parsed so far, stars included
+
+    def descend(self):
+        self.depth += 1
+        self.reach(self.depth)
+
+    def reach(self, level: int):
+        self.deepest = max(self.deepest, level)
+        if self.deepest > MAX_DEPTH:
+            self.fail("term nested deeper than %d levels" % MAX_DEPTH)
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -710,6 +731,12 @@ class _Parser:
 
     # concept := see module docstring
     def concept(self) -> Concept:
+        self.descend()
+        node = self.concept_body()
+        self.depth -= 1
+        return node
+
+    def concept_body(self) -> Concept:
         if self.at_keyword("top"):
             self.advance()
             return Top()
@@ -766,13 +793,25 @@ class _Parser:
         self.fail("expected a concept")
 
     def role(self) -> Role:
+        outer, self.deepest = self.deepest, self.depth
         node = self.role_primary()
+        stars = 0
         while self.peek().kind == "STAR":
             self.advance()
             node = Star(node)
+            stars += 1
+        # the stars push everything inside the primary down by as many levels
+        inner, self.deepest = self.deepest, outer
+        self.reach(inner + stars)
         return node
 
     def role_primary(self) -> Role:
+        self.descend()
+        node = self.role_primary_body()
+        self.depth -= 1
+        return node
+
+    def role_primary_body(self) -> Role:
         if self.at_keyword("eps"):
             self.advance()
             return Epsilon()
@@ -875,7 +914,7 @@ def parse_assertion(text: str) -> Assertion:
             b = p.name("an individual name")
             p.eof()
             return DifferentFrom(a, b)
-        p.pos = mark
+        p.rewind(mark)
     # R(a, b)
     try:
         role = p.role()
@@ -887,7 +926,7 @@ def parse_assertion(text: str) -> Assertion:
         p.eof()
         return RoleAssertion(role, a, b)
     except ParseError:
-        p.pos = mark
+        p.rewind(mark)
     # not R(a, b)
     if p.at_keyword("not"):
         try:
@@ -901,7 +940,7 @@ def parse_assertion(text: str) -> Assertion:
             p.eof()
             return NegatedRoleAssertion(role, a, b)
         except ParseError:
-            p.pos = mark
+            p.rewind(mark)
     # C(a)
     concept = p.concept()
     p.expect("LPAREN", "'('")

@@ -365,6 +365,29 @@ class TestFailureModes:
         assert out.returncode == 3
         assert "no kb section" in out.stderr
 
+    def test_nesting_limit(self):
+        from dlbisim.document import load_workspace
+        from dlbisim.semantics import eval_concept
+        from dlbisim.syntax import MAX_DEPTH, parse_concept
+
+        ws = load_workspace(FIG2)
+        names = ws.element_names["I1"]
+
+        def expected(text):
+            ext = eval_concept(ws.interpretation("I1"), parse_concept(text), ws.phi)
+            return "".join(names[x] + "\n" for x in sorted(ext))
+
+        # MAX_DEPTH - 1 nots around F is MAX_DEPTH levels, an odd count: not F
+        for deepest, same in (("not " * (MAX_DEPTH - 1) + "F", "not F"),
+                              ("some r" + "*" * (MAX_DEPTH - 2) + " F", "some (r)* F")):
+            out = run("eval", "-i", FIG2, "-I", "I1", "-c", deepest)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout == expected(same)
+        for concept in ("not " * MAX_DEPTH + "F", "not " * 500 + "F"):
+            out = run("eval", "-i", FIG2, "-I", "I1", "-c", concept)
+            assert out.returncode == 2
+            assert "nested deeper than %d levels" % MAX_DEPTH in out.stderr
+
     def test_unknown_feature_letter(self):
         out = run("partition", "-i", FIG2, "--phi", "XYZ", "-I", "I1")
         assert out.returncode == 3

@@ -3,7 +3,13 @@
 import pytest
 
 from dlbisim import syntax as sx
-from dlbisim.core import FeatureSet, Signature, build_interpretation, qs_embedding
+from dlbisim.core import (
+    FeatureSet,
+    Signature,
+    build_interpretation,
+    build_qs_interpretation,
+    qs_embedding,
+)
 from dlbisim.document import load_workspace
 from dlbisim.errors import FeatureViolationError, UnknownNameError
 from dlbisim.gen import make_signature, random_interpretation
@@ -51,6 +57,212 @@ class TestAgainstMatrixOracle:
                                            rng.uniform(0.1, 0.4), 0.5)
             for r in roles:
                 assert eval_role(interp, r, FULL) == H.matrix_eval_role(interp, r)
+
+
+def random_role(rng, phi, sig, depth):
+    """A random role admitted by phi, at most depth constructors deep."""
+    kinds = ["name"] * 3 + (["eps", "U"] if phi.universal else ["eps"])
+    if depth > 0:
+        kinds += ["compose", "union", "star", "star", "test"] + (["inv"] if phi.inverse else [])
+    kind = rng.choice(kinds)
+    if kind == "name":
+        return sx.RoleName(rng.choice(sig.role_names))
+    if kind == "eps":
+        return sx.Epsilon()
+    if kind == "U":
+        return sx.UniversalRole()
+    if kind == "inv":
+        return sx.Inverse(random_role(rng, phi, sig, depth - 1))
+    if kind == "star":
+        return sx.Star(random_role(rng, phi, sig, depth - 1))
+    if kind == "test":
+        return sx.Test(random_concept(rng, phi, sig, depth - 1))
+    pair = (random_role(rng, phi, sig, depth - 1), random_role(rng, phi, sig, depth - 1))
+    return sx.Compose(*pair) if kind == "compose" else sx.RoleUnion(*pair)
+
+
+def random_concept(rng, phi, sig, depth):
+    """A random concept admitted by phi, at most depth constructors deep."""
+    leaves = [sx.Top(), sx.Bottom()] + [sx.ConceptName(a) for a in sig.concept_names] * 2
+    if phi.nominals:
+        leaves += [sx.Nominal(a) for a in sig.individual_names]
+    if phi.local_refl:
+        leaves += [sx.HasSelf(r) for r in sig.role_names]
+    if depth == 0:
+        return rng.choice(leaves)
+    kind = rng.choice(["leaf", "not", "and", "or", "some", "some", "all", "all"]
+                      + (["count", "count"] if phi.counting else []))
+    if kind == "leaf":
+        return rng.choice(leaves)
+    if kind == "not":
+        return sx.Not(random_concept(rng, phi, sig, depth - 1))
+    if kind in ("and", "or"):
+        pair = (random_concept(rng, phi, sig, depth - 1), random_concept(rng, phi, sig, depth - 1))
+        return sx.And(*pair) if kind == "and" else sx.Or(*pair)
+    inner = random_concept(rng, phi, sig, depth - 1)
+    if kind == "count":
+        basic = sx.RoleName(rng.choice(sig.role_names))
+        if phi.inverse and rng.random() < 0.5:
+            basic = sx.Inverse(basic)
+        node = sx.AtLeast if rng.random() < 0.5 else sx.AtMost
+        return node(rng.randint(0, 3), basic, inner)
+    role = random_role(rng, phi, sig, depth - 1)
+    return sx.Some(role, inner) if kind == "some" else sx.All(role, inner)
+
+
+# starred composite roles, tests, U and inv, each kept when phi admits it
+FIXED_CONCEPTS = [
+    "some ((r0 ; test(A0)) | r1)* A1",
+    "all ((r0 ; r1))* (A0 or some r1 top)",
+    "some (((r0)* ; test(not A1)) ; (r1 | eps))* A0",
+    "some (inv(r0) ; (r1 | inv(r1))*)* A1",
+    "all (inv((r0 ; inv(r1))))* some r0 A0",
+    "some (U ; test(some (r1)* A0)) top",
+    "all (r0 | (U ; test(A1)))* A0",
+    "some ((r0)* ; inv(r1))* {a0}",
+    "all (inv((r0)*))* some ((inv((r0 ; r1)))*)* A1",
+    "(atleast 2 inv(r0) some (r1)* A0 and atmost 1 r1 self r0)",
+]
+
+
+class TestAgainstMatrixOracleAllFeatureSets:
+    def test_random_and_fixed_terms(self):
+        rng = H.seeded(111)
+        sig = make_signature(2, 2, 1)
+        fixed = [sx.parse_concept(t) for t in FIXED_CONCEPTS]
+        starred = 0
+        for k, phi in enumerate(H.ALL_PHIS):
+            interps = [random_interpretation(rng, sig, rng.randint(1, 40),
+                                             rng.uniform(0.02, 0.12), 0.4)
+                       for _ in range(2)]
+            concepts = [c for c in fixed if sx.validate_in_language(phi, c).ok]
+            concepts += [random_concept(rng, phi, sig, 4) for _ in range(12)]
+            roles = [random_role(rng, phi, sig, 3) for _ in range(4)]
+            starred += sum("*" in sx.to_text(c) for c in concepts)
+            for interp in interps:
+                ev = Evaluator(interp, phi)
+                for c in concepts:
+                    assert ev.concept(c) == H.matrix_eval_concept(interp, c), (str(phi), sx.to_text(c))
+                for r in roles:
+                    assert ev.role(r) == H.matrix_eval_role(interp, r), (str(phi), sx.to_text(r))
+                    assert eval_role(interp, r, phi) == ev.role(r)
+        assert starred > 100
+
+    def test_shared_subterms_are_evaluated_consistently(self):
+        # one evaluator, concepts reusing one another's nodes in new contexts
+        rng = H.seeded(112)
+        sig = make_signature(2, 2, 1)
+        interp = random_interpretation(rng, sig, 30, 0.08, 0.4)
+        ev = Evaluator(interp, FULL)
+        pool = [random_concept(rng, FULL, sig, 3) for _ in range(10)]
+        for _ in range(60):
+            a, b = rng.choice(pool), rng.choice(pool)
+            c = sx.Some(sx.Star(sx.Compose(random_role(rng, FULL, sig, 1), sx.Test(a))), b)
+            pool.append(c)
+            assert ev.concept(c) == H.matrix_eval_concept(interp, c), sx.to_text(c)
+
+
+def qs_brute_force(qsi, c) -> frozenset[int]:
+    """QS extension by summing multiplicities edge by edge, for the counting fragment."""
+    base = qsi.base
+    dom = frozenset(base.domain)
+    if isinstance(c, sx.Top):
+        return dom
+    if isinstance(c, sx.ConceptName):
+        return base.concept_ext[c.name]
+    if isinstance(c, sx.Not):
+        return dom - qs_brute_force(qsi, c.concept)
+    if isinstance(c, sx.And):
+        return qs_brute_force(qsi, c.left) & qs_brute_force(qsi, c.right)
+    if isinstance(c, sx.HasSelf):
+        return qsi.se[c.role]
+    if isinstance(c, (sx.AtLeast, sx.AtMost)):
+        key = (c.role.name, False) if isinstance(c.role, sx.RoleName) else (c.role.role.name, True)
+        inner = qs_brute_force(qsi, c.concept)
+        total = dict.fromkeys(dom, 0)
+        for (x, y), k in qsi.qu[key].items():
+            if y in inner:
+                total[x] += k
+        if isinstance(c, sx.AtLeast):
+            return frozenset(x for x in dom if total[x] >= c.bound)
+        return frozenset(x for x in dom if total[x] <= c.bound)
+    raise TypeError(c)
+
+
+def random_counting_concept(rng, sig, depth):
+    if depth == 0:
+        return rng.choice([sx.Top(), sx.HasSelf(rng.choice(sig.role_names))]
+                          + [sx.ConceptName(a) for a in sig.concept_names])
+    kind = rng.choice(["not", "and", "count", "count", "count"])
+    if kind == "not":
+        return sx.Not(random_counting_concept(rng, sig, depth - 1))
+    if kind == "and":
+        return sx.And(random_counting_concept(rng, sig, depth - 1),
+                      random_counting_concept(rng, sig, depth - 1))
+    basic = sx.RoleName(rng.choice(sig.role_names))
+    if rng.random() < 0.5:
+        basic = sx.Inverse(basic)
+    node = sx.AtLeast if rng.random() < 0.5 else sx.AtMost
+    return node(rng.randint(0, 9), basic, random_counting_concept(rng, sig, depth - 1))
+
+
+class TestQSAgainstBruteForce:
+    def test_random_multiplicities(self):
+        rng = H.seeded(113)
+        sig = make_signature(2, 2, 0)
+        for _ in range(12):
+            interp = random_interpretation(rng, sig, rng.randint(1, 30),
+                                           rng.uniform(0.05, 0.3), 0.5)
+            qu = {}
+            for r in sig.role_names:
+                pairs = sorted(interp.role_ext[r])
+                qu[(r, False)] = {p: rng.randint(1, 5) for p in pairs}
+                qu[(r, True)] = {(y, x): rng.randint(1, 5) for x, y in pairs}
+            se = {r: {x for x in interp.domain if rng.random() < 0.3} for r in sig.role_names}
+            qsi = build_qs_interpretation(interp, qu, se)
+            ev = Evaluator(interp, FULL, qs=qsi)
+            for _ in range(25):
+                c = random_counting_concept(rng, sig, 3)
+                assert eval_concept_qs(qsi, c, FULL) == qs_brute_force(qsi, c), sx.to_text(c)
+                assert ev.concept(c) == qs_brute_force(qsi, c), sx.to_text(c)
+
+
+class TestLongPath:
+    # r* and U as pair sets would hold n^2 / 2 and n^2 pairs (2 * 10^8 and 4 * 10^8)
+    n = 20_000
+
+    def path(self):
+        sig = Signature(("A", "B"), ("r",), ("a",))
+        return build_interpretation(sig, self.n, {"A": {self.n - 1}},
+                                    {"r": {(i, i + 1) for i in range(self.n - 1)}},
+                                    {"a": 0})
+
+    def test_star_and_universal_role(self):
+        interp = self.path()
+        phi = FeatureSet.from_string("IU")
+        everything = frozenset(range(self.n))
+        last = frozenset({self.n - 1})
+
+        def ext(text):
+            return eval_concept(interp, sx.parse_concept(text), phi)
+
+        assert ext("some (r)* A") == everything
+        assert ext("some (inv(r))* A") == last
+        assert ext("all (r)* not A") == frozenset()
+        assert ext("some (inv(r))* some (r)* A") == everything
+        assert ext("some U A") == everything
+        assert ext("some U B") == frozenset()
+        assert ext("all U A") == frozenset()
+
+    def test_kb_and_role_assertions(self):
+        interp = self.path()
+        kb = sx.KnowledgeBase(
+            tbox=(sx.parse_gci("top sub some (r)* A"), sx.parse_gci("top sub some U A")),
+            abox=(sx.parse_assertion("(r)*(a, a)"), sx.parse_assertion("not inv((r)*)(a, a)"),
+                  sx.parse_assertion("some (r)* A(a)")))
+        lines = check_kb(interp, kb, FeatureSet.from_string("IU")).to_lines()
+        assert [line.split(":")[0] for line in lines] == [
+            "tbox[0] holds", "tbox[1] holds", "abox[0] holds", "abox[1] FAILS", "abox[2] holds"]
 
 
 class TestWorkedExample:

@@ -134,6 +134,33 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             sx.parse_concept("atleast %d r0 top" % (sx.MAX_COUNT + 1))
 
+    def test_nesting_limit(self):
+        # names, keyword constructors, stars and bracket pairs each open one level
+        deep = sx.MAX_DEPTH
+        cases = [
+            lambda k: "not " * (k - 1) + "A0",
+            lambda k: "(" * (k - 1) + "A0" + ")" * (k - 1),
+            lambda k: "some r0" + "*" * (k - 2) + " A0",
+            lambda k: "some " + "inv(" * (k - 2) + "r0" + ")" * (k - 2) + " A0",
+            lambda k: "all " + "(" * (k - 3) + "r0)*" + ")" * (k - 4) + " A0",
+            lambda k: ("not " * ((k - 1) % 2) + "some test(" * ((k - 1) // 2) + "A0"
+                       + ") top" * ((k - 1) // 2)),
+        ]
+        for make in cases:
+            assert sx.parse_concept(make(deep)) is not None, make(deep)
+            with pytest.raises(ParseError, match="nested deeper than %d levels" % deep):
+                sx.parse_concept(make(deep + 1))
+        assert sx.parse_role("inv(" * (deep - 1) + "r0" + ")" * (deep - 1)) is not None
+        with pytest.raises(ParseError):
+            sx.parse_role("inv(" * deep + "r0" + ")" * deep)
+        with pytest.raises(ParseError):
+            sx.parse_concept("not " * 5000 + "A0")
+        assert sx.parse_assertion("not " * (deep - 1) + "A0(a0)") is not None
+        with pytest.raises(ParseError):
+            sx.parse_assertion("not " * deep + "A0(a0)")
+        with pytest.raises(ParseError):
+            sx.parse_gci("top sub " + "not " * deep + "A0")
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             sx.parse_concept("A0 A1")
