@@ -20,7 +20,9 @@ What is here:
   otherwise a pure-Python loop over lists; select with the
   DLBISIM_NUMBA environment variable or set_engine),
 - bisimulation checking, largest bisimulations within and across
-  interpretations, and a slow reference fixpoint for cross checking,
+  interpretations (verdicts and pair counts read off block ids, pairs
+  built only on request), and a slow reference fixpoint for cross
+  checking,
 - quotients, multiplicity-annotated quotients, and concepts witnessing
   why two elements fell into different blocks,
 - a JSON document format and a CLI exposing all of the above.
@@ -31,6 +33,8 @@ from .bisim import (
     ConditionReport,
     Violation,
     bisimilar,
+    bisimulation_pairs,
+    bisimulation_size,
     is_bisimulation,
     largest_auto_bisimulation,
     largest_bisimulation,

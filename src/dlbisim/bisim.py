@@ -22,15 +22,24 @@ diagnostics can point at the exact failure:
 `is_bisimulation` reports violations of these clauses.  Two independent
 routes compute the largest bisimulation: `naive_largest_bisimulation`
 runs a straightforward delete-until-stable fixpoint on the full product
-of the domains, and `largest_bisimulation` reads it off the coarsest
+of the domains, and the partition route reads it off the coarsest
 stable partition of the disjoint union graph.  The two must agree; the
 test suite leans on that.
+
+The partition route decides everything from block ids.  `bisimilar`
+checks clauses 1, 10 and 11 on the ids of the two sides, and
+`bisimulation_size` multiplies the per-block counts of left and right
+members, so neither costs more than the partition.  Pairs are built
+only on request: `bisimulation_pairs` generates them in ascending
+order, and `largest_bisimulation` collects them into a `BisimRelation`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import product
+
+import numpy as np
 
 from .core import (
     BisimRelation,
@@ -299,38 +308,79 @@ def naive_largest_bisimulation(phi: FeatureSet, ia: Interpretation, ib: Interpre
     return BisimRelation(n, m, pairs)
 
 
-def largest_bisimulation(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
-                         engine: str | None = None) -> BisimRelation | None:
-    """Largest bisimulation via the partition of the disjoint union.
+def _union_blocks(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
+                  engine: str | None) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Block ids of both domains in the coarsest partition of their union.
 
-    Cross pairs land in the relation exactly when they share a block.
-    The three global clauses (1, 10, 11) are then checked on the result;
-    if the largest candidate fails them, nothing smaller can succeed, so
-    the verdict is that no bisimulation exists.
+    Cross pairs sharing a block form the largest candidate relation.
+    The three global clauses are decided on the ids alone: clause 1 asks
+    that each individual's two nodes share a block; clauses 10 and 11
+    (with U) ask that every block holds nodes of both sides.  If the
+    largest candidate fails them, nothing smaller can succeed, so the
+    result is None.  Otherwise it is (left ids, right ids, block count).
     """
     graph = disjoint_union_graph(ia, ib)
     partition, _ = compute_partition(phi, graph, want_trace=False, engine=engine)
-    na = ia.n
-    pairs = set()
-    for members in partition.blocks:
-        lefts = [x for x in members if x < na]
-        rights = [x - na for x in members if x >= na]
-        pairs.update(product(lefts, rights))
-
+    left, right = partition.block_of[:ia.n], partition.block_of[ia.n:]
     for a in ia.signature.individual_names:
-        if (ia.individual_map[a], ib.individual_map[a]) not in pairs:
+        if left[ia.individual_map[a]] != right[ib.individual_map[a]]:
             return None
-    if phi.universal:
-        covered_l = {x for x, _ in pairs}
-        covered_r = {y for _, y in pairs}
-        if len(covered_l) < na or len(covered_r) < ib.n:
-            return None
-    return BisimRelation(na, ib.n, frozenset(pairs))
+    n_blocks = partition.n_blocks
+    if phi.universal and not np.array_equal(np.bincount(left, minlength=n_blocks) > 0,
+                                            np.bincount(right, minlength=n_blocks) > 0):
+        return None
+    return left, right, n_blocks
 
 
 def bisimilar(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
               engine: str | None = None) -> bool:
-    return largest_bisimulation(phi, ia, ib, engine=engine) is not None
+    return _union_blocks(phi, ia, ib, engine) is not None
+
+
+def bisimulation_size(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
+                      engine: str | None = None) -> int | None:
+    """Number of pairs in the largest bisimulation, or None if there is none.
+
+    The sum over blocks of left members times right members; no pair is
+    built.
+    """
+    found = _union_blocks(phi, ia, ib, engine)
+    if found is None:
+        return None
+    left, right, n_blocks = found
+    return int(np.bincount(left, minlength=n_blocks) @ np.bincount(right, minlength=n_blocks))
+
+
+def bisimulation_pairs(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
+                       engine: str | None = None) -> Iterator[tuple[int, int]] | None:
+    """Pairs of the largest bisimulation in ascending order, or None.
+
+    The pairs are generated lazily: for each left element in turn, the
+    right members of its block.
+    """
+    found = _union_blocks(phi, ia, ib, engine)
+    if found is None:
+        return None
+    left, right, n_blocks = found
+    rights: list[list[int]] = [[] for _ in range(n_blocks)]
+    for y, b in enumerate(right.tolist()):
+        rights[b].append(y)
+    return ((x, y) for x, b in enumerate(left.tolist()) for y in rights[b])
+
+
+def largest_bisimulation(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
+                         engine: str | None = None) -> BisimRelation | None:
+    """Largest bisimulation via the partition of the disjoint union.
+
+    Collects `bisimulation_pairs` into a set.  The verdict itself comes
+    from block ids, so a caller that needs only the verdict or the pair
+    count should ask `bisimilar` or `bisimulation_size`, which build no
+    pair.
+    """
+    pairs = bisimulation_pairs(phi, ia, ib, engine=engine)
+    if pairs is None:
+        return None
+    return BisimRelation(ia.n, ib.n, frozenset(pairs))
 
 
 def largest_auto_bisimulation(phi: FeatureSet, interp: Interpretation,

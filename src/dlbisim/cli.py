@@ -23,8 +23,9 @@ import time
 
 from . import _kernels
 from .bisim import (
+    bisimulation_pairs,
+    bisimulation_size,
     largest_auto_bisimulation,
-    largest_bisimulation,
     naive_largest_bisimulation,
 )
 from .core import FeatureSet, qs_embedding, to_labeled_graph
@@ -140,17 +141,18 @@ def cmd_bisim(args) -> int:
     ia = ws.interpretation(args.left)
     ib = ws.interpretation(args.right)
     phi = _phi_of(ws, args)
-    relation = largest_bisimulation(phi, ia, ib, engine=_engine_of(args))
     if args.json:
-        doc: dict = {"bisimilar": relation is not None}
-        if relation is not None:
+        pairs = bisimulation_pairs(phi, ia, ib, engine=_engine_of(args))
+        doc: dict = {"bisimilar": pairs is not None}
+        if pairs is not None:
             lnames = ws.element_names[args.left]
             rnames = ws.element_names[args.right]
-            doc["pairs"] = [[lnames[x], rnames[y]] for x, y in sorted(relation.pairs)]
+            doc["pairs"] = [[lnames[x], rnames[y]] for x, y in pairs]
         _emit(dumps_document(doc), args.output)
-        return 0 if relation is not None else 1
-    if relation is not None:
-        _emit("BISIMILAR\npairs: %d\n" % len(relation.pairs), args.output)
+        return 0 if pairs is not None else 1
+    size = bisimulation_size(phi, ia, ib, engine=_engine_of(args))
+    if size is not None:
+        _emit("BISIMILAR\npairs: %d\n" % size, args.output)
         return 0
     lines = ["NOT BISIMILAR"]
     if ia.n * ib.n <= EXPLAIN_LIMIT:

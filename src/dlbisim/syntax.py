@@ -36,7 +36,7 @@ walkers below far from Python's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 from .errors import ParseError, UnknownNameError
 
@@ -336,12 +336,9 @@ def validate_in_language(phi, expr) -> LanguageCheck:
             walk_role(e.role)
         elif isinstance(e, (SameAs, DifferentFrom)):
             pass
+        elif isinstance(e, get_args(Concept)):
+            walk_concept(e)
         else:
-            try:
-                walk_concept(e)
-                return
-            except TypeError:
-                pass
             walk_role(e)
 
     walk(expr)

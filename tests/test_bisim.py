@@ -1,11 +1,15 @@
 """Bisimulation checking and the two largest-bisimulation routes."""
 
+import tracemalloc
+
 import pytest
 
 from dlbisim import syntax as sx
 from dlbisim.bisim import (
     DeletionRecord,
     bisimilar,
+    bisimulation_pairs,
+    bisimulation_size,
     is_bisimulation,
     largest_auto_bisimulation,
     largest_bisimulation,
@@ -305,6 +309,88 @@ class TestNaiveOracle:
                 rel = naive_largest_bisimulation(phi, ia, ib)
                 if rel is not None:
                     H.assert_clean(is_bisimulation(phi, ia, ib, rel))
+
+
+class TestVerdictsFromBlocks:
+    """bisimilar, bisimulation_size and bisimulation_pairs read the union
+    partition's block ids; the naive fixpoint is their oracle."""
+
+    def check_against_naive(self, phi, ia, ib):
+        naive = naive_largest_bisimulation(phi, ia, ib)
+        assert bisimilar(phi, ia, ib) == (naive is not None), str(phi)
+        size = bisimulation_size(phi, ia, ib)
+        pairs = bisimulation_pairs(phi, ia, ib)
+        if naive is None:
+            assert size is None and pairs is None, str(phi)
+        else:
+            assert size == len(naive.pairs), str(phi)
+            assert list(pairs) == sorted(naive.pairs), str(phi)
+        return naive is not None
+
+    def test_random_pairs_match_naive_on_all_feature_sets(self):
+        rng = H.seeded(311)
+        tally = {"individuals": 0, "universal yes": 0, "universal no": 0}
+        for _ in range(30):
+            ia, ib = H.instance_pair(rng, max_n=8)
+            for phi in H.ALL_PHIS:
+                verdict = self.check_against_naive(phi, ia, ib)
+                if phi.universal:
+                    tally["universal yes" if verdict else "universal no"] += 1
+            tally["individuals"] += bool(ia.signature.individual_names)
+        for _ in range(20):
+            ia = H.small_instance(rng, max_n=6)
+            ib, _ = H.duplicated_thinned(rng, ia)
+            for phi in H.ALL_PHIS:
+                verdict = self.check_against_naive(phi, ia, ib)
+                if phi.universal:
+                    tally["universal yes" if verdict else "universal no"] += 1
+            tally["individuals"] += bool(ia.signature.individual_names)
+        assert all(tally.values()), tally
+
+    def test_individual_clause_fails_alone(self):
+        sig = Signature(("A",), (), ("a",))
+        one = build_interpretation(sig, 1, {"A": {0}}, {}, {"a": 0})
+        two = build_interpretation(sig, 2, {"A": {1}}, {}, {"a": 0})
+        for phi in (FeatureSet(), FeatureSet.from_string("U")):
+            log: list[DeletionRecord] = []
+            assert naive_largest_bisimulation(phi, one, two, log=log) is None
+            assert log[-1].condition == 1
+            assert not bisimilar(phi, one, two)
+            assert bisimulation_size(phi, one, two) is None
+            assert largest_bisimulation(phi, one, two) is None
+        moved = build_interpretation(sig, 2, {"A": {1}}, {}, {"a": 1})
+        assert bisimulation_size(FeatureSet(), one, moved) == 1
+
+    @pytest.mark.parametrize("left_bigger", [True, False])
+    def test_universal_clauses_fail_alone(self, left_bigger):
+        sig = Signature(("A",), (), ())
+        one = build_interpretation(sig, 1, {"A": {0}}, {}, {})
+        two = build_interpretation(sig, 2, {"A": {0}}, {}, {})
+        ia, ib = (two, one) if left_bigger else (one, two)
+        phi = FeatureSet.from_string("U")
+        log: list[DeletionRecord] = []
+        assert naive_largest_bisimulation(phi, ia, ib, log=log) is None
+        assert log[-1].condition == (10 if left_bigger else 11)
+        assert not bisimilar(phi, ia, ib)
+        assert bisimulation_size(phi, ia, ib) is None
+        assert largest_bisimulation(phi, ia, ib) is None
+        assert bisimilar(FeatureSet(), ia, ib)
+        assert bisimulation_size(FeatureSet(), ia, ib) == 1
+
+    @pytest.mark.parametrize("phi", ["", "IQ"])
+    def test_size_of_one_huge_block_without_pairs(self, phi):
+        n = 2000
+        sig = Signature((), ("r",), ())
+        cycles = [build_interpretation(sig, n, {}, {"r": {(x, (x + step) % n) for x in range(n)}},
+                                       {}) for step in (1, 3)]
+        tracemalloc.start()
+        try:
+            size = bisimulation_size(FeatureSet.from_string(phi), *cycles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size == n * n
+        assert peak < 32 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
 
 
 class TestRelationAlgebra:

@@ -217,6 +217,15 @@ class TestLanguageGating:
         assert sx.validate_in_language(FeatureSet.from_string("O"), kb).ok
         assert not sx.validate_in_language(FeatureSet(), kb).ok
 
+    def test_roles_and_unknown_nodes(self):
+        role = sx.parse_role("(inv(r0) ; U)*")
+        check = sx.validate_in_language(FeatureSet(), role)
+        assert sorted(need for _, need in check.violations) == ["I", "U"]
+        assert sx.validate_in_language(FeatureSet.from_string("IU"), role).ok
+        for node in (object(), "top", sx.Some(object(), sx.Top()), sx.Star(object())):
+            with pytest.raises(TypeError):
+                sx.validate_in_language(FeatureSet.from_string("IOQUS"), node)
+
 
 class TestConverseNormalForm:
     def test_worked_example(self):
