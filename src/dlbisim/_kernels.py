@@ -52,7 +52,7 @@ except ImportError:  # numba is an optional extra; _refine_list_loop runs withou
 
 def _refine_loop(n, nsr, pred_indptr, pred_indices,
                  block_of, elems, pos, first, last, nblocks0,
-                 use_counts, exclude, record,
+                 use_counts, record,
                  counts, touched, tlist, tb_cnt, tb_start, tb_fill, affected,
                  sort_keys, queue, in_l,
                  ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start,
@@ -65,7 +65,7 @@ def _refine_loop(n, nsr, pred_indptr, pred_indices,
     ev_sub_start[0] = 0
     base_key = np.int64(n + 1)
 
-    if exclude:
+    if use_counts:
         zmax = 0
         for b in range(1, nblocks0):
             if last[b] - first[b] > last[zmax] - first[zmax]:
@@ -215,9 +215,9 @@ def _refine_loop(n, nsr, pred_indptr, pred_indices,
                 ev_sub_start[nev] = nsub
 
             # worklist update: replace a queued parent by all sub-blocks,
-            # otherwise queue all sub-blocks (minus a maximal one when the
-            # exclusion economy is sound)
-            if exclude:
+            # otherwise queue all sub-blocks (minus a maximal one when
+            # counting makes that economy sound)
+            if use_counts:
                 zbest = b
                 zsize = last[b] - first[b]
                 for cid in range(first_new, nblocks):
@@ -254,7 +254,7 @@ _refine_loop_jit = njit(cache=True)(_refine_loop) if HAVE_NUMBA else _refine_loo
 
 def _refine_list_loop(n, nsr, pred_indptr, pred_indices,
                       block_of, elems, pos, first, last, nblocks0,
-                      use_counts, exclude, record,
+                      use_counts, record,
                       counts, touched, tlist, tb_cnt, tb_start, tb_fill, affected,
                       sort_keys, queue, in_l,
                       ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start,
@@ -285,7 +285,7 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices,
     queued = bytearray(n * nsr)
     events = []
 
-    if exclude:
+    if use_counts:
         zmax = 0
         for b in range(1, nblocks0):
             if lst[b] - fst[b] > lst[zmax] - fst[zmax]:
@@ -387,7 +387,7 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices,
 
             # worklist update, as in _refine_loop
             zbest = -1
-            if exclude:
+            if use_counts:
                 zbest = b
                 zsize = lst[b] - fst[b]
                 for cid in range(first_new, nblocks):

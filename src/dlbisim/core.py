@@ -2,10 +2,14 @@
 
 An interpretation lives over a fixed signature of concept names, role
 names and individual names.  Domains are dense integer ranges 0..n-1;
-extensions are plain sets.  The refinement engine does not work on this
-shape directly: it takes a LabeledGraph, which stores the same data as
+extensions are plain sets.  Besides those sets, each basic role (a role
+name or its inverse) has one index of its edges, a CSR structure sorted
+by head and then by tail (Interpretation.in_edges); neighbour lists,
+graph building, evaluation and quotients all read that index.  The
+refinement engine takes a LabeledGraph, which stores the same data as
 numpy arrays (per-node label bits, CSR adjacency per role in both
-directions) so the hot loop never touches Python objects.
+directions) so the hot loop never touches Python objects; its adjacency
+rows are the interpretations' edge indexes stacked with node offsets.
 
 Reverse adjacency is always materialised, whether or not inverse roles
 are in the active feature set; consumers gate on the feature set, the
@@ -99,6 +103,14 @@ def _check_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
     return names
 
 
+def _edge_index(n: int, tail: np.ndarray, head: np.ndarray):
+    """(ptr, tail, head) of int64 edges sorted by head and then by tail."""
+    order = np.lexsort((tail, head))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(head, minlength=n), out=ptr[1:])
+    return ptr, tail[order], head[order]
+
+
 @dataclass(frozen=True)
 class Signature:
     """Vocabulary: concept, role and individual names, pairwise disjoint."""
@@ -150,31 +162,13 @@ class Interpretation:
     def domain(self) -> range:
         return range(self.n)
 
-    @cached_property
-    def _succ(self) -> dict[str, dict[int, tuple[int, ...]]]:
-        out = {}
-        for role, pairs in self.role_ext.items():
-            adj: dict[int, list[int]] = {}
-            for x, y in pairs:
-                adj.setdefault(x, []).append(y)
-            out[role] = {x: tuple(sorted(ys)) for x, ys in adj.items()}
-        return out
-
-    @cached_property
-    def _pred(self) -> dict[str, dict[int, tuple[int, ...]]]:
-        out = {}
-        for role, pairs in self.role_ext.items():
-            adj: dict[int, list[int]] = {}
-            for x, y in pairs:
-                adj.setdefault(y, []).append(x)
-            out[role] = {y: tuple(sorted(xs)) for y, xs in adj.items()}
-        return out
-
     def successors(self, role: str, x: int) -> tuple[int, ...]:
-        return self._succ[role].get(x, ())
+        ptr, tail, _ = self.in_edges(role, True)
+        return tuple(tail[ptr[x]:ptr[x + 1]].tolist())
 
     def predecessors(self, role: str, y: int) -> tuple[int, ...]:
-        return self._pred[role].get(y, ())
+        ptr, tail, _ = self.in_edges(role, False)
+        return tuple(tail[ptr[y]:ptr[y + 1]].tolist())
 
     @cached_property
     def _in_edges(self) -> dict:
@@ -185,9 +179,12 @@ class Interpretation:
 
         The basic role is the role name, or its inverse when inverted.
         Returns (ptr, tail, head): edge i runs from tail[i] to head[i],
-        edges are sorted by head, and ptr[y]:ptr[y + 1] are the positions
-        of the edges into y.  Built on first use and kept; concept
-        evaluation reads roles through these arrays only.
+        edges are sorted by head and then by tail, and ptr[y]:ptr[y + 1]
+        are the positions of the edges into y, so tail[ptr[y]:ptr[y + 1]]
+        lists y's neighbours in ascending order.  Built on first use and
+        kept.  This is the only index of a role's edges: successors and
+        predecessors slice it, graph building stacks it, and evaluation
+        and quotients read it.
         """
         key = (role, inverted)
         if key not in self._in_edges:
@@ -195,10 +192,7 @@ class Interpretation:
             flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64,
                                count=2 * len(pairs))
             tail, head = (flat[1::2], flat[0::2]) if inverted else (flat[0::2], flat[1::2])
-            order = np.argsort(head, kind="stable")
-            ptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(head, minlength=self.n), out=ptr[1:])
-            self._in_edges[key] = (ptr, tail[order], head[order])
+            self._in_edges[key] = _edge_index(self.n, tail, head)
         return self._in_edges[key]
 
 
@@ -359,34 +353,6 @@ class BisimRelation:
         return BisimRelation(self.n_right, self.n_left, frozenset((y, x) for x, y in self.pairs))
 
 
-def _stacked_csr(n: int, per_role_edges) -> tuple[np.ndarray, np.ndarray]:
-    """Stack one CSR structure per role into a single index array.
-
-    Row k of the returned indptr carries absolute offsets into the flat
-    indices array; neighbour lists are sorted ascending.
-    """
-    n_roles = len(per_role_edges)
-    indptr = np.zeros((n_roles, n + 1), dtype=np.int64)
-    chunks = []
-    base = 0
-    for k, (src, dst) in enumerate(per_role_edges):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if len(src):
-            order = np.lexsort((dst, src))
-            src = src[order]
-            dst = dst[order]
-            counts = np.bincount(src, minlength=n)
-        else:
-            counts = np.zeros(n, dtype=np.int64)
-        indptr[k, 0] = base
-        indptr[k, 1:] = base + np.cumsum(counts)
-        chunks.append(dst.astype(np.int32))
-        base += len(dst)
-    indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int32)
-    return indptr, indices
-
-
 class LabeledGraph:
     """Array form of one interpretation, or of a disjoint union of two."""
 
@@ -442,45 +408,40 @@ class LabeledGraph:
         return self.rev_indices[lo:hi]
 
 
-def _label_nodes(parts) -> tuple:
-    """Shared assembly for to_labeled_graph and disjoint_union_graph.
+def _assemble(sig: Signature, sizes: list[int], atom_bits: np.ndarray,
+              individual_nodes: dict[str, tuple[int, ...]], edge_index) -> LabeledGraph:
+    """Shared assembly for to_labeled_graph, disjoint_union_graph and from_arrays.
 
-    parts is a list of (interpretation, offset, side).
+    The graph's nodes are the sides' elements, side after side.
+    edge_index(k, inverted) lists per side the (ptr, tail, head) index
+    of role k, or of its inverse, in that side's own element ids; its
+    rows are stacked with node offsets into the CSR adjacency, the
+    inverse's as forward rows (grouped by source) and the role's own as
+    reverse rows (grouped by target).
     """
-    sig = parts[0][0].signature
-    n = sum(interp.n for interp, _, _ in parts)
-    n_c = len(sig.concept_names)
+    n = sum(sizes)
+    offsets = list(itertools.accumulate(sizes, initial=0))[:-1]
     n_r = len(sig.role_names)
-
-    atom_bits = np.zeros((n, n_c), dtype=np.uint8)
     self_bits = np.zeros((n, n_r), dtype=np.uint8)
-    origin_side = np.zeros(n, dtype=np.uint8)
-    origin_elem = np.zeros(n, dtype=np.int32)
+    csr = []
+    for inverted in (True, False):
+        indptr = np.zeros((n_r, n + 1), dtype=np.int64)
+        chunks = [np.zeros(0, dtype=np.int64)]  # concatenate needs one, even with no roles
+        base = 0
+        for k in range(n_r):
+            for off, size, (ptr, tail, head) in zip(offsets, sizes, edge_index(k, inverted)):
+                indptr[k, off:off + size] = base + ptr[:-1]
+                chunks.append(tail + off)
+                base += len(tail)
+                if not inverted:
+                    self_bits[off + tail[tail == head], k] = 1
+            indptr[k, n] = base
+        csr += [indptr, np.concatenate(chunks).astype(np.int32)]
 
     node_names: dict[int, list[str]] = {}
-    individual_nodes: dict[str, list[int]] = {name: [] for name in sig.individual_names}
-    per_role_src = [[] for _ in range(n_r)]
-    per_role_dst = [[] for _ in range(n_r)]
-
-    for interp, off, side in parts:
-        origin_side[off:off + interp.n] = side
-        origin_elem[off:off + interp.n] = np.arange(interp.n, dtype=np.int32)
-        for j, name in enumerate(sig.concept_names):
-            for x in interp.concept_ext[name]:
-                atom_bits[off + x, j] = 1
-        for k, name in enumerate(sig.role_names):
-            pairs = interp.role_ext[name]
-            if pairs:
-                arr = np.array(sorted(pairs), dtype=np.int64)
-                per_role_src[k].append(arr[:, 0] + off)
-                per_role_dst[k].append(arr[:, 1] + off)
-                for x, y in pairs:
-                    if x == y:
-                        self_bits[off + x, k] = 1
-        for name, x in interp.individual_map.items():
-            node_names.setdefault(off + x, []).append(name)
-            individual_nodes[name].append(off + x)
-
+    for name, nodes in individual_nodes.items():
+        for node in nodes:
+            node_names.setdefault(node, []).append(name)
     key_of: dict[frozenset, int] = {frozenset(): 0}
     nominal_sets = [frozenset()]
     nominal_key = np.zeros(n, dtype=np.int32)
@@ -493,22 +454,27 @@ def _label_nodes(parts) -> tuple:
             nominal_sets.append(names)
         nominal_key[node] = key
 
-    edges = []
-    for k in range(n_r):
-        if per_role_src[k]:
-            edges.append((np.concatenate(per_role_src[k]), np.concatenate(per_role_dst[k])))
-        else:
-            empty = np.zeros(0, dtype=np.int64)
-            edges.append((empty, empty))
+    origin_side = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
+    origin_elem = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes])
+    return LabeledGraph(sig, n, len(sizes), atom_bits, self_bits, nominal_key,
+                        tuple(nominal_sets), individual_nodes, *csr, origin_side, origin_elem)
 
-    fwd_indptr, fwd_indices = _stacked_csr(n, edges)
-    rev_indptr, rev_indices = _stacked_csr(n, [(dst, src) for src, dst in edges])
 
-    return LabeledGraph(
-        sig, n, len(parts), atom_bits, self_bits, nominal_key, tuple(nominal_sets),
-        {name: tuple(nodes) for name, nodes in individual_nodes.items()},
-        fwd_indptr, fwd_indices, rev_indptr, rev_indices, origin_side, origin_elem,
-    )
+def _interpretations_graph(parts: list[Interpretation]) -> LabeledGraph:
+    sig = parts[0].signature
+    sizes = [interp.n for interp in parts]
+    offsets = list(itertools.accumulate(sizes, initial=0))[:-1]
+    atom_bits = np.zeros((sum(sizes), len(sig.concept_names)), dtype=np.uint8)
+    for interp, off in zip(parts, offsets):
+        for j, name in enumerate(sig.concept_names):
+            ext = interp.concept_ext[name]
+            atom_bits[off + np.fromiter(ext, dtype=np.int64, count=len(ext)), j] = 1
+    individual_nodes = {name: tuple(off + interp.individual_map[name]
+                                    for interp, off in zip(parts, offsets))
+                        for name in sig.individual_names}
+    return _assemble(sig, sizes, atom_bits, individual_nodes,
+                     lambda k, inverted: [interp.in_edges(sig.role_names[k], inverted)
+                                          for interp in parts])
 
 
 def to_labeled_graph(interp: Interpretation) -> LabeledGraph:
@@ -517,7 +483,7 @@ def to_labeled_graph(interp: Interpretation) -> LabeledGraph:
     All label families and both adjacency directions are populated; the
     feature set is applied by the consumers.
     """
-    return _label_nodes([(interp, 0, 0)])
+    return _interpretations_graph([interp])
 
 
 def disjoint_union_graph(a: Interpretation, b: Interpretation) -> LabeledGraph:
@@ -528,7 +494,7 @@ def disjoint_union_graph(a: Interpretation, b: Interpretation) -> LabeledGraph:
     """
     if a.signature != b.signature:
         raise SignatureMismatchError("disjoint union requires a shared signature")
-    return _label_nodes([(a, 0, 0), (b, a.n, 1)])
+    return _interpretations_graph([a, b])
 
 
 def from_arrays(signature: Signature, n: int, atom_bits: np.ndarray,
@@ -539,49 +505,25 @@ def from_arrays(signature: Signature, n: int, atom_bits: np.ndarray,
     name, already deduplicated.  Used by the benchmark path where
     materialising Python pair sets would dominate the run.
     """
-    n_r = len(signature.role_names)
-    if len(role_edges) != n_r:
+    if len(role_edges) != len(signature.role_names):
         raise SignatureMismatchError("expected one edge array pair per role name")
     individual_map = dict(individual_map or {})
-    self_bits = np.zeros((n, n_r), dtype=np.uint8)
-    edges = []
+    index = {}
     for k, (src, dst) in enumerate(role_edges):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if len(src) and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
             raise ElementOutOfRangeError("edge endpoint outside 0..%d" % (n - 1))
-        loops = src == dst
-        if loops.any():
-            self_bits[src[loops], k] = 1
-        edges.append((src, dst))
-
-    nominal_key = np.zeros(n, dtype=np.int32)
-    nominal_sets = [frozenset()]
-    node_names: dict[int, list[str]] = {}
+        index[(k, True)] = [_edge_index(n, dst, src)]
+        index[(k, False)] = [_edge_index(n, src, dst)]
     individual_nodes = {}
     for name in signature.individual_names:
         if name not in individual_map:
             raise PartialIndividualMapError("individual %r has no assigned element" % name)
-        node_names.setdefault(int(individual_map[name]), []).append(name)
         individual_nodes[name] = (int(individual_map[name]),)
-    key_of: dict[frozenset, int] = {frozenset(): 0}
-    for node in sorted(node_names):
-        names = frozenset(node_names[node])
-        key = key_of.get(names)
-        if key is None:
-            key = len(nominal_sets)
-            key_of[names] = key
-            nominal_sets.append(names)
-        nominal_key[node] = key
-
-    fwd_indptr, fwd_indices = _stacked_csr(n, edges)
-    rev_indptr, rev_indices = _stacked_csr(n, [(dst, src) for src, dst in edges])
     atom_bits = np.ascontiguousarray(atom_bits, dtype=np.uint8)
-    return LabeledGraph(
-        signature, n, 1, atom_bits, self_bits, nominal_key, tuple(nominal_sets),
-        individual_nodes, fwd_indptr, fwd_indices, rev_indptr, rev_indices,
-        np.zeros(n, dtype=np.uint8), np.arange(n, dtype=np.int32),
-    )
+    return _assemble(signature, [n], atom_bits, individual_nodes,
+                     lambda k, inverted: index[(k, inverted)])
 
 
 def extract_interpretation(graph: LabeledGraph, side: int) -> Interpretation:

@@ -49,6 +49,7 @@ from .core import (
     Signature,
     build_interpretation,
     build_qs_interpretation,
+    qs_embedding,
 )
 from .errors import DocumentError, ParseError
 from .syntax import (
@@ -148,7 +149,7 @@ def _resolve_ref(ref, index: dict[str, int], where: str) -> int:
     raise DocumentError("%s: element reference %r is not an index or name" % (where, ref))
 
 
-def _load_counts(obj, sig: Signature, index, interp: Interpretation, where: str):
+def _load_counts(obj, sig: Signature, index, default_qu, where: str):
     _expect(isinstance(obj, dict), "%s.counts must be an object" % where)
     qu: dict[tuple[str, bool], dict[tuple[int, int], int]] = {}
     for role, spec in obj.items():
@@ -170,12 +171,8 @@ def _load_counts(obj, sig: Signature, index, interp: Interpretation, where: str)
                         "%s.counts.%s.%s: count must be a non-negative integer" % (where, role, key))
                 table[(src, dst)] = item[2]
             qu[(role, inverted)] = table
-    for role in sig.role_names:
-        edges = interp.role_ext[role]
-        if (role, False) not in qu:
-            qu[(role, False)] = {p: 1 for p in edges}
-        if (role, True) not in qu:
-            qu[(role, True)] = {(y, x): 1 for x, y in edges}
+    for key, table in default_qu.items():
+        qu.setdefault(key, table)
     return qu
 
 
@@ -217,7 +214,8 @@ def _load_interpretation(obj, sig: Signature, where: str):
 
     qsi = None
     if "counts" in obj or "self_loops" in obj:
-        qu = _load_counts(obj.get("counts", {}), sig, index, interp, where)
+        defaults = qs_embedding(interp)
+        qu = _load_counts(obj.get("counts", {}), sig, index, defaults.qu, where)
         if "self_loops" in obj:
             loops_obj = obj["self_loops"]
             _expect(isinstance(loops_obj, dict), "%s.self_loops must be an object" % where)
@@ -229,8 +227,7 @@ def _load_interpretation(obj, sig: Signature, where: str):
                 se[role] = {_resolve_ref(r, index, "%s.self_loops.%s" % (where, role))
                             for r in refs}
         else:
-            se = {role: {x for x, y in interp.role_ext[role] if x == y}
-                  for role in sig.role_names}
+            se = defaults.se
         qsi = build_qs_interpretation(interp, qu, se)
     return interp, names, qsi
 

@@ -17,8 +17,9 @@ returned, so a returned witness is always valid.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     Interpretation,
@@ -45,38 +46,46 @@ from .syntax import (
 )
 
 
+def _block_pairs(nb: int, keys: np.ndarray) -> list[tuple[int, int]]:
+    """Decode keys a * nb + b into (a, b) pairs of Python ints."""
+    return list(zip((keys // nb).tolist(), (keys % nb).tolist()))
+
+
 def quotient_interpretation(interp: Interpretation, partition: Partition) -> Interpretation:
     """Collapse blocks to elements; block ids follow smallest members."""
     check_partition(partition, interp.n)
     sig = interp.signature
-    cls = partition.canonical_of
+    cls = partition.canonical_of.astype(np.int64)
+    nb = partition.n_blocks
     concept_ext = {a: {int(cls[x]) for x in interp.concept_ext[a]} for a in sig.concept_names}
-    role_ext = {r: {(int(cls[x]), int(cls[y])) for x, y in interp.role_ext[r]}
-                for r in sig.role_names}
+    role_ext = {}
+    for r in sig.role_names:
+        _, tail, head = interp.in_edges(r, False)
+        role_ext[r] = _block_pairs(nb, np.unique(cls[tail] * nb + cls[head]))
     individual_map = {a: int(cls[x]) for a, x in interp.individual_map.items()}
-    return build_interpretation(sig, partition.n_blocks, concept_ext, role_ext, individual_map)
+    return build_interpretation(sig, nb, concept_ext, role_ext, individual_map)
 
 
 def qs_quotient(interp: Interpretation, partition: Partition) -> QSInterpretation:
     """Quotient that keeps maximal edge multiplicities and self loops."""
     base = quotient_interpretation(interp, partition)
     sig = interp.signature
-    cls = partition.canonical_of
+    cls = partition.canonical_of.astype(np.int64)
+    nb = partition.n_blocks
     qu: dict[tuple[str, bool], dict[tuple[int, int], int]] = {}
+    se: dict[str, set[int]] = {}
     for r in sig.role_names:
-        fwd: dict[tuple[int, int], int] = {}
-        bwd: dict[tuple[int, int], int] = {}
-        for x in range(interp.n):
-            for by, k in Counter(int(cls[y]) for y in interp.successors(r, x)).items():
-                key = (int(cls[x]), by)
-                fwd[key] = max(fwd.get(key, 0), k)
-            for by, k in Counter(int(cls[y]) for y in interp.predecessors(r, x)).items():
-                key = (int(cls[x]), by)
-                bwd[key] = max(bwd.get(key, 0), k)
-        qu[(r, False)] = fwd
-        qu[(r, True)] = bwd
-    se = {r: {int(cls[x]) for x in range(interp.n) if (x, x) in interp.role_ext[r]}
-          for r in sig.role_names}
+        for inverted in (False, True):
+            _, tail, head = interp.in_edges(r, inverted)
+            # edges from each element into each block, then the largest
+            # such count over the members of the element's block
+            keys, counts = np.unique(tail * nb + cls[head], return_counts=True)
+            block_keys, at = np.unique(cls[keys // nb] * nb + keys % nb, return_inverse=True)
+            top = np.zeros(len(block_keys), dtype=np.int64)
+            np.maximum.at(top, at, counts)
+            qu[(r, inverted)] = dict(zip(_block_pairs(nb, block_keys), top.tolist()))
+            if not inverted:
+                se[r] = set(cls[tail[tail == head]].tolist())
     return build_qs_interpretation(base, qu, se)
 
 

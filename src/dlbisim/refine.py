@@ -218,7 +218,7 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     n_blocks, nev, _ = loop(
         n, nsr, pred_indptr, pred_indices,
         block_of, elems, pos, first, last, nblocks0,
-        bool(phi.counting), bool(phi.counting), bool(want_trace),
+        bool(phi.counting), bool(want_trace),
         *_loop_scratch(loop, n, nsr),
         ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start,
         sub_block, sub_count,

@@ -40,7 +40,10 @@ evaluated once and nesting depth costs no Python frames.
 Only role extensions and role assertions need pairs.  They come from
 the preimages of singletons, computed as the columns of n x k bool
 matrices, so eval_role costs O(n (n + m)) for the up to n^2 pairs it
-returns.
+returns.  A chain role axiom is checked on pair keys instead: the edge
+arrays are joined step by step into the distinct pairs the chain
+reaches, which are then looked up among the role's edges, O(p log p)
+for p pairs reached.
 """
 
 from __future__ import annotations
@@ -320,16 +323,20 @@ def check_role_axiom(interp: Interpretation, axiom) -> bool:
         target = interp.role_ext[axiom.role]
         return all((x, x) in target for x in interp.domain)
     if isinstance(axiom, sx.ChainSub):
-        # per start element, the set the chain reaches must lie in its successors
-        steps = [_basic_parts(b) for b in axiom.chain]
-        for x in interp.domain:
-            reach = {x}
-            for name, inverted in steps:
-                step = interp.predecessors if inverted else interp.successors
-                reach = {z for y in reach for z in step(name, y)}
-            if not reach.issubset(interp.successors(axiom.role, x)):
-                return False
-        return True
+        # the pairs (x, z) the chain reaches from x, kept as distinct keys
+        # x * n + z, must all be edges of the role
+        n = interp.n
+        start = here = np.arange(n, dtype=np.int64)
+        for basic in axiom.chain:
+            name, inverted = _basic_parts(basic)
+            ptr, tail, _ = interp.in_edges(name, not inverted)
+            deg = ptr[here + 1] - ptr[here]
+            row_start = np.repeat(np.cumsum(deg) - deg, deg)
+            here = tail[np.repeat(ptr[here], deg) + np.arange(len(row_start)) - row_start]
+            keys = np.unique(np.repeat(start, deg) * n + here)
+            start, here = keys // n, keys % n
+        _, tail, head = interp.in_edges(axiom.role, False)
+        return bool(np.isin(start * n + here, tail * n + head).all())
     raise TypeError("not a role axiom: %r" % (axiom,))
 
 

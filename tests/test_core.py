@@ -5,6 +5,7 @@ import pytest
 
 from dlbisim.core import (
     FeatureSet,
+    LabeledGraph,
     Signature,
     build_interpretation,
     disjoint_union_graph,
@@ -104,6 +105,38 @@ class TestBuildInterpretation:
         assert interp.successors("r", 1) == ()
 
 
+def _atom_bits(interp):
+    atom = np.zeros((interp.n, len(interp.signature.concept_names)), dtype=np.uint8)
+    for j, name in enumerate(interp.signature.concept_names):
+        atom[sorted(interp.concept_ext[name]), j] = 1
+    return atom
+
+
+def _shuffled_edges(rng, interp):
+    """Per role, (src, dst) arrays of its pairs in a random order."""
+    out = []
+    for name in interp.signature.role_names:
+        pairs = sorted(interp.role_ext[name])
+        rng.shuffle(pairs)
+        out.append((np.array([x for x, _ in pairs], dtype=np.int64),
+                    np.array([y for _, y in pairs], dtype=np.int64)))
+    return out
+
+
+def _assert_same_array(a, b, field):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+    assert (a == b).all(), field
+
+
+def _assert_same_graph(g, h):
+    for field in LabeledGraph.__slots__:
+        a, b = getattr(g, field), getattr(h, field)
+        if isinstance(a, np.ndarray):
+            _assert_same_array(a, b, field)
+        else:
+            assert a == b, field
+
+
 class TestLabeledGraph:
     def test_roundtrip_through_graph(self):
         rng = H.seeded(41)
@@ -113,15 +146,45 @@ class TestLabeledGraph:
             assert extract_interpretation(graph, 0) == interp
 
     def test_csr_matches_edges(self):
+        # shapes the stacked index must handle, then seeded random instances
+        sig = Signature(("A",), ("r", "s"), ("a", "b"))
+        instances = [
+            build_interpretation(Signature(("A",), (), ("a",)), 3, {"A": {1}}, {}, {"a": 2}),
+            build_interpretation(sig, 5, {"A": {0, 4}}, {"r": {(0, 0), (3, 1), (3, 0), (2, 2)}},
+                                 {"a": 1, "b": 1}),
+        ]
         rng = H.seeded(42)
-        interp = H.small_instance(rng, 2, 2, 2, 9)
-        graph = to_labeled_graph(interp)
-        for k, name in enumerate(interp.signature.role_names):
-            pairs = interp.role_ext[name]
-            fwd = {(x, int(y)) for x in interp.domain for y in graph.successors(k, x)}
-            rev = {(int(x), y) for y in interp.domain for x in graph.predecessors(k, y)}
-            assert fwd == pairs
-            assert rev == pairs
+        instances += [H.small_instance(rng, 2, 3, 3, 9) for _ in range(60)]
+        for interp in instances:
+            graph = to_labeled_graph(interp)
+            for k, name in enumerate(interp.signature.role_names):
+                pairs = sorted(interp.role_ext[name])
+                for indptr, indices in ((graph.fwd_indptr, graph.fwd_indices),
+                                        (graph.rev_indptr, graph.rev_indices)):
+                    rows = [indices[indptr[k, x]:indptr[k, x + 1]] for x in interp.domain]
+                    assert all((np.diff(row) > 0).all() for row in rows)
+                fwd = [(x, int(y)) for x in interp.domain for y in graph.successors(k, x)]
+                rev = [(int(x), y) for y in interp.domain for x in graph.predecessors(k, y)]
+                assert fwd == pairs
+                assert sorted(rev) == pairs
+                assert [(x, y) for x in interp.domain for y in interp.successors(name, x)] == pairs
+                assert [(x, y) for y in interp.domain for x in interp.predecessors(name, y)] == \
+                    sorted(pairs, key=lambda p: (p[1], p[0]))
+                assert graph.self_bits[:, k].tolist() == [int((x, x) in pairs) for x in interp.domain]
+            _assert_same_graph(graph, from_arrays(interp.signature, interp.n, _atom_bits(interp),
+                                                  _shuffled_edges(rng, interp), interp.individual_map))
+
+        for _ in range(40):
+            a, b = H.instance_pair(rng, 2, 3, 2, 9)
+            union = disjoint_union_graph(a, b)
+            edges = [(np.concatenate([src_a, src_b + a.n]), np.concatenate([dst_a, dst_b + a.n]))
+                     for (src_a, dst_a), (src_b, dst_b)
+                     in zip(_shuffled_edges(rng, a), _shuffled_edges(rng, b))]
+            atom = np.concatenate([_atom_bits(a), _atom_bits(b)])
+            ref = from_arrays(a.signature, a.n + b.n, atom, edges, a.individual_map)
+            for field in ("atom_bits", "self_bits", "fwd_indptr", "fwd_indices",
+                          "rev_indptr", "rev_indices"):
+                _assert_same_array(getattr(union, field), getattr(ref, field), field)
 
     def test_label_bits(self):
         sig = Signature(("A",), ("r",), ("a", "b"))

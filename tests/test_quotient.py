@@ -1,6 +1,8 @@
 """Quotient interpretations, QS summaries, and separating witnesses."""
 
 import itertools
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from dlbisim.core import (
     qs_embedding,
     to_labeled_graph,
 )
-from dlbisim.document import load_workspace
+from dlbisim.document import interpretation_to_json, load_workspace
 from dlbisim.errors import (
     ElementOutOfRangeError,
     NotSeparatedError,
@@ -143,29 +145,30 @@ class TestQSQuotient:
 
     def test_multiplicities_are_the_max_over_members(self):
         rng = H.seeded(72)
-        for _ in range(25):
-            interp = H.small_instance(rng, max_n=9)
-            phi = rng.choice(H.ALL_PHIS)
-            part, _ = auto(phi, interp)
-            qsi = qs_quotient(interp, part)
-            cls = part.canonical_of
-            for role in interp.signature.role_names:
-                for inverted in (False, True):
-                    step = interp.predecessors if inverted else interp.successors
-                    seen = {}
-                    for x in range(interp.n):
-                        counts = {}
-                        for y in step(role, x):
-                            counts[cls[y]] = counts.get(cls[y], 0) + 1
-                        for block, k in counts.items():
-                            key = (int(cls[x]), int(block))
-                            seen.setdefault(key, []).append(k)
-                    recorded = qsi.qu[(role, inverted)]
-                    assert recorded == {key: max(ks) for key, ks in seen.items()}
-                    if phi.counting:
-                        # with counting every member of a block agrees
-                        for key, ks in seen.items():
-                            assert len(set(ks)) == 1, (role, inverted, key)
+        for phi in H.ALL_PHIS:
+            for _ in range(6):
+                interp = H.small_instance(rng, max_n=9)
+                part, _ = auto(phi, interp)
+                qsi = qs_quotient(interp, part)
+                cls = part.canonical_of
+                for role in interp.signature.role_names:
+                    pairs = interp.role_ext[role]
+                    for inverted in (False, True):
+                        edges = [(y, x) if inverted else (x, y) for x, y in pairs]
+                        seen = {}
+                        for (x, block), k in Counter((x, int(cls[y])) for x, y in edges).items():
+                            seen.setdefault((int(cls[x]), block), []).append(k)
+                        recorded = qsi.qu[(role, inverted)]
+                        assert recorded == {key: max(ks) for key, ks in seen.items()}
+                        # numpy integers would stop minimize --qs in json.dumps
+                        assert all(type(v) is int for key, k in recorded.items() for v in (*key, k))
+                        if phi.counting:
+                            # with counting every member of a block agrees
+                            for key, ks in seen.items():
+                                assert len(set(ks)) == 1, (role, inverted, key)
+                    assert qsi.se[role] == {int(cls[x]) for x, y in pairs if x == y}
+                    assert all(type(b) is int for b in qsi.se[role])
+                json.dumps(interpretation_to_json(qsi.base, qsi=qsi))
 
 
 class TestQuotientIsBisimilar:

@@ -376,6 +376,27 @@ class TestAssertionsAndAxioms:
         refl = sx.parse_role_axiom("eps sub r")
         assert not check_role_axiom(open_chain, refl)
 
+    def test_chain_axioms_against_pair_composition(self):
+        rng = H.seeded(96)
+        verdicts = set()
+        for _ in range(150):
+            interp = H.small_instance(rng, 0, 3, 0, 9)
+            roles = interp.signature.role_names
+            if not roles:
+                continue
+            chain = [(rng.choice(roles), rng.random() < 0.4) for _ in range(rng.randint(1, 3))]
+            axiom = sx.ChainSub(tuple(sx.Inverse(sx.RoleName(r)) if inv else sx.RoleName(r)
+                                      for r, inv in chain), rng.choice(roles))
+            for inst in (interp, least_r_extension(interp, [axiom])):
+                reach = {(x, x) for x in inst.domain}
+                for r, inv in chain:
+                    step = {(y, x) if inv else (x, y) for x, y in inst.role_ext[r]}
+                    reach = {(x, z) for x, y in reach for y2, z in step if y == y2}
+                expected = reach <= inst.role_ext[axiom.role]
+                assert check_role_axiom(inst, axiom) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
     def test_gci(self):
         sig = make_signature(2, 0, 0)
         interp = build_interpretation(sig, 3, {"A0": {0, 1}, "A1": {0, 1, 2}}, {}, {})
