@@ -7,7 +7,8 @@ or JSON to stdout or a file.  Exit codes are uniform across commands:
     0  success, or an affirmative verdict (bisimilar, all axioms hold)
     1  a negative verdict (not bisimilar, axiom fails, not separated)
     2  malformed input: JSON syntax or concept grammar
-    3  well-formed but invalid: schema, names, ranges, feature misuse
+    3  well-formed but invalid: schema, names, ranges, feature misuse,
+       or a result above a stated limit (WITNESS_LIMIT)
     4  unexpected internal failure
 
 The `bench` command times the partition refinement on seeded random
@@ -42,9 +43,12 @@ from .gen import benchmark_graph, random_document
 from .quotient import qs_quotient, quotient_interpretation, separating_concept
 from .refine import compute_partition
 from .semantics import check_kb, eval_concept, eval_concept_qs, eval_role, least_r_extension
-from .syntax import parse_concept, parse_role, to_text
+from .syntax import ast_size, parse_concept, parse_role, to_text
 
 EXPLAIN_LIMIT = 40_000
+# largest witness, in tree nodes, that `witness` prints; a tree node
+# prints as about five characters, so the output stays near 20 MB or less
+WITNESS_LIMIT = 2 ** 22
 
 
 def _load(args) -> Workspace:
@@ -211,6 +215,10 @@ def cmd_witness(args) -> int:
     except NotSeparatedError:
         _emit("NOT SEPARATED\n", args.output)
         return 1
+    size = ast_size(witness.concept)
+    if size > WITNESS_LIMIT:
+        raise TooLargeError("separating concept has %d nodes as a tree, above the print limit of %d"
+                            % (size, WITNESS_LIMIT))
     _emit(to_text(witness.concept) + "\n", args.output)
     return 0
 

@@ -73,19 +73,6 @@ def _require(phi, expr):
         )
 
 
-def _children(node) -> tuple:
-    """The subterms a node's value is computed from, roles included."""
-    if isinstance(node, (sx.Not, sx.Test)):
-        return (node.concept,)
-    if isinstance(node, (sx.And, sx.Or, sx.Compose, sx.RoleUnion)):
-        return (node.left, node.right)
-    if isinstance(node, (sx.Some, sx.All, sx.AtLeast, sx.AtMost)):
-        return (node.role, node.concept)
-    if isinstance(node, (sx.Inverse, sx.Star)):
-        return (node.role,)
-    return ()
-
-
 def _closure(ptr, tail, targets: np.ndarray) -> np.ndarray:
     """pre_b* of every column of targets for a basic role b (semi-naive).
 
@@ -158,7 +145,7 @@ class Evaluator:
             if id(node) in memo:
                 stack.pop()
                 continue
-            pending = [c for c in _children(node) if id(c) not in memo]
+            pending = [c for c in sx.children(node) if id(c) not in memo]
             if pending:
                 stack.extend(pending)
             else:

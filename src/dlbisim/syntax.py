@@ -26,17 +26,28 @@ Keywords (top bottom not and or some all atleast atmost self inv test
 eps sub U) are reserved and cannot be used as names.  The printer emits
 exactly this grammar, so print and parse are mutually inverse.
 
+Terms are DAGs: a subterm may be shared by several parents, as in the
+separating concepts of the quotient module, whose trees are exponentially
+larger than their DAGs.  Every walker here (sizes, feature and name
+checks, the converse normal form, both printers) runs from an explicit
+stack over `children` and handles each distinct node once, keyed by
+identity, so it costs the DAG, not the tree, and no Python frames however
+deep the term nests.  The printers add the characters they write: their
+output is the tree and can be exponentially long.  Structural `==` and
+`hash` (the dataclass ones) do not share this: they recurse and cost the
+tree size.
+
 Parsed terms nest at most MAX_DEPTH levels deep: every name, keyword
 constructor, star and pair of brackets on the way from the outside of a
 term to its innermost part is one level, so `not not A` is three levels
-deep.  Deeper input raises ParseError, which keeps the recursive
-walkers below far from Python's recursion limit.
+deep.  Deeper input raises ParseError, which keeps the recursive-descent
+parser below far from Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union, get_args
+from typing import Union
 
 from .errors import ParseError, UnknownNameError
 
@@ -232,21 +243,63 @@ def is_basic(role) -> bool:
     )
 
 
+# --- traversal ---
+
+_CHILDREN = {kind: get for kinds, get in (
+    ((Top, Bottom, ConceptName, Nominal, HasSelf, RoleName, Epsilon, UniversalRole,
+      EpsilonSub, SameAs, DifferentFrom), lambda n: ()),
+    ((Not, Test, ConceptAssertion), lambda n: (n.concept,)),
+    ((Inverse, Star, RoleAssertion, NegatedRoleAssertion), lambda n: (n.role,)),
+    ((And, Or, Compose, RoleUnion), lambda n: (n.left, n.right)),
+    ((Some, All, AtLeast, AtMost), lambda n: (n.role, n.concept)),
+    ((GCI,), lambda n: (n.lhs, n.rhs)),
+    ((ChainSub,), lambda n: n.chain),
+    ((KnowledgeBase,), lambda n: n.rbox + n.tbox + n.abox),
+) for kind in kinds}
+
+
+def children(node) -> tuple:
+    """The direct subterms of a term, axiom, assertion or KB, in text order."""
+    get = _CHILDREN.get(type(node))
+    if get is None:
+        raise TypeError("not a syntax node: %r" % (node,))
+    return get(node)
+
+
+def _walk(root):
+    """Yield (node, False) on reaching each distinct node, in pre-order,
+    then (node, True) once all its children have been yielded.
+
+    Nodes are told apart by identity, so a subterm shared by several
+    parents is visited once, and the explicit stack costs no Python
+    frames however deep the term nests.
+    """
+    seen = set()
+    stack = [(root, False)]
+    push = stack.append
+    while stack:
+        node, done = stack.pop()
+        if done:
+            yield node, True
+        elif id(node) not in seen:
+            seen.add(id(node))
+            yield node, False
+            push((node, True))
+            for kid in reversed(children(node)):
+                push((kid, False))
+
+
 def ast_size(node) -> int:
-    """Number of constructor nodes; names and integer bounds are free."""
-    if isinstance(node, (RoleName, Epsilon, UniversalRole, Top, Bottom, ConceptName, Nominal, HasSelf)):
-        return 1
-    if isinstance(node, (Inverse, Star)):
-        return 1 + ast_size(node.role)
-    if isinstance(node, (Compose, RoleUnion, And, Or)):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, Test):
-        return 1 + ast_size(node.concept)
-    if isinstance(node, Not):
-        return 1 + ast_size(node.concept)
-    if isinstance(node, (Some, All, AtLeast, AtMost)):
-        return 1 + ast_size(node.role) + ast_size(node.concept)
-    raise TypeError("not a concept or role node: %r" % (node,))
+    """Number of constructor nodes of a term, axiom or assertion read as a tree.
+
+    Names and integer bounds are free.  Computed on the DAG, so a
+    heavily shared term is counted exactly without being unfolded.
+    """
+    size: dict[int, int] = {}
+    for n, done in _walk(node):
+        if done:
+            size[id(n)] = 1 + sum(size[id(kid)] for kid in children(n))
+    return size[id(node)]
 
 
 # --- feature gating ---
@@ -263,336 +316,250 @@ def validate_in_language(phi, expr) -> LanguageCheck:
     Works on concepts, roles, axioms, assertions and whole knowledge
     bases.  Each violation names the offending subterm and the feature
     it needs ("I", "O", "Q", "U", "S") or "basic" when a number
-    restriction or chain carries a non-basic role.
+    restriction or chain carries a non-basic role.  Violations come in
+    pre-order of first occurrence; a shared subterm is reported once.
     """
     bad = []
-
-    def walk_role(r):
-        if isinstance(r, RoleName):
-            return
-        if isinstance(r, Inverse):
+    chained: set[int] = set()  # chain members, which must be basic roles
+    for node, done in _walk(expr):
+        if done:
+            continue
+        kind = type(node)
+        if id(node) in chained and not is_basic(node):
+            bad.append((node, "basic"))
+        if kind is Inverse:
             if not phi.inverse:
-                bad.append((r, "I"))
-            walk_role(r.role)
-        elif isinstance(r, (Compose, RoleUnion)):
-            walk_role(r.left)
-            walk_role(r.right)
-        elif isinstance(r, Star):
-            walk_role(r.role)
-        elif isinstance(r, Test):
-            walk_concept(r.concept)
-        elif isinstance(r, UniversalRole):
+                bad.append((node, "I"))
+        elif kind is UniversalRole:
             if not phi.universal:
-                bad.append((r, "U"))
-        elif isinstance(r, Epsilon):
-            pass
-        else:
-            raise TypeError("not a role node: %r" % (r,))
-
-    def walk_concept(c):
-        if isinstance(c, (Top, Bottom, ConceptName)):
-            return
-        if isinstance(c, Nominal):
+                bad.append((node, "U"))
+        elif kind is Nominal:
             if not phi.nominals:
-                bad.append((c, "O"))
-        elif isinstance(c, Not):
-            walk_concept(c.concept)
-        elif isinstance(c, (And, Or)):
-            walk_concept(c.left)
-            walk_concept(c.right)
-        elif isinstance(c, (Some, All)):
-            walk_role(c.role)
-            walk_concept(c.concept)
-        elif isinstance(c, (AtLeast, AtMost)):
+                bad.append((node, "O"))
+        elif kind in (AtLeast, AtMost):
             if not phi.counting:
-                bad.append((c, "Q"))
-            if not is_basic(c.role):
-                bad.append((c, "basic"))
-            walk_role(c.role)
-            walk_concept(c.concept)
-        elif isinstance(c, HasSelf):
+                bad.append((node, "Q"))
+            if not is_basic(node.role):
+                bad.append((node, "basic"))
+        elif kind is HasSelf:
             if not phi.local_refl:
-                bad.append((c, "S"))
-        else:
-            raise TypeError("not a concept node: %r" % (c,))
-
-    def walk(e):
-        if isinstance(e, KnowledgeBase):
-            for part in e.rbox + e.tbox + e.abox:
-                walk(part)
-        elif isinstance(e, EpsilonSub):
-            pass
-        elif isinstance(e, ChainSub):
-            for b in e.chain:
-                if not is_basic(b):
-                    bad.append((b, "basic"))
-                walk_role(b)
-        elif isinstance(e, GCI):
-            walk_concept(e.lhs)
-            walk_concept(e.rhs)
-        elif isinstance(e, ConceptAssertion):
-            walk_concept(e.concept)
-        elif isinstance(e, (RoleAssertion, NegatedRoleAssertion)):
-            walk_role(e.role)
-        elif isinstance(e, (SameAs, DifferentFrom)):
-            pass
-        elif isinstance(e, get_args(Concept)):
-            walk_concept(e)
-        else:
-            walk_role(e)
-
-    walk(expr)
+                bad.append((node, "S"))
+        elif kind is ChainSub:
+            chained.update(map(id, node.chain))
     return LanguageCheck(not bad, bad)
 
 
 def check_names(signature, expr) -> None:
-    """Raise UnknownNameError when expr mentions a name outside the signature."""
+    """Raise UnknownNameError for the first name of expr outside the signature.
+
+    Names are checked in pre-order, except that an assertion's
+    individuals come after the concept or role it asserts.
+    """
 
     def role_name(name, node):
         if name not in signature.role_index:
             raise UnknownNameError("unknown role name %r in %s" % (name, to_text(node)))
 
-    def walk(e):
-        if isinstance(e, KnowledgeBase):
-            for part in e.rbox + e.tbox + e.abox:
-                walk(part)
-            return
-        if isinstance(e, EpsilonSub):
-            role_name(e.role, RoleName(e.role))
-            return
-        if isinstance(e, ChainSub):
-            role_name(e.role, RoleName(e.role))
-            for b in e.chain:
-                walk(b)
-            return
-        if isinstance(e, GCI):
-            walk(e.lhs)
-            walk(e.rhs)
-            return
-        if isinstance(e, ConceptAssertion):
-            walk(e.concept)
-            walk_indiv(e.individual)
-            return
-        if isinstance(e, (RoleAssertion, NegatedRoleAssertion)):
-            walk(e.role)
-            walk_indiv(e.a)
-            walk_indiv(e.b)
-            return
-        if isinstance(e, (SameAs, DifferentFrom)):
-            walk_indiv(e.a)
-            walk_indiv(e.b)
-            return
-        if isinstance(e, ConceptName):
-            if e.name not in signature.concept_index:
-                raise UnknownNameError("unknown concept name %r" % e.name)
-        elif isinstance(e, Nominal):
-            walk_indiv(e.name)
-        elif isinstance(e, RoleName):
-            role_name(e.name, e)
-        elif isinstance(e, HasSelf):
-            role_name(e.role, e)
-        elif isinstance(e, (Inverse, Star)):
-            walk(e.role)
-        elif isinstance(e, (Compose, RoleUnion, And, Or)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, (Test, Not)):
-            walk(e.concept)
-        elif isinstance(e, (Some, All, AtLeast, AtMost)):
-            walk(e.role)
-            walk(e.concept)
-
-    def walk_indiv(name):
+    def individual(name):
         if name not in signature.individual_index:
             raise UnknownNameError("unknown individual name %r" % name)
 
-    walk(expr)
+    for node, done in _walk(expr):
+        kind = type(node)
+        if done:
+            if kind is ConceptAssertion:
+                individual(node.individual)
+            elif kind in (RoleAssertion, NegatedRoleAssertion):
+                individual(node.a)
+                individual(node.b)
+        elif kind is ConceptName:
+            if node.name not in signature.concept_index:
+                raise UnknownNameError("unknown concept name %r" % node.name)
+        elif kind is RoleName:
+            role_name(node.name, node)
+        elif kind is HasSelf:
+            role_name(node.role, node)
+        elif kind is Nominal:
+            individual(node.name)
+        elif kind in (EpsilonSub, ChainSub):
+            role_name(node.role, RoleName(node.role))
+        elif kind in (SameAs, DifferentFrom):
+            individual(node.a)
+            individual(node.b)
 
 
 # --- converse normal form ---
 
-def to_cnf(role: Role) -> Role:
-    """Push inversion down to role names.
+def to_cnf(node):
+    """Push inversion down to role names, in a role or a concept.
 
     Inverses of composition reverse the operands, inverses of tests,
     eps and U vanish (those relations are symmetric), double inversion
     cancels.  The result is semantically equal to the input and
-    idempotent under repeated application.
+    idempotent under repeated application.  Each distinct input node is
+    rewritten once, so a shared subterm stays shared in the result.
     """
-    if isinstance(role, Inverse):
-        inner = role.role
-        if isinstance(inner, RoleName):
-            return role
-        if isinstance(inner, Inverse):
-            return to_cnf(inner.role)
-        if isinstance(inner, Compose):
-            return Compose(to_cnf(Inverse(inner.right)), to_cnf(Inverse(inner.left)))
-        if isinstance(inner, RoleUnion):
-            return RoleUnion(to_cnf(Inverse(inner.left)), to_cnf(Inverse(inner.right)))
-        if isinstance(inner, Star):
-            return Star(to_cnf(Inverse(inner.role)))
-        if isinstance(inner, Test):
-            return Test(_cnf_concept(inner.concept))
-        if isinstance(inner, (Epsilon, UniversalRole)):
-            return inner
-        raise TypeError("not a role node: %r" % (inner,))
-    if isinstance(role, Compose):
-        return Compose(to_cnf(role.left), to_cnf(role.right))
-    if isinstance(role, RoleUnion):
-        return RoleUnion(to_cnf(role.left), to_cnf(role.right))
-    if isinstance(role, Star):
-        return Star(to_cnf(role.role))
-    if isinstance(role, Test):
-        return Test(_cnf_concept(role.concept))
-    if isinstance(role, (RoleName, Epsilon, UniversalRole)):
-        return role
-    raise TypeError("not a role node: %r" % (role,))
-
-
-def _cnf_concept(c: Concept) -> Concept:
-    if isinstance(c, (Top, Bottom, ConceptName, Nominal, HasSelf)):
-        return c
-    if isinstance(c, Not):
-        return Not(_cnf_concept(c.concept))
-    if isinstance(c, And):
-        return And(_cnf_concept(c.left), _cnf_concept(c.right))
-    if isinstance(c, Or):
-        return Or(_cnf_concept(c.left), _cnf_concept(c.right))
-    if isinstance(c, Some):
-        return Some(to_cnf(c.role), _cnf_concept(c.concept))
-    if isinstance(c, All):
-        return All(to_cnf(c.role), _cnf_concept(c.concept))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.bound, to_cnf(c.role), _cnf_concept(c.concept))
-    if isinstance(c, AtMost):
-        return AtMost(c.bound, to_cnf(c.role), _cnf_concept(c.concept))
-    raise TypeError("not a concept node: %r" % (c,))
+    plain: dict[int, object] = {}    # id -> normal form of the node
+    flipped: dict[int, object] = {}  # id -> normal form of inv(node), for roles
+    for n, done in _walk(node):
+        if not done:
+            continue
+        kind = type(n)
+        if kind is RoleName:
+            plain[id(n)], flipped[id(n)] = n, Inverse(n)
+        elif kind is Inverse:
+            inner = n.role
+            plain[id(n)] = n if type(inner) is RoleName else flipped[id(inner)]
+            flipped[id(n)] = plain[id(inner)]
+        elif kind is Compose:
+            left, right = id(n.left), id(n.right)
+            plain[id(n)] = Compose(plain[left], plain[right])
+            flipped[id(n)] = Compose(flipped[right], flipped[left])
+        elif kind is RoleUnion:
+            left, right = id(n.left), id(n.right)
+            plain[id(n)] = RoleUnion(plain[left], plain[right])
+            flipped[id(n)] = RoleUnion(flipped[left], flipped[right])
+        elif kind is Star:
+            plain[id(n)], flipped[id(n)] = Star(plain[id(n.role)]), Star(flipped[id(n.role)])
+        elif kind is Test:
+            plain[id(n)] = flipped[id(n)] = Test(plain[id(n.concept)])
+        elif kind in (Epsilon, UniversalRole):
+            plain[id(n)] = flipped[id(n)] = n
+        elif kind in (Top, Bottom, ConceptName, Nominal, HasSelf):
+            plain[id(n)] = n
+        elif kind is Not:
+            plain[id(n)] = Not(plain[id(n.concept)])
+        elif kind in (And, Or):
+            plain[id(n)] = kind(plain[id(n.left)], plain[id(n.right)])
+        elif kind in (Some, All):
+            plain[id(n)] = kind(plain[id(n.role)], plain[id(n.concept)])
+        elif kind in (AtLeast, AtMost):
+            plain[id(n)] = kind(n.bound, plain[id(n.role)], plain[id(n.concept)])
+        else:
+            raise TypeError("not a concept or role node: %s" % type(n).__name__)
+    return plain[id(node)]
 
 
 def in_cnf(node) -> bool:
-    """True when every Inverse in the tree sits directly on a role name."""
-    if isinstance(node, Inverse):
-        return isinstance(node.role, RoleName)
-    if isinstance(node, (Compose, RoleUnion, And, Or)):
-        return in_cnf(node.left) and in_cnf(node.right)
-    if isinstance(node, Star):
-        return in_cnf(node.role)
-    if isinstance(node, (Test, Not)):
-        return in_cnf(node.concept)
-    if isinstance(node, (Some, All, AtLeast, AtMost)):
-        return in_cnf(node.role) and in_cnf(node.concept)
-    return True
+    """True when every Inverse in the term sits directly on a role name."""
+    return not any(type(n) is Inverse and type(n.role) is not RoleName
+                   for n, done in _walk(node) if not done)
 
 
 # --- printing ---
 
+def _chain_text(n):
+    parts = []
+    for b in n.chain:
+        parts += (" ; ", b) if parts else (b,)
+    return (*parts, " sub %s" % n.role)
+
+
+# Per node type, the node's text as a sequence of strings and children.
+_TEXT = {
+    Top: lambda n: ("top",),
+    Bottom: lambda n: ("bottom",),
+    ConceptName: lambda n: (n.name,),
+    Nominal: lambda n: ("{%s}" % n.name,),
+    Not: lambda n: ("not ", n.concept),
+    And: lambda n: ("(", n.left, " and ", n.right, ")"),
+    Or: lambda n: ("(", n.left, " or ", n.right, ")"),
+    Some: lambda n: ("some ", n.role, " ", n.concept),
+    All: lambda n: ("all ", n.role, " ", n.concept),
+    AtLeast: lambda n: ("atleast %d " % n.bound, n.role, " ", n.concept),
+    AtMost: lambda n: ("atmost %d " % n.bound, n.role, " ", n.concept),
+    HasSelf: lambda n: ("self %s" % n.role,),
+    RoleName: lambda n: (n.name,),
+    Inverse: lambda n: ("inv(", n.role, ")"),
+    Compose: lambda n: ("(", n.left, " ; ", n.right, ")"),
+    RoleUnion: lambda n: ("(", n.left, " | ", n.right, ")"),
+    Star: lambda n: ("(", n.role, ")*"),
+    Test: lambda n: ("test(", n.concept, ")"),
+    Epsilon: lambda n: ("eps",),
+    UniversalRole: lambda n: ("U",),
+    EpsilonSub: lambda n: ("eps sub %s" % n.role,),
+    ChainSub: _chain_text,
+    GCI: lambda n: (n.lhs, " sub ", n.rhs),
+    ConceptAssertion: lambda n: (n.concept, "(%s)" % n.individual),
+    RoleAssertion: lambda n: (n.role, "(%s, %s)" % (n.a, n.b)),
+    NegatedRoleAssertion: lambda n: ("not ", n.role, "(%s, %s)" % (n.a, n.b)),
+    SameAs: lambda n: ("%s = %s" % (n.a, n.b),),
+    DifferentFrom: lambda n: ("%s != %s" % (n.a, n.b),),
+}
+
+_UNICODE = {
+    Top: lambda n: ("⊤",),
+    Bottom: lambda n: ("⊥",),
+    ConceptName: lambda n: (n.name,),
+    Nominal: lambda n: ("{%s}" % n.name,),
+    Not: lambda n: ("¬", n.concept),
+    And: lambda n: ("(", n.left, " ⊓ ", n.right, ")"),
+    Or: lambda n: ("(", n.left, " ⊔ ", n.right, ")"),
+    Some: lambda n: ("∃", n.role, ".", n.concept),
+    All: lambda n: ("∀", n.role, ".", n.concept),
+    AtLeast: lambda n: ("(≥ %d " % n.bound, n.role, ".", n.concept, ")"),
+    AtMost: lambda n: ("(≤ %d " % n.bound, n.role, ".", n.concept, ")"),
+    HasSelf: lambda n: ("∃%s.Self" % n.role,),
+    RoleName: lambda n: (n.name,),
+    Inverse: lambda n: ((n.role, "⁻") if type(n.role) is RoleName else ("(", n.role, ")⁻")),
+    Compose: lambda n: ("(", n.left, " ∘ ", n.right, ")"),
+    RoleUnion: lambda n: ("(", n.left, " ∪ ", n.right, ")"),
+    Star: lambda n: ("(", n.role, ")*"),
+    Test: lambda n: (n.concept, "?"),
+    Epsilon: lambda n: ("ε",),
+    UniversalRole: lambda n: ("U",),
+}
+
+
+def _render(root, parts) -> str:
+    """The text of root, from the per-type parts of each node.
+
+    A node with several parents is rendered once into a string that its
+    parents copy, and that string is dropped once its last parent has
+    copied it.  Every other node is rendered in line into its nearest
+    such ancestor, so a deep unshared term costs no repeated copying.
+    """
+    uses: dict[int, int] = {}
+    order = []
+    for node, done in _walk(root):
+        if done:
+            order.append(node)
+        elif type(node) not in parts:
+            raise TypeError("cannot print a %s" % type(node).__name__)
+        else:
+            for kid in children(node):
+                uses[id(kid)] = uses.get(id(kid), 0) + 1
+    shared: dict[int, str] = {}
+    for node in order:
+        if uses.get(id(node), 0) < 2 and node is not root:
+            continue
+        out = []
+        stack = list(reversed(parts[type(node)](node)))
+        while stack:
+            part = stack.pop()
+            if type(part) is str:
+                out.append(part)
+            elif id(part) in shared:
+                out.append(shared[id(part)])
+                uses[id(part)] -= 1
+                if not uses[id(part)]:
+                    del shared[id(part)]
+            else:
+                stack.extend(reversed(parts[type(part)](part)))
+        shared[id(node)] = "".join(out)
+    return shared[id(root)]
+
+
 def to_text(node) -> str:
     """Canonical ASCII rendering, parseable by the functions below."""
-    if isinstance(node, Top):
-        return "top"
-    if isinstance(node, Bottom):
-        return "bottom"
-    if isinstance(node, ConceptName):
-        return node.name
-    if isinstance(node, Nominal):
-        return "{%s}" % node.name
-    if isinstance(node, Not):
-        return "not %s" % to_text(node.concept)
-    if isinstance(node, And):
-        return "(%s and %s)" % (to_text(node.left), to_text(node.right))
-    if isinstance(node, Or):
-        return "(%s or %s)" % (to_text(node.left), to_text(node.right))
-    if isinstance(node, Some):
-        return "some %s %s" % (to_text(node.role), to_text(node.concept))
-    if isinstance(node, All):
-        return "all %s %s" % (to_text(node.role), to_text(node.concept))
-    if isinstance(node, AtLeast):
-        return "atleast %d %s %s" % (node.bound, to_text(node.role), to_text(node.concept))
-    if isinstance(node, AtMost):
-        return "atmost %d %s %s" % (node.bound, to_text(node.role), to_text(node.concept))
-    if isinstance(node, HasSelf):
-        return "self %s" % node.role
-    if isinstance(node, RoleName):
-        return node.name
-    if isinstance(node, Inverse):
-        return "inv(%s)" % to_text(node.role)
-    if isinstance(node, Compose):
-        return "(%s ; %s)" % (to_text(node.left), to_text(node.right))
-    if isinstance(node, RoleUnion):
-        return "(%s | %s)" % (to_text(node.left), to_text(node.right))
-    if isinstance(node, Star):
-        return "(%s)*" % to_text(node.role)
-    if isinstance(node, Test):
-        return "test(%s)" % to_text(node.concept)
-    if isinstance(node, Epsilon):
-        return "eps"
-    if isinstance(node, UniversalRole):
-        return "U"
-    if isinstance(node, EpsilonSub):
-        return "eps sub %s" % node.role
-    if isinstance(node, ChainSub):
-        return "%s sub %s" % (" ; ".join(to_text(b) for b in node.chain), node.role)
-    if isinstance(node, GCI):
-        return "%s sub %s" % (to_text(node.lhs), to_text(node.rhs))
-    if isinstance(node, ConceptAssertion):
-        return "%s(%s)" % (to_text(node.concept), node.individual)
-    if isinstance(node, RoleAssertion):
-        return "%s(%s, %s)" % (to_text(node.role), node.a, node.b)
-    if isinstance(node, NegatedRoleAssertion):
-        return "not %s(%s, %s)" % (to_text(node.role), node.a, node.b)
-    if isinstance(node, SameAs):
-        return "%s = %s" % (node.a, node.b)
-    if isinstance(node, DifferentFrom):
-        return "%s != %s" % (node.a, node.b)
-    raise TypeError("cannot print %r" % (node,))
+    return _render(node, _TEXT)
 
 
 def to_unicode(node) -> str:
     """Display rendering with the usual symbols; not meant to be parsed."""
-    if isinstance(node, Top):
-        return "⊤"
-    if isinstance(node, Bottom):
-        return "⊥"
-    if isinstance(node, ConceptName):
-        return node.name
-    if isinstance(node, Nominal):
-        return "{%s}" % node.name
-    if isinstance(node, Not):
-        return "¬%s" % to_unicode(node.concept)
-    if isinstance(node, And):
-        return "(%s ⊓ %s)" % (to_unicode(node.left), to_unicode(node.right))
-    if isinstance(node, Or):
-        return "(%s ⊔ %s)" % (to_unicode(node.left), to_unicode(node.right))
-    if isinstance(node, Some):
-        return "∃%s.%s" % (to_unicode(node.role), to_unicode(node.concept))
-    if isinstance(node, All):
-        return "∀%s.%s" % (to_unicode(node.role), to_unicode(node.concept))
-    if isinstance(node, AtLeast):
-        return "(≥ %d %s.%s)" % (node.bound, to_unicode(node.role), to_unicode(node.concept))
-    if isinstance(node, AtMost):
-        return "(≤ %d %s.%s)" % (node.bound, to_unicode(node.role), to_unicode(node.concept))
-    if isinstance(node, HasSelf):
-        return "∃%s.Self" % node.role
-    if isinstance(node, RoleName):
-        return node.name
-    if isinstance(node, Inverse):
-        inner = to_unicode(node.role)
-        if not isinstance(node.role, RoleName):
-            inner = "(%s)" % inner
-        return "%s⁻" % inner
-    if isinstance(node, Compose):
-        return "(%s ∘ %s)" % (to_unicode(node.left), to_unicode(node.right))
-    if isinstance(node, RoleUnion):
-        return "(%s ∪ %s)" % (to_unicode(node.left), to_unicode(node.right))
-    if isinstance(node, Star):
-        return "(%s)*" % to_unicode(node.role)
-    if isinstance(node, Test):
-        return "%s?" % to_unicode(node.concept)
-    if isinstance(node, Epsilon):
-        return "ε"
-    if isinstance(node, UniversalRole):
-        return "U"
-    return to_text(node)
+    if type(node) not in _UNICODE:
+        return to_text(node)
+    return _render(node, _UNICODE)
 
 
 # --- parsing ---

@@ -2,7 +2,8 @@
 
 Seeded instance generators, an exhaustive concept enumerator (subterms
 are shared, so one memoising Evaluator prices each enumerated concept at
-a single set operation), an independent matrix-based model checker, a
+a single set operation), recursive tree printers that the iterative DAG
+printers are checked against, an independent matrix-based model checker, a
 brute-force role closure oracle, and a trace replayer that recomputes
 every recorded split from the graph alone.
 """
@@ -120,6 +121,115 @@ def enumerate_concepts(phi: FeatureSet, sig: Signature, max_size: int = 5,
         cs[size] = cout
 
     return tuple(c for k in range(1, max_size + 1) for c in cs[k])
+
+
+# ---------------------------------------------------------------------------
+# recursive tree printers: the oracle for syntax.to_text and to_unicode
+
+
+def recursive_to_text(node) -> str:
+    """ASCII rendering by plain recursion over the tree."""
+    t = recursive_to_text
+    if isinstance(node, sx.Top):
+        return "top"
+    if isinstance(node, sx.Bottom):
+        return "bottom"
+    if isinstance(node, (sx.ConceptName, sx.RoleName)):
+        return node.name
+    if isinstance(node, sx.Nominal):
+        return "{%s}" % node.name
+    if isinstance(node, sx.Not):
+        return "not %s" % t(node.concept)
+    if isinstance(node, sx.And):
+        return "(%s and %s)" % (t(node.left), t(node.right))
+    if isinstance(node, sx.Or):
+        return "(%s or %s)" % (t(node.left), t(node.right))
+    if isinstance(node, sx.Some):
+        return "some %s %s" % (t(node.role), t(node.concept))
+    if isinstance(node, sx.All):
+        return "all %s %s" % (t(node.role), t(node.concept))
+    if isinstance(node, sx.AtLeast):
+        return "atleast %d %s %s" % (node.bound, t(node.role), t(node.concept))
+    if isinstance(node, sx.AtMost):
+        return "atmost %d %s %s" % (node.bound, t(node.role), t(node.concept))
+    if isinstance(node, sx.HasSelf):
+        return "self %s" % node.role
+    if isinstance(node, sx.Inverse):
+        return "inv(%s)" % t(node.role)
+    if isinstance(node, sx.Compose):
+        return "(%s ; %s)" % (t(node.left), t(node.right))
+    if isinstance(node, sx.RoleUnion):
+        return "(%s | %s)" % (t(node.left), t(node.right))
+    if isinstance(node, sx.Star):
+        return "(%s)*" % t(node.role)
+    if isinstance(node, sx.Test):
+        return "test(%s)" % t(node.concept)
+    if isinstance(node, sx.Epsilon):
+        return "eps"
+    if isinstance(node, sx.UniversalRole):
+        return "U"
+    if isinstance(node, sx.EpsilonSub):
+        return "eps sub %s" % node.role
+    if isinstance(node, sx.ChainSub):
+        return "%s sub %s" % (" ; ".join(t(b) for b in node.chain), node.role)
+    if isinstance(node, sx.GCI):
+        return "%s sub %s" % (t(node.lhs), t(node.rhs))
+    if isinstance(node, sx.ConceptAssertion):
+        return "%s(%s)" % (t(node.concept), node.individual)
+    if isinstance(node, sx.RoleAssertion):
+        return "%s(%s, %s)" % (t(node.role), node.a, node.b)
+    if isinstance(node, sx.NegatedRoleAssertion):
+        return "not %s(%s, %s)" % (t(node.role), node.a, node.b)
+    if isinstance(node, sx.SameAs):
+        return "%s = %s" % (node.a, node.b)
+    if isinstance(node, sx.DifferentFrom):
+        return "%s != %s" % (node.a, node.b)
+    raise TypeError("cannot print %r" % (node,))
+
+
+def recursive_to_unicode(node) -> str:
+    """Symbol rendering by plain recursion; ASCII for axioms and assertions."""
+    u = recursive_to_unicode
+    if isinstance(node, sx.Top):
+        return "⊤"
+    if isinstance(node, sx.Bottom):
+        return "⊥"
+    if isinstance(node, (sx.ConceptName, sx.RoleName)):
+        return node.name
+    if isinstance(node, sx.Nominal):
+        return "{%s}" % node.name
+    if isinstance(node, sx.Not):
+        return "¬%s" % u(node.concept)
+    if isinstance(node, sx.And):
+        return "(%s ⊓ %s)" % (u(node.left), u(node.right))
+    if isinstance(node, sx.Or):
+        return "(%s ⊔ %s)" % (u(node.left), u(node.right))
+    if isinstance(node, sx.Some):
+        return "∃%s.%s" % (u(node.role), u(node.concept))
+    if isinstance(node, sx.All):
+        return "∀%s.%s" % (u(node.role), u(node.concept))
+    if isinstance(node, sx.AtLeast):
+        return "(≥ %d %s.%s)" % (node.bound, u(node.role), u(node.concept))
+    if isinstance(node, sx.AtMost):
+        return "(≤ %d %s.%s)" % (node.bound, u(node.role), u(node.concept))
+    if isinstance(node, sx.HasSelf):
+        return "∃%s.Self" % node.role
+    if isinstance(node, sx.Inverse):
+        inner = u(node.role)
+        return ("%s⁻" if isinstance(node.role, sx.RoleName) else "(%s)⁻") % inner
+    if isinstance(node, sx.Compose):
+        return "(%s ∘ %s)" % (u(node.left), u(node.right))
+    if isinstance(node, sx.RoleUnion):
+        return "(%s ∪ %s)" % (u(node.left), u(node.right))
+    if isinstance(node, sx.Star):
+        return "(%s)*" % u(node.role)
+    if isinstance(node, sx.Test):
+        return "%s?" % u(node.concept)
+    if isinstance(node, sx.Epsilon):
+        return "ε"
+    if isinstance(node, sx.UniversalRole):
+        return "U"
+    return recursive_to_text(node)
 
 
 # ---------------------------------------------------------------------------

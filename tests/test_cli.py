@@ -77,6 +77,8 @@ FAILING_KB = """{
 def run(*args, stdin=None, numba=False):
     env = dict(os.environ)
     env["DLBISIM_NUMBA"] = "1" if numba else "0"
+    # the child imports dlbisim from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "dlbisim", *args],
                           input=stdin, capture_output=True, text=True,
                           env=env, cwd=str(ROOT))
@@ -231,6 +233,23 @@ class TestWitness:
         by_index = run("witness", "-i", FIG2, "-I", "I1", "--phi", "", "-l", "4", "-r", "5")
         assert by_index.returncode == 0
         assert by_index.stdout == by_name.stdout
+
+    def test_print_limit(self, monkeypatch, capsys):
+        from dlbisim import cli
+        from dlbisim.syntax import ast_size, parse_concept
+
+        text = "some r ((F and not M) and not some r (not F and M))"
+        size = ast_size(parse_concept(text))
+        argv = ["witness", "-i", FIG2, "-I", "I1", "--phi", "", "-l", "c", "-r", "a"]
+        monkeypatch.setattr(cli, "WITNESS_LIMIT", size - 1)
+        assert cli.main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: separating concept has %d nodes as a tree, above the print "
+                           "limit of %d\n" % (size, size - 1))
+        monkeypatch.setattr(cli, "WITNESS_LIMIT", size)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == text + "\n"
 
 
 class TestMinimize:

@@ -1,14 +1,18 @@
 """Term construction, printing, parsing and the converse normal form."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlbisim import syntax as sx
-from dlbisim.core import FeatureSet, build_interpretation
-from dlbisim.errors import ParseError
+from dlbisim.core import FeatureSet, build_interpretation, to_labeled_graph
+from dlbisim.errors import ParseError, UnknownNameError
 from dlbisim.gen import make_signature, random_interpretation
-from dlbisim.semantics import Evaluator
+from dlbisim.quotient import separating_concept
+from dlbisim.refine import compute_partition
+from dlbisim.semantics import Evaluator, eval_concept
 
 import helpers as H
 
@@ -227,6 +231,48 @@ class TestLanguageGating:
                 sx.validate_in_language(FeatureSet.from_string("IOQUS"), node)
 
 
+    def test_violations_in_pre_order(self):
+        r0, r1 = sx.RoleName("r0"), sx.RoleName("r1")
+        chain = sx.ChainSub((sx.Inverse(r0), sx.Compose(r0, r1),
+                             sx.Inverse(sx.Compose(r0, sx.UniversalRole()))), "r1")
+        kb = sx.KnowledgeBase(rbox=(chain,),
+                              tbox=(sx.parse_gci("{a0} sub atleast 1 inv(r0) self r1"),),
+                              abox=(sx.parse_assertion("some U {a1}(a0)"),))
+        in_chain = [("inv(r0)", "I"), ("(r0 ; r1)", "basic"), ("inv((r0 ; U))", "basic"),
+                    ("inv((r0 ; U))", "I"), ("U", "U")]
+        cases = [
+            (chain, in_chain),
+            (kb, in_chain + [("{a0}", "O"), ("atleast 1 inv(r0) self r1", "Q"), ("inv(r0)", "I"),
+                             ("self r1", "S"), ("U", "U"), ("{a1}", "O")]),
+            (sx.AtLeast(1, sx.Compose(sx.Inverse(r0), r1), sx.Nominal("a0")),
+             [("atleast 1 (inv(r0) ; r1) {a0}", "Q"), ("atleast 1 (inv(r0) ; r1) {a0}", "basic"),
+              ("inv(r0)", "I"), ("{a0}", "O")]),
+        ]
+        for expr, expected in cases:
+            check = sx.validate_in_language(FeatureSet(), expr)
+            assert [(sx.to_text(node), need) for node, need in check.violations] == expected
+
+
+class TestNameChecks:
+    @pytest.mark.parametrize("expr, message", [
+        (sx.parse_assertion("(Z and A0)(zz)"), "unknown concept name 'Z'"),
+        (sx.parse_assertion("not q(zz, a0)"), "unknown role name 'q' in q"),
+        (sx.parse_assertion("r0(a0, zz)"), "unknown individual name 'zz'"),
+        (sx.parse_role_axiom("q ; inv(q) sub p"), "unknown role name 'p' in p"),
+        (sx.parse_role_axiom("eps sub p"), "unknown role name 'p' in p"),
+        (sx.parse_concept("(A0 or self q)"), "unknown role name 'q' in self q"),
+        (sx.parse_assertion("a0 != zz"), "unknown individual name 'zz'"),
+        (sx.parse_concept("all r0 {zz}"), "unknown individual name 'zz'"),
+        (sx.KnowledgeBase(rbox=(sx.parse_role_axiom("r0 sub p"),),
+                          tbox=(sx.parse_gci("Z sub A0"),)), "unknown role name 'p' in p"),
+    ])
+    def test_first_unknown_name(self, expr, message):
+        # pre-order, except that an assertion's individuals come last
+        with pytest.raises(UnknownNameError) as err:
+            sx.check_names(SIG, expr)
+        assert str(err.value) == message
+
+
 class TestConverseNormalForm:
     def test_worked_example(self):
         role = sx.parse_role("inv(((r0 | inv(r1)) ; (r0)*))")
@@ -295,3 +341,118 @@ class TestConverseNormalForm:
                 for interp in interps:
                     assert H.matrix_eval_role(interp, role) == H.matrix_eval_role(interp, cnf)
         assert found > 50
+
+
+class TestSharedTerms:
+    """Every walker handles each distinct node once, however often it is shared.
+
+    The terms here are far too large to print as trees, so every assertion
+    compares plain values: a failing one must not make pytest repr a term.
+    """
+
+    FULL = FeatureSet.from_string("IOQUS")
+
+    def small_interp(self):
+        return build_interpretation(SIG, 3, {"A0": {2}, "A1": {0}},
+                                    {"r0": {(0, 1), (2, 2)}, "r1": {(1, 2)}},
+                                    {"a0": 0, "a1": 2})
+
+    def test_doubling_chain(self):
+        # 64 levels of And(c, c) over a 7-node term: 2**67 - 1 nodes as a tree
+        inv = sx.Inverse(sx.Compose(sx.RoleName("r0"), sx.Inverse(sx.RoleName("r1"))))
+        base = sx.Some(inv, sx.ConceptName("A0"))
+        c = base
+        for _ in range(64):
+            c = sx.And(c, c)
+        size = sx.ast_size(c)
+        assert size == 2 ** 67 - 1
+        violations = [(id(node), need) for node, need in
+                      sx.validate_in_language(FeatureSet(), c).violations]
+        assert violations == [(id(inv), "I"), (id(inv.role.right), "I")]
+        ok = sx.validate_in_language(FeatureSet.from_string("I"), c).ok
+        assert ok
+        sx.check_names(SIG, c)
+        normal = sx.in_cnf(c)
+        assert not normal
+        cnf = sx.to_cnf(c)
+        normal, size = sx.in_cnf(cnf), sx.ast_size(cnf)
+        assert normal and size == 7 * 2 ** 64 - 1
+        node, shared = cnf, []
+        for _ in range(64):
+            shared.append(node.left is node.right)
+            node = node.left
+        assert shared == [True] * 64
+        assert sx.to_text(node) == "some (r1 ; inv(r0)) A0"
+        interp = self.small_interp()
+        ext = eval_concept(interp, c, self.FULL)
+        assert ext == {1}
+        unknown = sx.ConceptName("Z")
+        for _ in range(64):
+            unknown = sx.Or(unknown, unknown)
+        with pytest.raises(UnknownNameError, match="unknown concept name 'Z'"):
+            sx.check_names(SIG, unknown)
+
+    def test_printers_match_the_recursive_oracle(self):
+        role = sx.parse_role("((inv(r0) | test({a0})) ; (eps | U)*)")
+        c = sx.parse_concept("(atleast 2 inv(r1) self r0 or atmost 0 r0 not top)")
+        for level in range(10):
+            if level % 3 == 0:
+                c = sx.And(sx.Some(role, c), sx.All(role, sx.Not(c)))
+            elif level % 3 == 1:
+                c = sx.Or(c, sx.AtLeast(level, sx.Inverse(sx.RoleName("r0")), c))
+            else:
+                role = sx.Compose(sx.Star(role), sx.RoleUnion(role, sx.Test(sx.Bottom())))
+                c = sx.And(sx.AtMost(level, sx.RoleName("r1"), c), sx.Some(role, c))
+        size = sx.ast_size(c)
+        assert size > 2 ** 14
+        terms = [c, role, sx.GCI(c, sx.Not(c)), sx.ConceptAssertion(c, "a1"),
+                 sx.RoleAssertion(role, "a0", "a1"), sx.NegatedRoleAssertion(role, "a1", "a0"),
+                 sx.ChainSub((sx.RoleName("r0"), sx.Inverse(sx.RoleName("r1"))), "r0"),
+                 sx.EpsilonSub("r1"), sx.SameAs("a0", "a1"), sx.DifferentFrom("a1", "a0")]
+        terms += H.enumerate_concepts(self.FULL, SIG, 4)
+        for term in terms:
+            text, oracle = sx.to_text(term), H.recursive_to_text(term)
+            assert text == oracle
+            text, oracle = sx.to_unicode(term), H.recursive_to_unicode(term)
+            assert text == oracle
+        same = sx.parse_concept(sx.to_text(c)) == c
+        assert same
+        for bad in (sx.KnowledgeBase(), sx.Not(object()), sx.Some(sx.RoleName("r0"), "top")):
+            with pytest.raises(TypeError):
+                sx.to_text(bad)
+            with pytest.raises(TypeError):
+                sx.to_unicode(bad)
+
+    def test_deep_unshared_chain(self):
+        # built directly: the parser stops at MAX_DEPTH levels
+        depth = 100_000
+        c = sx.ConceptName("A0")
+        for _ in range(depth):
+            c = sx.Not(c)
+        sizes = [sx.ast_size(c), sx.ast_size(sx.to_cnf(c))]
+        assert sizes == [depth + 1] * 2
+        checks = [sx.validate_in_language(self.FULL, c).ok, sx.in_cnf(c)]
+        assert checks == [True, True]
+        sx.check_names(SIG, c)
+        text, symbols = sx.to_text(c), sx.to_unicode(c)
+        assert text == "not " * depth + "A0"
+        assert symbols == "¬" * depth + "A0"
+        ext = eval_concept(self.small_interp(), c, self.FULL)
+        assert ext == {2}
+
+    @pytest.mark.parametrize("phi", ["", "Q"])
+    def test_path_witness(self, phi):
+        # the separating concept of a path's first two elements nests about
+        # n deep and is astronomically larger as a tree than as a DAG
+        n = 200
+        sig = make_signature(1, 1, 0)
+        interp = build_interpretation(sig, n, {"A0": {n - 1}},
+                                      {"r0": {(i, i + 1) for i in range(n - 1)}}, {})
+        start = time.perf_counter()
+        _, trace = compute_partition(FeatureSet.from_string(phi), to_labeled_graph(interp),
+                                     want_trace=True)
+        witness = separating_concept(interp, trace, 0, 1)
+        seconds = time.perf_counter() - start
+        assert seconds < 2.0
+        size = sx.ast_size(witness.concept)
+        assert size > 2 ** 100
