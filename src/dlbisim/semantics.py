@@ -3,18 +3,18 @@
 A concept's extension is a numpy bool vector over the domain 0..n-1,
 and no role is ever stored as a set of pairs.  `some R C` is the
 preimage pre_R(C), the elements with an R-successor in C, and `all R C`
-is the complement of pre_R(not C).  The preimage recurses over the
-role's syntax tree, one work item per role node:
+is the complement of pre_R(not C).
 
-    pre_r(T)      tails of the r-edges whose head is in T
-    pre_inv(R)    the same walk with every edge reversed (the image of T)
-    pre_(R;S)(T)  pre_R(pre_S(T))
-    pre_(R|S)(T)  pre_R(T) or pre_S(T)
-    pre_R*(T)     T, then pre_R of the elements reached in the round
-                  before, until no round reaches a new element
-    pre_C?(T)     T and C
-    pre_eps(T)    T
-    pre_U(T)      every element when T is non-empty, else none
+A preimage is one search over the interpretation times an automaton
+of the role (Thompson's construction), whose paths from state 0 to
+state 1 spell the role.  A role name is an edge step; inv reverses the
+steps under it and the order of a composition; R;S passes through a
+fresh middle state and R|S joins both operands to the same two states;
+R* runs R on a fresh loop state, entered and left by eps-steps; C? is
+a step that keeps the elements in C, eps a step that keeps all, and U
+a step from any element to every element.  The search starts from the
+target elements at state 1 and takes the steps backward; the elements
+that reach state 0 form the preimage.
 
 Roles are read through Interpretation.in_edges, per basic role the edge
 arrays grouped by target.  Number restrictions count along a basic role
@@ -25,21 +25,17 @@ arrays), and self tests read the stored se sets.  Everything else is
 inherited from the underlying interpretation.
 
 Cost, for n elements and m edges: a concept node costs O(n) vector
-work plus the role steps under it.  A role-name step reads its input
-at the head of every edge, O(n + m).  The
-closure of a role name or its inverse walks index arrays of the newly
-reached elements only, O(n + m) in all.  The closure of a compound role
-costs one preimage of that role per round; stars and inverses directly
-under a star are peeled first ((R*)* = R*, (inv R)* = inv(R*)), but a
-star inside a compound role under a star is walked afresh in every
-outer round, which is quadratic in the worst case.  Evaluation is
+work plus the preimage under it.  A role of |R| constructors has
+O(|R|) states and steps, each element enters each state at most once,
+and an edge step reads the edges into the elements it takes, so a
+preimage costs O(|R| (n + m)) per target column.  Evaluation is
 bottom-up from an explicit stack and memoised on subterm identity, so
 shared subtrees (the witness builder produces heavily shared DAGs) are
 evaluated once and nesting depth costs no Python frames.
 
 Only role extensions and role assertions need pairs.  They come from
 the preimages of singletons, computed as the columns of n x k bool
-matrices, so eval_role costs O(n (n + m)) for the up to n^2 pairs it
+matrices, so eval_role costs O(|R| n (n + m)) for the up to n^2 pairs it
 returns.  A chain role axiom is checked on pair keys instead: the edge
 arrays are joined step by step into the distinct pairs the chain
 reaches, which are then looked up among the role's edges, O(p log p)
@@ -57,8 +53,6 @@ from . import syntax as sx
 from .core import Interpretation, QSInterpretation
 from .errors import FeatureViolationError, UnknownNameError
 
-# work items of the preimage loop
-_EVAL, _UNION, _OR, _STAR = range(4)
 # cells per bool matrix of singleton targets in Evaluator.role
 _BATCH_CELLS = 1 << 22
 
@@ -73,33 +67,11 @@ def _require(phi, expr):
         )
 
 
-def _closure(ptr, tail, targets: np.ndarray) -> np.ndarray:
-    """pre_b* of every column of targets for a basic role b (semi-naive).
-
-    Each round gathers, through the CSR ranges of ptr, the edges into
-    the elements reached in the round before, and keeps each newly
-    reached (element, column) cell once, so the closure costs O(n + m)
-    per column.
-    """
-    k = targets.shape[1]
-    seen = targets.copy()
-    flat = seen.reshape(-1)
-    last = np.zeros(len(flat), dtype=np.int64)
-    frontier = np.flatnonzero(flat)
-    while len(frontier):
-        heads = frontier // k if k > 1 else frontier
-        lo = ptr[heads]
-        cnt = ptr[heads + 1] - lo
-        cells = tail[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
-        if k > 1:
-            cells = cells * k + np.repeat(frontier % k, cnt)
-        cells = cells[~flat[cells]]
-        # keep one occurrence of each cell: the one whose position was stored
-        order = np.arange(len(cells))
-        last[cells] = order
-        frontier = cells[last[cells] == order]
-        flat[frontier] = True
-    return seen
+def _ranges(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ptr[r]:ptr[r + 1] of every row r, concatenated, and each row's count."""
+    lo = ptr[rows]
+    cnt = ptr[rows + 1] - lo
+    return np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum()), cnt
 
 
 class Evaluator:
@@ -206,67 +178,89 @@ class Evaluator:
     def _pre(self, role, targets: np.ndarray) -> np.ndarray:
         """pre_R of every column of the n x k bool matrix targets.
 
-        The tests under role must already be memoised (see _value).  A
-        work stack replaces recursion; cur holds the value flowing
-        through it, and inv marks a subterm read under an odd number of
-        inversions, whose preimage is its image.
+        The tests under role must already be memoised (see _value).  The
+        role becomes an automaton whose paths from state 0 to state 1
+        spell it; into[q] lists the steps (p, kind, arg) from p to q,
+        kind being the class of the role node that makes the step.
+        The search then runs backward from the target cells at state 1,
+        and the cells that reach state 0 are the preimage.
         """
         memo = self._memo
-        edges = self.interp.in_edges
-        cur = targets
-        work = [(_EVAL, role, False, None)]
+        n, k = targets.shape
+        into: list[list] = [[], []]
+        work = [(role, 0, 1, False)]
         while work:
-            op, node, inv, aux = work.pop()
-            if op == _EVAL:
-                kind = type(node)
-                if kind is sx.RoleName:
-                    _, tail, head = edges(node.name, inv)
-                    hits, cols = np.divmod(np.flatnonzero(cur[head]), cur.shape[1])
-                    cur = np.zeros(cur.shape, dtype=bool)
-                    cur[tail[hits], cols] = True
-                elif kind is sx.Inverse:
-                    work.append((_EVAL, node.role, not inv, None))
-                elif kind is sx.Compose:
-                    first, then = (node.left, node.right) if inv else (node.right, node.left)
-                    work.append((_EVAL, then, inv, None))
-                    work.append((_EVAL, first, inv, None))
-                elif kind is sx.RoleUnion:
-                    work.append((_UNION, node.right, inv, cur))
-                    work.append((_EVAL, node.left, inv, None))
-                elif kind is sx.Star:
-                    # (R*)* = R* and (inv R)* = inv(R*): peel both before iterating
-                    inner = node.role
-                    while type(inner) in (sx.Star, sx.Inverse):
-                        inv ^= type(inner) is sx.Inverse
-                        inner = inner.role
-                    if type(inner) is sx.RoleName:
-                        ptr, tail, _ = edges(inner.name, inv)
-                        cur = _closure(ptr, tail, cur)
-                    else:
-                        work.append((_STAR, inner, inv, cur))
-                        work.append((_EVAL, inner, inv, None))
-                elif kind is sx.Test:
-                    cur = cur & memo[id(node.concept)][:, None]
-                elif kind is sx.UniversalRole:
-                    cur = np.repeat(cur.any(axis=0, keepdims=True), len(cur), axis=0)
-                elif kind is not sx.Epsilon:
-                    raise TypeError("not a role node: %r" % (node,))
-            elif op == _STAR:
-                new = cur & ~aux
-                if new.any():
-                    work.append((_STAR, node, inv, aux | new))
-                    work.append((_EVAL, node, inv, None))
-                    cur = new
-                else:
-                    cur = aux
-            elif op == _UNION:
-                # cur is the left operand's preimage, aux the union's input
-                work.append((_OR, None, inv, cur))
-                work.append((_EVAL, node, inv, None))
-                cur = aux
+            node, src, dst, inv = work.pop()
+            kind = type(node)
+            if kind is sx.RoleName:
+                into[dst].append((src, kind, self.interp.in_edges(node.name, inv)))
+            elif kind is sx.Inverse:
+                work.append((node.role, src, dst, not inv))
+            elif kind is sx.Compose:
+                mid = len(into)
+                into.append([])
+                first, then = (node.right, node.left) if inv else (node.left, node.right)
+                work += [(first, src, mid, inv), (then, mid, dst, inv)]
+            elif kind is sx.RoleUnion:
+                work += [(node.left, src, dst, inv), (node.right, src, dst, inv)]
+            elif kind is sx.Star:
+                # a fresh loop state: a loop on src would let the other
+                # branches out of src follow it ((r0)* | r1 would take r0 ; r1)
+                loop = len(into)
+                into.append([(src, sx.Epsilon, None)])
+                into[dst].append((loop, sx.Epsilon, None))
+                work.append((node.role, loop, loop, inv))
+            elif kind is sx.Test:
+                into[dst].append((src, kind, memo[id(node.concept)]))
+            elif kind in (sx.Epsilon, sx.UniversalRole):
+                into[dst].append((src, kind, None))
             else:
-                cur = cur | aux
-        return cur
+                raise TypeError("not a role node: %r" % (node,))
+
+        # cell x * k + j is element x in column j; fresh[q] holds the cells
+        # that entered state q and whose steps back are still to be taken
+        seen = [np.zeros(n * k, dtype=bool), targets.reshape(-1).copy()] + [None] * (len(into) - 2)
+        start = np.flatnonzero(seen[1])
+        fresh = {1: [start]} if len(start) else {}
+        spread: dict[int, np.ndarray] = {}
+        last = None
+        while fresh:
+            q, parts = fresh.popitem()
+            cells = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            rows, cols = np.divmod(cells, k) if k > 1 else (cells, 0)
+            for p, kind, arg in into[q]:
+                if seen[p] is None:
+                    seen[p] = np.zeros(n * k, dtype=bool)
+                if kind is sx.RoleName:
+                    ptr, tail, _ = arg
+                    pos, cnt = _ranges(ptr, rows)
+                    reach = tail[pos] * k + np.repeat(cols, cnt) if k > 1 else tail[pos]
+                    reach = reach[~seen[p][reach]]
+                    if len(reach) > 1:
+                        # keep one occurrence of each cell: the one whose position was stored
+                        if last is None:
+                            last = np.empty(n * k, dtype=np.int64)
+                        order = np.arange(len(reach))
+                        last[reach] = order
+                        reach = reach[last[reach] == order]
+                elif kind is sx.Test:
+                    reach = cells[arg[rows] & ~seen[p][cells]]
+                elif kind is sx.Epsilon:
+                    reach = cells[~seen[p][cells]]
+                else:
+                    # U: every element, once per column and state
+                    done = spread.setdefault(p, np.zeros(k, dtype=bool))
+                    new = np.zeros(k, dtype=bool)
+                    new[cols] = True
+                    new &= ~done
+                    done |= new
+                    reach = (np.arange(0, n * k, k)[:, None] + np.flatnonzero(new)).reshape(-1)
+                    reach = reach[~seen[p][reach]]
+                if len(reach):
+                    seen[p][reach] = True
+                    if into[p]:
+                        fresh.setdefault(p, []).append(reach)
+        return seen[0].reshape(n, k)
 
     def _holds(self, axiom) -> bool:
         """Verdict of one KB axiom, without validation."""
@@ -307,8 +301,9 @@ def eval_concept_qs(qsi: QSInterpretation, concept, phi) -> frozenset[int]:
 
 def check_role_axiom(interp: Interpretation, axiom) -> bool:
     if isinstance(axiom, sx.EpsilonSub):
-        target = interp.role_ext[axiom.role]
-        return all((x, x) in target for x in interp.domain)
+        # the edges are distinct pairs, so n self-loops cover the domain
+        _, tail, head = interp.in_edges(axiom.role, False)
+        return bool(np.count_nonzero(tail == head) == interp.n)
     if isinstance(axiom, sx.ChainSub):
         # the pairs (x, z) the chain reaches from x, kept as distinct keys
         # x * n + z, must all be edges of the role
@@ -317,9 +312,8 @@ def check_role_axiom(interp: Interpretation, axiom) -> bool:
         for basic in axiom.chain:
             name, inverted = _basic_parts(basic)
             ptr, tail, _ = interp.in_edges(name, not inverted)
-            deg = ptr[here + 1] - ptr[here]
-            row_start = np.repeat(np.cumsum(deg) - deg, deg)
-            here = tail[np.repeat(ptr[here], deg) + np.arange(len(row_start)) - row_start]
+            pos, deg = _ranges(ptr, here)
+            here = tail[pos]
             keys = np.unique(np.repeat(start, deg) * n + here)
             start, here = keys // n, keys % n
         _, tail, head = interp.in_edges(axiom.role, False)

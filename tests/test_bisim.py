@@ -1,6 +1,7 @@
 """Bisimulation checking and the two largest-bisimulation routes."""
 
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ from dlbisim.semantics import check_assertion, check_gci, check_role_axiom, leas
 
 import helpers as H
 
-FIXTURE = "tests/fixtures/fig2.kbi"
+FIXTURE = str(Path(__file__).resolve().parent / "fixtures" / "fig2.kbi")
 
 
 def phis_where(predicate):

@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,4 +545,4 @@ class TestSeparatingConcepts:
 
 @pytest.fixture(scope="module")
 def fig2():
-    return load_workspace("tests/fixtures/fig2.kbi")
+    return load_workspace(str(Path(__file__).resolve().parent / "fixtures" / "fig2.kbi"))

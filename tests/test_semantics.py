@@ -1,5 +1,8 @@
 """Model checking: term extensions, axiom verdicts, least role closure."""
 
+import time
+from pathlib import Path
+
 import pytest
 
 from dlbisim import syntax as sx
@@ -27,7 +30,7 @@ from dlbisim.semantics import (
 
 import helpers as H
 
-FIXTURE = "tests/fixtures/fig2.kbi"
+FIXTURE = str(Path(__file__).resolve().parent / "fixtures" / "fig2.kbi")
 FULL = FeatureSet.from_string("IOQUS")
 
 
@@ -122,6 +125,16 @@ FIXED_CONCEPTS = [
     "some ((r0)* ; inv(r1))* {a0}",
     "all (inv((r0)*))* some ((inv((r0 ; r1)))*)* A1",
     "(atleast 2 inv(r0) some (r1)* A0 and atmost 1 r1 self r0)",
+    # automaton pitfalls: a star's loop on a state shared with a union or
+    # a composition would accept r0 ; r1 or r1 ; r0
+    "some ((r0)* | r1) A0",
+    "some (r1 | (r0)*) A0",
+    "some ((r0)* ; (r1)*) A0",
+    "some ((r1)* ; (r0)*) A0",
+    "some ((eps)* ; r0) A0",
+    "some (test(A0))* A1",
+    "some ((U ; r0))* A1",
+    "some inv(((r0)* ; r1)) A0",
 ]
 
 
@@ -225,6 +238,21 @@ class TestQSAgainstBruteForce:
                 c = random_counting_concept(rng, sig, 3)
                 assert eval_concept_qs(qsi, c, FULL) == qs_brute_force(qsi, c), sx.to_text(c)
                 assert ev.concept(c) == qs_brute_force(qsi, c), sx.to_text(c)
+
+
+class TestNestedStar:
+    def test_linear_in_the_path(self):
+        # forward s, backward r, A at 0: each outer round of ((s)* ; r)* walks
+        # the whole inner closure again unless every state is searched once
+        n = 2000
+        sig = Signature(("A",), ("r", "s"), ())
+        interp = build_interpretation(sig, n, {"A": {0}},
+                                      {"s": {(i, i + 1) for i in range(n - 1)},
+                                       "r": {(i + 1, i) for i in range(n - 1)}})
+        start = time.perf_counter()
+        ext = eval_concept(interp, sx.parse_concept("some ((s)* ; r)* A"), FeatureSet())
+        assert time.perf_counter() - start < 2.0
+        assert ext == frozenset(range(n))
 
 
 class TestLongPath:
