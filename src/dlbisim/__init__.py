@@ -16,9 +16,9 @@ What is here:
   checking, least closure of an interpretation under role inclusion
   axioms,
 - the coarsest stable partition of an interpretation via worklist
-  refinement (a kernel compiled with numba when it is installed,
-  otherwise a pure-Python loop over lists; select with the
-  DLBISIM_NUMBA environment variable or set_engine),
+  refinement (a kernel compiled with numba when numba is installed,
+  otherwise a pure-Python loop over lists; active_engine names the
+  one that runs),
 - bisimulation checking, largest bisimulations within and across
   interpretations (verdicts and pair counts read off block ids, pairs
   built only on request), and a slow reference fixpoint for cross
@@ -28,7 +28,7 @@ What is here:
 - a JSON document format and a CLI exposing all of the above.
 """
 
-from ._kernels import active_engine, set_engine
+from ._kernels import active_engine
 from .bisim import (
     ConditionReport,
     Violation,

@@ -1,20 +1,26 @@
 """Partition refinement inner loop: numba-compiled, or over Python lists.
 
 Two sources implement one algorithm.  _refine_loop works on
-preallocated numpy arrays and is wrapped with @njit when numba imports
-(the "numba" engine).  _refine_list_loop is the same algorithm written
-for CPython over Python lists, dicts and a deque (the "numpy" engine,
-the fallback when numba is absent), since interpreting the array loop
-on numpy scalars is several times slower.  Engine choice:
+preallocated numpy arrays and is compiled with numba's @njit when numba
+imports; _array_loop allocates its scratch and trace arrays and decodes
+the trace it records (the "numba" engine).  _refine_list_loop is the
+same algorithm written for CPython over Python lists, dicts and a deque
+(the "numpy" engine), since interpreting the array loop on numpy
+scalars is several times slower.  The engine is a fact of the install:
+numba when it imports, the list loop otherwise.  compute_partition can
+still name either engine, so that tests and `dlbisim bench` can compare
+them.
 
-  * env var DLBISIM_NUMBA=0 (or "false"/"off"/"no") forces the pure
-    Python path, anything else prefers numba when it is importable;
-  * set_engine("numba" | "numpy" | "auto") overrides at runtime.
-
-Both loops give the same partition, block ids and split trace.  The
-test suite establishes this: it compares _refine_list_loop with
-_refine_loop run uncompiled on random instances for every feature set,
-and with the compiled kernel where numba imports.
+Both engines' loops take (n, nsr, pred_indptr, pred_indices, block_of,
+elems, pos, first, last, nblocks0, use_counts, record), leave the final
+block ids in block_of and return (block_of, block count, events).  An
+event is a (parent, role, splitter, time, subs) tuple, subs the
+(block id, count class) pairs the parent split into, in layout order;
+events are recorded only when record is set.  Both loops give the same
+partition, block ids and events.  The test suite establishes this: it
+compares _refine_list_loop with _array_loop over the uncompiled
+_refine_loop on random instances for every feature set, and with the
+compiled kernel where numba imports.
 
 Splitting discipline.  A worklist entry is a (block, splitter role)
 pair.  Extracting one counts, for every element x, the edges x leads
@@ -29,7 +35,6 @@ split is binary (no edge / some edge), complement reasoning is invalid,
 so every block is seeded and every sub-block is queued.
 """
 
-import os
 from collections import deque
 
 import numpy as np
@@ -40,14 +45,6 @@ try:
     HAVE_NUMBA = True
 except ImportError:  # numba is an optional extra; _refine_list_loop runs without it
     HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def _refine_loop(n, nsr, pred_indptr, pred_indices,
@@ -252,25 +249,54 @@ def _refine_loop(n, nsr, pred_indptr, pred_indices,
 _refine_loop_jit = njit(cache=True)(_refine_loop) if HAVE_NUMBA else _refine_loop
 
 
-def _refine_list_loop(n, nsr, pred_indptr, pred_indices,
-                      block_of, elems, pos, first, last, nblocks0,
-                      use_counts, record,
-                      counts, touched, tlist, tb_cnt, tb_start, tb_fill, affected,
-                      sort_keys, queue, in_l,
-                      ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start,
-                      sub_block, sub_count):
+def _array_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
+                nblocks0, use_counts, record):
+    """_refine_loop_jit on fresh scratch and trace arrays, its events decoded."""
+    # every split makes a new block: at most n events and 2n sub-blocks
+    ne = n + 1 if record else 1
+    ev_parent = np.zeros(ne, dtype=np.int32)
+    ev_role = np.zeros(ne, dtype=np.int32)
+    ev_yblock = np.zeros(ne, dtype=np.int32)
+    ev_time = np.zeros(ne, dtype=np.int64)
+    ev_sub_start = np.zeros(ne + 1, dtype=np.int32)
+    sub_block = np.zeros(2 * ne, dtype=np.int32)
+    sub_count = np.zeros(2 * ne, dtype=np.int64)
+    nblocks, nev, nsub = _refine_loop_jit(
+        n, nsr, pred_indptr, pred_indices,
+        block_of, elems, pos, first, last, nblocks0,
+        use_counts, record,
+        np.zeros(n, dtype=np.int64),                       # counts
+        np.zeros(n, dtype=np.int32),                       # touched
+        np.zeros(n, dtype=np.int32),                       # tlist
+        np.zeros(n + 1, dtype=np.int32),                   # tb_cnt
+        np.zeros(n + 1, dtype=np.int32),                   # tb_start
+        np.zeros(n + 1, dtype=np.int32),                   # tb_fill
+        np.zeros(n, dtype=np.int32),                       # affected
+        np.zeros(n, dtype=np.int64),                       # sort_keys
+        np.zeros(3 * n * nsr + nsr + 8, dtype=np.int64),   # queue
+        np.zeros(max(n * nsr, 1), dtype=np.uint8),         # in_l
+        ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start, sub_block, sub_count,
+    )
+    subs = list(zip(sub_block[:nsub].tolist(), sub_count[:nsub].tolist()))
+    starts = ev_sub_start[:nev + 1].tolist()
+    events = [(b, role, yblk, when, tuple(subs[starts[e]:starts[e + 1]]))
+              for e, (b, role, yblk, when) in enumerate(zip(
+                  ev_parent[:nev].tolist(), ev_role[:nev].tolist(),
+                  ev_yblock[:nev].tolist(), ev_time[:nev].tolist()))]
+    return block_of, int(nblocks), events
+
+
+def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
+                      nblocks0, use_counts, record):
     """_refine_loop for CPython: the same splits, run over Python lists.
 
-    Takes _refine_loop's arguments and leaves the same values in
-    block_of, elems, pos, first, last and the trace arrays.  The arrays
-    are read into lists on entry and written back on exit, because
-    CPython indexes a list far faster than a numpy array; the scratch
-    arguments (counts through in_l) are unused and compute_partition
-    passes None for them, a dict of counts, a dict of per-block groups
-    and a deque take their place.  Touched elements are
-    ordered by sorted() on the keys _refine_loop hands to argsort; the
-    keys are unique, so both orders, and hence block ids and the trace,
-    agree.
+    The arrays are read into lists on entry, because CPython indexes a
+    list far faster than a numpy array, and only the block ids are
+    written back; a dict of counts, a dict of per-block groups and a
+    deque stand in for _refine_loop's scratch arrays.  Touched elements
+    are ordered by sorted() on the keys _refine_loop hands to argsort;
+    the keys are unique, so both orders, and hence block ids and the
+    events, agree.
     """
     ptr = pred_indptr.tolist()
     idx = pred_indices.tolist()
@@ -383,7 +409,7 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices,
                 seg = end
                 ii = jj
             if record:
-                events.append((b, role, yblk, t, subs))
+                events.append((b, role, yblk, t, tuple(subs)))
 
             # worklist update, as in _refine_loop
             zbest = -1
@@ -409,58 +435,22 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices,
                             queued[cid * nsr + s] = 1
 
     block_of[:] = blk
-    elems[:] = el
-    pos[:] = ps
-    first[:] = fst
-    last[:] = lst
-    ev_sub_start[0] = 0
-    nsub = 0
-    for e, (b, role, yblk, when, subs) in enumerate(events):
-        ev_parent[e] = b
-        ev_role[e] = role
-        ev_yblock[e] = yblk
-        ev_time[e] = when
-        for cid, c in subs:
-            sub_block[nsub] = cid
-            sub_count[nsub] = c
-            nsub += 1
-        ev_sub_start[e + 1] = nsub
-    return nblocks, len(events), nsub
-
-
-def _engine_from_env() -> str:
-    raw = os.environ.get("DLBISIM_NUMBA", "").strip().lower()
-    if raw in {"0", "false", "off", "no"}:
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_engine = _engine_from_env()
-
-
-def set_engine(name: str) -> None:
-    """Select the refinement engine: "numba", "numpy" or "auto"."""
-    global _engine
-    if name == "auto":
-        _engine = _engine_from_env()
-        return
-    if name not in ("numba", "numpy"):
-        raise ValueError("engine must be numba, numpy or auto, got %r" % name)
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba is not importable in this environment")
-    _engine = name
+    return block_of, nblocks, events
 
 
 def active_engine() -> str:
-    return _engine
+    """The engine this install runs: numba when it imports, the list loop otherwise."""
+    return "numba" if HAVE_NUMBA else "numpy"
 
 
 def get_refine_loop(engine: str | None = None):
-    engine = engine or _engine
+    """The loop of the named engine; None names the installed one."""
+    if engine is None:
+        engine = active_engine()
     if engine == "numba":
         if not HAVE_NUMBA:
             raise RuntimeError("numba is not importable in this environment")
-        return _refine_loop_jit
+        return _array_loop
     if engine == "numpy":
         return _refine_list_loop
     raise ValueError("engine must be numba or numpy, got %r" % engine)

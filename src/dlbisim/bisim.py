@@ -308,8 +308,8 @@ def naive_largest_bisimulation(phi: FeatureSet, ia: Interpretation, ib: Interpre
     return BisimRelation(n, m, pairs)
 
 
-def _union_blocks(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
-                  engine: str | None) -> tuple[np.ndarray, np.ndarray, int] | None:
+def _union_blocks(phi: FeatureSet, ia: Interpretation,
+                  ib: Interpretation) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Block ids of both domains in the coarsest partition of their union.
 
     Cross pairs sharing a block form the largest candidate relation.
@@ -320,7 +320,7 @@ def _union_blocks(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
     result is None.  Otherwise it is (left ids, right ids, block count).
     """
     graph = disjoint_union_graph(ia, ib)
-    partition, _ = compute_partition(phi, graph, want_trace=False, engine=engine)
+    partition, _ = compute_partition(phi, graph, want_trace=False)
     left, right = partition.block_of[:ia.n], partition.block_of[ia.n:]
     for a in ia.signature.individual_names:
         if left[ia.individual_map[a]] != right[ib.individual_map[a]]:
@@ -332,33 +332,31 @@ def _union_blocks(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
     return left, right, n_blocks
 
 
-def bisimilar(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
-              engine: str | None = None) -> bool:
-    return _union_blocks(phi, ia, ib, engine) is not None
+def bisimilar(phi: FeatureSet, ia: Interpretation, ib: Interpretation) -> bool:
+    return _union_blocks(phi, ia, ib) is not None
 
 
-def bisimulation_size(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
-                      engine: str | None = None) -> int | None:
+def bisimulation_size(phi: FeatureSet, ia: Interpretation, ib: Interpretation) -> int | None:
     """Number of pairs in the largest bisimulation, or None if there is none.
 
     The sum over blocks of left members times right members; no pair is
     built.
     """
-    found = _union_blocks(phi, ia, ib, engine)
+    found = _union_blocks(phi, ia, ib)
     if found is None:
         return None
     left, right, n_blocks = found
     return int(np.bincount(left, minlength=n_blocks) @ np.bincount(right, minlength=n_blocks))
 
 
-def bisimulation_pairs(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
-                       engine: str | None = None) -> Iterator[tuple[int, int]] | None:
+def bisimulation_pairs(phi: FeatureSet, ia: Interpretation,
+                       ib: Interpretation) -> Iterator[tuple[int, int]] | None:
     """Pairs of the largest bisimulation in ascending order, or None.
 
     The pairs are generated lazily: for each left element in turn, the
     right members of its block.
     """
-    found = _union_blocks(phi, ia, ib, engine)
+    found = _union_blocks(phi, ia, ib)
     if found is None:
         return None
     left, right, n_blocks = found
@@ -368,8 +366,8 @@ def bisimulation_pairs(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
     return ((x, y) for x, b in enumerate(left.tolist()) for y in rights[b])
 
 
-def largest_bisimulation(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
-                         engine: str | None = None) -> BisimRelation | None:
+def largest_bisimulation(phi: FeatureSet, ia: Interpretation,
+                         ib: Interpretation) -> BisimRelation | None:
     """Largest bisimulation via the partition of the disjoint union.
 
     Collects `bisimulation_pairs` into a set.  The verdict itself comes
@@ -377,15 +375,14 @@ def largest_bisimulation(phi: FeatureSet, ia: Interpretation, ib: Interpretation
     count should ask `bisimilar` or `bisimulation_size`, which build no
     pair.
     """
-    pairs = bisimulation_pairs(phi, ia, ib, engine=engine)
+    pairs = bisimulation_pairs(phi, ia, ib)
     if pairs is None:
         return None
     return BisimRelation(ia.n, ib.n, frozenset(pairs))
 
 
-def largest_auto_bisimulation(phi: FeatureSet, interp: Interpretation,
-                              engine: str | None = None) -> Partition:
+def largest_auto_bisimulation(phi: FeatureSet, interp: Interpretation) -> Partition:
     """Coarsest partition of one interpretation's domain under phi."""
     graph = to_labeled_graph(interp)
-    partition, _ = compute_partition(phi, graph, want_trace=False, engine=engine)
+    partition, _ = compute_partition(phi, graph, want_trace=False)
     return partition

@@ -66,15 +66,6 @@ def _phi_of(ws: Workspace, args) -> FeatureSet:
     return ws.phi if ws.phi is not None else FeatureSet()
 
 
-def _engine_of(args) -> str | None:
-    engine = getattr(args, "engine", None)
-    if engine in (None, "auto"):
-        return None
-    if engine == "numba" and not _kernels.HAVE_NUMBA:
-        raise DocumentError("engine numba requested but numba is not importable")
-    return engine
-
-
 def _emit(text: str, path: str | None) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -96,7 +87,7 @@ def cmd_partition(args) -> int:
     ws = _load(args)
     interp = ws.interpretation(args.interpretation)
     phi = _phi_of(ws, args)
-    partition = largest_auto_bisimulation(phi, interp, engine=_engine_of(args))
+    partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
     if args.json:
         doc = {"blocks": [[names[x] for x in partition.blocks[b]]
@@ -111,7 +102,7 @@ def cmd_minimize(args) -> int:
     ws = _load(args)
     interp = ws.interpretation(args.interpretation)
     phi = _phi_of(ws, args)
-    partition = largest_auto_bisimulation(phi, interp, engine=_engine_of(args))
+    partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
     qnames = tuple(names[partition.blocks[b][0]] for b in partition.canonical_order)
     if args.qs:
@@ -146,7 +137,7 @@ def cmd_bisim(args) -> int:
     ib = ws.interpretation(args.right)
     phi = _phi_of(ws, args)
     if args.json:
-        pairs = bisimulation_pairs(phi, ia, ib, engine=_engine_of(args))
+        pairs = bisimulation_pairs(phi, ia, ib)
         doc: dict = {"bisimilar": pairs is not None}
         if pairs is not None:
             lnames = ws.element_names[args.left]
@@ -154,7 +145,7 @@ def cmd_bisim(args) -> int:
             doc["pairs"] = [[lnames[x], rnames[y]] for x, y in pairs]
         _emit(dumps_document(doc), args.output)
         return 0 if pairs is not None else 1
-    size = bisimulation_size(phi, ia, ib, engine=_engine_of(args))
+    size = bisimulation_size(phi, ia, ib)
     if size is not None:
         _emit("BISIMILAR\npairs: %d\n" % size, args.output)
         return 0
@@ -209,7 +200,7 @@ def cmd_witness(args) -> int:
     x = _element_ref(ws, args.interpretation, args.left)
     y = _element_ref(ws, args.interpretation, args.right)
     graph = to_labeled_graph(interp)
-    _, trace = compute_partition(phi, graph, want_trace=True, engine=_engine_of(args))
+    _, trace = compute_partition(phi, graph, want_trace=True)
     try:
         witness = separating_concept(interp, trace, x, y)
     except NotSeparatedError:
@@ -257,14 +248,9 @@ def cmd_bench(args) -> int:
         phi = FeatureSet.from_string(args.phi or "")
     except ValueError as exc:
         raise DocumentError(str(exc))
-    if args.engine == "both":
-        if not _kernels.HAVE_NUMBA:
-            raise DocumentError("engine both requested but numba is not importable")
-        engines = ["numba", "numpy"]
-    else:
-        engines = [None if args.engine == "auto" else args.engine]
-        if engines[0] == "numba" and not _kernels.HAVE_NUMBA:
-            raise DocumentError("engine numba requested but numba is not importable")
+    engines = ["numba", "numpy"] if args.engine == "both" else [args.engine]
+    if "numba" in engines and not _kernels.HAVE_NUMBA:
+        raise DocumentError("engine %s requested but numba is not importable" % args.engine)
     sizes = []
     for part in args.sizes.split(","):
         part = part.strip()
@@ -286,16 +272,15 @@ def cmd_bench(args) -> int:
                 start = time.perf_counter()
                 compute_partition(phi, graph, want_trace=False, engine=engine)
                 best = min(best, (time.perf_counter() - start) * 1000.0)
-            label = engine or _kernels.active_engine()
             if with_engine:
-                rows.append("%d,%d,%s,%.3f" % (n, args.roles, label, best))
+                rows.append("%d,%d,%s,%.3f" % (n, args.roles, engine, best))
             else:
                 rows.append("%d,%d,%.3f" % (n, args.roles, best))
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 
 
-def _add_io(sp, interp=True, engine=False, output=True, json_flag=False):
+def _add_io(sp, interp=True, output=True, json_flag=False):
     sp.add_argument("--input", "-i", required=True,
                     help="workspace document path, or - for stdin")
     sp.add_argument("--phi", default=None,
@@ -303,9 +288,6 @@ def _add_io(sp, interp=True, engine=False, output=True, json_flag=False):
     if interp:
         sp.add_argument("--interpretation", "-I", required=True,
                         help="name of the interpretation inside the document")
-    if engine:
-        sp.add_argument("--engine", choices=("auto", "numba", "numpy"), default="auto",
-                        help="refinement engine (default: auto)")
     if output:
         sp.add_argument("--output", "-o", default="-",
                         help="output path, or - for stdout (default)")
@@ -321,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     sp = sub.add_parser("partition", help="coarsest stable partition of one interpretation")
-    _add_io(sp, engine=True, json_flag=True)
+    _add_io(sp, json_flag=True)
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("minimize", help="quotient by the coarsest stable partition")
-    _add_io(sp, engine=True)
+    _add_io(sp)
     sp.add_argument("--qs", action="store_true",
                     help="attach edge multiplicities and self loops to the quotient")
     sp.set_defaults(func=cmd_minimize)
@@ -335,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", default=None)
     sp.add_argument("--left", "-l", required=True, help="name of the left interpretation")
     sp.add_argument("--right", "-r", required=True, help="name of the right interpretation")
-    sp.add_argument("--engine", choices=("auto", "numba", "numpy"), default="auto")
     sp.add_argument("--output", "-o", default="-")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_bisim)
@@ -354,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check_kb)
 
     sp = sub.add_parser("witness", help="concept separating two non-bisimilar elements")
-    _add_io(sp, engine=True)
+    _add_io(sp)
     sp.add_argument("--left", "-l", required=True, help="first element (name or index)")
     sp.add_argument("--right", "-r", required=True, help="second element (name or index)")
     sp.set_defaults(func=cmd_witness)
@@ -383,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--concepts", type=int, default=2)
     sp.add_argument("--max-out", type=int, default=4)
     sp.add_argument("--phi", default="Q")
-    sp.add_argument("--engine", choices=("auto", "numba", "numpy", "both"), default="auto")
+    sp.add_argument("--engine", choices=("numba", "numpy", "both"),
+                    default=_kernels.active_engine(),
+                    help="refinement engine to time (default: the installed one)")
     sp.add_argument("--repeats", type=int, default=3)
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--output", "-o", default="-")

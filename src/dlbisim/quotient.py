@@ -121,26 +121,34 @@ class _WitnessBuilder:
         g = trace.graph
         sig = g.signature
         self.sig = sig
-        # Facts per block id: (event index, count class), accumulated top
-        # down so a child starts from a snapshot of its parent's list.
-        facts: dict[int, list[tuple[int, int]]] = {}
-        init_anc: dict[int, int] = {}
+        # A zone is a block's fact history as a linked list: zone z is
+        # (event index, count class, zone before it), sub-blocks share
+        # their parent's zone, and zones 0..n_init-1 are the empty
+        # histories of the initial blocks, marked by event index -1.
         n_init = int(trace.init_block_of.max()) + 1 if len(trace.init_block_of) else 0
-        for b in range(n_init):
-            facts[b] = []
-            init_anc[b] = b
+        zones: list[tuple[int, int, int]] = [(-1, 0, -1)] * n_init
+        zone_of = {b: b for b in range(n_init)}
+        # target[ei]: the splitter's zone before the splits of event ei's
+        # step, i.e. its facts from events at earlier times; all events of
+        # one step share the splitter, so it is read at the step's first
+        target: list[int] = []
+        time = None
         for ei, ev in enumerate(trace.events):
-            snapshot = list(facts[ev.parent])
-            anc = init_anc[ev.parent]
+            if ev.time != time:
+                time = ev.time
+                splitter_zone = zone_of[ev.splitter]
+            target.append(splitter_zone)
+            before = zone_of[ev.parent]
             for b, c in ev.subs:
-                facts[b] = snapshot + [(ei, c)]
-                init_anc[b] = anc
-        self.facts = facts
-        self.init_anc = init_anc
+                zone_of[b] = len(zones)
+                zones.append((ei, c, before))
+        self.zones = zones
+        self.zone_of = zone_of
+        self.target = target
         self.init_rep: dict[int, int] = {}
         for x in range(g.n):
             self.init_rep.setdefault(int(trace.init_block_of[x]), x)
-        self._char_memo: dict[tuple[int, int], Concept] = {}
+        self._zone_memo: dict[int, Concept] = {}
 
     def _init_probes(self):
         g = self.trace.graph
@@ -192,26 +200,50 @@ class _WitnessBuilder:
                 out.append(self._probe_literal(probe, v, not v))
         return out
 
-    def _fact_literal(self, ei: int, c: int) -> Concept:
-        ev = self.trace.events[ei]
-        role = _role_node(self.trace, ev.role)
-        target = self.char(ev.splitter, ev.time)
+    def _fact_literal(self, ei: int, c: int, target: Concept) -> Concept:
+        role = _role_node(self.trace, self.trace.events[ei].role)
         if self.trace.use_counts:
             if c == 0:
                 return AtMost(0, role, target)
             return And(AtLeast(c, role, target), AtMost(c, role, target))
         return Some(role, target) if c else Not(Some(role, target))
 
-    def char(self, block: int, time: int) -> Concept:
-        """Concept whose extension is the given block's zone as of `time`."""
-        key = (block, time)
-        if key not in self._char_memo:
-            parts = self.init_literals(self.init_rep[self.init_anc[block]])
-            for ei, c in self.facts[block]:
-                if self.trace.events[ei].time < time:
-                    parts.append(self._fact_literal(ei, c))
-            self._char_memo[key] = _conjoin(parts)
-        return self._char_memo[key]
+    def char(self, zone: int) -> Concept:
+        """Concept whose extension is the zone: its initial literals and facts.
+
+        The conjunction nests left, so a zone's concept is its previous
+        zone's concept and one fact literal, shared by every zone after
+        it.  Built from an explicit stack, since a fact's literal needs
+        the concept of its splitter's zone, and memoised per zone.
+        """
+        memo = self._zone_memo
+        stack = [zone]
+        while stack:
+            z = stack[-1]
+            if z in memo:
+                stack.pop()
+                continue
+            ei, c, before = self.zones[z]
+            if ei < 0:
+                memo[z] = _conjoin(self.init_literals(self.init_rep[z]))
+                continue
+            pending = [d for d in (before, self.target[ei]) if d not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            literal = self._fact_literal(ei, c, memo[self.target[ei]])
+            # Top is the empty conjunction; no literal is Top
+            memo[z] = literal if isinstance(memo[before], Top) else And(memo[before], literal)
+        return memo[zone]
+
+    def _history(self, block: int) -> list[tuple[int, int]]:
+        """The block's facts (event index, count class), oldest first."""
+        out = []
+        ei, c, before = self.zones[self.zone_of[block]]
+        while ei >= 0:
+            out.append((ei, c))
+            ei, c, before = self.zones[before]
+        return out[::-1]
 
     def separate(self, x: int, y: int) -> Concept:
         trace = self.trace
@@ -225,15 +257,14 @@ class _WitnessBuilder:
                 if vx != vy:
                     return self._probe_literal(probe, vx, vy)
             raise BisimError("internal: initial blocks differ but labels agree")
-        hx, hy = self.facts[bx], self.facts[by]
-        for (ex, cx), (ey, cy) in zip(hx, hy):
+        for (ex, cx), (ey, cy) in zip(self._history(bx), self._history(by)):
             if ex == ey and cx == cy:
                 continue
             if ex != ey:
                 raise BisimError("internal: histories diverge on different events")
             ev = trace.events[ex]
             role = _role_node(trace, ev.role)
-            target = self.char(ev.splitter, ev.time)
+            target = self.char(self.target[ex])
             if trace.use_counts:
                 return AtLeast(cx, role, target) if cx > cy else AtMost(cx, role, target)
             return Some(role, target) if cx else Not(Some(role, target))

@@ -145,35 +145,14 @@ def _splitter_structures(phi: FeatureSet, graph: LabeledGraph):
     return np.ascontiguousarray(pred_indptr), np.ascontiguousarray(pred_indices), degrees
 
 
-def _loop_scratch(loop, n: int, nsr: int) -> tuple:
-    """The scratch arrays of the array loop, counts through in_l.
-
-    The list loop keeps its scratch state in Python containers and gets
-    None for each, so it allocates nothing here.
-    """
-    if loop is _kernels._refine_list_loop:
-        return (None,) * 10
-    return (
-        np.zeros(n, dtype=np.int64),                       # counts
-        np.zeros(n, dtype=np.int32),                       # touched
-        np.zeros(n, dtype=np.int32),                       # tlist
-        np.zeros(n + 1, dtype=np.int32),                   # tb_cnt
-        np.zeros(n + 1, dtype=np.int32),                   # tb_start
-        np.zeros(n + 1, dtype=np.int32),                   # tb_fill
-        np.zeros(n, dtype=np.int32),                       # affected
-        np.zeros(n, dtype=np.int64),                       # sort_keys
-        np.zeros(3 * n * nsr + nsr + 8, dtype=np.int64),   # queue
-        np.zeros(max(n * nsr, 1), dtype=np.uint8),         # in_l
-    )
-
-
 def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = True,
                       engine: str | None = None) -> tuple[Partition, RefinementTrace | None]:
     """Coarsest partition refining the label partition and stable for phi.
 
-    Returns the partition and, when requested, the split trace.  The
-    result is independent of the engine and deterministic: block ids
-    depend only on the graph and phi.
+    Returns the partition and, when requested, the split trace.  engine
+    names the refinement loop, "numba" or "numpy"; None runs the one the
+    install provides (see _kernels).  The result is independent of the
+    engine and deterministic: block ids depend only on the graph and phi.
     """
     n = graph.n
     nsr = graph.n_roles * (2 if phi.inverse else 1)
@@ -184,7 +163,6 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
         cols.append(degrees.T)
     init_ids, nblocks0 = _group_rows(cols, n)
 
-    block_of = init_ids.copy()
     order = np.argsort(init_ids, kind="stable")
     elems = order.astype(np.int32)
     pos = np.zeros(n, dtype=np.int32)
@@ -197,45 +175,19 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     first[:nblocks0] = bounds[:-1]
     last[:nblocks0] = bounds[1:]
 
-    if want_trace:
-        ev_parent = np.zeros(n + 1, dtype=np.int32)
-        ev_role = np.zeros(n + 1, dtype=np.int32)
-        ev_yblock = np.zeros(n + 1, dtype=np.int32)
-        ev_time = np.zeros(n + 1, dtype=np.int64)
-        ev_sub_start = np.zeros(n + 2, dtype=np.int32)
-        sub_block = np.zeros(2 * n + 2, dtype=np.int32)
-        sub_count = np.zeros(2 * n + 2, dtype=np.int64)
-    else:
-        ev_parent = np.zeros(1, dtype=np.int32)
-        ev_role = np.zeros(1, dtype=np.int32)
-        ev_yblock = np.zeros(1, dtype=np.int32)
-        ev_time = np.zeros(1, dtype=np.int64)
-        ev_sub_start = np.zeros(2, dtype=np.int32)
-        sub_block = np.zeros(1, dtype=np.int32)
-        sub_count = np.zeros(1, dtype=np.int64)
-
     loop = _kernels.get_refine_loop(engine)
-    n_blocks, nev, _ = loop(
+    block_of, n_blocks, events = loop(
         n, nsr, pred_indptr, pred_indices,
-        block_of, elems, pos, first, last, nblocks0,
+        init_ids.copy(), elems, pos, first, last, nblocks0,
         bool(phi.counting), bool(want_trace),
-        *_loop_scratch(loop, n, nsr),
-        ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start,
-        sub_block, sub_count,
     )
 
-    partition = Partition(block_of, int(n_blocks))
+    partition = Partition(block_of, n_blocks)
     trace = None
     if want_trace:
-        events = []
-        for e in range(int(nev)):
-            lo, hi = int(ev_sub_start[e]), int(ev_sub_start[e + 1])
-            subs = tuple((int(sub_block[i]), int(sub_count[i])) for i in range(lo, hi))
-            events.append(SplitEvent(int(ev_parent[e]), int(ev_role[e]),
-                                     int(ev_yblock[e]), int(ev_time[e]), subs))
         trace = RefinementTrace(
             graph, phi, bool(phi.counting), nsr,
-            init_ids.copy(), block_of.copy(), int(n_blocks), tuple(events),
+            init_ids, block_of.copy(), n_blocks, tuple(SplitEvent(*e) for e in events),
         )
     return partition, trace
 

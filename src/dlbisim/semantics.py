@@ -97,14 +97,16 @@ class Evaluator:
         _require(self.phi, r)
         sx.check_names(self.interp.signature, r)
         self._value(r)
+        into = self._automaton(r)
         n = self.interp.n
         m = sum(len(pairs) for pairs in self.interp.role_ext.values())
-        k = max(1, min(n, _BATCH_CELLS // max(n, m)))
+        # the search holds one n x k bool matrix per automaton state
+        k = max(1, min(n, 2 * _BATCH_CELLS // (len(into) * max(n, m))))
         pairs = []
         for lo in range(0, n, k):
             # column j: the singleton {lo + j}
             targets = np.eye(n, min(k, n - lo), -lo, dtype=bool)
-            xs, ys = np.divmod(np.flatnonzero(self._pre(r, targets)), targets.shape[1])
+            xs, ys = np.divmod(np.flatnonzero(self._search(into, targets)), targets.shape[1])
             pairs.extend(zip(xs.tolist(), (ys + lo).tolist()))
         return frozenset(pairs)
 
@@ -156,9 +158,9 @@ class Evaluator:
         if isinstance(c, sx.Or):
             return memo[id(c.left)] | memo[id(c.right)]
         if isinstance(c, sx.Some):
-            return self._pre(c.role, memo[id(c.concept)][:, None])[:, 0]
+            return self._search(self._automaton(c.role), memo[id(c.concept)][:, None])[:, 0]
         if isinstance(c, sx.All):
-            return ~self._pre(c.role, ~memo[id(c.concept)][:, None])[:, 0]
+            return ~self._search(self._automaton(c.role), ~memo[id(c.concept)][:, None])[:, 0]
         if isinstance(c, (sx.AtLeast, sx.AtMost)):
             inverted = isinstance(c.role, sx.Inverse)
             name = c.role.role.name if inverted else c.role.name
@@ -175,18 +177,14 @@ class Evaluator:
             return None
         raise TypeError("not a concept or role node: %r" % (c,))
 
-    def _pre(self, role, targets: np.ndarray) -> np.ndarray:
-        """pre_R of every column of the n x k bool matrix targets.
+    def _automaton(self, role) -> list[list]:
+        """The role's automaton, whose paths from state 0 to state 1 spell it.
 
-        The tests under role must already be memoised (see _value).  The
-        role becomes an automaton whose paths from state 0 to state 1
-        spell it; into[q] lists the steps (p, kind, arg) from p to q,
-        kind being the class of the role node that makes the step.
-        The search then runs backward from the target cells at state 1,
-        and the cells that reach state 0 are the preimage.
+        into[q] lists the steps (p, kind, arg) from p to q, kind being the
+        class of the role node that makes the step.  The tests under role
+        must already be memoised (see _value).
         """
         memo = self._memo
-        n, k = targets.shape
         into: list[list] = [[], []]
         work = [(role, 0, 1, False)]
         while work:
@@ -216,7 +214,15 @@ class Evaluator:
                 into[dst].append((src, kind, None))
             else:
                 raise TypeError("not a role node: %r" % (node,))
+        return into
 
+    def _search(self, into: list[list], targets: np.ndarray) -> np.ndarray:
+        """pre_R of every column of the n x k bool matrix targets, R the automaton into.
+
+        The search runs backward from the target cells at state 1, and the
+        cells that reach state 0 are the preimage.
+        """
+        n, k = targets.shape
         # cell x * k + j is element x in column j; fresh[q] holds the cells
         # that entered state q and whose steps back are still to be taken
         seen = [np.zeros(n * k, dtype=bool), targets.reshape(-1).copy()] + [None] * (len(into) - 2)
@@ -275,7 +281,7 @@ class Evaluator:
             self._value(axiom.role)
             target = np.zeros((self.interp.n, 1), dtype=bool)
             target[imap[axiom.b], 0] = True
-            related = bool(self._pre(axiom.role, target)[imap[axiom.a], 0])
+            related = bool(self._search(self._automaton(axiom.role), target)[imap[axiom.a], 0])
             return related == isinstance(axiom, sx.RoleAssertion)
         if isinstance(axiom, sx.SameAs):
             return imap[axiom.a] == imap[axiom.b]

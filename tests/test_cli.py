@@ -74,9 +74,8 @@ FAILING_KB = """{
 """
 
 
-def run(*args, stdin=None, numba=False):
+def run(*args, stdin=None):
     env = dict(os.environ)
-    env["DLBISIM_NUMBA"] = "1" if numba else "0"
     # the child imports dlbisim from this checkout, installed or not
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "dlbisim", *args],
@@ -118,14 +117,6 @@ class TestPartition:
         assert out.returncode == 0
         doc = json.loads(out.stdout)
         assert doc == {"blocks": [["a"], ["b"], ["c"], ["v1"], ["v2", "v4"], ["v3"]]}
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_engines_agree(self):
-        plain = run("partition", "-i", FIG2, "--phi", "IOQ", "-I", "I3", "--engine", "numpy")
-        jitted = run("partition", "-i", FIG2, "--phi", "IOQ", "-I", "I3",
-                     "--engine", "numba", numba=True)
-        assert plain.returncode == jitted.returncode == 0
-        assert plain.stdout == jitted.stdout
 
 
 class TestBisim:
@@ -336,12 +327,18 @@ class TestBench:
 
     @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
     def test_both_engines(self):
-        out = run("bench", "--sizes", "300", "--repeats", "1", "--engine", "both",
-                  numba=True)
+        out = run("bench", "--sizes", "300", "--repeats", "1", "--engine", "both")
         assert out.returncode == 0
         rows = out.stdout.strip().split("\n")
         assert rows[0] == "n,sigma,engine,millis"
         assert [row.split(",")[2] for row in rows[1:]] == ["numba", "numpy"]
+
+    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is importable")
+    def test_numba_engines_need_numba(self):
+        for engine in ("numba", "both"):
+            out = run("bench", "--sizes", "300", "--repeats", "1", "--engine", engine)
+            assert out.returncode == 3
+            assert out.stderr == "error: engine %s requested but numba is not importable\n" % engine
 
     def test_rejects_bad_sizes(self):
         out = run("bench", "--sizes", "12,-3")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -541,6 +542,29 @@ class TestSeparatingConcepts:
         ext = eval_concept(interp, witness.concept, EMPTY)
         assert names.index("c") in ext
         assert names.index("u2") not in ext
+
+    def test_witness_dag_grows_with_the_splits(self):
+        # zones share their parent zone's concept, so the witness DAG holds
+        # a few nodes per split event, not one literal per fact per zone
+        n = 1000
+        interp = build_interpretation(make_signature(1, 1, 0), n, {"A0": {n - 1}},
+                                      {"r0": {(i, i + 1) for i in range(n - 1)}}, {})
+        start = time.perf_counter()
+        _, trace = auto(FeatureSet.from_string("Q"), interp, want_trace=True)
+        witness = separating_concept(interp, trace, 0, 1)
+        assert time.perf_counter() - start < 2.0
+        assert dag_nodes(witness.concept) <= 16 * len(trace.events)
+
+
+def dag_nodes(root) -> int:
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(sx.children(node))
+    return len(seen)
 
 
 @pytest.fixture(scope="module")

@@ -148,14 +148,16 @@ class TestDeterminismAndEngines:
 
     def test_list_loop_matches_array_loop(self, monkeypatch):
         # _refine_list_loop and _refine_loop are separate sources; run the
-        # array loop uncompiled as the reference, so this holds without numba.
+        # array loop uncompiled, through _array_loop, as the reference, so
+        # this holds without numba.
         rng = H.seeded(407)
         for _ in range(15):
             interp = H.small_instance(rng, max_n=40)
             graph = to_labeled_graph(interp)
             for phi in H.ALL_PHIS:
                 with monkeypatch.context() as m:
-                    m.setattr(_kernels, "get_refine_loop", lambda engine=None: _kernels._refine_loop)
+                    m.setattr(_kernels, "_refine_loop_jit", _kernels._refine_loop)
+                    m.setattr(_kernels, "get_refine_loop", lambda engine=None: _kernels._array_loop)
                     ref_part, ref_trace = compute_partition(phi, graph)
                 part, trace = compute_partition(phi, graph, engine="numpy")
                 assert np.array_equal(part.block_of, ref_part.block_of), str(phi)
@@ -163,19 +165,16 @@ class TestDeterminismAndEngines:
                 assert trace.events == ref_trace.events, str(phi)
 
     def test_engine_selection(self):
-        before = _kernels.active_engine()
         try:
-            _kernels.set_engine("numpy")
-            assert _kernels.active_engine() == "numpy"
-            assert _kernels.get_refine_loop() is _kernels._refine_list_loop
-            _kernels.set_engine("auto")
-            assert _kernels.active_engine() in ("numpy", "numba")
+            import numba  # noqa: F401
+            installed = "numba"
+        except ImportError:
+            installed = "numpy"
+        assert _kernels.active_engine() == installed
+        assert _kernels.get_refine_loop("numpy") is _kernels._refine_list_loop
+        for name in ("auto", "fast"):
             with pytest.raises(ValueError):
-                _kernels.set_engine("fast")
-            with pytest.raises(ValueError):
-                _kernels.get_refine_loop("auto")
-        finally:
-            _kernels.set_engine(before)
+                _kernels.get_refine_loop(name)
 
     def test_trace_optional(self):
         rng = H.seeded(405)

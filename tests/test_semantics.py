@@ -1,6 +1,7 @@
 """Model checking: term extensions, axiom verdicts, least role closure."""
 
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,27 @@ class TestNestedStar:
         ext = eval_concept(interp, sx.parse_concept("some ((s)* ; r)* A"), FeatureSet())
         assert time.perf_counter() - start < 2.0
         assert ext == frozenset(range(n))
+
+
+class TestRoleBatches:
+    def test_batch_sized_by_the_automaton(self):
+        # twelve composed (r | eps) make a 13-state automaton; the search
+        # holds one n x k bool matrix per state, so k shrinks with the states;
+        # the role is the 25 922 pairs (x, x + j), j <= 12
+        n = 2000
+        role = sx.parse_role("(r | eps)")
+        for _ in range(11):
+            role = sx.Compose(role, sx.parse_role("(r | eps)"))
+        interp = build_interpretation(Signature((), ("r",), ()), n, {},
+                                      {"r": {(i, i + 1) for i in range(n - 1)}})
+        tracemalloc.start()
+        try:
+            pairs = eval_role(interp, role, FeatureSet())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert pairs == {(x, x + j) for x in range(n) for j in range(13) if x + j < n}
 
 
 class TestLongPath:
