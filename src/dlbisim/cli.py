@@ -33,6 +33,7 @@ from .core import FeatureSet, qs_embedding, to_labeled_graph
 from .document import (
     Workspace,
     dumps_document,
+    dumps_pairs,
     interpretation_to_json,
     load_workspace,
     loads_workspace,
@@ -138,12 +139,8 @@ def cmd_bisim(args) -> int:
     phi = _phi_of(ws, args)
     if args.json:
         pairs = bisimulation_pairs(phi, ia, ib)
-        doc: dict = {"bisimilar": pairs is not None}
-        if pairs is not None:
-            lnames = ws.element_names[args.left]
-            rnames = ws.element_names[args.right]
-            doc["pairs"] = [[lnames[x], rnames[y]] for x, y in pairs]
-        _emit(dumps_document(doc), args.output)
+        _emit(dumps_pairs(pairs, ws.element_names[args.left], ws.element_names[args.right]),
+              args.output)
         return 0 if pairs is not None else 1
     size = bisimulation_size(phi, ia, ib)
     if size is not None:

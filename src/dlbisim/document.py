@@ -34,7 +34,9 @@ inside "counts" takes the same default.
 Malformed JSON and unparseable grammar strings raise ParseError; every
 structural or semantic problem (unknown fields, bad types, names or
 element references) raises DocumentError or one of the construction
-errors from the core module.
+errors from the core module.  A domain of more than MAX_ELEMENTS
+elements raises TooLargeError before anything is allocated for it, so a
+few bytes of input cannot ask for gigabytes of memory.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .core import (
     build_qs_interpretation,
     qs_embedding,
 )
-from .errors import DocumentError, ParseError
+from .errors import DocumentError, ParseError, TooLargeError
 from .syntax import (
     KnowledgeBase,
     parse_assertion,
@@ -117,13 +119,27 @@ def _load_signature(obj) -> Signature:
     )
 
 
+# Largest domain a document may declare.  An interpretation costs a few
+# hundred bytes per element (about 362 MB per million elements for
+# `partition`), so this keeps the largest document within a few GB.
+MAX_ELEMENTS = 1_000_000
+
+
+def _check_domain_size(size: int, where: str) -> None:
+    if size > MAX_ELEMENTS:
+        raise TooLargeError("%s.domain has %d elements, more than the limit of %d"
+                            % (where, size, MAX_ELEMENTS))
+
+
 def _load_domain(val, where: str) -> tuple[str, ...]:
     if isinstance(val, bool):
         raise DocumentError("%s.domain must be a size or a list of names" % where)
     if isinstance(val, int):
         _expect(val > 0, "%s.domain must be positive" % where)
+        _check_domain_size(val, where)
         return tuple(str(i) for i in range(val))
     if isinstance(val, list):
+        _check_domain_size(len(val), where)
         names = tuple(_str_list(val, "%s.domain" % where))
         _expect(len(names) > 0, "%s.domain must not be empty" % where)
         _expect(len(set(names)) == len(names), "%s.domain has duplicate names" % where)
@@ -328,3 +344,22 @@ def signature_to_json(sig: Signature) -> dict:
 def dumps_document(doc: dict) -> str:
     """Canonical rendering: sorted keys, two-space indent, final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def dumps_pairs(pairs, left_names, right_names) -> str:
+    """dumps_document of {"bisimilar": ..., "pairs": [[left, right], ...]}.
+
+    pairs holds (left index, right index) tuples, or is None for a
+    negative verdict, which has no "pairs" key.  The pair list is written
+    as fixed-format lines, each name escaped once with json.dumps, since
+    the general encoder is slow on millions of two-element lists; the
+    text is the same.
+    """
+    if pairs is None:
+        return dumps_document({"bisimilar": False})
+    opens = ["    [\n      %s,\n      " % json.dumps(name) for name in left_names]
+    closes = ["%s\n    ]" % json.dumps(name) for name in right_names]
+    body = ",\n".join([opens[x] + closes[y] for x, y in pairs])
+    if not body:
+        return dumps_document({"bisimilar": True, "pairs": []})
+    return '{\n  "bisimilar": true,\n  "pairs": [\n' + body + "\n  ]\n}\n"

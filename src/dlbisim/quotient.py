@@ -122,33 +122,49 @@ class _WitnessBuilder:
         sig = g.signature
         self.sig = sig
         # A zone is a block's fact history as a linked list: zone z is
-        # (event index, count class, zone before it), sub-blocks share
-        # their parent's zone, and zones 0..n_init-1 are the empty
-        # histories of the initial blocks, marked by event index -1.
+        # (event index, class, zone before it), sub-blocks share their
+        # parent's zone, and zones 0..n_init-1 are the empty histories of
+        # the initial blocks, marked by event index -1.
         n_init = int(trace.init_block_of.max()) + 1 if len(trace.init_block_of) else 0
         zones: list[tuple[int, int, int]] = [(-1, 0, -1)] * n_init
         zone_of = {b: b for b in range(n_init)}
         # target[ei]: the splitter's zone before the splits of event ei's
         # step, i.e. its facts from events at earlier times; all events of
-        # one step share the splitter, so it is read at the step's first
+        # one step share the splitter, so it is read at the step's first.
+        # A compound entry's zone is read the same way, at its time.
         target: list[int] = []
+        blocks, times, self.minus = (trace.compounds[:, i].tolist() for i in range(3))
+        compound_zone: list[int] = []
+
+        def resolve(before: float) -> None:
+            while len(compound_zone) < len(times) and times[len(compound_zone)] <= before:
+                compound_zone.append(zone_of[blocks[len(compound_zone)]])
+
         time = None
         for ei, ev in enumerate(trace.events):
             if ev.time != time:
                 time = ev.time
+                resolve(time)
                 splitter_zone = zone_of[ev.splitter]
             target.append(splitter_zone)
             before = zone_of[ev.parent]
             for b, c in ev.subs:
                 zone_of[b] = len(zones)
                 zones.append((ei, c, before))
+        resolve(float("inf"))
+        # rest[ei]: for a three-way event, the compound entry S without
+        # the splitter, the last entry its step made
+        last_at = {when: k for k, when in enumerate(times)}
+        self.rest = [last_at[ev.time] if ev.compound >= 0 else -1 for ev in trace.events]
         self.zones = zones
         self.zone_of = zone_of
         self.target = target
+        self.compound_zone = compound_zone
         self.init_rep: dict[int, int] = {}
         for x in range(g.n):
             self.init_rep.setdefault(int(trace.init_block_of[x]), x)
         self._zone_memo: dict[int, Concept] = {}
+        self._compound_memo: dict[int, Concept] = {}
 
     def _init_probes(self):
         g = self.trace.graph
@@ -200,41 +216,81 @@ class _WitnessBuilder:
                 out.append(self._probe_literal(probe, v, not v))
         return out
 
-    def _fact_literal(self, ei: int, c: int, target: Concept) -> Concept:
+    def _fact_literal(self, ei: int, c: int, target: Concept, rest: Concept | None) -> Concept:
         role = _role_node(self.trace, self.trace.events[ei].role)
         if self.trace.use_counts:
             if c == 0:
                 return AtMost(0, role, target)
             return And(AtLeast(c, role, target), AtMost(c, role, target))
-        return Some(role, target) if c else Not(Some(role, target))
+        if rest is None:
+            return Some(role, target) if c else Not(Some(role, target))
+        if c == 0:
+            return Not(Some(role, target))
+        # the parent's elements all have edges into S, so within the parent
+        # class 2 is just "no edge into S without B"
+        into_rest = Some(role, rest)
+        return And(Some(role, target), into_rest) if c == 1 else Not(into_rest)
 
     def char(self, zone: int) -> Concept:
         """Concept whose extension is the zone: its initial literals and facts.
 
         The conjunction nests left, so a zone's concept is its previous
         zone's concept and one fact literal, shared by every zone after
-        it.  Built from an explicit stack, since a fact's literal needs
-        the concept of its splitter's zone, and memoised per zone.
+        it.  Memoised per zone, like the compound concepts (see _build).
         """
-        memo = self._zone_memo
-        stack = [zone]
+        self._build(zone)
+        return self._zone_memo[zone]
+
+    def _compound(self, k: int) -> Concept:
+        """Concept whose extension is compound entry k."""
+        self._build(~k)
+        return self._compound_memo[k]
+
+    def _build(self, node: int) -> None:
+        """Memoise the concept of a zone, or of compound k given as ~k.
+
+        A fact's literal needs the concept of its splitter's zone and,
+        for a three-way split, of a compound, which needs zones in turn;
+        all of them are built from one explicit stack.
+        """
+        zmemo = self._zone_memo
+        cmemo = self._compound_memo
+        stack = [node]
         while stack:
             z = stack[-1]
-            if z in memo:
+            if z < 0:
+                k = ~z
+                if k in cmemo:
+                    stack.pop()
+                    continue
+                minus = self.minus[k]
+                zk = self.compound_zone[k]
+                pending = [] if zk in zmemo else [zk]
+                if minus >= 0 and minus not in cmemo:
+                    pending.append(~minus)
+                if pending:
+                    stack.extend(pending)
+                    continue
+                cmemo[k] = zmemo[zk] if minus < 0 else And(cmemo[minus], Not(zmemo[zk]))
+                continue
+            if z in zmemo:
                 stack.pop()
                 continue
             ei, c, before = self.zones[z]
             if ei < 0:
-                memo[z] = _conjoin(self.init_literals(self.init_rep[z]))
+                zmemo[z] = _conjoin(self.init_literals(self.init_rep[z]))
                 continue
-            pending = [d for d in (before, self.target[ei]) if d not in memo]
+            rest = self.rest[ei]
+            pending = [d for d in (before, self.target[ei]) if d not in zmemo]
+            if rest >= 0 and rest not in cmemo:
+                pending.append(~rest)
             if pending:
                 stack.extend(pending)
                 continue
-            literal = self._fact_literal(ei, c, memo[self.target[ei]])
+            literal = self._fact_literal(ei, c, zmemo[self.target[ei]],
+                                         cmemo[rest] if rest >= 0 else None)
             # Top is the empty conjunction; no literal is Top
-            memo[z] = literal if isinstance(memo[before], Top) else And(memo[before], literal)
-        return memo[zone]
+            zmemo[z] = literal if isinstance(zmemo[before], Top) else And(zmemo[before], literal)
 
     def _history(self, block: int) -> list[tuple[int, int]]:
         """The block's facts (event index, count class), oldest first."""
@@ -267,6 +323,10 @@ class _WitnessBuilder:
             target = self.char(self.target[ex])
             if trace.use_counts:
                 return AtLeast(cx, role, target) if cx > cy else AtMost(cx, role, target)
+            if ev.compound >= 0 and cx and cy:
+                # classes 1 and 2 differ on edges into S without the splitter
+                into_rest = Some(role, self._compound(self.rest[ex]))
+                return into_rest if cx == 1 else Not(into_rest)
             return Some(role, target) if cx else Not(Some(role, target))
         raise BisimError("internal: separated elements have matching histories")
 

@@ -12,16 +12,24 @@ vectors, which leaves the fixpoint unchanged (any stable partition is
 degree uniform) but licenses the skip-a-maximal-sub-block worklist
 economy in the kernel.
 
+Without counting, refinement seeds the partition with every label block
+as a splitter and then splits against compound splitters three ways
+(see _kernels): a block splits by the presence of edges into a block B
+of a compound S, and into S without B, in time linear in B's in-edges,
+so every feature set refines in O(m log n) edge scans.
+
 Every split can be recorded in a trace: which block split, against
-which splitter block along which role, at which step, and into which
-count classes.  The witness builder consumes this to assemble concepts
-separating two elements that ended up in different blocks.
+which splitter block along which role, at which step, into which
+classes, and for a three-way split which compound.  The witness builder
+consumes this to assemble concepts separating two elements that ended
+up in different blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +38,22 @@ from .core import BisimRelation, FeatureSet, LabeledGraph
 from .errors import PartitionMismatchError
 
 
+class Counters(NamedTuple):
+    """Deterministic work counts of one refinement run."""
+
+    extractions: int    # splitter extractions, three-way steps included
+    edges_scanned: int  # predecessor edges read, the three-way record setup included
+    splits: int         # blocks split
+    queue_pushes: int   # worklist entries pushed
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Blocks of 0..n-1, identified by the ids the kernel assigned."""
 
     block_of: np.ndarray
     n_blocks: int
+    counters: Counters | None = None  # set when compute_partition made it
 
     @property
     def n(self) -> int:
@@ -75,13 +93,22 @@ class Partition:
 
 @dataclass(frozen=True)
 class SplitEvent:
-    """One block split: parent broke into count classes against a splitter."""
+    """One block split: parent broke into classes against a splitter.
+
+    With counting a class is an exact edge count.  Otherwise, when
+    compound is -1, class 1 has edges into the splitter and class 0 none;
+    a three-way split names the compound S the splitter block B was
+    taken from, and class 0 has no edge into B, class 1 edges into B and
+    into S without B, class 2 edges into B only.  Every element of the
+    parent has an edge into S.
+    """
 
     parent: int
     role: int
     splitter: int
     time: int
-    subs: tuple[tuple[int, int], ...]  # (block id, count class) in layout order
+    subs: tuple[tuple[int, int], ...]  # (block id, class) in layout order
+    compound: int = -1                 # row of RefinementTrace.compounds
 
 
 @dataclass(eq=False)
@@ -94,6 +121,11 @@ class RefinementTrace:
     final_block_of: np.ndarray
     n_blocks: int
     events: tuple[SplitEvent, ...]
+    # (k, 3) int64 rows (block, time, minus): the set the block held just
+    # before step time, without compound minus unless minus is -1.  A
+    # three-way step at time t adds the splitter B and then S without B,
+    # the last row of time t
+    compounds: np.ndarray
 
     def splitter_role(self, idx: int) -> tuple[str, bool]:
         """Role name and inverted flag for a splitter role index."""
@@ -149,10 +181,11 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
                       engine: str | None = None) -> tuple[Partition, RefinementTrace | None]:
     """Coarsest partition refining the label partition and stable for phi.
 
-    Returns the partition and, when requested, the split trace.  engine
-    names the refinement loop, "numba" or "numpy"; None runs the one the
-    install provides (see _kernels).  The result is independent of the
-    engine and deterministic: block ids depend only on the graph and phi.
+    Returns the partition, with the kernel's counters, and, when
+    requested, the split trace.  engine names the refinement loop,
+    "numba" or "numpy"; None runs the one the install provides (see
+    _kernels).  The result is independent of the engine and
+    deterministic: block ids depend only on the graph and phi.
     """
     n = graph.n
     nsr = graph.n_roles * (2 if phi.inverse else 1)
@@ -176,18 +209,19 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     last[:nblocks0] = bounds[1:]
 
     loop = _kernels.get_refine_loop(engine)
-    block_of, n_blocks, events = loop(
+    block_of, n_blocks, events, compounds, counters = loop(
         n, nsr, pred_indptr, pred_indices,
         init_ids.copy(), elems, pos, first, last, nblocks0,
         bool(phi.counting), bool(want_trace),
     )
 
-    partition = Partition(block_of, n_blocks)
+    partition = Partition(block_of, n_blocks, Counters(*counters))
     trace = None
     if want_trace:
         trace = RefinementTrace(
             graph, phi, bool(phi.counting), nsr,
             init_ids, block_of.copy(), n_blocks, tuple(SplitEvent(*e) for e in events),
+            compounds,
         )
     return partition, trace
 

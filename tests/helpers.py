@@ -60,6 +60,34 @@ def instance_pair(rng: random.Random, max_concepts: int = 2, max_roles: int = 2,
     return out[0], out[1]
 
 
+def marked_path(n: int) -> Interpretation:
+    """0 -r0-> 1 -r0-> ... -r0-> n-1, with only n-1 in A0."""
+    return build_interpretation(make_signature(1, 1, 0), n, {"A0": {n - 1}},
+                                {"r0": {(i, i + 1) for i in range(n - 1)}}, {})
+
+
+def binary_tree(depth: int) -> Interpretation:
+    """Complete binary tree along r0, its leaves in A0."""
+    nodes = 2 ** (depth + 1) - 1
+    first_leaf = 2 ** depth - 1
+    return build_interpretation(make_signature(1, 1, 0), nodes, {"A0": set(range(first_leaf, nodes))},
+                                {"r0": {(i, c) for i in range(first_leaf) for c in (2 * i + 1, 2 * i + 2)}},
+                                {})
+
+
+def two_role_chain(n: int) -> Interpretation:
+    """A marked path whose edges alternate between r0 and r1."""
+    return build_interpretation(make_signature(1, 2, 0), n, {"A0": {n - 1}},
+                                {"r0": {(i, i + 1) for i in range(0, n - 1, 2)},
+                                 "r1": {(i, i + 1) for i in range(1, n - 1, 2)}}, {})
+
+
+def equal_cycle(n: int) -> Interpretation:
+    """An unlabelled r0-cycle: all elements bisimilar."""
+    return build_interpretation(make_signature(0, 1, 0), n, {},
+                                {"r0": {(i, (i + 1) % n) for i in range(n)}}, {})
+
+
 def assert_clean(report) -> None:
     assert report.ok, "\n".join(report.to_lines())
 
@@ -368,7 +396,10 @@ def replay_trace(trace: RefinementTrace) -> np.ndarray:
 
     Events sharing a time stamp come from one extraction; both the
     splitter zone and each parent zone are read from the snapshot taken
-    when that extraction began.
+    when that extraction began, and so is each compound entry of that
+    time.  A three-way event's classes are recomputed from the edges
+    into the splitter B and into the rest of its compound S, and every
+    element of its parent must have an edge into S.
     """
     graph = trace.graph
     n = graph.n
@@ -376,6 +407,15 @@ def replay_trace(trace: RefinementTrace) -> np.ndarray:
     zones: dict[int, set[int]] = {}
     for x in range(n):
         zones.setdefault(int(trace.init_block_of[x]), set()).add(x)
+    compounds: list[frozenset[int]] = []
+    table = trace.compounds.tolist()
+
+    def resolve(before: float) -> None:
+        # compound entries up to the given time, from the current zones
+        while len(compounds) < len(table) and table[len(compounds)][1] <= before:
+            block, _, minus = table[len(compounds)]
+            members = frozenset(zones[block])
+            compounds.append(members if minus < 0 else compounds[minus] - members)
 
     events = trace.events
     i = 0
@@ -384,11 +424,20 @@ def replay_trace(trace: RefinementTrace) -> np.ndarray:
         while j < len(events) and events[j].time == events[i].time:
             j += 1
         group = events[i:j]
+        resolve(group[0].time)
         snapshot = {b: frozenset(m) for b, m in zones.items()}
         target = snapshot[group[0].splitter]
         for ev in group:
             assert ev.splitter == group[0].splitter and ev.role == group[0].role
+            assert ev.compound == group[0].compound
             members = snapshot[ev.parent]
+            rest = frozenset()
+            if ev.compound >= 0:
+                # the step's entries: the splitter, then the rest of S last
+                made = [k for k, entry in enumerate(table) if entry[1] == ev.time]
+                rest = compounds[ev.compound] - target
+                assert len(made) == 2 and compounds[made[0]] == target, ev
+                assert compounds[made[1]] == rest, ev
             counts = {}
             for x in members:
                 if ev.role < n_r:
@@ -396,7 +445,11 @@ def replay_trace(trace: RefinementTrace) -> np.ndarray:
                 else:
                     reach = graph.predecessors(ev.role - n_r, x)
                 c = sum(1 for y in reach if int(y) in target)
-                if not trace.use_counts:
+                if ev.compound >= 0:
+                    into_rest = any(int(y) in rest for y in reach)
+                    assert c or into_rest, (ev, x)
+                    c = 0 if not c else 1 if into_rest else 2
+                elif not trace.use_counts:
                     c = 1 if c else 0
                 counts[x] = c
             observed = sorted(set(counts.values()))
@@ -408,6 +461,7 @@ def replay_trace(trace: RefinementTrace) -> np.ndarray:
                 zones[b] = {x for x in members if counts[x] == c}
                 assert zones[b], ev
         i = j
+    resolve(float("inf"))
 
     out = np.zeros(n, dtype=np.int64)
     for b, members in zones.items():

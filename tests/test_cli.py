@@ -141,6 +141,32 @@ class TestBisim:
         assert no.returncode == 1
         assert json.loads(no.stdout) == {"bisimilar": False}
 
+    def test_json_pairs_are_written_as_the_general_encoder_writes_them(self):
+        from dlbisim.bisim import bisimulation_pairs
+        from dlbisim.core import FeatureSet
+        from dlbisim.document import dumps_document, dumps_pairs, load_workspace
+
+        def expected(pairs, left, right):
+            doc = {"bisimilar": pairs is not None}
+            if pairs is not None:
+                doc["pairs"] = [[left[x], right[y]] for x, y in pairs]
+            return dumps_document(doc)
+
+        ws = load_workspace(FIG2)
+        for phi in ("", "IO", "Q"):
+            for lname, rname in (("I1", "I2"), ("I2", "I3")):
+                left, right = ws.element_names[lname], ws.element_names[rname]
+                args = (FeatureSet.from_string(phi), ws.interpretation(lname), ws.interpretation(rname))
+                pairs = bisimulation_pairs(*args)
+                listed = None if pairs is None else list(pairs)
+                assert dumps_pairs(bisimulation_pairs(*args), left, right) == \
+                    expected(listed, left, right)
+        names = ("plain", 'say "hi"', "back\\slash", "tab\t", "naïve", "日本", "\U0001f600")
+        everything = [(x, y) for x in range(len(names)) for y in range(len(names))]
+        for pairs in (None, [], [(3, 5)], everything):
+            assert dumps_pairs(None if pairs is None else iter(pairs), names, names) == \
+                expected(pairs, names, names)
+
 
 class TestEval:
     def test_concept_extension(self):
@@ -403,6 +429,19 @@ class TestFailureModes:
             out = run("eval", "-i", FIG2, "-I", "I1", "-c", concept)
             assert out.returncode == 2
             assert "nested deeper than %d levels" % MAX_DEPTH in out.stderr
+
+    def test_domain_above_the_limit(self, monkeypatch, tmp_path, capsys):
+        from dlbisim import cli, document
+
+        monkeypatch.setattr(document, "MAX_ELEMENTS", 3)
+        path = tmp_path / "doc.json"
+        for domain, code in ((3, 0), (["w", "x", "y"], 0), (4, 3), (["w", "x", "y", "z"], 3)):
+            path.write_text(json.dumps({
+                "signature": {"concepts": [], "roles": [], "individuals": []},
+                "interpretations": {"I": {"domain": domain}}}))
+            assert cli.main(["partition", "-i", str(path), "--phi", "", "-I", "I"]) == code
+            err = capsys.readouterr().err
+            assert ("more than the limit of 3" in err) == (code == 3)
 
     def test_unknown_feature_letter(self):
         out = run("partition", "-i", FIG2, "--phi", "XYZ", "-I", "I1")

@@ -1,5 +1,7 @@
 """Partition refinement: engines, traces, determinism, worklist economy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,16 @@ from dlbisim import _kernels
 from dlbisim.bisim import is_bisimulation, naive_largest_bisimulation
 from dlbisim.core import FeatureSet, Signature, build_interpretation, to_labeled_graph
 from dlbisim.errors import PartitionMismatchError
+from dlbisim.quotient import separating_concept
 from dlbisim.refine import (
     Partition,
+    _splitter_structures,
     check_partition,
     compute_partition,
     econd_partition,
     partition_to_relation,
 )
+from dlbisim.semantics import eval_concept
 
 import helpers as H
 
@@ -147,22 +152,21 @@ class TestDeterminismAndEngines:
                 assert np_trace.events == nb_trace.events
 
     def test_list_loop_matches_array_loop(self, monkeypatch):
-        # _refine_list_loop and _refine_loop are separate sources; run the
-        # array loop uncompiled, through _array_loop, as the reference, so
+        # _refine_list_loop and the array kernels are separate sources; run
+        # the kernels uncompiled, through _array_loop, as the reference, so
         # this holds without numba.
         rng = H.seeded(407)
-        for _ in range(15):
-            interp = H.small_instance(rng, max_n=40)
-            graph = to_labeled_graph(interp)
+        graphs = [to_labeled_graph(H.small_instance(rng, max_n=40)) for _ in range(15)]
+        graphs += [to_labeled_graph(interp) for interp in THREE_WAY_SHAPES]
+        for graph in graphs:
             for phi in H.ALL_PHIS:
-                with monkeypatch.context() as m:
-                    m.setattr(_kernels, "_refine_loop_jit", _kernels._refine_loop)
-                    m.setattr(_kernels, "get_refine_loop", lambda engine=None: _kernels._array_loop)
-                    ref_part, ref_trace = compute_partition(phi, graph)
+                ref_part, ref_trace = array_loop_partition(monkeypatch, phi, graph)
                 part, trace = compute_partition(phi, graph, engine="numpy")
                 assert np.array_equal(part.block_of, ref_part.block_of), str(phi)
                 assert part.n_blocks == ref_part.n_blocks, str(phi)
                 assert trace.events == ref_trace.events, str(phi)
+                assert np.array_equal(trace.compounds, ref_trace.compounds), str(phi)
+                assert part.counters == ref_part.counters, str(phi)
 
     def test_engine_selection(self):
         try:
@@ -183,6 +187,75 @@ class TestDeterminismAndEngines:
         part, trace = compute_partition(FeatureSet(), graph, want_trace=False)
         assert trace is None
         assert part.n_blocks >= 1
+
+
+# shapes on which the three-way phase of plain refinement splits blocks
+THREE_WAY_SHAPES = (H.marked_path(12), H.binary_tree(4), H.two_role_chain(12))
+PLAIN_PHIS = [phi for phi in H.ALL_PHIS if not phi.counting]
+
+
+def array_loop_partition(monkeypatch, phi, graph):
+    """compute_partition through _array_loop over the uncompiled kernels."""
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_refine_loop_jit", _kernels._refine_loop)
+        m.setattr(_kernels, "_three_way_loop_jit", _kernels._three_way_loop)
+        m.setattr(_kernels, "_cut_block_jit", _kernels._cut_block)
+        m.setattr(_kernels, "_bucket_jit", _kernels._bucket)
+        m.setattr(_kernels, "get_refine_loop", lambda engine=None: _kernels._array_loop)
+        return compute_partition(phi, graph)
+
+
+class TestThreeWaySplits:
+    def test_shapes_match_the_oracle(self):
+        for interp in THREE_WAY_SHAPES:
+            graph = to_labeled_graph(interp)
+            for phi in H.ALL_PHIS:
+                part, trace = compute_partition(phi, graph)
+                oracle = naive_largest_bisimulation(phi, interp, interp)
+                assert partition_to_relation(part).pairs == oracle.pairs, str(phi)
+                three_way = [ev for ev in trace.events if ev.compound >= 0]
+                # the shapes exercise the three-way phase, which counting never runs
+                assert bool(three_way) != phi.counting, str(phi)
+                assert all(ev.compound < len(trace.compounds) for ev in three_way)
+                H.replay_trace(trace)
+
+    def test_witnesses_for_every_split_pair(self):
+        for interp in THREE_WAY_SHAPES:
+            graph = to_labeled_graph(interp)
+            for phi in PLAIN_PHIS:
+                part, trace = compute_partition(phi, graph)
+                for x in range(interp.n):
+                    for y in range(interp.n):
+                        if x != y and not part.same_block(x, y):
+                            witness = separating_concept(interp, trace, x, y)
+                            ext = eval_concept(interp, witness.concept, phi)
+                            assert x in ext and y not in ext, (str(phi), x, y)
+
+
+class TestCounters:
+    @pytest.mark.parametrize("shape", [H.marked_path(2048), H.binary_tree(10), H.equal_cycle(2048)],
+                             ids=["path", "tree", "cycle"])
+    @pytest.mark.parametrize("phi", ["", "I", "Q", "IQ"])
+    def test_edges_scanned_within_m_log_n(self, monkeypatch, shape, phi):
+        phi = FeatureSet.from_string(phi)
+        graph = to_labeled_graph(shape)
+        _, pred_indices, _ = _splitter_structures(phi, graph)
+        bound = 2 * len(pred_indices) * (math.ceil(math.log2(graph.n)) + 1)
+        part, _ = compute_partition(phi, graph, want_trace=False)
+        ref, _ = array_loop_partition(monkeypatch, phi, graph)
+        assert part.counters == ref.counters
+        assert part.counters.edges_scanned <= bound, part.counters
+        # every split makes at least one block
+        init_blocks = len(np.unique(econd_partition(phi, graph).block_of))
+        assert part.counters.splits <= part.n_blocks - init_blocks
+
+    def test_counters_are_deterministic_and_optional(self):
+        graph = to_labeled_graph(H.marked_path(50))
+        a, _ = compute_partition(FeatureSet(), graph, want_trace=False)
+        b, _ = compute_partition(FeatureSet(), graph, want_trace=True)
+        assert a.counters == b.counters
+        assert a.counters.extractions >= a.counters.splits > 0
+        assert Partition(a.block_of, a.n_blocks).counters is None
 
 
 class TestUniversalRoleNeverSplits:
