@@ -28,7 +28,13 @@ from .core import (
     build_qs_interpretation,
 )
 from .errors import BisimError, ElementOutOfRangeError, NotSeparatedError
-from .refine import Partition, RefinementTrace, check_partition
+from .refine import (
+    Partition,
+    RefinementTrace,
+    _splitter_structures,
+    check_partition,
+    econd_partition,
+)
 from .semantics import eval_concept
 from .syntax import (
     And,
@@ -104,15 +110,6 @@ def _role_node(trace: RefinementTrace, role_idx: int):
     return Inverse(node) if inverted else node
 
 
-def _splitter_degree(trace: RefinementTrace, role_idx: int, x: int) -> int:
-    g = trace.graph
-    if role_idx < g.n_roles:
-        ptr = g.fwd_indptr[role_idx]
-    else:
-        ptr = g.rev_indptr[role_idx - g.n_roles]
-    return int(ptr[x + 1] - ptr[x])
-
-
 class _WitnessBuilder:
     """Replays a trace; builds characteristic and separating concepts."""
 
@@ -131,14 +128,16 @@ class _WitnessBuilder:
         # target[ei]: the splitter's zone before the splits of event ei's
         # step, i.e. its facts from events at earlier times; all events of
         # one step share the splitter, so it is read at the step's first.
-        # A compound entry's zone is read the same way, at its time.
+        # A compound entry's zone is read the same way, at its time; a
+        # root entry, the whole domain, has zone -1.
         target: list[int] = []
         blocks, times, self.minus = (trace.compounds[:, i].tolist() for i in range(3))
         compound_zone: list[int] = []
 
         def resolve(before: float) -> None:
             while len(compound_zone) < len(times) and times[len(compound_zone)] <= before:
-                compound_zone.append(zone_of[blocks[len(compound_zone)]])
+                block = blocks[len(compound_zone)]
+                compound_zone.append(zone_of[block] if block >= 0 else -1)
 
         time = None
         for ei, ev in enumerate(trace.events):
@@ -152,10 +151,10 @@ class _WitnessBuilder:
                 zone_of[b] = len(zones)
                 zones.append((ei, c, before))
         resolve(float("inf"))
-        # rest[ei]: for a three-way event, the compound entry S without
-        # the splitter, the last entry its step made
+        # rest[ei]: without counting, the compound entry S without the
+        # splitter, the last entry event ei's step made
         last_at = {when: k for k, when in enumerate(times)}
-        self.rest = [last_at[ev.time] if ev.compound >= 0 else -1 for ev in trace.events]
+        self.rest = [-1 if trace.use_counts else last_at[ev.time] for ev in trace.events]
         self.zones = zones
         self.zone_of = zone_of
         self.target = target
@@ -163,6 +162,16 @@ class _WitnessBuilder:
         self.init_rep: dict[int, int] = {}
         for x in range(g.n):
             self.init_rep.setdefault(int(trace.init_block_of[x]), x)
+        _, _, self.degrees = _splitter_structures(trace.phi, g)
+        # without counting, an initial block's "has an edge" literal for a
+        # role follows from its labels unless the pre-split cut its label
+        # block along that role: only those (role, label block) pairs need it
+        self.mixed: set[tuple[int, int]] = set()
+        if not trace.use_counts:
+            self.labels = econd_partition(trace.phi, g).block_of
+            for s, has in enumerate(self.degrees > 0):
+                both = np.intersect1d(self.labels[has], self.labels[~has])
+                self.mixed.update((s, int(b)) for b in both)
         self._zone_memo: dict[int, Concept] = {}
         self._compound_memo: dict[int, Concept] = {}
 
@@ -177,9 +186,8 @@ class _WitnessBuilder:
         if phi.local_refl:
             for r_idx, r in enumerate(self.sig.role_names):
                 yield ("self", r_idx, r)
-        if phi.counting:
-            for s in range(self.trace.n_split_roles):
-                yield ("degree", s, None)
+        for s in range(self.trace.n_split_roles):
+            yield ("degree", s, None)
 
     def _probe_value(self, probe, x: int):
         g = self.trace.graph
@@ -190,7 +198,8 @@ class _WitnessBuilder:
             return x in g.individual_nodes.get(key, ())
         if kind == "self":
             return bool(g.self_bits[x, key])
-        return _splitter_degree(self.trace, key, x)
+        degree = int(self.degrees[key, x])
+        return degree if self.trace.use_counts else degree > 0
 
     def _probe_literal(self, probe, vx, vy) -> Concept:
         kind, key, name = probe
@@ -201,18 +210,22 @@ class _WitnessBuilder:
         if kind == "self":
             return HasSelf(name) if vx else Not(HasSelf(name))
         role = _role_node(self.trace, key)
+        if not self.trace.use_counts:
+            return Some(role, Top()) if vx else Not(Some(role, Top()))
         return AtLeast(vx, role, Top()) if vx > vy else AtMost(vx, role, Top())
 
     def init_literals(self, rep: int) -> list[Concept]:
         out: list[Concept] = []
         for probe in self._init_probes():
             v = self._probe_value(probe, rep)
-            if probe[0] == "degree":
+            if probe[0] != "degree":
+                out.append(self._probe_literal(probe, v, not v))
+            elif self.trace.use_counts:
                 role = _role_node(self.trace, probe[1])
                 if v:
                     out.append(AtLeast(v, role, Top()))
                 out.append(AtMost(v, role, Top()))
-            else:
+            elif (probe[1], int(self.labels[rep])) in self.mixed:
                 out.append(self._probe_literal(probe, v, not v))
         return out
 
@@ -222,8 +235,6 @@ class _WitnessBuilder:
             if c == 0:
                 return AtMost(0, role, target)
             return And(AtLeast(c, role, target), AtMost(c, role, target))
-        if rest is None:
-            return Some(role, target) if c else Not(Some(role, target))
         if c == 0:
             return Not(Some(role, target))
         # the parent's elements all have edges into S, so within the parent
@@ -265,13 +276,21 @@ class _WitnessBuilder:
                     continue
                 minus = self.minus[k]
                 zk = self.compound_zone[k]
+                if zk < 0:
+                    cmemo[k] = Top()
+                    continue
                 pending = [] if zk in zmemo else [zk]
                 if minus >= 0 and minus not in cmemo:
                     pending.append(~minus)
                 if pending:
                     stack.extend(pending)
                     continue
-                cmemo[k] = zmemo[zk] if minus < 0 else And(cmemo[minus], Not(zmemo[zk]))
+                if minus < 0:
+                    cmemo[k] = zmemo[zk]
+                elif isinstance(cmemo[minus], Top):
+                    cmemo[k] = Not(zmemo[zk])
+                else:
+                    cmemo[k] = And(cmemo[minus], Not(zmemo[zk]))
                 continue
             if z in zmemo:
                 stack.pop()
@@ -323,7 +342,7 @@ class _WitnessBuilder:
             target = self.char(self.target[ex])
             if trace.use_counts:
                 return AtLeast(cx, role, target) if cx > cy else AtMost(cx, role, target)
-            if ev.compound >= 0 and cx and cy:
+            if cx and cy:
                 # classes 1 and 2 differ on edges into S without the splitter
                 into_rest = Some(role, self._compound(self.rest[ex]))
                 return into_rest if cx == 1 else Not(into_rest)

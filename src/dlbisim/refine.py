@@ -6,23 +6,22 @@ reflexivity is active.  Refinement then splits until every block is
 stable against every block along every splitter role.  Splitter roles
 are the role names, plus their inverses when inverse roles are active;
 the universal role never splits anything.  With counting active the
-stability notion is "equal number of edges into the splitter block",
-and the initial partition is additionally refined by per-role degree
-vectors, which leaves the fixpoint unchanged (any stable partition is
-degree uniform) but licenses the skip-a-maximal-sub-block worklist
-economy in the kernel.
+stability notion is "equal number of edges into the splitter block".
 
-Without counting, refinement seeds the partition with every label block
-as a splitter and then splits against compound splitters three ways
-(see _kernels): a block splits by the presence of edges into a block B
-of a compound S, and into S without B, in time linear in B's in-edges,
-so every feature set refines in O(m log n) edge scans.
+Refinement starts from the label partition pre-split by per-role degree
+(with counting) or by per-role "has an edge" (without), which is the
+coarsest refinement of it that is stable against the whole domain and
+so leaves the fixpoint unchanged.  From there it splits three ways
+against compound splitters (see _kernels): a block B of a compound S
+splits every block by its edges into B and into S without B, in time
+linear in B's in-edges, so every feature set refines in O(m log n) edge
+scans.
 
 Every split can be recorded in a trace: which block split, against
 which splitter block along which role, at which step, into which
-classes, and for a three-way split which compound.  The witness builder
-consumes this to assemble concepts separating two elements that ended
-up in different blocks.
+classes, and from which compound.  The witness builder consumes this to
+assemble concepts separating two elements that ended up in different
+blocks.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from .errors import PartitionMismatchError
 class Counters(NamedTuple):
     """Deterministic work counts of one refinement run."""
 
-    extractions: int    # splitter extractions, three-way steps included
-    edges_scanned: int  # predecessor edges read, the three-way record setup included
+    extractions: int    # refinement steps: splitter blocks taken from a compound
+    edges_scanned: int  # predecessor edges read, the record setup without counting included
     splits: int         # blocks split
     queue_pushes: int   # worklist entries pushed
 
@@ -95,12 +94,12 @@ class Partition:
 class SplitEvent:
     """One block split: parent broke into classes against a splitter.
 
-    With counting a class is an exact edge count.  Otherwise, when
-    compound is -1, class 1 has edges into the splitter and class 0 none;
-    a three-way split names the compound S the splitter block B was
-    taken from, and class 0 has no edge into B, class 1 edges into B and
-    into S without B, class 2 edges into B only.  Every element of the
-    parent has an edge into S.
+    The splitter block B was taken from compound S.  With counting a
+    class is the exact number of edges into B, and every element of the
+    parent has the same number of edges into S.  Otherwise class 0 has
+    no edge into B, class 1 edges into B and into S without B, class 2
+    edges into B only, and every element of the parent has an edge into
+    S.
     """
 
     parent: int
@@ -108,7 +107,7 @@ class SplitEvent:
     splitter: int
     time: int
     subs: tuple[tuple[int, int], ...]  # (block id, class) in layout order
-    compound: int = -1                 # row of RefinementTrace.compounds
+    compound: int                      # row of RefinementTrace.compounds: S
 
 
 @dataclass(eq=False)
@@ -122,9 +121,9 @@ class RefinementTrace:
     n_blocks: int
     events: tuple[SplitEvent, ...]
     # (k, 3) int64 rows (block, time, minus): the set the block held just
-    # before step time, without compound minus unless minus is -1.  A
-    # three-way step at time t adds the splitter B and then S without B,
-    # the last row of time t
+    # before step time, without row minus unless minus is -1.  The first
+    # n_split_roles rows are (-1, 0, -1), the whole domain; a step at time
+    # t adds the splitter B and then S without B, the last row of time t
     compounds: np.ndarray
 
     def splitter_role(self, idx: int) -> tuple[str, bool]:
@@ -145,18 +144,23 @@ def _label_columns(phi: FeatureSet, graph: LabeledGraph) -> list[np.ndarray]:
 
 
 def _group_rows(cols, n: int) -> tuple[np.ndarray, int]:
-    if not cols:
-        return np.zeros(n, dtype=np.int32), 1
+    """Ids of the distinct rows of the stacked columns, in lexicographic
+    row order, and their count."""
     matrix = np.hstack(cols)
     if matrix.shape[1] == 0:
         return np.zeros(n, dtype=np.int32), 1
-    _, inverse = np.unique(matrix, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1).astype(np.int32)
-    return inverse, int(inverse.max()) + 1
+    order = np.lexsort(matrix.T[::-1])
+    ranked = matrix[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(n, dtype=np.int32)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(new.sum())
 
 
 def econd_partition(phi: FeatureSet, graph: LabeledGraph) -> Partition:
-    """Partition by node labels only; the starting point of refinement."""
+    """Partition by node labels only; refinement starts from its pre-split
+    by per-role degree (see compute_partition)."""
     ids, k = _group_rows(_label_columns(phi, graph), graph.n)
     return Partition(ids, k)
 
@@ -191,9 +195,9 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     nsr = graph.n_roles * (2 if phi.inverse else 1)
     pred_indptr, pred_indices, degrees = _splitter_structures(phi, graph)
 
+    # stable against the whole domain along every splitter role
     cols = _label_columns(phi, graph)
-    if phi.counting:
-        cols.append(degrees.T)
+    cols.append(degrees.T if phi.counting else (degrees > 0).T)
     init_ids, nblocks0 = _group_rows(cols, n)
 
     order = np.argsort(init_ids, kind="stable")

@@ -394,12 +394,15 @@ def replay_trace(trace: RefinementTrace) -> np.ndarray:
     """Recompute every recorded split from the graph and assert that the
     events reproduce the final partition, block id for block id.
 
-    Events sharing a time stamp come from one extraction; both the
-    splitter zone and each parent zone are read from the snapshot taken
-    when that extraction began, and so is each compound entry of that
-    time.  A three-way event's classes are recomputed from the edges
-    into the splitter B and into the rest of its compound S, and every
-    element of its parent must have an edge into S.
+    Events sharing a time stamp come from one step; both the splitter
+    zone and each parent zone are read from the snapshot taken when that
+    step began, and so is each compound entry of that time.  Every event
+    splits against a splitter B taken from a compound S; a root compound
+    entry (block -1) is the whole domain.  With counting, the classes are
+    recomputed as the edge counts into B, and every element of the
+    parent must have the same count into S; without, from the edges into
+    B and into the rest of S, and every element of the parent must have
+    an edge into S.
     """
     graph = trace.graph
     n = graph.n
@@ -409,12 +412,13 @@ def replay_trace(trace: RefinementTrace) -> np.ndarray:
         zones.setdefault(int(trace.init_block_of[x]), set()).add(x)
     compounds: list[frozenset[int]] = []
     table = trace.compounds.tolist()
+    assert table[:trace.n_split_roles] == [[-1, 0, -1]] * trace.n_split_roles
 
     def resolve(before: float) -> None:
         # compound entries up to the given time, from the current zones
         while len(compounds) < len(table) and table[len(compounds)][1] <= before:
             block, _, minus = table[len(compounds)]
-            members = frozenset(zones[block])
+            members = frozenset(range(n)) if block < 0 else frozenset(zones[block])
             compounds.append(members if minus < 0 else compounds[minus] - members)
 
     events = trace.events
@@ -431,27 +435,28 @@ def replay_trace(trace: RefinementTrace) -> np.ndarray:
             assert ev.splitter == group[0].splitter and ev.role == group[0].role
             assert ev.compound == group[0].compound
             members = snapshot[ev.parent]
-            rest = frozenset()
-            if ev.compound >= 0:
-                # the step's entries: the splitter, then the rest of S last
-                made = [k for k, entry in enumerate(table) if entry[1] == ev.time]
-                rest = compounds[ev.compound] - target
-                assert len(made) == 2 and compounds[made[0]] == target, ev
-                assert compounds[made[1]] == rest, ev
+            # the step's entries: the splitter, then the rest of S last
+            made = [k for k, entry in enumerate(table) if entry[1] == ev.time]
+            whole = compounds[ev.compound]
+            rest = whole - target
+            assert len(made) == 2 and compounds[made[0]] == target, ev
+            assert compounds[made[1]] == rest, ev
             counts = {}
+            into_whole = set()
             for x in members:
                 if ev.role < n_r:
                     reach = graph.successors(ev.role, x)
                 else:
                     reach = graph.predecessors(ev.role - n_r, x)
                 c = sum(1 for y in reach if int(y) in target)
-                if ev.compound >= 0:
+                if trace.use_counts:
+                    into_whole.add(sum(1 for y in reach if int(y) in whole))
+                else:
                     into_rest = any(int(y) in rest for y in reach)
                     assert c or into_rest, (ev, x)
                     c = 0 if not c else 1 if into_rest else 2
-                elif not trace.use_counts:
-                    c = 1 if c else 0
                 counts[x] = c
+            assert len(into_whole) <= 1, (ev, into_whole)
             observed = sorted(set(counts.values()))
             recorded = [c for _, c in ev.subs]
             assert recorded == observed, (ev, recorded, observed)

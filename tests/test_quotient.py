@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dlbisim.bisim import is_bisimulation, naive_largest_bisimulation
+from dlbisim.cli import WITNESS_LIMIT
 from dlbisim.core import (
     BisimRelation,
     FeatureSet,
@@ -554,6 +555,23 @@ class TestSeparatingConcepts:
         witness = separating_concept(interp, trace, 0, 1)
         assert time.perf_counter() - start < 2.0
         assert dag_nodes(witness.concept) <= 16 * len(trace.events)
+
+    def test_witnesses_on_a_sparse_random_model_stay_printable(self):
+        # a step splits against the smaller of its compound's two oldest
+        # blocks; taking the sub-blocks of its first blocks before its later
+        # blocks gave separating concepts of 10^18 tree nodes and more here
+        rng = H.seeded(79)
+        n = 600
+        concepts = {a: {x for x in range(n) if rng.random() < 0.1} for a in ("A0", "A1")}
+        roles = {r: {(x, rng.randrange(n)) for x in range(n) for _ in range(2)}
+                 for r in ("r0", "r1", "r2")}
+        interp = build_interpretation(make_signature(2, 3, 0), n, concepts, roles, {})
+        for phi in (EMPTY, FeatureSet.from_string("I")):
+            part, trace = auto(phi, interp, want_trace=True)
+            for x in range(100):
+                if not part.same_block(x, x + 1):
+                    size = sx.ast_size(separating_concept(interp, trace, x, x + 1).concept)
+                    assert size <= WITNESS_LIMIT, (str(phi), x)
 
 
 def dag_nodes(root) -> int:

@@ -1,4 +1,4 @@
-"""Partition refinement: engines, traces, determinism, worklist economy."""
+"""Partition refinement: engines, traces, determinism, three-way splits, counters."""
 
 import math
 
@@ -12,6 +12,7 @@ from dlbisim.errors import PartitionMismatchError
 from dlbisim.quotient import separating_concept
 from dlbisim.refine import (
     Partition,
+    _group_rows,
     _splitter_structures,
     check_partition,
     compute_partition,
@@ -50,6 +51,22 @@ class TestInitialPartition:
         interp = build_interpretation(sig, 3, {}, {"r": {(0, 1)}}, {})
         part = econd_partition(FeatureSet(), to_labeled_graph(interp))
         assert part.n_blocks == 1
+
+
+class TestGroupRows:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (50, 1), (200, 3), (300, 40)])
+    def test_ids_match_unique_rows(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for span in (2, 5, 1 << 40):
+            matrix = rng.integers(-span, span, size=shape, dtype=np.int64)
+            ids, k = _group_rows([matrix[:, :1], matrix[:, 1:]], shape[0])
+            _, inverse = np.unique(matrix, axis=0, return_inverse=True)
+            assert ids.tolist() == inverse.reshape(-1).tolist()
+            assert k == int(inverse.max()) + 1
+
+    def test_no_columns_one_block(self):
+        ids, k = _group_rows([np.zeros((4, 0), dtype=np.int64)], 4)
+        assert ids.tolist() == [0, 0, 0, 0] and k == 1
 
 
 class TestPartitionContainer:
@@ -189,15 +206,13 @@ class TestDeterminismAndEngines:
         assert part.n_blocks >= 1
 
 
-# shapes on which the three-way phase of plain refinement splits blocks
+# shapes that split blocks in many rounds under every feature set
 THREE_WAY_SHAPES = (H.marked_path(12), H.binary_tree(4), H.two_role_chain(12))
-PLAIN_PHIS = [phi for phi in H.ALL_PHIS if not phi.counting]
 
 
 def array_loop_partition(monkeypatch, phi, graph):
     """compute_partition through _array_loop over the uncompiled kernels."""
     with monkeypatch.context() as m:
-        m.setattr(_kernels, "_refine_loop_jit", _kernels._refine_loop)
         m.setattr(_kernels, "_three_way_loop_jit", _kernels._three_way_loop)
         m.setattr(_kernels, "_cut_block_jit", _kernels._cut_block)
         m.setattr(_kernels, "_bucket_jit", _kernels._bucket)
@@ -213,16 +228,15 @@ class TestThreeWaySplits:
                 part, trace = compute_partition(phi, graph)
                 oracle = naive_largest_bisimulation(phi, interp, interp)
                 assert partition_to_relation(part).pairs == oracle.pairs, str(phi)
-                three_way = [ev for ev in trace.events if ev.compound >= 0]
-                # the shapes exercise the three-way phase, which counting never runs
-                assert bool(three_way) != phi.counting, str(phi)
-                assert all(ev.compound < len(trace.compounds) for ev in three_way)
+                # every split is three-way, against a compound of the trace
+                assert trace.events, str(phi)
+                assert all(0 <= ev.compound < len(trace.compounds) for ev in trace.events)
                 H.replay_trace(trace)
 
     def test_witnesses_for_every_split_pair(self):
         for interp in THREE_WAY_SHAPES:
             graph = to_labeled_graph(interp)
-            for phi in PLAIN_PHIS:
+            for phi in H.ALL_PHIS:
                 part, trace = compute_partition(phi, graph)
                 for x in range(interp.n):
                     for y in range(interp.n):
@@ -297,8 +311,12 @@ class TestTraces:
         assert trace.splitter_role(3) == ("s", True)
         assert trace.use_counts is False
         assert trace.n_blocks == part.n_blocks
-        init = econd_partition(phi, graph)
-        assert np.array_equal(trace.init_block_of, init.block_of)
+        # labels, then per splitter role "has an edge": r, s, inv r, inv s
+        has_edge = [(1, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1)]
+        labels = econd_partition(phi, graph).block_of
+        rows = sorted(set(zip(labels.tolist(), has_edge)))
+        expected = [rows.index(row) for row in zip(labels.tolist(), has_edge)]
+        assert trace.init_block_of.tolist() == expected
         times = [ev.time for ev in trace.events]
         assert times == sorted(times)
 
@@ -308,6 +326,21 @@ class TestTraces:
             sig, 3, {}, {"r": {(0, 1), (0, 2)}}, {})
         graph = to_labeled_graph(interp)
         _, trace = compute_partition(FeatureSet.from_string("Q"), graph)
-        # out-degrees 2,0,0 split the root off before any extraction
+        # out-degrees 2,0,0 split the root off before any step
         assert len(np.unique(trace.init_block_of)) == 2
         assert trace.use_counts is True
+
+    def test_plain_traces_expose_edge_presplit(self):
+        sig = Signature((), ("r",), ())
+        interp = build_interpretation(
+            sig, 4, {}, {"r": {(0, 1), (0, 2), (1, 2)}}, {})
+        graph = to_labeled_graph(interp)
+        part, trace = compute_partition(FeatureSet(), graph)
+        # out-degrees 2,1,0,0: the elements with an edge split off before
+        # any step, whatever their degree
+        assert trace.init_block_of.tolist() == [1, 1, 0, 0]
+        assert trace.use_counts is False
+        # the one step, against B = {2, 3}: 0 has edges into B and into the
+        # rest of the domain (class 1), 1 into B only (class 2)
+        assert [ev.subs for ev in trace.events] == [((1, 1), (2, 2))]
+        assert part.n_blocks == 3
