@@ -82,7 +82,6 @@ from .refine import (
     SplitEvent,
     compute_partition,
     econd_partition,
-    partition_to_relation,
 )
 from .semantics import (
     Evaluator,

@@ -96,7 +96,7 @@ def _label_key(interp: Interpretation, phi: FeatureSet, x: int):
     sig = interp.signature
     atoms = tuple(x in interp.concept_ext[a] for a in sig.concept_names)
     nom = tuple(interp.individual_map[a] == x for a in sig.individual_names) if phi.nominals else ()
-    self_bits = tuple((x, x) in interp.role_ext[r] for r in sig.role_names) if phi.local_refl else ()
+    self_bits = tuple(x in interp.successors(r, x) for r in sig.role_names) if phi.local_refl else ()
     return atoms, nom, self_bits
 
 
@@ -142,7 +142,7 @@ def is_bisimulation(phi: FeatureSet, ia: Interpretation, ib: Interpretation,
                                   "pair (%d, %d) disagrees on individual %s" % (x, y, a)))
         if phi.local_refl:
             for r in sig.role_names:
-                if ((x, x) in ia.role_ext[r]) != ((y, y) in ib.role_ext[r]):
+                if (x in ia.successors(r, x)) != (y in ib.successors(r, y)):
                     add(Violation(12, x, y,
                                   "pair (%d, %d) disagrees on a self loop via %s" % (x, y, r)))
         for r in sig.role_names:

@@ -31,10 +31,11 @@ from .bisim import (
 )
 from .core import FeatureSet, qs_embedding, to_labeled_graph
 from .document import (
+    IndexNames,
+    InterpretationBody,
     Workspace,
     dumps_document,
     dumps_pairs,
-    interpretation_to_json,
     load_workspace,
     loads_workspace,
     signature_to_json,
@@ -95,7 +96,10 @@ def cmd_partition(args) -> int:
                           for b in partition.canonical_order]}
         _emit(dumps_document(doc), args.output)
     else:
-        _emit("\n".join(partition.to_lines(names)) + "\n", args.output)
+        # without names to_lines writes each element's index, which is its
+        # name in an index domain
+        display = None if isinstance(names, IndexNames) else names
+        _emit("\n".join(partition.to_lines(display)) + "\n", args.output)
     return 0
 
 
@@ -108,9 +112,9 @@ def cmd_minimize(args) -> int:
     qnames = tuple(names[partition.blocks[b][0]] for b in partition.canonical_order)
     if args.qs:
         qsi = qs_quotient(interp, partition)
-        body = interpretation_to_json(qsi.base, qnames, qsi)
+        body = InterpretationBody(qsi.base, qnames, qsi)
     else:
-        body = interpretation_to_json(quotient_interpretation(interp, partition), qnames)
+        body = InterpretationBody(quotient_interpretation(interp, partition), qnames)
     doc = {
         "signature": signature_to_json(interp.signature),
         "interpretations": {args.interpretation: body},
@@ -220,7 +224,7 @@ def cmd_extend_rbox(args) -> int:
     doc = {
         "signature": signature_to_json(interp.signature),
         "interpretations": {
-            args.interpretation: interpretation_to_json(
+            args.interpretation: InterpretationBody(
                 closed, ws.element_names[args.interpretation]),
         },
     }

@@ -1,13 +1,18 @@
 """Finite interpretations and the flat graph form consumed by refinement.
 
 An interpretation lives over a fixed signature of concept names, role
-names and individual names.  Domains are dense integer ranges 0..n-1;
-extensions are plain sets.  Besides those sets, each basic role (a role
-name or its inverse) has one index of its edges, a CSR structure sorted
-by head and then by tail (Interpretation.in_edges); neighbour lists,
-graph building, evaluation and quotients all read that index.  The
-refinement engine takes a LabeledGraph, which stores the same data as
-numpy arrays (per-node label bits, CSR adjacency per role in both
+names and individual names.  Domains are dense integer ranges 0..n-1.
+Concept extensions are frozensets of elements.  Each role's edges are
+stored as two read-only int64 arrays (src, dst), sorted by source and
+then by target, without repeats (Interpretation.role_edges); the pair
+set role_ext is a view built only when asked for.  From those arrays
+each basic role (a role name or its inverse) gets one CSR index of its
+edges, sorted by head and then by tail (Interpretation.in_edges);
+neighbour lists, graph building, evaluation and quotients all read it.
+Edge multiplicities of a QS-interpretation are weight arrays aligned to
+the same edges (QSInterpretation.weights), with qu and se as views.
+The refinement engine takes a LabeledGraph, which stores the same data
+as numpy arrays (per-node label bits, CSR adjacency per role in both
 directions) so the hot loop never touches Python objects; its adjacency
 rows are the interpretations' edge indexes stacked with node offsets.
 
@@ -23,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -103,12 +109,48 @@ def _check_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
     return names
 
 
-def _edge_index(n: int, tail: np.ndarray, head: np.ndarray):
-    """(ptr, tail, head) of int64 edges sorted by head and then by tail."""
-    order = np.lexsort((tail, head))
+def _edge_index(n: int, tail: np.ndarray, head: np.ndarray, order: np.ndarray | None = None):
+    """(ptr, tail, head) of int64 edges sorted by head and then by tail;
+    order, when given, is the permutation that sorts them so."""
+    if order is None:
+        order = np.lexsort((tail, head))
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(head, minlength=n), out=ptr[1:])
     return ptr, tail[order], head[order]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _int_array(value) -> np.ndarray:
+    return np.asarray(value if isinstance(value, np.ndarray) else list(value), dtype=np.int64)
+
+
+def _int_rows(value, width: int) -> np.ndarray:
+    """An (m, width) int64 array, from an array of that shape or an
+    iterable of width-tuples of integers."""
+    rows = _int_array(value)
+    if rows.size == 0:
+        return rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError("expected rows of %d integers, got an array of shape %s"
+                         % (width, rows.shape))
+    return rows
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """rows sorted by their first two columns; of rows that agree there,
+    only the last in the input survives."""
+    u, v = rows[:, 0], rows[:, 1]
+    if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        return rows
+    order = np.lexsort((v, u))
+    rows = rows[order]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[:-1] = (rows[1:, 0] != rows[:-1, 0]) | (rows[1:, 1] != rows[:-1, 1])
+    return rows[keep]
 
 
 @dataclass(frozen=True)
@@ -143,24 +185,55 @@ class Signature:
         return {name: i for i, name in enumerate(self.individual_names)}
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class Interpretation:
     """A finite interpretation: dense domain 0..n-1 plus extensions.
 
-    Instances should be produced through build_interpretation, which
-    validates and normalises the extension maps (every signature name is
-    present as a key, values are frozensets).
+    Each role's edges are stored as role_edges[role] = (src, dst), two
+    read-only int64 arrays sorted by source and then by target, without
+    repeats.  Instances should be produced through build_interpretation,
+    which validates and normalises the extensions (every signature name
+    is present as a key, concept extensions are frozensets).  Two
+    interpretations are equal when they have the same signature, domain
+    size, extensions and individual map.
     """
 
     signature: Signature
     n: int
     concept_ext: Mapping[str, frozenset[int]]
-    role_ext: Mapping[str, frozenset[tuple[int, int]]]
+    role_edges: Mapping[str, tuple[np.ndarray, np.ndarray]]
     individual_map: Mapping[str, int]
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Interpretation):
+            return NotImplemented
+        return (self.signature == other.signature and self.n == other.n
+                and self.concept_ext == other.concept_ext
+                and self.individual_map == other.individual_map
+                and all(np.array_equal(a, b)
+                        for r in self.signature.role_names
+                        for a, b in zip(self.role_edges[r], other.role_edges[r])))
 
     @property
     def domain(self) -> range:
         return range(self.n)
+
+    @cached_property
+    def role_ext(self) -> Mapping[str, frozenset[tuple[int, int]]]:
+        """Each role's edges as a frozenset of pairs: a read-only view of
+        role_edges, built on first use."""
+        return MappingProxyType({r: frozenset(zip(src.tolist(), dst.tolist()))
+                                 for r, (src, dst) in self.role_edges.items()})
+
+    def edges(self, role: str, inverted: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v): the edges u -> v of the role, or of its inverse when
+        inverted, sorted by u and then by v."""
+        if not inverted:
+            return self.role_edges[role]
+        _, tail, head = self.in_edges(role, False)
+        return head, tail
 
     def successors(self, role: str, x: int) -> tuple[int, ...]:
         ptr, tail, _ = self.in_edges(role, True)
@@ -181,18 +254,17 @@ class Interpretation:
         Returns (ptr, tail, head): edge i runs from tail[i] to head[i],
         edges are sorted by head and then by tail, and ptr[y]:ptr[y + 1]
         are the positions of the edges into y, so tail[ptr[y]:ptr[y + 1]]
-        lists y's neighbours in ascending order.  Built on first use and
-        kept.  This is the only index of a role's edges: successors and
-        predecessors slice it, graph building stacks it, and evaluation
-        and quotients read it.
+        lists y's neighbours in ascending order.  Built from role_edges
+        on first use and kept: successors and predecessors slice it,
+        graph building stacks it, and evaluation and quotients read it.
         """
         key = (role, inverted)
         if key not in self._in_edges:
-            pairs = self.role_ext[role]
-            flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64,
-                               count=2 * len(pairs))
-            tail, head = (flat[1::2], flat[0::2]) if inverted else (flat[0::2], flat[1::2])
-            self._in_edges[key] = _edge_index(self.n, tail, head)
+            src, dst = self.role_edges[role]
+            tail, head = (dst, src) if inverted else (src, dst)
+            # the edges are sorted by (src, dst), so a stable sort by head
+            # keeps each head's edges sorted by tail
+            self._in_edges[key] = _edge_index(self.n, tail, head, np.argsort(head, kind="stable"))
         return self._in_edges[key]
 
 
@@ -200,12 +272,14 @@ def build_interpretation(
     signature: Signature,
     n: int,
     concept_ext: Mapping[str, Iterable[int]] | None = None,
-    role_ext: Mapping[str, Iterable[tuple[int, int]]] | None = None,
+    role_ext: Mapping[str, Iterable[tuple[int, int]] | np.ndarray] | None = None,
     individual_map: Mapping[str, int] | None = None,
 ) -> Interpretation:
     """Validate and normalise the pieces of an interpretation.
 
-    Raises EmptyDomainError, UnknownNameError, ElementOutOfRangeError or
+    A role's edges are given as an (m, 2) integer array of (src, dst)
+    rows or as an iterable of pairs; repeated edges count once.  Raises
+    EmptyDomainError, UnknownNameError, ElementOutOfRangeError or
     PartialIndividualMapError; the message names the offending field.
     """
     if n <= 0:
@@ -234,11 +308,13 @@ def build_interpretation(
 
     norm_roles = {}
     for name in signature.role_names:
-        pairs = frozenset((int(x), int(y)) for x, y in role_ext.get(name, ()))
-        for x, y in pairs:
-            if not (0 <= x < n and 0 <= y < n):
-                raise ElementOutOfRangeError("role %r contains pair (%r, %r) outside 0..%d" % (name, x, y, n - 1))
-        norm_roles[name] = pairs
+        rows = _int_rows(role_ext.get(name, ()), 2)
+        bad = ((rows < 0) | (rows >= n)).any(axis=1)
+        if bad.any():
+            x, y = rows[bad][0].tolist()
+            raise ElementOutOfRangeError("role %r contains pair (%r, %r) outside 0..%d" % (name, x, y, n - 1))
+        rows = _sorted_rows(rows)
+        norm_roles[name] = (_frozen(rows[:, 0].copy()), _frozen(rows[:, 1].copy()))
 
     norm_indiv = {}
     for name in signature.individual_names:
@@ -252,20 +328,30 @@ def build_interpretation(
     return Interpretation(signature, int(n), norm_concepts, norm_roles, norm_indiv)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class QSInterpretation:
     """An interpretation extended with edge multiplicities and self sets.
 
-    qu maps a basic role, written as (role name, inverted flag), to a
-    multiplicity per edge of that basic role; by construction a pair has
-    positive multiplicity exactly when it is an edge of the underlying
-    interpretation.  se maps each role name to the subset of the domain
-    whose local reflexivity test is deemed to hold.
+    weights[(role, inverted)] holds a positive multiplicity per edge of
+    that basic role, aligned to base.edges(role, inverted).  loops[role]
+    lists, sorted, the elements whose local reflexivity test is deemed
+    to hold.  qu and se are read-only views of the same data as pair
+    tables and sets.
     """
 
     base: Interpretation
-    qu: Mapping[tuple[str, bool], Mapping[tuple[int, int], int]]
-    se: Mapping[str, frozenset[int]]
+    weights: Mapping[tuple[str, bool], np.ndarray]
+    loops: Mapping[str, np.ndarray]
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, QSInterpretation):
+            return NotImplemented
+        return (self.base == other.base and self.weights.keys() == other.weights.keys()
+                and all(np.array_equal(w, other.weights[key]) for key, w in self.weights.items())
+                and all(np.array_equal(self.loops[r], other.loops[r])
+                        for r in self.signature.role_names))
 
     @property
     def signature(self) -> Signature:
@@ -276,46 +362,54 @@ class QSInterpretation:
         return self.base.n
 
     @cached_property
-    def _in_weights(self) -> dict:
-        return {}
+    def qu(self) -> Mapping[tuple[str, bool], Mapping[tuple[int, int], int]]:
+        """Per basic role, the multiplicity of each edge (u, v), built on first use."""
+        out = {}
+        for (role, inverted), w in self.weights.items():
+            u, v = self.base.edges(role, inverted)
+            out[(role, inverted)] = MappingProxyType(dict(zip(zip(u.tolist(), v.tolist()), w.tolist())))
+        return MappingProxyType(out)
 
-    def in_weights(self, role: str, inverted: bool) -> np.ndarray:
-        """The qu multiplicities of one basic role, aligned to base.in_edges."""
-        key = (role, inverted)
-        if key not in self._in_weights:
-            _, tail, head = self.base.in_edges(role, inverted)
-            table = self.qu[key]
-            self._in_weights[key] = np.array(
-                [table[edge] for edge in zip(tail.tolist(), head.tolist())], dtype=np.float64)
-        return self._in_weights[key]
+    @cached_property
+    def se(self) -> Mapping[str, frozenset[int]]:
+        """Per role, the set of elements with a self loop, built on first use."""
+        return MappingProxyType({r: frozenset(x.tolist()) for r, x in self.loops.items()})
 
 
-def build_qs_interpretation(base, qu, se) -> QSInterpretation:
-    norm_qu = {}
+def build_qs_interpretation(base: Interpretation, qu, se) -> QSInterpretation:
+    """Validate multiplicities and self sets over base.
+
+    qu maps a basic role (role name, inverted flag) to its multiplicities,
+    as a mapping from edges (u, v) to counts or as an (m, 3) integer array
+    of (u, v, count) rows, where of two rows for one edge the later counts.
+    Edges with count 0 are dropped, and the rest must be exactly the
+    basic role's edges.  se maps role names to elements.
+    """
+    weights = {}
     for key, counts in qu.items():
         role, inverted = key
         if role not in base.signature.role_index:
             raise UnknownNameError("qu entry for %r: not a role name" % role)
-        edges = base.role_ext[role]
-        expected = edges if not inverted else frozenset((y, x) for x, y in edges)
-        counts = {(int(x), int(y)): int(c) for (x, y), c in counts.items() if int(c) != 0}
-        for (x, y), c in counts.items():
-            if c < 0:
-                raise ElementOutOfRangeError("qu multiplicity for %r must be non-negative" % role)
-        if frozenset(counts) != expected:
+        if isinstance(counts, Mapping):
+            counts = [(u, v, c) for (u, v), c in counts.items()]
+        rows = _sorted_rows(_int_rows(counts, 3))
+        rows = rows[rows[:, 2] != 0]
+        if (rows[:, 2] < 0).any():
+            raise ElementOutOfRangeError("qu multiplicity for %r must be non-negative" % role)
+        u, v = base.edges(role, bool(inverted))
+        if not (np.array_equal(rows[:, 0], u) and np.array_equal(rows[:, 1], v)):
             raise ElementOutOfRangeError(
                 "qu support for %s%s must equal the edge set of the base interpretation"
                 % (role, "^-" if inverted else "")
             )
-        norm_qu[(role, bool(inverted))] = dict(counts)
-    norm_se = {}
+        weights[(role, bool(inverted))] = _frozen(rows[:, 2].copy())
+    loops = {}
     for role in base.signature.role_names:
-        elems = frozenset(se.get(role, ()))
-        for x in elems:
-            if not (0 <= x < base.n):
-                raise ElementOutOfRangeError("se set for %r contains element outside the domain" % role)
-        norm_se[role] = elems
-    return QSInterpretation(base, norm_qu, norm_se)
+        elems = np.unique(_int_array(se.get(role, ())))
+        if len(elems) and (elems[0] < 0 or elems[-1] >= base.n):
+            raise ElementOutOfRangeError("se set for %r contains element outside the domain" % role)
+        loops[role] = _frozen(elems)
+    return QSInterpretation(base, weights, loops)
 
 
 def qs_embedding(interp: Interpretation) -> QSInterpretation:
@@ -324,12 +418,12 @@ def qs_embedding(interp: Interpretation) -> QSInterpretation:
     Every edge gets multiplicity 1 in both directions and se(r) is the
     diagonal of r.  Concept evaluation agrees with the plain semantics.
     """
-    qu = {}
-    for role, pairs in interp.role_ext.items():
-        qu[(role, False)] = {p: 1 for p in pairs}
-        qu[(role, True)] = {(y, x): 1 for x, y in pairs}
-    se = {role: frozenset(x for x, y in pairs if x == y) for role, pairs in interp.role_ext.items()}
-    return QSInterpretation(interp, qu, se)
+    weights = {}
+    loops = {}
+    for role, (src, dst) in interp.role_edges.items():
+        weights[(role, False)] = weights[(role, True)] = _frozen(np.ones(len(src), dtype=np.int64))
+        loops[role] = _frozen(src[src == dst])
+    return QSInterpretation(interp, weights, loops)
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,27 @@ A document is a single JSON object:
     }
 
 Elements are referred to either by index or, when the domain was given
-as a name list, by name.  Only "signature" and "interpretations" are
-required; "concepts", "roles", "counts" and "self_loops" default to
-empty, "individuals" must cover the signature's individual names.  KB
-entries are strings in the concept grammar (see the syntax module).
+as a name list, by name; the elements of a domain given as a size are
+named by their indices in decimal ("0", "1", ...).  Only "signature"
+and "interpretations" are required; "concepts", "roles", "counts" and
+"self_loops" default to empty, "individuals" must cover the signature's
+individual names.  KB entries are strings in the concept grammar (see
+the syntax module).
 
 "counts" and "self_loops" attach multiplicity data to an
 interpretation.  When only one of the two is present the other takes
 the neutral default: multiplicity 1 per edge in both directions, and
 self loops read off the role's diagonal.  A direction or role missing
-inside "counts" takes the same default.
+inside "counts" takes the same default.  Counts are below 2**63.
+
+Loading turns each list of element references into an int64 array in
+one pass, and each interpretation keeps its edges in those arrays (see
+the core module); a repeated edge counts once, and of two "counts" rows
+for one edge the later one counts.  Writing goes the other way:
+dumps_document writes an InterpretationBody from the arrays, one string
+concatenation per row from pieces made once per element, and the text
+is exactly what json.dumps(indent=2, sort_keys=True) writes for the
+same data.
 
 Malformed JSON and unparseable grammar strings raise ParseError; every
 structural or semantic problem (unknown fields, bad types, names or
@@ -41,8 +52,13 @@ few bytes of input cannot ask for gigabytes of memory.
 
 from __future__ import annotations
 
+import gc
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .core import (
     FeatureSet,
@@ -51,7 +67,6 @@ from .core import (
     Signature,
     build_interpretation,
     build_qs_interpretation,
-    qs_embedding,
 )
 from .errors import DocumentError, ParseError, TooLargeError
 from .syntax import (
@@ -60,6 +75,9 @@ from .syntax import (
     parse_gci,
     parse_role_axiom,
 )
+
+# the JSON literal json.dumps writes for a string
+_literal = json.encoder.encode_basestring_ascii
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -80,20 +98,59 @@ def _str_list(val, where: str) -> list[str]:
     return val
 
 
+class IndexNames(Sequence):
+    """Names of a domain given as a size: element i is named str(i).
+
+    Names are made on demand.  get is the name index: it maps a name in
+    canonical decimal form to its element, like the dict of a name list.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [str(x) for x in range(self.n)[i]]
+        return str(range(self.n)[i])
+
+    def __iter__(self):
+        return map(str, range(self.n))
+
+    def get(self, name: str) -> int | None:
+        if (name.isascii() and name.isdigit() and len(name) <= len(str(self.n))
+                and str(int(name)) == name and int(name) < self.n):
+            return int(name)
+        return None
+
+
+def _name_index(names):
+    """Element index by name: a dict for a name list, the names themselves
+    for an index domain."""
+    if isinstance(names, IndexNames):
+        return names
+    return {name: i for i, name in enumerate(names)}
+
+
 @dataclass
 class Workspace:
     signature: Signature
     phi: FeatureSet | None
     interpretations: dict[str, Interpretation]
-    element_names: dict[str, tuple[str, ...]]
+    element_names: dict[str, Sequence[str]]
     qs: dict[str, QSInterpretation] = field(default_factory=dict)
     kb: KnowledgeBase | None = None
     kb_strings: dict[str, tuple[str, ...]] | None = None
-    element_index: dict[str, dict[str, int]] = field(init=False)
+    element_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.element_index = {iname: _name_index(names)
-                              for iname, names in self.element_names.items()}
+        for iname, names in self.element_names.items():
+            if iname not in self.element_index:
+                self.element_index[iname] = _name_index(names)
 
     def interpretation(self, name: str) -> Interpretation:
         if name not in self.interpretations:
@@ -103,7 +160,8 @@ class Workspace:
 
     def resolve(self, iname: str, ref) -> int:
         """Element index from an index or a domain name."""
-        return _resolve_ref(ref, self.element_index[iname], "interpretation %r" % iname)
+        return _resolve_ref(ref, len(self.element_names[iname]), self.element_index[iname],
+                            "interpretation %r" % iname)
 
     def display(self, iname: str, idx: int) -> str:
         return self.element_names[iname][idx]
@@ -131,43 +189,102 @@ def _check_domain_size(size: int, where: str) -> None:
                             % (where, size, MAX_ELEMENTS))
 
 
-def _load_domain(val, where: str) -> tuple[str, ...]:
+def _load_domain(val, where: str):
+    """The domain's names and their index (see _name_index)."""
     if isinstance(val, bool):
         raise DocumentError("%s.domain must be a size or a list of names" % where)
     if isinstance(val, int):
         _expect(val > 0, "%s.domain must be positive" % where)
         _check_domain_size(val, where)
-        return tuple(str(i) for i in range(val))
+        names = IndexNames(val)
+        return names, names
     if isinstance(val, list):
         _check_domain_size(len(val), where)
         names = tuple(_str_list(val, "%s.domain" % where))
         _expect(len(names) > 0, "%s.domain must not be empty" % where)
-        _expect(len(set(names)) == len(names), "%s.domain has duplicate names" % where)
-        return names
+        index = _name_index(names)
+        _expect(len(index) == len(names), "%s.domain has duplicate names" % where)
+        return names, index
     raise DocumentError("%s.domain must be a size or a list of names" % where)
 
 
-def _name_index(names: tuple[str, ...]) -> dict[str, int]:
-    return {name: i for i, name in enumerate(names)}
-
-
-def _resolve_ref(ref, index: dict[str, int], where: str) -> int:
-    """Element index from an index or a domain name; index maps names to indices."""
+def _resolve_ref(ref, n: int, index, where: str) -> int:
+    """Element index from an index or a domain name; index.get maps names."""
     # exact types: JSON true/false are bools, which are ints to isinstance
     if type(ref) is int:
-        if 0 <= ref < len(index):
+        if 0 <= ref < n:
             return ref
-        raise DocumentError("%s: index %d outside 0..%d" % (where, ref, len(index) - 1))
+        raise DocumentError("%s: index %d outside 0..%d" % (where, ref, n - 1))
     if type(ref) is str:
-        if ref in index:
-            return index[ref]
+        x = index.get(ref)
+        if x is not None:
+            return x
         raise DocumentError("%s: unknown element %r" % (where, ref))
     raise DocumentError("%s: element reference %r is not an index or name" % (where, ref))
 
 
-def _load_counts(obj, sig: Signature, index, default_qu, where: str):
+def _int_column(values: list, n: int | None) -> np.ndarray | None:
+    """values as int64 when all are ints in 0..n-1 (or non-negative and
+    below 2**63 when n is None), else None."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    if len(arr) and (arr.min() < 0 or (n is not None and arr.max() >= n)):
+        return None
+    return arr
+
+
+def _ref_column(refs: list, n: int, index) -> np.ndarray | None:
+    """Element indices of refs as int64, or None when one is invalid."""
+    if str in set(map(type, refs)):
+        get = index.get
+        refs = [get(ref) if type(ref) is str else ref for ref in refs]
+    return _int_column(refs, n)
+
+
+def _load_refs(refs: list, n: int, index, where: str) -> np.ndarray:
+    """Element indices of a list of references."""
+    out = _ref_column(refs, n, index)
+    if out is None:
+        # some reference is invalid: resolve one by one to report the first
+        out = np.array([_resolve_ref(ref, n, index, where) for ref in refs], dtype=np.int64)
+    return out
+
+
+def _load_rows(items: list, width: int, n: int, index, where: str, shape: str,
+               count: str = "") -> np.ndarray:
+    """The (m, width) int64 array of [src, dst] (width 2) or [src, dst,
+    count] (width 3) rows.  Entries are checked column by column; when one
+    is malformed, they are checked again one by one, which reports the
+    first problem in document order: shape is the message for an entry
+    of the wrong form, count the one for a bad count."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {width}:
+        flat = list(chain.from_iterable(items))
+        cols = [_ref_column(flat[0::width], n, index), _ref_column(flat[1::width], n, index)]
+        if width == 3:
+            cols.append(_int_column(flat[2::3], None))
+        if all(col is not None for col in cols):
+            return np.column_stack(cols)
+    rows = []
+    for item in items:
+        _expect(isinstance(item, list) and len(item) == width, shape)
+        row = [_resolve_ref(item[0], n, index, where), _resolve_ref(item[1], n, index, where)]
+        if width == 3:
+            k = item[2]
+            _expect(isinstance(k, int) and not isinstance(k, bool) and k >= 0,
+                    "%s: count must be a non-negative integer" % count)
+            _expect(k < 2 ** 63, "%s: count %d is not below 2**63" % (count, k))
+            row.append(k)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+def _load_counts(obj, sig: Signature, n: int, index, where: str):
     _expect(isinstance(obj, dict), "%s.counts must be an object" % where)
-    qu: dict[tuple[str, bool], dict[tuple[int, int], int]] = {}
+    qu: dict[tuple[str, bool], np.ndarray] = {}
     for role, spec in obj.items():
         _expect(role in sig.role_index, "%s.counts: %r is not a role name" % (where, role))
         _expect(isinstance(spec, dict), "%s.counts.%s must be an object" % (where, role))
@@ -177,18 +294,10 @@ def _load_counts(obj, sig: Signature, index, default_qu, where: str):
                 continue
             entries = spec[key]
             _expect(isinstance(entries, list), "%s.counts.%s.%s must be a list" % (where, role, key))
-            table: dict[tuple[int, int], int] = {}
-            for item in entries:
-                _expect(isinstance(item, list) and len(item) == 3,
-                        "%s.counts.%s.%s entries must be [src, dst, count]" % (where, role, key))
-                src = _resolve_ref(item[0], index, where)
-                dst = _resolve_ref(item[1], index, where)
-                _expect(isinstance(item[2], int) and not isinstance(item[2], bool) and item[2] >= 0,
-                        "%s.counts.%s.%s: count must be a non-negative integer" % (where, role, key))
-                table[(src, dst)] = item[2]
-            qu[(role, inverted)] = table
-    for key, table in default_qu.items():
-        qu.setdefault(key, table)
+            qu[(role, inverted)] = _load_rows(
+                entries, 3, n, index, where,
+                "%s.counts.%s.%s entries must be [src, dst, count]" % (where, role, key),
+                "%s.counts.%s.%s" % (where, role, key))
     return qu
 
 
@@ -196,8 +305,7 @@ def _load_interpretation(obj, sig: Signature, where: str):
     _expect(isinstance(obj, dict), "%s must be an object" % where)
     _check_keys(obj, ("domain", "concepts", "roles", "individuals", "counts", "self_loops"), where)
     _expect("domain" in obj, "%s is missing the domain field" % where)
-    names = _load_domain(obj["domain"], where)
-    index = _name_index(names)
+    names, index = _load_domain(obj["domain"], where)
     n = len(names)
 
     concepts = obj.get("concepts", {})
@@ -205,33 +313,31 @@ def _load_interpretation(obj, sig: Signature, where: str):
     concept_ext = {}
     for cname, refs in concepts.items():
         _expect(isinstance(refs, list), "%s.concepts.%s must be a list" % (where, cname))
-        concept_ext[cname] = {_resolve_ref(r, index, "%s.concepts.%s" % (where, cname))
-                              for r in refs}
+        concept_ext[cname] = _load_refs(refs, n, index, "%s.concepts.%s" % (where, cname)).tolist()
 
     roles = obj.get("roles", {})
     _expect(isinstance(roles, dict), "%s.roles must be an object" % where)
     role_ext = {}
     for rname, pairs in roles.items():
         _expect(isinstance(pairs, list), "%s.roles.%s must be a list" % (where, rname))
-        out = set()
-        for item in pairs:
-            _expect(isinstance(item, list) and len(item) == 2,
-                    "%s.roles.%s entries must be [src, dst]" % (where, rname))
-            out.add((_resolve_ref(item[0], index, "%s.roles.%s" % (where, rname)),
-                     _resolve_ref(item[1], index, "%s.roles.%s" % (where, rname))))
-        role_ext[rname] = out
+        role_ext[rname] = _load_rows(pairs, 2, n, index, "%s.roles.%s" % (where, rname),
+                                     "%s.roles.%s entries must be [src, dst]" % (where, rname))
 
     individuals = obj.get("individuals", {})
     _expect(isinstance(individuals, dict), "%s.individuals must be an object" % where)
-    individual_map = {a: _resolve_ref(ref, index, "%s.individuals.%s" % (where, a))
+    individual_map = {a: _resolve_ref(ref, n, index, "%s.individuals.%s" % (where, a))
                       for a, ref in individuals.items()}
 
     interp = build_interpretation(sig, n, concept_ext, role_ext, individual_map)
 
     qsi = None
     if "counts" in obj or "self_loops" in obj:
-        defaults = qs_embedding(interp)
-        qu = _load_counts(obj.get("counts", {}), sig, index, defaults.qu, where)
+        qu = _load_counts(obj.get("counts", {}), sig, n, index, where)
+        for role in sig.role_names:
+            for inverted in (False, True):
+                if (role, inverted) not in qu:
+                    u, v = interp.edges(role, inverted)
+                    qu[(role, inverted)] = np.column_stack((u, v, np.ones_like(u)))
         if "self_loops" in obj:
             loops_obj = obj["self_loops"]
             _expect(isinstance(loops_obj, dict), "%s.self_loops must be an object" % where)
@@ -240,12 +346,11 @@ def _load_interpretation(obj, sig: Signature, where: str):
                 _expect(role in sig.role_index,
                         "%s.self_loops: %r is not a role name" % (where, role))
                 _expect(isinstance(refs, list), "%s.self_loops.%s must be a list" % (where, role))
-                se[role] = {_resolve_ref(r, index, "%s.self_loops.%s" % (where, role))
-                            for r in refs}
+                se[role] = _load_refs(refs, n, index, "%s.self_loops.%s" % (where, role))
         else:
-            se = defaults.se
+            se = {role: src[src == dst] for role, (src, dst) in interp.role_edges.items()}
         qsi = build_qs_interpretation(interp, qu, se)
-    return interp, names, qsi
+    return interp, names, index, qsi
 
 
 def _load_kb(obj) -> tuple[KnowledgeBase, dict[str, tuple[str, ...]]]:
@@ -264,11 +369,28 @@ def _load_kb(obj) -> tuple[KnowledgeBase, dict[str, tuple[str, ...]]]:
     return kb, raw
 
 
-def loads_workspace(text: str) -> Workspace:
+def _parse_json(text: str):
+    """json.loads with the cyclic garbage collector paused.
+
+    The parse allocates one list or dict per JSON array or object, and
+    each allocation counts towards the collector's thresholds, so without
+    the pause it traverses the growing tree again and again; the tree
+    has no cycles, so those collections find nothing.  On a 10 MB
+    document of 600 000 edges the pause halves the parse time.
+    """
+    paused = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc.msg, exc.lineno, exc.colno)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def loads_workspace(text: str) -> Workspace:
+    doc = _parse_json(text)
     _expect(isinstance(doc, dict), "document must be a JSON object")
     _check_keys(doc, ("signature", "phi", "interpretations", "kb"), "document")
     _expect("signature" in doc, "document is missing the signature field")
@@ -287,11 +409,13 @@ def loads_workspace(text: str) -> Workspace:
     _expect(isinstance(body, dict), "interpretations must be an object")
     interpretations = {}
     element_names = {}
+    element_index = {}
     qs = {}
     for iname, spec in body.items():
-        interp, names, qsi = _load_interpretation(spec, sig, "interpretations.%s" % iname)
+        interp, names, index, qsi = _load_interpretation(spec, sig, "interpretations.%s" % iname)
         interpretations[iname] = interp
         element_names[iname] = names
+        element_index[iname] = index
         if qsi is not None:
             qs[iname] = qsi
 
@@ -299,7 +423,7 @@ def loads_workspace(text: str) -> Workspace:
     kb_strings = None
     if "kb" in doc:
         kb, kb_strings = _load_kb(doc["kb"])
-    return Workspace(sig, phi, interpretations, element_names, qs, kb, kb_strings)
+    return Workspace(sig, phi, interpretations, element_names, qs, kb, kb_strings, element_index)
 
 
 def load_workspace(path: str) -> Workspace:
@@ -307,30 +431,113 @@ def load_workspace(path: str) -> Workspace:
         return loads_workspace(handle.read())
 
 
-def interpretation_to_json(interp: Interpretation, names: tuple[str, ...] | None = None,
+@dataclass(frozen=True)
+class InterpretationBody:
+    """One interpretation as a value in a document for dumps_document,
+    which writes it straight from the edge arrays, every list sorted.
+    names are the element names, by default the indices."""
+
+    interp: Interpretation
+    names: Sequence[str] | None = None
+    qsi: QSInterpretation | None = None
+
+    def tree(self) -> dict:
+        """The JSON object, with each list of names or rows as a _Refs."""
+        interp, qsi = self.interp, self.qsi
+        names = self.names if self.names is not None else IndexNames(interp.n)
+        literals = _Literals(names)
+        sig = interp.signature
+        out: dict = {"domain": _Refs(literals, np.arange(interp.n))}
+        out["concepts"] = {}
+        for a in sig.concept_names:
+            ext = interp.concept_ext[a]
+            elems = np.fromiter(ext, dtype=np.int64, count=len(ext))
+            out["concepts"][a] = _Refs(literals, np.sort(elems))
+        out["roles"] = {r: _Refs(literals, *interp.edges(r)) for r in sig.role_names}
+        out["individuals"] = {a: names[x] for a, x in interp.individual_map.items()}
+        if qsi is not None:
+            out["counts"] = {
+                r: {key: _Refs(literals, *interp.edges(r, inverted), qsi.weights[(r, inverted)])
+                    for key, inverted in (("forward", False), ("backward", True))}
+                for r in sig.role_names}
+            out["self_loops"] = {r: _Refs(literals, qsi.loops[r]) for r in sig.role_names}
+        return out
+
+
+def interpretation_to_json(interp: Interpretation, names=None,
                            qsi: QSInterpretation | None = None) -> dict:
-    """JSON-ready form of one interpretation, lists sorted for stable dumps."""
-    if names is None:
-        names = tuple(str(i) for i in range(interp.n))
-    sig = interp.signature
-    out: dict = {"domain": list(names)}
-    out["concepts"] = {a: [names[x] for x in sorted(interp.concept_ext[a])]
-                       for a in sig.concept_names}
-    out["roles"] = {r: [[names[x], names[y]] for x, y in sorted(interp.role_ext[r])]
-                    for r in sig.role_names}
-    out["individuals"] = {a: names[x] for a, x in interp.individual_map.items()}
-    if qsi is not None:
-        counts = {}
-        for r in sig.role_names:
-            counts[r] = {
-                "forward": [[names[x], names[y], k]
-                            for (x, y), k in sorted(qsi.qu[(r, False)].items())],
-                "backward": [[names[x], names[y], k]
-                             for (x, y), k in sorted(qsi.qu[(r, True)].items())],
-            }
-        out["counts"] = counts
-        out["self_loops"] = {r: [names[x] for x in sorted(qsi.se[r])] for r in sig.role_names}
-    return out
+    """JSON-ready form of one interpretation: the data dumps_document
+    writes for InterpretationBody(interp, names, qsi)."""
+    return json.loads(_text(InterpretationBody(interp, names, qsi), "\n"))
+
+
+class _Literals:
+    """The JSON literals of a domain's element names, and row pieces made
+    from them, each list made once."""
+
+    def __init__(self, names):
+        self.text = [_literal(name) for name in names]
+        self._pieces: dict[tuple[str, str], list[str]] = {}
+
+    def pieces(self, before: str, after: str) -> list[str]:
+        key = (before, after)
+        if key not in self._pieces:
+            self._pieces[key] = [before + s + after for s in self.text]
+        return self._pieces[key]
+
+
+def _rows_text(rows, left: _Literals, right: _Literals, pad: str, counted: bool = False) -> str:
+    """JSON text of a list of [left, right] or, when counted, [left,
+    right, count] rows, for rows of index pairs (x, y) or triples (x, y,
+    count).  The list's first line is indented as pad ("\\n" and spaces)
+    says; each row is one concatenation of per-element pieces."""
+    item, inner = pad + "  ", pad + "    "
+    opens = left.pieces("[" + inner, "," + inner)
+    if counted:
+        mids = right.pieces("", "," + inner)
+        end = item + "]"
+        text = ("," + item).join([opens[x] + mids[y] + str(k) + end for x, y, k in rows])
+    else:
+        closes = right.pieces("", item + "]")
+        text = ("," + item).join([opens[x] + closes[y] for x, y in rows])
+    return "[" + item + text + pad + "]" if text else "[]"
+
+
+class _Refs:
+    """A list of element names (one index array), or of [src, dst] or
+    [src, dst, count] rows (two or three arrays), written by dumps_document."""
+
+    __slots__ = ("literals", "cols")
+
+    def __init__(self, literals: _Literals, *cols: np.ndarray):
+        self.literals = literals
+        self.cols = cols
+
+    def text(self, pad: str) -> str:
+        if len(self.cols) > 1:
+            rows = zip(*(col.tolist() for col in self.cols))
+            return _rows_text(rows, self.literals, self.literals, pad, len(self.cols) == 3)
+        if not len(self.cols[0]):
+            return "[]"
+        item = pad + "  "
+        names = self.literals.text
+        return "[" + item + ("," + item).join([names[x] for x in self.cols[0].tolist()]) + pad + "]"
+
+
+def _text(value, pad: str) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) writes it at the
+    indentation pad ("\\n" and spaces) says."""
+    if isinstance(value, InterpretationBody):
+        value = value.tree()
+    if isinstance(value, _Refs):
+        return value.text(pad)
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        inner = pad + "  "
+        return "{" + ",".join([inner + _literal(key) + ": " + _text(value[key], inner)
+                               for key in sorted(value)]) + pad + "}"
+    # json.dumps writes every line break of a nested value as "\n" and the
+    # indentation of the line relative to the value's own
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def signature_to_json(sig: Signature) -> dict:
@@ -342,8 +549,13 @@ def signature_to_json(sig: Signature) -> dict:
 
 
 def dumps_document(doc: dict) -> str:
-    """Canonical rendering: sorted keys, two-space indent, final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical rendering: sorted keys, two-space indent, final newline.
+
+    The text is json.dumps(doc, indent=2, sort_keys=True) + "\\n"; an
+    InterpretationBody value in doc, or in an object inside it, is
+    written as its interpretation_to_json form would be.
+    """
+    return _text(doc, "\n") + "\n"
 
 
 def dumps_pairs(pairs, left_names, right_names) -> str:
@@ -351,15 +563,12 @@ def dumps_pairs(pairs, left_names, right_names) -> str:
 
     pairs holds (left index, right index) tuples, or is None for a
     negative verdict, which has no "pairs" key.  The pair list is written
-    as fixed-format lines, each name escaped once with json.dumps, since
-    the general encoder is slow on millions of two-element lists; the
-    text is the same.
+    row by row from per-element pieces (see _rows_text), since the
+    general encoder is slow on millions of two-element lists; the text
+    is the same.
     """
     if pairs is None:
         return dumps_document({"bisimilar": False})
-    opens = ["    [\n      %s,\n      " % json.dumps(name) for name in left_names]
-    closes = ["%s\n    ]" % json.dumps(name) for name in right_names]
-    body = ",\n".join([opens[x] + closes[y] for x, y in pairs])
-    if not body:
-        return dumps_document({"bisimilar": True, "pairs": []})
-    return '{\n  "bisimilar": true,\n  "pairs": [\n' + body + "\n  ]\n}\n"
+    return ('{\n  "bisimilar": true,\n  "pairs": '
+            + _rows_text(pairs, _Literals(left_names), _Literals(right_names), "\n  ")
+            + "\n}\n")

@@ -21,7 +21,7 @@ from .core import (
     build_interpretation,
     from_arrays,
 )
-from .document import interpretation_to_json, signature_to_json
+from .document import InterpretationBody, signature_to_json
 
 
 def random_interpretation(rng: random.Random, signature: Signature, n: int,
@@ -49,14 +49,15 @@ def random_document(seed: int, n: int, n_concepts: int = 2, n_roles: int = 2,
                     n_individuals: int = 2, phi: str = "",
                     edge_density: float = 0.15, concept_density: float = 0.5,
                     name: str = "I") -> dict:
-    """A complete workspace document with one random interpretation."""
+    """A complete workspace document with one random interpretation,
+    ready for document.dumps_document."""
     rng = random.Random(seed)
     sig = make_signature(n_concepts, n_roles, n_individuals)
     interp = random_interpretation(rng, sig, n, edge_density, concept_density)
     names = tuple("x%d" % i for i in range(n))
     doc = {
         "signature": signature_to_json(sig),
-        "interpretations": {name: interpretation_to_json(interp, names)},
+        "interpretations": {name: InterpretationBody(interp, names)},
     }
     if phi:
         doc["phi"] = phi

@@ -52,9 +52,9 @@ from .syntax import (
 )
 
 
-def _block_pairs(nb: int, keys: np.ndarray) -> list[tuple[int, int]]:
-    """Decode keys a * nb + b into (a, b) pairs of Python ints."""
-    return list(zip((keys // nb).tolist(), (keys % nb).tolist()))
+def _block_rows(nb: int, keys: np.ndarray, *cols: np.ndarray) -> np.ndarray:
+    """Rows (a, b, *cols) of the keys a * nb + b."""
+    return np.column_stack((keys // nb, keys % nb) + cols)
 
 
 def quotient_interpretation(interp: Interpretation, partition: Partition) -> Interpretation:
@@ -63,11 +63,14 @@ def quotient_interpretation(interp: Interpretation, partition: Partition) -> Int
     sig = interp.signature
     cls = partition.canonical_of.astype(np.int64)
     nb = partition.n_blocks
-    concept_ext = {a: {int(cls[x]) for x in interp.concept_ext[a]} for a in sig.concept_names}
+    concept_ext = {}
+    for a in sig.concept_names:
+        ext = interp.concept_ext[a]
+        concept_ext[a] = np.unique(cls[np.fromiter(ext, dtype=np.int64, count=len(ext))]).tolist()
     role_ext = {}
     for r in sig.role_names:
-        _, tail, head = interp.in_edges(r, False)
-        role_ext[r] = _block_pairs(nb, np.unique(cls[tail] * nb + cls[head]))
+        src, dst = interp.edges(r)
+        role_ext[r] = _block_rows(nb, np.unique(cls[src] * nb + cls[dst]))
     individual_map = {a: int(cls[x]) for a, x in interp.individual_map.items()}
     return build_interpretation(sig, nb, concept_ext, role_ext, individual_map)
 
@@ -78,20 +81,20 @@ def qs_quotient(interp: Interpretation, partition: Partition) -> QSInterpretatio
     sig = interp.signature
     cls = partition.canonical_of.astype(np.int64)
     nb = partition.n_blocks
-    qu: dict[tuple[str, bool], dict[tuple[int, int], int]] = {}
-    se: dict[str, set[int]] = {}
+    qu: dict[tuple[str, bool], np.ndarray] = {}
+    se: dict[str, np.ndarray] = {}
     for r in sig.role_names:
         for inverted in (False, True):
-            _, tail, head = interp.in_edges(r, inverted)
+            src, dst = interp.edges(r, inverted)
             # edges from each element into each block, then the largest
             # such count over the members of the element's block
-            keys, counts = np.unique(tail * nb + cls[head], return_counts=True)
+            keys, counts = np.unique(src * nb + cls[dst], return_counts=True)
             block_keys, at = np.unique(cls[keys // nb] * nb + keys % nb, return_inverse=True)
             top = np.zeros(len(block_keys), dtype=np.int64)
             np.maximum.at(top, at, counts)
-            qu[(r, inverted)] = dict(zip(_block_pairs(nb, block_keys), top.tolist()))
+            qu[(r, inverted)] = _block_rows(nb, block_keys, top)
             if not inverted:
-                se[r] = set(cls[tail[tail == head]].tolist())
+                se[r] = cls[src[src == dst]]
     return build_qs_interpretation(base, qu, se)
 
 

@@ -59,35 +59,41 @@ class Partition:
         return int(len(self.block_of))
 
     @cached_property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
+    def _runs(self) -> tuple[np.ndarray, list[int]]:
+        """The elements ordered by block id, ascending within a block, and
+        the bounds of each block's run in that order."""
         order = np.argsort(self.block_of, kind="stable")
-        out: list[list[int]] = [[] for _ in range(self.n_blocks)]
-        for x in order:
-            out[self.block_of[x]].append(int(x))
-        return tuple(tuple(members) for members in out)
+        bounds = np.zeros(self.n_blocks + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.block_of, minlength=self.n_blocks), out=bounds[1:])
+        return order, bounds.tolist()
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        order, bounds = self._runs
+        members = order.tolist()
+        return tuple(tuple(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @cached_property
     def canonical_order(self) -> tuple[int, ...]:
         """Block ids sorted by their smallest member."""
-        return tuple(sorted(range(self.n_blocks), key=lambda b: self.blocks[b][0]))
+        order, bounds = self._runs
+        return tuple(np.argsort(order[bounds[:-1]]).tolist())
 
     @cached_property
     def canonical_of(self) -> np.ndarray:
         """Element to canonical block index (position in canonical_order)."""
         rank = np.zeros(self.n_blocks, dtype=np.int32)
-        for i, b in enumerate(self.canonical_order):
-            rank[b] = i
+        rank[list(self.canonical_order)] = np.arange(self.n_blocks, dtype=np.int32)
         return rank[self.block_of]
 
     def same_block(self, x: int, y: int) -> bool:
         return self.block_of[x] == self.block_of[y]
 
     def to_lines(self, names=None) -> list[str]:
-        display = (lambda x: names[x]) if names is not None else str
-        out = []
-        for i, b in enumerate(self.canonical_order):
-            out.append("block %d: %s" % (i, " ".join(display(x) for x in self.blocks[b])))
-        return out
+        order, bounds = self._runs
+        words = list(map(names.__getitem__ if names is not None else str, order.tolist()))
+        return ["block %d: %s" % (i, " ".join(words[bounds[b]:bounds[b + 1]]))
+                for i, b in enumerate(self.canonical_order)]
 
 
 @dataclass(frozen=True)
@@ -231,7 +237,11 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
 
 
 def partition_to_relation(partition: Partition) -> BisimRelation:
-    """The equivalence relation a partition induces, as a pair set."""
+    """The equivalence relation a partition induces, as a pair set.
+
+    It has up to n^2 pairs; the tests use it to compare partitions with
+    relations, and nothing in the package calls it.
+    """
     pairs = set()
     for members in partition.blocks:
         for x in members:

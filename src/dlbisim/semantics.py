@@ -18,11 +18,11 @@ that reach state 0 form the preimage.
 
 Roles are read through Interpretation.in_edges, per basic role the edge
 arrays grouped by target.  Number restrictions count along a basic role
-with np.bincount over those arrays, self tests read the diagonal.
-QS-interpretations reinterpret exactly these two: counts sum the stored
-edge multiplicities (QSInterpretation.in_weights, aligned to the edge
-arrays), and self tests read the stored se sets.  Everything else is
-inherited from the underlying interpretation.
+with np.bincount over its edge arrays (Interpretation.edges), self tests
+read the diagonal.  QS-interpretations reinterpret exactly these two:
+counts sum the stored edge multiplicities (QSInterpretation.weights,
+aligned to the same arrays), and self tests read the stored loops.
+Everything else is inherited from the underlying interpretation.
 
 Cost, for n elements and m edges: a concept node costs O(n) vector
 work plus the preimage under it.  A role of |R| constructors has
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import syntax as sx
-from .core import Interpretation, QSInterpretation
+from .core import Interpretation, QSInterpretation, build_interpretation
 from .errors import FeatureViolationError, UnknownNameError
 
 # cells per bool matrix of singleton targets in Evaluator.role
@@ -99,7 +99,7 @@ class Evaluator:
         self._value(r)
         into = self._automaton(r)
         n = self.interp.n
-        m = sum(len(pairs) for pairs in self.interp.role_ext.values())
+        m = sum(len(src) for src, _ in self.interp.role_edges.values())
         # the search holds one n x k bool matrix per automaton state
         k = max(1, min(n, 2 * _BATCH_CELLS // (len(into) * max(n, m))))
         pairs = []
@@ -145,8 +145,7 @@ class Evaluator:
             elif isinstance(c, sx.Nominal):
                 out[interp.individual_map[c.name]] = True
             elif self.qs is not None:
-                se = self.qs.se[c.role]
-                out[np.fromiter(se, dtype=np.int64, count=len(se))] = True
+                out[self.qs.loops[c.role]] = True
             else:
                 _, tail, head = interp.in_edges(c.role, False)
                 out[tail[tail == head]] = True
@@ -164,13 +163,13 @@ class Evaluator:
         if isinstance(c, (sx.AtLeast, sx.AtMost)):
             inverted = isinstance(c.role, sx.Inverse)
             name = c.role.role.name if inverted else c.role.name
-            _, tail, head = interp.in_edges(name, inverted)
-            hit = memo[id(c.concept)][head]
+            src, dst = interp.edges(name, inverted)
+            hit = memo[id(c.concept)][dst]
             if self.qs is None:
-                counts = np.bincount(tail[hit], minlength=n)
+                counts = np.bincount(src[hit], minlength=n)
             else:
-                weights = self.qs.in_weights(name, inverted)
-                counts = np.bincount(tail, weights=weights * hit, minlength=n)
+                weights = self.qs.weights[(name, inverted)]
+                counts = np.bincount(src, weights=weights * hit, minlength=n)
             return counts >= c.bound if isinstance(c, sx.AtLeast) else counts <= c.bound
         if isinstance(c, (sx.RoleName, sx.Inverse, sx.Compose, sx.RoleUnion, sx.Star,
                           sx.Test, sx.Epsilon, sx.UniversalRole)):
@@ -395,7 +394,8 @@ def least_r_extension(interp: Interpretation, axioms) -> Interpretation:
         if ax.role not in interp.signature.role_index:
             raise UnknownNameError("unknown role name %r in role axiom" % ax.role)
 
-    rels: dict[str, set] = {r: set(pairs) for r, pairs in interp.role_ext.items()}
+    rels: dict[str, set] = {r: set(zip(src.tolist(), dst.tolist()))
+                            for r, (src, dst) in interp.role_edges.items()}
     succ: dict[str, dict[int, set]] = {r: {} for r in rels}
     pred: dict[str, dict[int, set]] = {r: {} for r in rels}
 
@@ -409,7 +409,7 @@ def least_r_extension(interp: Interpretation, axioms) -> Interpretation:
         pred[role].setdefault(y, set()).add(x)
         queue.append((role, x, y))
 
-    for role, pairs in interp.role_ext.items():
+    for role, pairs in rels.items():
         for x, y in pairs:
             succ[role].setdefault(x, set()).add(y)
             pred[role].setdefault(y, set()).add(x)
@@ -459,7 +459,5 @@ def least_r_extension(interp: Interpretation, axioms) -> Interpretation:
                     for v in right:
                         add(target, u, v)
 
-    return Interpretation(
-        interp.signature, interp.n, interp.concept_ext,
-        {r: frozenset(pairs) for r, pairs in rels.items()}, interp.individual_map,
-    )
+    return build_interpretation(interp.signature, interp.n, interp.concept_ext, rels,
+                                interp.individual_map)

@@ -105,6 +105,47 @@ class TestBuildInterpretation:
         assert interp.successors("r", 1) == ()
 
 
+class TestEdgeArrays:
+    sig = Signature(("A",), ("r", "s"), ("a",))
+
+    def test_edges_are_sorted_unique_and_read_only(self):
+        interp = build_interpretation(self.sig, 4, {}, {"r": [(2, 0), (0, 3), (0, 1), (2, 0)]},
+                                      {"a": 0})
+        src, dst = interp.role_edges["r"]
+        assert (src.tolist(), dst.tolist()) == ([0, 0, 2], [1, 3, 0])
+        assert src.dtype == dst.dtype == np.int64
+        with pytest.raises(ValueError):
+            src[0] = 1
+        assert [a.tolist() for a in interp.edges("r", True)] == [[0, 1, 3], [2, 0, 0]]
+        assert interp.role_edges["s"][0].shape == (0,)
+
+    def test_arrays_and_pairs_build_equal_interpretations(self):
+        pairs = {(0, 1), (1, 2), (2, 2)}
+        a = build_interpretation(self.sig, 3, {"A": {1}}, {"r": pairs}, {"a": 0})
+        b = build_interpretation(self.sig, 3, {"A": [1, 1]},
+                                 {"r": np.array([[2, 2], [1, 2], [0, 1], [1, 2]])}, {"a": 0})
+        assert a == b and not a != b
+        assert a.role_ext == {"r": frozenset(pairs), "s": frozenset()}
+        assert a != build_interpretation(self.sig, 3, {"A": {1}}, {"r": pairs - {(2, 2)}}, {"a": 0})
+        assert a != build_interpretation(self.sig, 3, {"A": {1}}, {"s": pairs}, {"a": 0})
+        assert a != build_interpretation(self.sig, 3, {"A": {2}}, {"r": pairs}, {"a": 0})
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_views_are_read_only(self):
+        interp = build_interpretation(self.sig, 2, {}, {"r": {(0, 1)}}, {"a": 0})
+        with pytest.raises(TypeError):
+            interp.role_ext["r"] = frozenset()
+        qsi = qs_embedding(interp)
+        with pytest.raises(TypeError):
+            qsi.qu[("r", False)][(0, 1)] = 2
+        assert qsi.se == {"r": frozenset(), "s": frozenset()}
+
+    def test_rows_of_the_wrong_width_are_rejected(self):
+        with pytest.raises(ValueError):
+            build_interpretation(self.sig, 3, {}, {"r": [(0, 1, 2)]}, {"a": 0})
+
+
 def _atom_bits(interp):
     atom = np.zeros((interp.n, len(interp.signature.concept_names)), dtype=np.uint8)
     for j, name in enumerate(interp.signature.concept_names):
