@@ -378,14 +378,14 @@ def _parse_json(text: str):
     has no cycles, so those collections find nothing.  On a 10 MB
     document of 600 000 edges the pause halves the parse time.
     """
-    paused = gc.isenabled()
+    was_enabled = gc.isenabled()
     gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc.msg, exc.lineno, exc.colno)
     finally:
-        if paused:
+        if was_enabled:
             gc.enable()
 
 
@@ -431,15 +431,18 @@ def load_workspace(path: str) -> Workspace:
         return loads_workspace(handle.read())
 
 
-@dataclass(frozen=True)
 class InterpretationBody:
     """One interpretation as a value in a document for dumps_document,
     which writes it straight from the edge arrays, every list sorted.
     names are the element names, by default the indices."""
 
-    interp: Interpretation
-    names: Sequence[str] | None = None
-    qsi: QSInterpretation | None = None
+    __slots__ = ("interp", "names", "qsi")
+
+    def __init__(self, interp: Interpretation, names: Sequence[str] | None = None,
+                 qsi: QSInterpretation | None = None):
+        self.interp = interp
+        self.names = names
+        self.qsi = qsi
 
     def tree(self) -> dict:
         """The JSON object, with each list of names or rows as a _Refs."""

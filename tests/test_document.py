@@ -1,5 +1,6 @@
 """The document layer: loading into edge arrays, and writing from them."""
 
+import gc
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from dlbisim.document import (
     loads_workspace,
     signature_to_json,
 )
-from dlbisim.errors import DocumentError, ElementOutOfRangeError, UnknownNameError
+from dlbisim.errors import DocumentError, ElementOutOfRangeError, ParseError, UnknownNameError
 from dlbisim.gen import make_signature, random_interpretation
 from dlbisim.quotient import qs_quotient
 from dlbisim.refine import compute_partition
@@ -179,6 +180,19 @@ class TestLoading:
         assert qsi.qu[("r", False)] == {(0, 1): 3, (1, 2): 5}
         assert qsi.qu[("r", True)] == {(1, 0): 1, (2, 1): 1}
         assert qsi.se["r"] == frozenset()
+
+    def test_collector_state_is_restored(self):
+        assert gc.isenabled()
+        loads_workspace(json.dumps(_doc({})))
+        with pytest.raises(ParseError):
+            loads_workspace("{")
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            loads_workspace(json.dumps(_doc({})))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_name_index_is_built_once(self):
         ws = load_workspace(FIG2)
