@@ -15,8 +15,9 @@ What is here:
 - concept and role evaluation by preimages on boolean vectors, axiom
   checking, least closure of an interpretation under role inclusion
   axioms,
-- the coarsest stable partition of an interpretation via worklist
-  refinement (a kernel compiled with numba when numba is installed,
+- the coarsest stable partition of an interpretation via exact numpy
+  signature rounds and a worklist refinement loop that finishes what
+  they leave (a kernel compiled with numba when numba is installed,
   otherwise a pure-Python loop over lists; active_engine names the
   one that runs),
 - bisimulation checking, largest bisimulations within and across
@@ -82,6 +83,7 @@ from .refine import (
     SplitEvent,
     compute_partition,
     econd_partition,
+    refinement_trace,
 )
 from .semantics import (
     Evaluator,

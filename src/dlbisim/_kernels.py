@@ -11,32 +11,37 @@ it imports, the list loop otherwise.  compute_partition can still name
 either engine, so that tests and `dlbisim bench` can compare them.
 
 Both engines' loops take (n, nsr, pred_indptr, pred_indices, block_of,
-elems, pos, first, last, nblocks0, use_counts, record), leave the final
-block ids in block_of and return (block_of, block count, events,
-compounds, counters).  An event is a (parent, role, splitter, time,
-subs, compound) tuple, subs the (block id, class) pairs the parent split
-into, in layout order, and compound the row of compounds the splitter
-was taken from.  compounds is a (k, 3) int64 array of rows (block, time,
-minus).  The first nsr rows are (-1, 0, -1), the whole domain; a step
-at time t adds two, the splitter B as (B, t, -1) and then S without B
-as (B, t, row of S), or as (its one block, t, -1) when only one block is
-left.  A row (block, t, -1) is the set the block held just before step
-t.  Events and compounds are recorded only when record is set.
-counters is (steps, edges scanned, splits, queue pushes).  Both loops
-give the same partition, block ids, events, compounds and counters.  The
-test suite establishes this: it compares _refine_list_loop with
-_array_loop over the uncompiled kernels on random instances and on
-adversarial shapes, for every feature set, and with the compiled kernels
-where numba imports.
+elems, pos, first, last, nblocks0, against, n_against, pairs,
+use_counts, record), leave the final block ids in block_of and return
+(block_of, block count, events, compounds, counters).  An event is a
+(parent, role, splitter, time, subs, compound) tuple, subs the (block
+id, class) pairs the parent split into, in layout order, and compound
+the row of compounds the splitter was taken from.  compounds is a (k,
+3) int64 array of rows (block, time, minus).  The first nsr rows are
+(-1, 0, -1), the whole domain; a step at time t adds two, the splitter
+B as (B, t, -1) and then S without B as (B, t, row of S), or as (its
+one block, t, -1) when only one block is left.  A row (block, t, -1) is
+the set the block held just before step t.  Events and compounds are
+recorded only when record is set, which needs the whole domain as the
+start (n_against 1).  counters is (steps, edges scanned, splits, queue
+pushes).  Both loops give the same partition, block ids, events,
+compounds and counters.  The test suite establishes this: it compares
+_refine_list_loop with _array_loop over the uncompiled kernels on
+random instances and on adversarial shapes, for every feature set, and
+with the compiled kernels where numba imports.
 
 Splitting discipline: three-way splits against compound splitters
-(Paige & Tarjan 1987, in the array form of Valmari 2009).  The caller
-starts from a partition that is stable with respect to the whole domain
-along every splitter role: with counting, the elements of a block have
-equal degrees along each role; without, all or none of them have an
-edge along it.  Per role, compounds are unions of blocks that partition
-the domain, every block is stable with respect to every compound, and
-the role's one first compound is the whole domain.  A step takes a
+(Paige & Tarjan 1987, in the array form of Valmari 2009).  The loop's
+start state is compounds = blocks of a coarser stable partition: the
+caller passes the blocks of block_of and a coarser partition against,
+of n_against blocks, that every block is stable with respect to along
+every splitter role (with counting, the elements of a block have equal
+numbers of edges into each of its blocks; without, all or none of them
+have one).  Each block of against is the first compound of every role:
+the whole domain after the degree pre-split, the blocks the last
+signature round split against after the rounds (see refine).  Per role,
+compounds are unions of blocks that partition the domain, and every
+block is stable with respect to every compound.  A step takes a
 compound S of two blocks or more; the smaller B of its first two blocks
 becomes a compound of its own, and every block is split against B and
 S without B by the in-edges of B alone.  With counting, the class is the
@@ -152,18 +157,19 @@ else:
 
 
 def _three_way_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-                    nblocks, use_counts, record, comp, head, tail, nbl, nlive, crole, nxt, prv,
-                    work, qtail, rec, rc, nrec, counts, newrec, oldrec, free, touched, tlist,
+                    nblocks, use_counts, record, nroot, comp, head, tail, nbl, nlive, crole, nxt,
+                    prv, work, qtail, rec, rc, nrec, counts, newrec, oldrec, free, touched, tlist,
                     tb_cnt, tb_start, tb_fill, affected, sort_keys, counters,
                     ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start, ev_compound,
                     sub_block, sub_count, cm, ctid):
-    """The loop over the state _compound_setup built; cm[:, k] = (block,
-    time, minus) of compound row k, the nsr root rows already set.
-    Returns the block, event, sub-block and compound row counts."""
+    """The loop over the state _compound_setup built, with nroot root
+    compounds; cm[:, k] = (block, time, minus) of compound row k, the nsr
+    root rows already set.  Returns the block, event, sub-block and
+    compound row counts."""
     base_key = np.int64(n + 1)
     qhead = 0
     nfree = 0
-    ncomp = nsr
+    ncomp = nroot
     ncm = nsr
     nev = 0
     nsub = 0
@@ -323,70 +329,79 @@ else:
     _three_way_loop_jit = _three_way_loop
 
 
-def _compound_setup(n, nsr, pred_indptr, pred_indices, block_of, first, last, nblocks,
+def _compound_setup(n, nsr, block_of, first, last, nblocks, against, n_against, pairs,
                     use_counts):
-    """The loop's start state: compound s, for each splitter role s, is
-    the whole domain along s and holds every block, in id order.
+    """The loop's start state: compounds = blocks of a coarser stable partition.
+
+    against[x] is the block of element x in a coarser partition of
+    n_against blocks that every block is stable against along every
+    splitter role.  Compound s * n_against + C, for splitter role s and
+    block C of it, holds the blocks inside C, in id order.  A run from the
+    pre-split has the whole domain as its one block (against all 0), so
+    compound s is the whole domain along s.  pairs = (keys, distinct,
+    count) are the (element, compound) pairs over the edges, each as the
+    key element * nsr * n_against + compound: the key of each edge of
+    pred_indices, the distinct keys in ascending order, and the number of
+    edges of each.
 
     A singleton block never splits.  So, without counting, only elements
-    of larger blocks keep records: one per role the element has edges
-    along, counting its degree.  nlive[c] is the number of elements of
-    larger blocks that had edges into compound c when it was made, less
-    the records (x, c) emptied since; a compound with none is never
-    split, because no larger block could split against it.
+    of larger blocks keep records: one per pair, counting its edges.
+    nlive[c] is the number of elements of larger blocks that had edges
+    into compound c when it was made, less the records (x, c) emptied
+    since; a compound with none is never split, because no larger block
+    could split against it.
 
     Returns comp (block * nsr + role -> compound), nxt and prv (each
     compound's blocks as a list linked per block slot), head, tail, nbl,
     nlive and crole (first and last block, block count, live count and
-    role per compound), the queue of root compounds to split, rec (edge
-    position in pred_indices -> record, or -1), and rkey and rc (record
-    -> x * (n * nsr + 1) + compound, and its edge count).  The arrays
-    have room for every compound, block and record the loop can create.
+    role per compound), the queue of root compounds to split, live
+    (whether each pair is a record), and rkey and rc (record -> x * (n *
+    nsr + 1) + compound, and its edge count).  The arrays have room for
+    every compound, block and record the loop can create.
     """
-    m = len(pred_indices)
     kc = n * nsr + 1
-    comp = np.full(n * nsr, -1, dtype=np.int64)
-    nxt = np.full(n * nsr, -1, dtype=np.int64)
-    prv = np.full(n * nsr, -1, dtype=np.int64)
-    comp[:nblocks * nsr] = np.tile(np.arange(nsr), nblocks)
-    nxt[:(nblocks - 1) * nsr] = np.repeat(np.arange(1, nblocks), nsr)
-    prv[nsr:nblocks * nsr] = np.repeat(np.arange(nblocks - 1), nsr)
+    nroot = nsr * n_against
+    # the blocks grouped by the block of against that holds them
+    aof = np.empty(nblocks, dtype=np.int64)
+    aof[block_of] = against
+    order = np.argsort(aof, kind="stable")
+    size = np.bincount(aof, minlength=n_against)
+    ends = np.cumsum(size)
+    link = np.flatnonzero(aof[order[1:]] == aof[order[:-1]])
+    comp = np.empty((n, nsr), dtype=np.int64)
+    nxt = np.full((n, nsr), -1, dtype=np.int64)
+    prv = np.full((n, nsr), -1, dtype=np.int64)
+    comp[:nblocks] = np.arange(nsr) * n_against + aof[:, None]
+    nxt[order[link]] = order[link + 1, None]
+    prv[order[link + 1]] = order[link, None]
     # per role the compounds stay disjoint and non-empty: at most n each
     head = np.zeros(kc, dtype=np.int64)
     tail = np.zeros(kc, dtype=np.int64)
-    tail[:nsr] = nblocks - 1
     nbl = np.zeros(kc, dtype=np.int64)
-    nbl[:nsr] = nblocks
     nlive = np.zeros(kc, dtype=np.int64)
     crole = np.zeros(kc, dtype=np.int64)
-    crole[:nsr] = np.arange(nsr)
+    head[:nroot].reshape(nsr, n_against)[:] = order[ends - size]
+    tail[:nroot].reshape(nsr, n_against)[:] = order[ends - 1]
+    nbl[:nroot].reshape(nsr, n_against)[:] = size
+    crole[:nroot] = np.arange(nroot) // n_against
+    keys, distinct, count = pairs
+    owner, pcomp = np.divmod(distinct, nroot)
+    live = (last[:nblocks] - first[:nblocks] > 1)[block_of][owner]
+    nlive[:nroot] = np.bincount(pcomp[live], minlength=nroot)
     # live records hold at least one edge each; a step makes at most one
     # record per touched element before it frees the emptied ones
-    nr = 0 if use_counts else m
-    rec = np.full(nr, -1, dtype=np.int64)
-    rkey = np.zeros(nr, dtype=np.int64)
-    rc = np.zeros(nr + n + 1, dtype=np.int64)
-    nrec = 0
-    big = (last[:nblocks] - first[:nblocks] > 1)[block_of]
-    for s in range(nsr):
-        lo, hi = int(pred_indptr[s, 0]), int(pred_indptr[s, n])
-        tails = pred_indices[lo:hi]
-        degree = np.bincount(tails, minlength=n)
-        owners = np.flatnonzero(big & (degree > 0))
-        nlive[s] = len(owners)
-        if not use_counts:
-            rid = np.full(n, -1, dtype=np.int64)
-            rid[owners] = np.arange(nrec, nrec + len(owners))
-            rec[lo:hi] = rid[tails]
-            rkey[nrec:nrec + len(owners)] = owners * kc + s
-            rc[nrec:nrec + len(owners)] = degree[owners]
-            nrec += len(owners)
-    queue = np.flatnonzero(nlive[:nsr] > 0)
-    return comp, nxt, prv, head, tail, nbl, nlive, crole, queue, rec, rkey[:nrec], rc
+    rc = np.zeros((0 if use_counts else len(keys)) + n + 1, dtype=np.int64)
+    rkey = np.zeros(0, dtype=np.int64)
+    if not use_counts:
+        rkey = owner[live] * kc + pcomp[live]
+        rc[:len(rkey)] = count[live]
+    queue = np.flatnonzero((nbl[:nroot] > 1) & (nlive[:nroot] > 0))
+    return (comp.ravel(), nxt.ravel(), prv.ravel(), head, tail, nbl, nlive, crole, queue, live,
+            rkey, rc)
 
 
 def _array_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-                nblocks0, use_counts, record):
+                nblocks0, against, n_against, pairs, use_counts, record):
     """_three_way_loop_jit on _compound_setup's state and fresh scratch
     and trace arrays, its events decoded."""
     # every split makes a new block: at most n events and 2n sub-blocks
@@ -408,18 +423,22 @@ def _array_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, 
         ncm = nsr
     nblocks, nev, nsub = nblocks0, 0, 0
     if 1 < nblocks0 < n:
-        comp, nxt, prv, head, tail, nbl, nlive, crole, queue, rec, rkey, rc = _compound_setup(
-            n, nsr, pred_indptr, pred_indices, block_of, first, last, nblocks0, use_counts)
+        comp, nxt, prv, head, tail, nbl, nlive, crole, queue, live, rkey, rc = _compound_setup(
+            n, nsr, block_of, first, last, nblocks0, against, n_against, pairs, use_counts)
+        # rec: edge position in pred_indices -> its record, or -1
+        rec = np.zeros(0, dtype=np.int64)
         if not use_counts:
             counters[1] = len(pred_indices)
+            keys, distinct, _ = pairs
+            rec = np.where(live, np.cumsum(live) - 1, -1)[np.searchsorted(distinct, keys)]
         # a compound is queued at most once at a time, and only after a
         # step or as a root
         work = np.zeros(2 * n * nsr + 2, dtype=np.int64)
         work[:len(queue)] = queue
         nblocks, nev, nsub, ncm = _three_way_loop_jit(
             n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-            nblocks0, use_counts, record, comp, head, tail, nbl, nlive, crole, nxt, prv,
-            work, len(queue), rec, rc, len(rkey),
+            nblocks0, use_counts, record, n_against * nsr, comp, head, tail, nbl, nlive, crole,
+            nxt, prv, work, len(queue), rec, rc, len(rkey),
             np.zeros(n, dtype=np.int64),                                      # counts
             np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),         # newrec, oldrec
             np.zeros(len(rc), dtype=np.int64),                                # free
@@ -484,7 +503,7 @@ def _cut_list(b, keys, base, blk, el, ps, fst, lst, nblocks):
 
 
 def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-                      nblocks0, use_counts, record):
+                      nblocks0, against, n_against, pairs, use_counts, record):
     """_three_way_loop for CPython, run over Python lists.
 
     The arrays are read into lists on entry, because CPython indexes a
@@ -503,13 +522,13 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
     nblocks = nblocks0
     if 1 < nblocks0 < n:
         comp, nxt, prv, head, tail, nbl, nlive, crole, queue, _, rkey, rc = _compound_setup(
-            n, nsr, pred_indptr, pred_indices, block_of, first, last, nblocks0, use_counts)
+            n, nsr, block_of, first, last, nblocks0, against, n_against, pairs, use_counts)
         if not use_counts:
             scanned = len(pred_indices)
         comp, nxt, prv = comp.tolist(), nxt.tolist(), prv.tolist()
         # compounds are numbered in order of creation: the lists grow
         head, tail, nbl, nlive, crole = (
-            a[:nsr].tolist() for a in (head, tail, nbl, nlive, crole))
+            a[:n_against * nsr].tolist() for a in (head, tail, nbl, nlive, crole))
         recs = dict(zip(rkey.tolist(), rc[:len(rkey)].tolist()))
         ctid = list(range(nsr))
         ptr = pred_indptr.tolist()

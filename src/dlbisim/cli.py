@@ -19,6 +19,8 @@ that is not reproducible byte for byte; everything else is.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
 import time
 
@@ -43,7 +45,7 @@ from .document import (
 from .errors import BisimError, DocumentError, NotSeparatedError, ParseError, TooLargeError
 from .gen import benchmark_graph, random_document
 from .quotient import qs_quotient, quotient_interpretation, separating_concept
-from .refine import compute_partition
+from .refine import compute_partition, recorded_runs, refinement_trace
 from .semantics import check_kb, eval_concept, eval_concept_qs, eval_role, least_r_extension
 from .syntax import ast_size, parse_concept, parse_role, to_text
 
@@ -79,10 +81,14 @@ def _emit(text: str, path: str | None) -> None:
 def _element_ref(ws: Workspace, iname: str, ref: str) -> int:
     try:
         return ws.resolve(iname, ref)
-    except DocumentError:
-        if ref.lstrip("-").isdigit():
-            return ws.resolve(iname, int(ref))
-        raise
+    except DocumentError as unknown:
+        if not ref.lstrip("-").isdigit():
+            raise
+        try:
+            index = int(ref)
+        except ValueError:  # "--1", "²", or more digits than int() reads
+            raise unknown from None
+        return ws.resolve(iname, index)
 
 
 def cmd_partition(args) -> int:
@@ -200,8 +206,7 @@ def cmd_witness(args) -> int:
     phi = _phi_of(ws, args)
     x = _element_ref(ws, args.interpretation, args.left)
     y = _element_ref(ws, args.interpretation, args.right)
-    graph = to_labeled_graph(interp)
-    _, trace = compute_partition(phi, graph, want_trace=True)
+    trace = refinement_trace(phi, to_labeled_graph(interp))
     try:
         witness = separating_concept(interp, trace, x, y)
     except NotSeparatedError:
@@ -281,6 +286,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _add_stats(sp):
+    sp.add_argument("--stats", action="store_true",
+                    help="print the counters and wall time of every refinement run "
+                         "as one JSON object on stderr")
+
+
 def _add_io(sp, interp=True, output=True, json_flag=False):
     sp.add_argument("--input", "-i", required=True,
                     help="workspace document path, or - for stdin")
@@ -305,12 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("partition", help="coarsest stable partition of one interpretation")
     _add_io(sp, json_flag=True)
+    _add_stats(sp)
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("minimize", help="quotient by the coarsest stable partition")
     _add_io(sp)
     sp.add_argument("--qs", action="store_true",
                     help="attach edge multiplicities and self loops to the quotient")
+    _add_stats(sp)
     sp.set_defaults(func=cmd_minimize)
 
     sp = sub.add_parser("bisim", help="decide whether two interpretations are bisimilar")
@@ -320,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--right", "-r", required=True, help="name of the right interpretation")
     sp.add_argument("--output", "-o", default="-")
     sp.add_argument("--json", action="store_true")
+    _add_stats(sp)
     sp.set_defaults(func=cmd_bisim)
 
     sp = sub.add_parser("eval", help="evaluate a concept or role over one interpretation")
@@ -339,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(sp)
     sp.add_argument("--left", "-l", required=True, help="first element (name or index)")
     sp.add_argument("--right", "-r", required=True, help="second element (name or index)")
+    _add_stats(sp)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("extend-rbox",
@@ -375,10 +390,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
+def _run(args) -> int:
+    """The command; with --stats, then its refinements on stderr."""
+    if not getattr(args, "stats", False):
         return args.func(args)
+    with recorded_runs() as runs:
+        code = args.func(args)
+    sys.stderr.write(json.dumps({"command": args.command, "refinements": runs}) + "\n")
+    return code
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return _run(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

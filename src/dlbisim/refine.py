@@ -1,4 +1,4 @@
-"""Coarsest stable partitions of labeled graphs by worklist refinement.
+"""Coarsest stable partitions of labeled graphs: signature rounds, then a loop.
 
 The initial partition groups nodes by label: concept membership always,
 nominal labels when nominals are active, self-loop patterns when local
@@ -8,24 +8,46 @@ are the role names, plus their inverses when inverse roles are active;
 the universal role never splits anything.  With counting active the
 stability notion is "equal number of edges into the splitter block".
 
-Refinement starts from the label partition pre-split by per-role degree
-(with counting) or by per-role "has an edge" (without), which is the
-coarsest refinement of it that is stable against the whole domain and
-so leaves the fixpoint unchanged.  From there it splits three ways
-against compound splitters (see _kernels): a block B of a compound S
-splits every block by its edges into B and into S without B, in time
-linear in B's in-edges, so every feature set refines in O(m log n) edge
-scans.
+compute_partition refines by exact signature rounds first (Blom &
+Orzan 2005).  A round against a partition P gives each element the
+signature (its block of P, the set of (splitter role, block of P) pairs
+over its edges), the multiset with counting, and makes the elements
+with equal signatures its blocks.  Signatures are compared exactly,
+never by hash, as rows: of the dense table of edge counts per
+(element, role, block) when it has at most 8 (n + m) cells, else of
+each element's sorted pairs, padded to the longest signature or, when
+that would more than double the cells, to the longest of its
+power-of-two length class.  Either way the rows total O(n + m) cells;
+they are packed into int64 keys and ranked.  A round reads every edge
+once and sorts: O((n + m) log(n + m)) time and O(n + m) memory.  The
+first round is taken against the label partition.  Rounds stop at the
+fixpoint, the coarsest stable partition, when every block is a
+singleton, or after the first round that does not double the block
+count, so there are at most log2 n + 1 of them and they read at most
+m (log2 n + 1) edges.  The result of the last round is stable
+against every block of the partition that round split: these blocks
+are the starting compounds of the loop (see _kernels), which finishes
+the refinement with three-way splits against compound splitters in
+O(m log n) edge scans.  A block B of a compound S splits every block by
+its edges into B and into S without B, in time linear in B's in-edges.
 
-Every split can be recorded in a trace: which block split, against
-which splitter block along which role, at which step, into which
-classes, and from which compound.  The witness builder consumes this to
-assemble concepts separating two elements that ended up in different
-blocks.
+refinement_trace records a refinement for the witness builder: the
+loop alone, from the label partition pre-split by per-role degree (with
+counting) or by per-role "has an edge" (without), the coarsest
+refinement of it that is stable against the whole domain, whose
+compounds start as the whole domain.  It records every split: which
+block split, against which splitter block along which role, at which
+step, into which classes, and from which compound.  The witness builder
+consumes this to assemble concepts separating two elements that ended
+up in different blocks.  Its blocks are compute_partition's, with other
+block ids.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -40,10 +62,12 @@ from .errors import PartitionMismatchError
 class Counters(NamedTuple):
     """Deterministic work counts of one refinement run."""
 
-    extractions: int    # refinement steps: splitter blocks taken from a compound
-    edges_scanned: int  # predecessor edges read, the record setup without counting included
-    splits: int         # blocks split
+    extractions: int    # loop steps: splitter blocks taken from a compound
+    edges_scanned: int  # edges read: m per round, the loop's predecessor edges, its record setup
+    splits: int         # blocks the loop split
     queue_pushes: int   # worklist entries pushed
+    rounds: int         # signature rounds
+    round_splits: int   # blocks the rounds split
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +155,7 @@ class RefinementTrace:
     # n_split_roles rows are (-1, 0, -1), the whole domain; a step at time
     # t adds the splitter B and then S without B, the last row of time t
     compounds: np.ndarray
+    counters: Counters
 
     def splitter_role(self, idx: int) -> tuple[str, bool]:
         """Role name and inverted flag for a splitter role index."""
@@ -155,48 +180,268 @@ def _group_rows(cols, n: int) -> tuple[np.ndarray, int]:
     matrix = np.hstack(cols)
     if matrix.shape[1] == 0:
         return np.zeros(n, dtype=np.int32), 1
-    order = np.lexsort(matrix.T[::-1])
-    ranked = matrix[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    ids = np.empty(n, dtype=np.int32)
-    ids[order] = np.cumsum(new) - 1
-    return ids, int(new.sum())
+    if n == 0:
+        return np.zeros(0, dtype=np.int32), 0
+    digits = matrix - matrix.min(axis=0)
+    ids, count = _row_ids(np.zeros(n, dtype=np.int64), 1, digits, int(digits.max()) + 1)
+    return ids.astype(np.int32), count
 
 
 def econd_partition(phi: FeatureSet, graph: LabeledGraph) -> Partition:
-    """Partition by node labels only; refinement starts from its pre-split
-    by per-role degree (see compute_partition)."""
+    """Partition by node labels only, which the first signature round
+    refines (see compute_partition)."""
     ids, k = _group_rows(_label_columns(phi, graph), graph.n)
     return Partition(ids, k)
 
 
+def _predecessors(phi: FeatureSet, graph: LabeledGraph):
+    """Predecessor CSR per splitter role: the roles, then their inverses."""
+    if phi.inverse:
+        return (np.vstack([graph.rev_indptr, graph.fwd_indptr + len(graph.rev_indices)]),
+                np.concatenate([graph.rev_indices, graph.fwd_indices]))
+    return np.ascontiguousarray(graph.rev_indptr), np.ascontiguousarray(graph.rev_indices)
+
+
 def _splitter_structures(phi: FeatureSet, graph: LabeledGraph):
     """Predecessor CSR per splitter role, and per-node degree columns."""
-    n_r = graph.n_roles
-    fwd_deg = np.diff(graph.fwd_indptr, axis=1).astype(np.int64)  # (n_r, n)
-    rev_deg = np.diff(graph.rev_indptr, axis=1).astype(np.int64)
+    degrees = np.diff(graph.fwd_indptr, axis=1).astype(np.int64)  # (n_roles, n)
     if phi.inverse:
-        pred_indptr = np.vstack([graph.rev_indptr, graph.fwd_indptr + len(graph.rev_indices)])
-        pred_indices = np.concatenate([graph.rev_indices, graph.fwd_indices])
-        degrees = np.vstack([fwd_deg, rev_deg])
+        degrees = np.vstack([degrees, np.diff(graph.rev_indptr, axis=1).astype(np.int64)])
+    return (*_predecessors(phi, graph), degrees)
+
+
+def _dense_ids(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Ids of the distinct values of keys, all below bound, in ascending
+    value order, and their count: by a table of bound flags when bound is
+    at most a few times the number of keys, else by sorting."""
+    if bound <= 4 * len(keys):
+        rank = np.zeros(bound, dtype=np.int64)
+        rank[keys] = 1
+        np.cumsum(rank, out=rank)
+        return rank[keys] - 1, int(rank[-1]) if bound else 0
+    distinct, ids = np.unique(keys, return_inverse=True)
+    return ids, len(distinct)
+
+
+def _row_ids(ids: np.ndarray, bound: int, digits: np.ndarray, base: int):
+    """Dense ids of the rows (ids[i], digits[i, 0], digits[i, 1], ...),
+    compared exactly, for ids below bound and digits below base: the
+    columns are packed into int64 keys, as many at a time as fit in 62
+    bits, at least one, and each key is replaced by its dense id before
+    the next.  A round's bound * base is below n * (nsr * n + m + 1),
+    far inside int64 for any graph that fits in memory."""
+    j = 0
+    while True:
+        width = 1
+        while j + width < digits.shape[1] and bound * base ** (width + 1) < 1 << 62:
+            width += 1
+        width = min(width, digits.shape[1] - j)
+        key = digits[:, j:j + width] @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        if bound > 1:
+            key += ids * base ** width
+        ids, bound = _dense_ids(key, bound * base ** width)
+        j += width
+        if j >= digits.shape[1]:
+            return ids, bound
+
+
+def _edge_ends(n: int, nsr: int, pred_indptr: np.ndarray, pred_indices: np.ndarray):
+    """Per position j of pred_indices, the edge from x = pred_indices[j]
+    along splitter role s into the node whose predecessor it lists:
+    x * nsr + s, and that node."""
+    slot = np.repeat(np.arange(n * nsr), (pred_indptr[:, 1:] - pred_indptr[:, :-1]).ravel())
+    roles, heads = np.divmod(slot, n)
+    return pred_indices * np.int64(nsr) + roles, heads
+
+
+def _dense(n: int, width: int, m: int) -> bool:
+    """Whether an (element, comp) table of n * width cells stays within a
+    small multiple of the n + m cells that sorting the edges would use."""
+    return n * width <= 8 * (n + m)
+
+
+def _edge_pairs(origin, heads, block_of, k, nsr):
+    """The distinct (element, compound) pairs over the edges, for the
+    compounds comp = s * k + C along splitter role s, C a block of
+    block_of, as keys x * nsr * k + comp: (the key of each edge, the
+    distinct keys in ascending order, the number of edges of each).
+    Counted in a dense table when _dense allows, else sorted."""
+    n, width = len(block_of), nsr * k
+    keys = origin * k + block_of[heads]
+    if _dense(n, width, len(keys)):
+        table = np.bincount(keys, minlength=n * width)
+        distinct = np.flatnonzero(table)
+        return keys, distinct, table[distinct]
+    return (keys, *np.unique(keys, return_counts=True))
+
+
+def _signature_round(block_of, k, origin, heads, nsr, counting):
+    """One signature round against the partition block_of of k blocks:
+    the new block ids, their count, the number of blocks of block_of that
+    split, and the round's _edge_pairs, or None when it did not need them.
+
+    An element's signature is its block and its distinct (role, block of
+    head) pairs, as comp = role * k + block, with their edge counts when
+    counting.  When _dense allows, the signatures are the rows of the
+    dense (element, comp) table of edge counts.  Otherwise the sorted
+    pairs of each element are padded to the longest signature when that
+    costs at most twice the n + (distinct pairs) cells, else per class of
+    lengths in [2^(c-1), 2^c).  Rows are compared exactly by _row_ids.
+    """
+    n = len(block_of)
+    blocks = block_of.astype(np.int64)
+    if _dense(n, nsr * k, len(origin)):
+        table = np.bincount(origin * k + blocks[heads], minlength=n * nsr * k).reshape(n, -1)
+        if not counting:
+            table = (table > 0).view(np.int8)
+        ids, total = _row_ids(blocks, k, table, int(table.max(initial=0)) + 1)
+        pairs = None
     else:
-        pred_indptr = graph.rev_indptr
-        pred_indices = graph.rev_indices
-        degrees = fwd_deg
-    return np.ascontiguousarray(pred_indptr), np.ascontiguousarray(pred_indices), degrees
+        pairs = _edge_pairs(origin, heads, blocks, k, nsr)
+        ids, total = _sorted_signature_ids(blocks, k, pairs[1:], nsr, counting)
+    parent = np.empty(total, dtype=np.int64)
+    parent[ids] = block_of
+    split = int(np.count_nonzero(np.bincount(parent, minlength=k) > 1))
+    return ids.astype(np.int32), total, split, pairs
+
+
+def _sorted_signature_ids(blocks, k, pairs, nsr, counting):
+    """_row_ids of the signatures read off the sorted pairs (distinct keys
+    and their edge counts, see _edge_pairs)."""
+    n = len(blocks)
+    distinct, count = pairs
+    owner, comp = np.divmod(distinct, nsr * k)
+    length = np.bincount(owner, minlength=n)
+    longest = int(length.max()) if n else 0
+    # the position of each pair in its element's row
+    place = np.zeros(len(owner), dtype=np.int64)
+    if longest > 1:
+        place = np.arange(len(owner)) - (np.cumsum(length) - length)[owner]
+    base = nsr * k + 1  # comp + 1, so that 0 pads
+    if counting and longest:
+        base = max(base, int(count.max()) + 1)
+    if n * longest <= 2 * (n + len(owner)):
+        groups = [(None, longest)]
+    else:
+        wclass = np.frexp(length)[1]
+        groups = [(np.flatnonzero(wclass == c), (1 << c) - 1)
+                  for c in np.flatnonzero(np.bincount(wclass)).tolist()]
+    ids = np.empty(n, dtype=np.int64)
+    total = 0
+    for xs, w in groups:
+        sel, row, mine = slice(None), owner, slice(None)
+        if xs is not None:
+            sel = xs
+            mine = (length[owner] >= (w + 1) // 2) & (length[owner] <= w)
+            row = np.empty(n, dtype=np.int64)
+            row[xs] = np.arange(len(xs))
+            row = row[owner[mine]]
+        digits = np.zeros((n if xs is None else len(xs), (1 + counting) * w), dtype=np.int64)
+        digits[row, place[mine]] = comp[mine] + 1
+        if counting:
+            digits[row, w + place[mine]] = count[mine]
+        local, found = _row_ids(blocks[sel], k, digits, base)
+        ids[sel] = local + total
+        total += found
+    return ids, total
+
+
+def _run_loop(loop, phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, against,
+              n_against, pairs, record):
+    """The engine's loop on the layout of block_of (see _kernels)."""
+    n = len(block_of)
+    elems = np.argsort(block_of, kind="stable").astype(np.int32)
+    pos = np.zeros(n, dtype=np.int32)
+    pos[elems] = np.arange(n, dtype=np.int32)
+    bounds = np.zeros(n_blocks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(block_of, minlength=n_blocks), out=bounds[1:])
+    first = np.zeros(n + 1, dtype=np.int32)
+    last = np.zeros(n + 1, dtype=np.int32)
+    first[:n_blocks] = bounds[:-1]
+    last[:n_blocks] = bounds[1:]
+    return loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last, n_blocks,
+                against, n_against, pairs, bool(phi.counting), record)
+
+
+# the list recorded_runs() collects into, in the current context
+_RUNS: ContextVar[list | None] = ContextVar("refinement_runs", default=None)
+
+
+@contextmanager
+def recorded_runs():
+    """Collect every refinement run inside the block: one dict each, with
+    its function, feature set, element and edge counts, block count,
+    counters and wall time in seconds."""
+    runs: list = []
+    token = _RUNS.set(runs)
+    try:
+        yield runs
+    finally:
+        _RUNS.reset(token)
+
+
+def _record(function: str, phi: FeatureSet, graph: LabeledGraph, n_blocks: int,
+            counters: Counters, start: float) -> None:
+    runs = _RUNS.get()
+    if runs is not None:
+        runs.append({"function": function, "phi": str(phi), "n": graph.n,
+                      "edges": int(graph.n_edges), "blocks": int(n_blocks),
+                      "counters": {k: int(v) for k, v in counters._asdict().items()},
+                      "wall_s": time.perf_counter() - start})
 
 
 def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = True,
                       engine: str | None = None) -> tuple[Partition, RefinementTrace | None]:
     """Coarsest partition refining the label partition and stable for phi.
 
-    Returns the partition, with the kernel's counters, and, when
-    requested, the split trace.  engine names the refinement loop,
-    "numba" or "numpy"; None runs the one the install provides (see
-    _kernels).  The result is independent of the engine and
-    deterministic: block ids depend only on the graph and phi.
+    Returns the partition, with the counters of its rounds and loop, and,
+    when requested, the trace of refinement_trace, whose blocks are the
+    same with other block ids.  The partition never depends on
+    want_trace.  engine names the refinement loop, "numba" or "numpy";
+    None runs the one the install provides (see _kernels).  The result is
+    independent of the engine and deterministic: block ids depend only on
+    the graph and phi.
     """
+    start = time.perf_counter()
+    loop = _kernels.get_refine_loop(engine)
+    n = graph.n
+    nsr = graph.n_roles * (2 if phi.inverse else 1)
+    pred_indptr, pred_indices = _predecessors(phi, graph)
+    origin, heads = _edge_ends(n, nsr, pred_indptr, pred_indices)
+    block_of, n_blocks = _group_rows(_label_columns(phi, graph), n)
+    against, n_against, pairs = None, 0, None
+    rounds = round_splits = 0
+    while n_blocks < n:
+        ids, k, split, pairs = _signature_round(block_of, n_blocks, origin, heads, nsr,
+                                                bool(phi.counting))
+        rounds += 1
+        round_splits += split
+        against, n_against, block_of, n_blocks = block_of, n_blocks, ids, k
+        if k < 2 * n_against:
+            break
+
+    steps = scanned = splits = pushes = 0
+    if n_against < n_blocks < n:
+        # stable against the blocks the last round split: the loop's compounds
+        if pairs is None:
+            pairs = _edge_pairs(origin, heads, against, n_against, nsr)
+        block_of, n_blocks, _, _, (steps, scanned, splits, pushes) = _run_loop(
+            loop, phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, against, n_against,
+            pairs, False)
+    counters = Counters(steps, rounds * len(origin) + scanned, splits, pushes, rounds,
+                        round_splits)
+    partition = Partition(block_of, n_blocks, counters)
+    _record("compute_partition", phi, graph, n_blocks, counters, start)
+    return partition, refinement_trace(phi, graph, engine) if want_trace else None
+
+
+def refinement_trace(phi: FeatureSet, graph: LabeledGraph,
+                     engine: str | None = None) -> RefinementTrace:
+    """The recorded refinement: the loop alone, from the label partition
+    pre-split by per-role degree, with the whole domain as each role's
+    first compound.  Its final blocks are compute_partition's."""
+    start = time.perf_counter()
+    loop = _kernels.get_refine_loop(engine)
     n = graph.n
     nsr = graph.n_roles * (2 if phi.inverse else 1)
     pred_indptr, pred_indices, degrees = _splitter_structures(phi, graph)
@@ -206,34 +451,17 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     cols.append(degrees.T if phi.counting else (degrees > 0).T)
     init_ids, nblocks0 = _group_rows(cols, n)
 
-    order = np.argsort(init_ids, kind="stable")
-    elems = order.astype(np.int32)
-    pos = np.zeros(n, dtype=np.int32)
-    pos[elems] = np.arange(n, dtype=np.int32)
-    sizes = np.bincount(init_ids, minlength=nblocks0)
-    bounds = np.zeros(nblocks0 + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    first = np.zeros(n + 1, dtype=np.int32)
-    last = np.zeros(n + 1, dtype=np.int32)
-    first[:nblocks0] = bounds[:-1]
-    last[:nblocks0] = bounds[1:]
-
-    loop = _kernels.get_refine_loop(engine)
-    block_of, n_blocks, events, compounds, counters = loop(
-        n, nsr, pred_indptr, pred_indices,
-        init_ids.copy(), elems, pos, first, last, nblocks0,
-        bool(phi.counting), bool(want_trace),
+    domain = np.zeros(n, dtype=np.int64)
+    pairs = _edge_pairs(*_edge_ends(n, nsr, pred_indptr, pred_indices), domain, 1, nsr)
+    block_of, n_blocks, events, compounds, counters = _run_loop(
+        loop, phi, nsr, pred_indptr, pred_indices, init_ids.copy(), nblocks0, domain, 1, pairs,
+        True)
+    counters = Counters(*counters, rounds=0, round_splits=0)
+    _record("refinement_trace", phi, graph, n_blocks, counters, start)
+    return RefinementTrace(
+        graph, phi, bool(phi.counting), nsr, init_ids, block_of, n_blocks,
+        tuple(SplitEvent(*e) for e in events), compounds, counters,
     )
-
-    partition = Partition(block_of, n_blocks, Counters(*counters))
-    trace = None
-    if want_trace:
-        trace = RefinementTrace(
-            graph, phi, bool(phi.counting), nsr,
-            init_ids, block_of.copy(), n_blocks, tuple(SplitEvent(*e) for e in events),
-            compounds,
-        )
-    return partition, trace
 
 
 def partition_to_relation(partition: Partition) -> BisimRelation:

@@ -60,6 +60,34 @@ def instance_pair(rng: random.Random, max_concepts: int = 2, max_roles: int = 2,
     return out[0], out[1]
 
 
+def sparse_model(rng: random.Random, n: int, n_roles: int = 3, max_out: int = 4,
+                 n_concepts: int = 0) -> Interpretation:
+    """n elements with 0..max_out random successors along each role."""
+    sig = make_signature(n_concepts, n_roles, 0)
+    concept_ext = {a: {x for x in range(n) if rng.random() < 0.5} for a in sig.concept_names}
+    role_ext = {r: {(x, rng.randrange(n))
+                    for x in range(n) for _ in range(rng.randint(0, max_out))}
+                for r in sig.role_names}
+    return build_interpretation(sig, n, concept_ext, role_ext, {})
+
+
+def cut_copy(rng: random.Random, interp: Interpretation):
+    """A copy of interp (no individuals) missing one of its edges, and the
+    two as one interpretation, the copy's elements after interp's: the
+    numbering of disjoint_union_graph(interp, copy)."""
+    roles = {r: set(pairs) for r, pairs in interp.role_ext.items()}
+    role = rng.choice(sorted(r for r, pairs in roles.items() if pairs))
+    roles[role].discard(rng.choice(sorted(roles[role])))
+    copy = build_interpretation(interp.signature, interp.n, dict(interp.concept_ext), roles, {})
+    n = interp.n
+    union = build_interpretation(
+        interp.signature, 2 * n,
+        {a: set(ext) | {x + n for x in ext} for a, ext in interp.concept_ext.items()},
+        {r: set(interp.role_ext[r]) | {(x + n, y + n) for x, y in roles[r]} for r in roles},
+        {})
+    return copy, union
+
+
 def marked_path(n: int) -> Interpretation:
     """0 -r0-> 1 -r0-> ... -r0-> n-1, with only n-1 in A0."""
     return build_interpretation(make_signature(1, 1, 0), n, {"A0": {n - 1}},

@@ -251,6 +251,15 @@ class TestWitness:
         assert by_index.returncode == 0
         assert by_index.stdout == by_name.stdout
 
+    def test_reference_too_long_for_int_is_unknown(self, capsys):
+        from dlbisim import cli
+
+        ones = "1" * 5000
+        argv = ["witness", "-i", FIG2, "-I", "I1", "-l", "a", "-r", ones]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: interpretation 'I1': unknown element '111")
+
     def test_print_limit(self, monkeypatch, capsys):
         from dlbisim import cli
         from dlbisim.syntax import ast_size, parse_concept
@@ -468,3 +477,64 @@ class TestDeterminism:
         assert first.returncode == again.returncode
         assert first.stdout == again.stdout
         assert first.stderr == again.stderr
+
+
+class TestStats:
+    CASES = [
+        ("partition", "-i", FIG2, "--phi", "IOQ", "-I", "I3", "--json"),
+        ("minimize", "-i", FIG2, "--phi", "IO", "-I", "I2", "--qs"),
+        ("bisim", "-i", FIG2, "--phi", "Q", "-l", "I1", "-r", "I2"),
+        ("bisim", "-i", FIG2, "--phi", "I", "-l", "I1", "-r", "I2", "--json"),
+        ("witness", "-i", FIG2, "-I", "I2", "--phi", "Q", "-l", "v1", "-r", "v3"),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: "-".join(case[:1] + case[-2:]))
+    def test_stdout_unchanged_and_stderr_is_json(self, case):
+        from dlbisim.refine import Counters
+
+        plain = run(*case)
+        stats = run(*case, "--stats")
+        assert stats.returncode == plain.returncode
+        assert stats.stdout == plain.stdout
+        assert plain.stderr == ""
+        report = json.loads(stats.stderr)
+        assert report["command"] == case[0]
+        runs = report["refinements"]
+        assert [r["function"] for r in runs] == (
+            ["refinement_trace"] if case[0] == "witness" else ["compute_partition"])
+        for r in runs:
+            assert list(r["counters"]) == list(Counters._fields)
+            assert r["wall_s"] >= 0 and r["blocks"] >= 1
+
+    def test_only_refining_commands_take_the_flag(self):
+        out = run("eval", "-i", FIG2, "-I", "I2", "-c", "F", "--stats")
+        assert out.returncode == 2
+        assert "unrecognized arguments: --stats" in out.stderr
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        from dlbisim import cli
+
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert cli.main(["partition", "-i", FIG2, "-I", "I1"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert capsys.readouterr().out.count("block 0:") == 2
+
+    def test_help_text_is_the_built_parser_text(self, capsys):
+        from dlbisim import cli
+
+        for argv in ([], ["witness"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv + ["--help"])
+            cached = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv + ["--help"])
+            assert capsys.readouterr().out == cached

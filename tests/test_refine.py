@@ -1,23 +1,32 @@
 """Partition refinement: engines, traces, determinism, three-way splits, counters."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dlbisim import _kernels
 from dlbisim.bisim import is_bisimulation, naive_largest_bisimulation
-from dlbisim.core import FeatureSet, Signature, build_interpretation, to_labeled_graph
+from dlbisim.core import (
+    FeatureSet,
+    Signature,
+    build_interpretation,
+    disjoint_union_graph,
+    to_labeled_graph,
+)
 from dlbisim.errors import PartitionMismatchError
 from dlbisim.quotient import separating_concept
 from dlbisim.refine import (
     Partition,
     _group_rows,
+    _signature_round,
     _splitter_structures,
     check_partition,
     compute_partition,
     econd_partition,
     partition_to_relation,
+    recorded_runs,
 )
 from dlbisim.semantics import eval_concept
 
@@ -130,6 +139,19 @@ class TestAgainstNaiveOracle:
         part, _ = compute_partition(FeatureSet(), graph, want_trace=False)
         assert not part.same_block(0, 1)
 
+    def test_cut_copy_unions(self):
+        # the rounds hand over to the loop, which resumes from compounds
+        # other than the whole domain
+        rng = H.seeded(408)
+        for _ in range(4):
+            interp = H.sparse_model(rng, 14, n_roles=2, max_out=2, n_concepts=1)
+            copy, union = H.cut_copy(rng, interp)
+            graph = disjoint_union_graph(interp, copy)
+            for phi in H.ALL_PHIS:
+                part, _ = compute_partition(phi, graph, want_trace=False)
+                oracle = naive_largest_bisimulation(phi, union, union)
+                assert partition_to_relation(part).pairs == oracle.pairs, str(phi)
+
     def test_no_roles_stays_at_labels(self):
         rng = H.seeded(402)
         for _ in range(10):
@@ -175,6 +197,11 @@ class TestDeterminismAndEngines:
         rng = H.seeded(407)
         graphs = [to_labeled_graph(H.small_instance(rng, max_n=40)) for _ in range(15)]
         graphs += [to_labeled_graph(interp) for interp in THREE_WAY_SHAPES]
+        graphs.append(as_graph(CUT_UNION))
+        starts = []
+        setup = _kernels._compound_setup
+        monkeypatch.setattr(_kernels, "_compound_setup",
+                            lambda *a: starts.append(a[-3]) or setup(*a))
         for graph in graphs:
             for phi in H.ALL_PHIS:
                 ref_part, ref_trace = array_loop_partition(monkeypatch, phi, graph)
@@ -184,6 +211,8 @@ class TestDeterminismAndEngines:
                 assert trace.events == ref_trace.events, str(phi)
                 assert np.array_equal(trace.compounds, ref_trace.compounds), str(phi)
                 assert part.counters == ref_part.counters, str(phi)
+        # some loops resumed from more compounds than the whole domain
+        assert max(starts) > 1
 
     def test_engine_selection(self):
         try:
@@ -208,6 +237,24 @@ class TestDeterminismAndEngines:
 
 # shapes that split blocks in many rounds under every feature set
 THREE_WAY_SHAPES = (H.marked_path(12), H.binary_tree(4), H.two_role_chain(12))
+
+
+def _cut_union(seed, n):
+    rng = H.seeded(seed)
+    interp = H.sparse_model(rng, n)
+    return interp, H.cut_copy(rng, interp)[0]
+
+
+# a random model and its copy missing one edge: the rounds split most
+# blocks, and the loop finishes from the blocks of the last round
+CUT_UNION = _cut_union(409, 30)
+
+
+def as_graph(shape):
+    """The graph of an interpretation, or of a pair's disjoint union."""
+    if isinstance(shape, tuple):
+        return disjoint_union_graph(*shape)
+    return to_labeled_graph(shape)
 
 
 def array_loop_partition(monkeypatch, phi, graph):
@@ -247,12 +294,13 @@ class TestThreeWaySplits:
 
 
 class TestCounters:
-    @pytest.mark.parametrize("shape", [H.marked_path(2048), H.binary_tree(10), H.equal_cycle(2048)],
-                             ids=["path", "tree", "cycle"])
+    @pytest.mark.parametrize("shape", [H.marked_path(2048), H.binary_tree(10), H.equal_cycle(2048),
+                                       _cut_union(410, 1000)],
+                             ids=["path", "tree", "cycle", "cut"])
     @pytest.mark.parametrize("phi", ["", "I", "Q", "IQ"])
     def test_edges_scanned_within_m_log_n(self, monkeypatch, shape, phi):
         phi = FeatureSet.from_string(phi)
-        graph = to_labeled_graph(shape)
+        graph = as_graph(shape)
         _, pred_indices, _ = _splitter_structures(phi, graph)
         bound = 2 * len(pred_indices) * (math.ceil(math.log2(graph.n)) + 1)
         part, _ = compute_partition(phi, graph, want_trace=False)
@@ -270,6 +318,15 @@ class TestCounters:
         assert a.counters == b.counters
         assert a.counters.extractions >= a.counters.splits > 0
         assert Partition(a.block_of, a.n_blocks).counters is None
+
+    def test_recorded_runs(self):
+        graph = to_labeled_graph(H.marked_path(50))
+        with recorded_runs() as runs:
+            part, trace = compute_partition(FeatureSet(), graph, want_trace=True)
+        compute_partition(FeatureSet(), graph, want_trace=False)
+        assert [r["function"] for r in runs] == ["compute_partition", "refinement_trace"]
+        assert [r["counters"] for r in runs] == [part.counters._asdict(), trace.counters._asdict()]
+        assert runs[0]["blocks"] == part.n_blocks and runs[0]["wall_s"] >= 0
 
 
 class TestUniversalRoleNeverSplits:
@@ -344,3 +401,60 @@ class TestTraces:
         # rest of the domain (class 1), 1 into B only (class 2)
         assert [ev.subs for ev in trace.events] == [((1, 1), (2, 2))]
         assert part.n_blocks == 3
+
+
+class TestSignatureRounds:
+    # a dense (element, comp) table; sorted pairs padded to the longest
+    # signature; and, with a hub, per length class, several keys a row
+    @pytest.mark.parametrize("k, nsr, hub", [(4, 2, False), (40, 3, False), (40, 3, True)],
+                             ids=["dense", "sorted", "classes"])
+    def test_round_groups_by_exact_signatures(self, k, nsr, hub):
+        rng = np.random.default_rng(411)
+        n = 200
+        block_of = np.concatenate([np.arange(k), rng.integers(0, k, n - k)]).astype(np.int32)
+        tails = rng.integers(0, n, 600)
+        heads = rng.integers(0, n, 600)
+        roles = rng.integers(0, nsr, 600)
+        if hub:
+            tails = np.concatenate([tails, np.zeros(n, dtype=np.int64)])
+            heads = np.concatenate([heads, np.arange(n)])
+            roles = np.concatenate([roles, rng.integers(0, nsr, n)])
+        for counting in (False, True):
+            ids, total, split, pairs = _signature_round(block_of, k, tails * nsr + roles, heads,
+                                                        nsr, counting)
+            assert (pairs is None) == (k == 4)
+            pairs = {x: Counter() for x in range(n)}
+            for x, y, s in zip(tails.tolist(), heads.tolist(), roles.tolist()):
+                pairs[x][s, int(block_of[y])] += 1
+            signature = [(int(block_of[x]), tuple(sorted(pairs[x].items())) if counting
+                          else tuple(sorted(pairs[x]))) for x in range(n)]
+            classes = {}
+            for x in range(n):
+                classes.setdefault(signature[x], set()).add(int(ids[x]))
+            assert all(len(v) == 1 for v in classes.values())
+            assert total == len(classes) == len(set(ids.tolist()))
+            parents = Counter(b for b, _ in classes)
+            assert split == sum(1 for c in parents.values() if c > 1)
+
+    def test_counting_model_settles_by_rounds(self):
+        interp = H.sparse_model(H.seeded(3), 300)
+        phi = FeatureSet.from_string("Q")
+        part, _ = compute_partition(phi, to_labeled_graph(interp), want_trace=False)
+        # the last round split nothing: the loop never ran
+        assert part.counters.extractions == 0 and part.counters.splits == 0
+        assert part.counters.rounds >= 2 and part.n_blocks < interp.n
+        oracle = naive_largest_bisimulation(phi, interp, interp)
+        assert partition_to_relation(part).pairs == oracle.pairs
+
+    def test_traced_partition_has_the_trace_blocks(self):
+        rng = H.seeded(412)
+        shapes = [H.small_instance(rng, max_n=20) for _ in range(8)] + list(THREE_WAY_SHAPES)
+        for shape in shapes + [CUT_UNION]:
+            graph = as_graph(shape)
+            for phi in H.ALL_PHIS[::3]:
+                part, trace = compute_partition(phi, graph, want_trace=True)
+                untraced, _ = compute_partition(phi, graph, want_trace=False)
+                assert np.array_equal(part.block_of, untraced.block_of)
+                assert part.counters == untraced.counters
+                final = Partition(trace.final_block_of, trace.n_blocks)
+                assert np.array_equal(part.canonical_of, final.canonical_of), str(phi)
