@@ -12,8 +12,9 @@ or JSON to stdout or a file.  Exit codes are uniform across commands:
     4  unexpected internal failure
 
 The `bench` command times the partition refinement on seeded random
-graphs and emits CSV.  Timing figures are the one part of the output
-that is not reproducible byte for byte; everything else is.
+graphs and emits CSV.  Timing figures are the only part of the output
+that is not reproducible byte for byte: bench's millis column, and the
+wall_s fields that --stats writes to stderr.  Everything else is.
 """
 
 from __future__ import annotations

@@ -14,13 +14,12 @@ signature (its block of P, the set of (splitter role, block of P) pairs
 over its edges), the multiset with counting, and makes the elements
 with equal signatures its blocks.  Signatures are compared exactly,
 never by hash, as rows: of the dense table of edge counts per
-(element, role, block) when it has at most 8 (n + m) cells, else of
-each element's sorted pairs, padded to the longest signature or, when
-that would more than double the cells, to the longest of its
-power-of-two length class.  Either way the rows total O(n + m) cells;
-they are packed into int64 keys and ranked.  A round reads every edge
-once and sorts: O((n + m) log(n + m)) time and O(n + m) memory.  The
-first round is taken against the label partition.  Rounds stop at the
+(element, role, block) while it has at most 8 (n + m) cells, else of
+each element's sorted pairs, padded to the longest of its power-of-two
+length class.  Either way the rows total O(n + m) cells; they are
+packed into int64 keys and ranked.  A round reads every edge once and
+sorts: O((n + m) log(n + m)) time and O(n + m) memory.  The first
+round is taken against the label partition.  Rounds stop at the
 fixpoint, the coarsest stable partition, when every block is a
 singleton, or after the first round that does not double the block
 count, so there are at most log2 n + 1 of them and they read at most
@@ -155,7 +154,6 @@ class RefinementTrace:
     # n_split_roles rows are (-1, 0, -1), the whole domain; a step at time
     # t adds the splitter B and then S without B, the last row of time t
     compounds: np.ndarray
-    counters: Counters
 
     def splitter_role(self, idx: int) -> tuple[str, bool]:
         """Role name and inverted flag for a splitter role index."""
@@ -213,7 +211,11 @@ def _splitter_structures(phi: FeatureSet, graph: LabeledGraph):
 def _dense_ids(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     """Ids of the distinct values of keys, all below bound, in ascending
     value order, and their count: by a table of bound flags when bound is
-    at most a few times the number of keys, else by sorting."""
+    at most 4 times the number of keys, else by np.unique.  The two break
+    even at about 8 times; at 4 times and less the flags take 0.2 to 0.7
+    of np.unique's CPU.  They matter where rows pack into small keys, as
+    in the label grouping and the rounds on paths and trees: np.unique
+    alone adds 3% to the refinement of a 700-element path."""
     if bound <= 4 * len(keys):
         rank = np.zeros(bound, dtype=np.int64)
         rank[keys] = 1
@@ -225,11 +227,12 @@ def _dense_ids(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
 
 def _row_ids(ids: np.ndarray, bound: int, digits: np.ndarray, base: int):
     """Dense ids of the rows (ids[i], digits[i, 0], digits[i, 1], ...),
-    compared exactly, for ids below bound and digits below base: the
-    columns are packed into int64 keys, as many at a time as fit in 62
-    bits, at least one, and each key is replaced by its dense id before
-    the next.  A round's bound * base is below n * (nsr * n + m + 1),
-    far inside int64 for any graph that fits in memory."""
+    compared exactly and numbered in lexicographic row order, for ids
+    below bound and digits below base: the columns are packed into int64
+    keys, as many at a time as fit in 62 bits, at least one, and each
+    key is replaced by its dense id (_dense_ids) before the next.  A
+    round's bound * base is below n * (nsr * n + m + 1), far inside
+    int64 for any graph that fits in memory."""
     j = 0
     while True:
         width = 1
@@ -254,94 +257,76 @@ def _edge_ends(n: int, nsr: int, pred_indptr: np.ndarray, pred_indices: np.ndarr
     return pred_indices * np.int64(nsr) + roles, heads
 
 
-def _dense(n: int, width: int, m: int) -> bool:
-    """Whether an (element, comp) table of n * width cells stays within a
-    small multiple of the n + m cells that sorting the edges would use."""
-    return n * width <= 8 * (n + m)
-
-
-def _edge_pairs(origin, heads, block_of, k, nsr):
-    """The distinct (element, compound) pairs over the edges, for the
-    compounds comp = s * k + C along splitter role s, C a block of
-    block_of, as keys x * nsr * k + comp: (the key of each edge, the
-    distinct keys in ascending order, the number of edges of each).
-    Counted in a dense table when _dense allows, else sorted."""
-    n, width = len(block_of), nsr * k
-    keys = origin * k + block_of[heads]
-    if _dense(n, width, len(keys)):
-        table = np.bincount(keys, minlength=n * width)
-        distinct = np.flatnonzero(table)
-        return keys, distinct, table[distinct]
-    return (keys, *np.unique(keys, return_counts=True))
-
-
 def _signature_round(block_of, k, origin, heads, nsr, counting):
     """One signature round against the partition block_of of k blocks:
     the new block ids, their count, the number of blocks of block_of that
-    split, and the round's _edge_pairs, or None when it did not need them.
+    split, and the round's (element, compound) pairs.
 
-    An element's signature is its block and its distinct (role, block of
-    head) pairs, as comp = role * k + block, with their edge counts when
-    counting.  When _dense allows, the signatures are the rows of the
-    dense (element, comp) table of edge counts.  Otherwise the sorted
-    pairs of each element are padded to the longest signature when that
-    costs at most twice the n + (distinct pairs) cells, else per class of
-    lengths in [2^(c-1), 2^c).  Rows are compared exactly by _row_ids.
+    The pairs are those over the edges, for the compounds comp = s * k + C
+    along splitter role s, C a block of block_of, as keys
+    x * nsr * k + comp: (the key of each edge, the distinct keys in
+    ascending order, the number of edges of each).  An element's
+    signature is its block and its comps, with their edge counts when
+    counting.  While the dense (element, comp) table of edge counts has
+    at most 8 (n + m) cells, the signatures are its rows; otherwise they
+    are read off the sorted pairs (_signature_ids).  The table costs one
+    bincount and a few wide keys.  On the benchmark's graphs it takes
+    1.7 to 4 times less CPU than the sorted pairs in every first round,
+    at up to 4.1 (n + m) cells, and the sorted pairs take 11 to 12
+    times less in the later rounds of named documents, at 130 to 170;
+    on random graphs the two break even between 4 and 16 cells per
+    n + m.
     """
     n = len(block_of)
     blocks = block_of.astype(np.int64)
-    if _dense(n, nsr * k, len(origin)):
-        table = np.bincount(origin * k + blocks[heads], minlength=n * nsr * k).reshape(n, -1)
-        if not counting:
-            table = (table > 0).view(np.int8)
-        ids, total = _row_ids(blocks, k, table, int(table.max(initial=0)) + 1)
-        pairs = None
+    keys = origin * k + blocks[heads]
+    if n * nsr * k <= 8 * (n + len(origin)):
+        table = np.bincount(keys, minlength=n * nsr * k)
+        present = table > 0
+        distinct = np.flatnonzero(present)  # on bools, several times faster
+        pairs = keys, distinct, table[distinct]
+        rows = (table if counting else present.view(np.int8)).reshape(n, -1)
+        ids, total = _row_ids(blocks, k, rows, int(rows.max(initial=0)) + 1)
     else:
-        pairs = _edge_pairs(origin, heads, blocks, k, nsr)
-        ids, total = _sorted_signature_ids(blocks, k, pairs[1:], nsr, counting)
+        pairs = keys, *np.unique(keys, return_counts=True)
+        ids, total = _signature_ids(blocks, k, pairs[1:], nsr, counting)
     parent = np.empty(total, dtype=np.int64)
     parent[ids] = block_of
     split = int(np.count_nonzero(np.bincount(parent, minlength=k) > 1))
     return ids.astype(np.int32), total, split, pairs
 
 
-def _sorted_signature_ids(blocks, k, pairs, nsr, counting):
+def _signature_ids(blocks, k, pairs, nsr, counting):
     """_row_ids of the signatures read off the sorted pairs (distinct keys
-    and their edge counts, see _edge_pairs)."""
+    and their edge counts, see _signature_round).  The elements whose
+    signatures have between 2^(c-1) and 2^c - 1 pairs form length class
+    c; each class is ranked on its own, its rows padded to 2^c - 1 pairs,
+    less than twice their lengths, so the rows total O(n + m) cells."""
     n = len(blocks)
     distinct, count = pairs
     owner, comp = np.divmod(distinct, nsr * k)
     length = np.bincount(owner, minlength=n)
-    longest = int(length.max()) if n else 0
     # the position of each pair in its element's row
-    place = np.zeros(len(owner), dtype=np.int64)
-    if longest > 1:
-        place = np.arange(len(owner)) - (np.cumsum(length) - length)[owner]
+    place = np.arange(len(owner)) - (np.cumsum(length) - length)[owner]
     base = nsr * k + 1  # comp + 1, so that 0 pads
-    if counting and longest:
+    if counting and len(count):
         base = max(base, int(count.max()) + 1)
-    if n * longest <= 2 * (n + len(owner)):
-        groups = [(None, longest)]
-    else:
-        wclass = np.frexp(length)[1]
-        groups = [(np.flatnonzero(wclass == c), (1 << c) - 1)
-                  for c in np.flatnonzero(np.bincount(wclass)).tolist()]
+    wclass = np.frexp(length)[1]
+    pair_class = wclass[owner]
+    row = np.empty(n, dtype=np.int64)
     ids = np.empty(n, dtype=np.int64)
     total = 0
-    for xs, w in groups:
-        sel, row, mine = slice(None), owner, slice(None)
-        if xs is not None:
-            sel = xs
-            mine = (length[owner] >= (w + 1) // 2) & (length[owner] <= w)
-            row = np.empty(n, dtype=np.int64)
-            row[xs] = np.arange(len(xs))
-            row = row[owner[mine]]
-        digits = np.zeros((n if xs is None else len(xs), (1 + counting) * w), dtype=np.int64)
-        digits[row, place[mine]] = comp[mine] + 1
+    for c in np.flatnonzero(np.bincount(wclass)).tolist():
+        xs = np.flatnonzero(wclass == c)
+        w = (1 << c) - 1
+        mine = pair_class == c
+        row[xs] = np.arange(len(xs))
+        digits = np.zeros((len(xs), (1 + counting) * w), dtype=np.int64)
+        digits[row[owner[mine]], place[mine]] = comp[mine] + 1
         if counting:
-            digits[row, w + place[mine]] = count[mine]
-        local, found = _row_ids(blocks[sel], k, digits, base)
-        ids[sel] = local + total
+            digits[row[owner[mine]], w + place[mine]] = count[mine]
+        local, found = _row_ids(blocks[xs], k, digits, base)
+        ids[xs] = local + total
         total += found
     return ids, total
 
@@ -423,8 +408,6 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     steps = scanned = splits = pushes = 0
     if n_against < n_blocks < n:
         # stable against the blocks the last round split: the loop's compounds
-        if pairs is None:
-            pairs = _edge_pairs(origin, heads, against, n_against, nsr)
         block_of, n_blocks, _, _, (steps, scanned, splits, pushes) = _run_loop(
             loop, phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, against, n_against,
             pairs, False)
@@ -451,16 +434,20 @@ def refinement_trace(phi: FeatureSet, graph: LabeledGraph,
     cols.append(degrees.T if phi.counting else (degrees > 0).T)
     init_ids, nblocks0 = _group_rows(cols, n)
 
+    # the (element, role) pairs: against the whole domain, a count is a degree
     domain = np.zeros(n, dtype=np.int64)
-    pairs = _edge_pairs(*_edge_ends(n, nsr, pred_indptr, pred_indices), domain, 1, nsr)
+    keys, _ = _edge_ends(n, nsr, pred_indptr, pred_indices)
+    flat = degrees.T.ravel()
+    distinct = np.flatnonzero(flat > 0)
+    pairs = keys, distinct, flat[distinct]
     block_of, n_blocks, events, compounds, counters = _run_loop(
         loop, phi, nsr, pred_indptr, pred_indices, init_ids.copy(), nblocks0, domain, 1, pairs,
         True)
-    counters = Counters(*counters, rounds=0, round_splits=0)
-    _record("refinement_trace", phi, graph, n_blocks, counters, start)
+    _record("refinement_trace", phi, graph, n_blocks, Counters(*counters, rounds=0, round_splits=0),
+            start)
     return RefinementTrace(
         graph, phi, bool(phi.counting), nsr, init_ids, block_of, n_blocks,
-        tuple(SplitEvent(*e) for e in events), compounds, counters,
+        tuple(SplitEvent(*e) for e in events), compounds,
     )
 
 

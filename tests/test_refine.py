@@ -325,7 +325,11 @@ class TestCounters:
             part, trace = compute_partition(FeatureSet(), graph, want_trace=True)
         compute_partition(FeatureSet(), graph, want_trace=False)
         assert [r["function"] for r in runs] == ["compute_partition", "refinement_trace"]
-        assert [r["counters"] for r in runs] == [part.counters._asdict(), trace.counters._asdict()]
+        assert runs[0]["counters"] == part.counters._asdict()
+        # the recording run: no rounds, only the loop from the degree pre-split
+        traced = runs[1]["counters"]
+        assert traced["rounds"] == 0 and traced["extractions"] >= traced["splits"] > 0
+        assert runs[1]["blocks"] == trace.n_blocks == part.n_blocks
         assert runs[0]["blocks"] == part.n_blocks and runs[0]["wall_s"] >= 0
 
 
@@ -404,10 +408,10 @@ class TestTraces:
 
 
 class TestSignatureRounds:
-    # a dense (element, comp) table; sorted pairs padded to the longest
-    # signature; and, with a hub, per length class, several keys a row
+    # the dense table; sorted pairs; and sorted pairs with a hub whose
+    # long signature is alone in its length class
     @pytest.mark.parametrize("k, nsr, hub", [(4, 2, False), (40, 3, False), (40, 3, True)],
-                             ids=["dense", "sorted", "classes"])
+                             ids=["table", "sorted", "sorted-hub"])
     def test_round_groups_by_exact_signatures(self, k, nsr, hub):
         rng = np.random.default_rng(411)
         n = 200
@@ -422,7 +426,11 @@ class TestSignatureRounds:
         for counting in (False, True):
             ids, total, split, pairs = _signature_round(block_of, k, tails * nsr + roles, heads,
                                                         nsr, counting)
-            assert (pairs is None) == (k == 4)
+            # the (element, compound) pairs the loop resumes from
+            keys = (tails * nsr + roles) * k + block_of[heads]
+            assert np.array_equal(pairs[0], keys)
+            distinct, count = np.unique(keys, return_counts=True)
+            assert np.array_equal(pairs[1], distinct) and np.array_equal(pairs[2], count)
             pairs = {x: Counter() for x in range(n)}
             for x, y, s in zip(tails.tolist(), heads.tolist(), roles.tolist()):
                 pairs[x][s, int(block_of[y])] += 1
