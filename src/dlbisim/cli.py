@@ -37,6 +37,7 @@ from .document import (
     IndexNames,
     InterpretationBody,
     Workspace,
+    dumps_blocks,
     dumps_document,
     dumps_pairs,
     load_workspace,
@@ -99,9 +100,8 @@ def cmd_partition(args) -> int:
     partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
     if args.json:
-        doc = {"blocks": [[names[x] for x in partition.blocks[b]]
-                          for b in partition.canonical_order]}
-        _emit(dumps_document(doc), args.output)
+        order, bounds = partition._runs
+        _emit(dumps_blocks(order, bounds, partition.canonical_order, names), args.output)
     else:
         # without names to_lines writes each element's index, which is its
         # name in an index domain

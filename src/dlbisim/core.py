@@ -626,25 +626,22 @@ def extract_interpretation(graph: LabeledGraph, side: int) -> Interpretation:
     nodes = np.flatnonzero(graph.origin_side == side)
     if len(nodes) == 0:
         raise EmptyDomainError("graph has no nodes with origin side %d" % side)
-    back = {int(node): int(graph.origin_elem[node]) for node in nodes}
-    n = max(back.values()) + 1
-    concept_ext = {
-        name: frozenset(back[int(v)] for v in nodes if graph.atom_bits[v, j])
-        for j, name in enumerate(sig.concept_names)
-    }
+    # a side's nodes are consecutive (see _assemble), so its edges are one
+    # slice of each role's CSR rows
+    first, stop = int(nodes[0]), int(nodes[-1]) + 1
+    back = graph.origin_elem.astype(np.int64)
+    concept_ext = {name: back[nodes[graph.atom_bits[nodes, j] != 0]].tolist()
+                   for j, name in enumerate(sig.concept_names)}
     role_ext = {}
     for k, name in enumerate(sig.role_names):
-        pairs = set()
-        for v in nodes:
-            for w in graph.successors(k, int(v)):
-                pairs.add((back[int(v)], back[int(w)]))
-        role_ext[name] = frozenset(pairs)
-    individual_map = {}
-    for name, owners in graph.individual_nodes.items():
-        for v in owners:
-            if graph.origin_side[v] == side:
-                individual_map[name] = back[int(v)]
-    return build_interpretation(sig, n, concept_ext, role_ext, individual_map)
+        indptr = graph.fwd_indptr[k, first:stop + 1]
+        src = np.repeat(nodes, np.diff(indptr))
+        dst = graph.fwd_indices[indptr[0]:indptr[-1]]
+        role_ext[name] = np.column_stack((back[src], back[dst]))
+    individual_map = {name: int(back[v]) for name, owners in graph.individual_nodes.items()
+                      for v in owners if graph.origin_side[v] == side}
+    return build_interpretation(sig, int(back[nodes].max()) + 1, concept_ext, role_ext,
+                                individual_map)
 
 
 def is_unreachable_objects_free(interp: Interpretation, phi: FeatureSet) -> bool:

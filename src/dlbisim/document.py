@@ -561,6 +561,36 @@ def dumps_document(doc: dict) -> str:
     return _text(doc, "\n") + "\n"
 
 
+def dumps_blocks(order: np.ndarray, bounds, block_order, names) -> str:
+    """dumps_document of {"blocks": [[name, ...], ...]}, for the blocks
+    that are the runs order[bounds[b]:bounds[b + 1]], listed in
+    block_order.  Like the rows of _rows_text, the text is one join of
+    per-element pieces: each element's literal between the line breaks
+    and brackets that its place in its block calls for."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    block_order = np.asarray(block_order, dtype=np.int64)
+    sizes = np.diff(bounds)[block_order]
+    ends = np.cumsum(sizes)
+    # the elements, block after block in block_order
+    elems = order[np.repeat(bounds[block_order] - (ends - sizes), sizes) + np.arange(len(order))]
+    place = np.zeros(len(elems), dtype=np.int64)
+    place[ends - sizes] += 1  # first of its block
+    place[ends - 1] += 2      # last of its block
+    item, inner = "\n    ", "\n      "
+    close = item + "]," + item
+    heads = ("", "[" + inner, "", "[" + inner)
+    tails = ("," + inner, "," + inner, close, close)
+    literals = _Literals(names).text
+    place = place.tolist()
+    parts = [""] * (3 * len(elems))
+    parts[0::3] = [heads[k] for k in place]
+    parts[1::3] = [literals[x] for x in elems.tolist()]
+    parts[2::3] = [tails[k] for k in place]
+    parts[0] = '{\n  "blocks": [' + item + parts[0]
+    parts[-1] = item + "]\n  ]\n}\n"
+    return "".join(parts)
+
+
 def dumps_pairs(pairs, left_names, right_names) -> str:
     """dumps_document of {"bisimilar": ..., "pairs": [[left, right], ...]}.
 

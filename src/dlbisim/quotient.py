@@ -7,12 +7,16 @@ source block had into the target block, plus which blocks contained a
 self loop; counting and self-loop concepts evaluated over that summary
 see the structure the plain quotient forgets.
 
-`separating_concept` turns a refinement trace into a certificate: given
-two elements that ended in different blocks, it replays the recorded
-splits to assemble a concept satisfied by one element and not the
-other.  Certificates are exact but deliberately verbose; nothing here
-tries to minimize them.  Every certificate is re-evaluated before being
-returned, so a returned witness is always valid.
+`separating_concept` turns a refinement trace into a certificate: a
+concept satisfied by one of two elements in different blocks and not by
+the other.  A pair that the signature rounds part gets a concept of the
+least modal depth, read off the rounds' levels (Cleaveland 1990, "On
+automatically explaining bisimulation inequivalence").  A pair that they
+leave in one block gets one read off the recorded loop, which replays
+its splits; these can nest as deep as the loop ran.  Neither tries to
+minimize size, which is NP-hard (Martens & Groote 2023).  Every
+certificate is re-evaluated before being returned, so a returned
+witness is always valid.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .refine import (
     RefinementTrace,
     _splitter_structures,
     check_partition,
-    econd_partition,
 )
 from .semantics import eval_concept
 from .syntax import (
@@ -113,14 +116,129 @@ def _role_node(trace: RefinementTrace, role_idx: int):
     return Inverse(node) if inverted else node
 
 
+def _label_probes(trace: RefinementTrace):
+    """The tests of the label partition, as (kind, key, name)."""
+    sig = trace.graph.signature
+    for a_idx, a in enumerate(sig.concept_names):
+        yield ("atom", a_idx, a)
+    if trace.phi.nominals:
+        for a in sig.individual_names:
+            yield ("nominal", a, a)
+    if trace.phi.local_refl:
+        for r_idx, r in enumerate(sig.role_names):
+            yield ("self", r_idx, r)
+
+
+def _label_value(trace: RefinementTrace, probe, x: int) -> bool:
+    g = trace.graph
+    kind, key, _ = probe
+    if kind == "atom":
+        return bool(g.atom_bits[x, key])
+    if kind == "nominal":
+        return x in g.individual_nodes.get(key, ())
+    return bool(g.self_bits[x, key])
+
+
+def _label_literal(probe, holds: bool) -> Concept:
+    kind, _, name = probe
+    node = {"atom": ConceptName, "nominal": Nominal, "self": HasSelf}[kind](name)
+    return node if holds else Not(node)
+
+
+def _count_literal(trace: RefinementTrace, s: int, cx: int, cy: int, target: Concept) -> Concept:
+    """A literal on the edges along splitter role s into target: true at
+    an element with cx of them, false at one with cy (without counting,
+    only whether there is one counts)."""
+    role = _role_node(trace, s)
+    if trace.use_counts:
+        return AtLeast(cx, role, target) if cx > cy else AtMost(cx, role, target)
+    return Some(role, target) if cx else Not(Some(role, target))
+
+
+class _LevelWitness:
+    """Separating concepts read off the levels of the signature rounds.
+
+    Two elements share a block of level d exactly when they agree on
+    every concept of modal depth at most d, so a pair that first parts
+    at level d gets a concept of depth d, and none is shallower.  At
+    level 0 that is a label literal.  At level d > 0 the two share a
+    level d-1 block, and along some splitter role s they differ in the
+    set (with counting, the multiset) of level d-1 blocks that their
+    s-successors lie in.  A degree literal (`some s top`, or with
+    counting `atleast k s top`) is taken when one tells them apart.
+    Otherwise the concept counts the s-successors in Char, for a block
+    C that the two have different numbers of s-successors in: Char
+    conjoins C's separations from the other blocks of the element with
+    fewer, whose count into Char is then exactly its count into C, while
+    the other's is at least its own.  Of the (s, C) that qualify, the one
+    with the fewest conjuncts is taken.  Separations are memoised per
+    (level, block of x, block of y).
+    """
+
+    def __init__(self, trace: RefinementTrace):
+        self.trace = trace
+        g = trace.graph
+        self.levels = [block_of for block_of, _ in trace.levels]
+        self.adjacency = [(g.fwd_indptr[s], g.fwd_indices) for s in range(g.n_roles)]
+        if trace.phi.inverse:
+            self.adjacency += [(g.rev_indptr[s], g.rev_indices) for s in range(g.n_roles)]
+        self.memo: dict[tuple[int, int, int], Concept] = {}
+
+    def separate(self, x: int, y: int) -> Concept:
+        """A concept true at x and false at y, which some level parts."""
+        d = next(d for d, block_of in enumerate(self.levels) if block_of[x] != block_of[y])
+        key = (d, int(self.levels[d][x]), int(self.levels[d][y]))
+        if key not in self.memo:
+            self.memo[key] = self._build(d, x, y)
+        return self.memo[key]
+
+    def _successors(self, d: int, s: int, x: int) -> dict[int, tuple[int, int]]:
+        """Per level d block of x's s-successors: a member, and x's edge count into it."""
+        indptr, indices = self.adjacency[s]
+        succ = indices[indptr[x]:indptr[x + 1]]
+        blocks, first, counts = np.unique(self.levels[d][succ], return_index=True,
+                                          return_counts=True)
+        return dict(zip(blocks.tolist(), zip(succ[first].tolist(), counts.tolist())))
+
+    def _build(self, d: int, x: int, y: int) -> Concept:
+        trace = self.trace
+        if d == 0:
+            for probe in _label_probes(trace):
+                holds = _label_value(trace, probe, x)
+                if holds != _label_value(trace, probe, y):
+                    return _label_literal(probe, holds)
+            raise BisimError("internal: label blocks differ but labels agree")
+        sides = [(self._successors(d - 1, s, x), self._successors(d - 1, s, y))
+                 for s in range(trace.n_split_roles)]
+        for s, (sx, sy) in enumerate(sides):
+            dx = sum(count for _, count in sx.values())
+            dy = sum(count for _, count in sy.values())
+            if (dx != dy) if trace.use_counts else (bool(dx) != bool(dy)):
+                return _count_literal(trace, s, dx, dy, Top())
+        best = None
+        for s, (sx, sy) in enumerate(sides):
+            for c in sorted(sx.keys() | sy.keys()):
+                cx, cy = (side[c][1] if c in side else 0 for side in (sx, sy))
+                if (cx == cy) if trace.use_counts else (bool(cx) == bool(cy)):
+                    continue
+                others = sy if cx > cy else sx
+                cost = len(others) - (c in others)
+                if best is None or cost < best[0]:
+                    best = (cost, s, c, cx, cy, others)
+        if best is None:
+            raise BisimError("internal: level blocks differ but signatures agree")
+        _, s, c, cx, cy, others = best
+        member = (sides[s][0] if c in sides[s][0] else sides[s][1])[c][0]
+        char = _conjoin([self.separate(member, others[o][0]) for o in sorted(others) if o != c])
+        return _count_literal(trace, s, cx, cy, char)
+
+
 class _WitnessBuilder:
     """Replays a trace; builds characteristic and separating concepts."""
 
     def __init__(self, trace: RefinementTrace):
         self.trace = trace
         g = trace.graph
-        sig = g.signature
-        self.sig = sig
         # A zone is a block's fact history as a linked list: zone z is
         # (event index, class, zone before it), sub-blocks share their
         # parent's zone, and zones 0..n_init-1 are the empty histories of
@@ -162,16 +280,16 @@ class _WitnessBuilder:
         self.zone_of = zone_of
         self.target = target
         self.compound_zone = compound_zone
-        self.init_rep: dict[int, int] = {}
-        for x in range(g.n):
-            self.init_rep.setdefault(int(trace.init_block_of[x]), x)
+        # each initial block's first member
+        blocks, first = np.unique(trace.init_block_of, return_index=True)
+        self.init_rep = dict(zip(blocks.tolist(), first.tolist()))
         _, _, self.degrees = _splitter_structures(trace.phi, g)
         # without counting, an initial block's "has an edge" literal for a
         # role follows from its labels unless the pre-split cut its label
         # block along that role: only those (role, label block) pairs need it
         self.mixed: set[tuple[int, int]] = set()
         if not trace.use_counts:
-            self.labels = econd_partition(trace.phi, g).block_of
+            self.labels = trace.levels[0][0]
             for s, has in enumerate(self.degrees > 0):
                 both = np.intersect1d(self.labels[has], self.labels[~has])
                 self.mixed.update((s, int(b)) for b in both)
@@ -179,43 +297,21 @@ class _WitnessBuilder:
         self._compound_memo: dict[int, Concept] = {}
 
     def _init_probes(self):
-        g = self.trace.graph
-        phi = self.trace.phi
-        for a_idx, a in enumerate(self.sig.concept_names):
-            yield ("atom", a_idx, a)
-        if phi.nominals:
-            for a in self.sig.individual_names:
-                yield ("nominal", a, a)
-        if phi.local_refl:
-            for r_idx, r in enumerate(self.sig.role_names):
-                yield ("self", r_idx, r)
+        yield from _label_probes(self.trace)
         for s in range(self.trace.n_split_roles):
             yield ("degree", s, None)
 
     def _probe_value(self, probe, x: int):
-        g = self.trace.graph
-        kind, key, name = probe
-        if kind == "atom":
-            return bool(g.atom_bits[x, key])
-        if kind == "nominal":
-            return x in g.individual_nodes.get(key, ())
-        if kind == "self":
-            return bool(g.self_bits[x, key])
+        kind, key, _ = probe
+        if kind != "degree":
+            return _label_value(self.trace, probe, x)
         degree = int(self.degrees[key, x])
         return degree if self.trace.use_counts else degree > 0
 
     def _probe_literal(self, probe, vx, vy) -> Concept:
-        kind, key, name = probe
-        if kind == "atom":
-            return ConceptName(name) if vx else Not(ConceptName(name))
-        if kind == "nominal":
-            return Nominal(name) if vx else Not(Nominal(name))
-        if kind == "self":
-            return HasSelf(name) if vx else Not(HasSelf(name))
-        role = _role_node(self.trace, key)
-        if not self.trace.use_counts:
-            return Some(role, Top()) if vx else Not(Some(role, Top()))
-        return AtLeast(vx, role, Top()) if vx > vy else AtMost(vx, role, Top())
+        if probe[0] != "degree":
+            return _label_literal(probe, vx)
+        return _count_literal(self.trace, probe[1], vx, vy, Top())
 
     def init_literals(self, rep: int) -> list[Concept]:
         out: list[Concept] = []
@@ -341,15 +437,11 @@ class _WitnessBuilder:
             if ex != ey:
                 raise BisimError("internal: histories diverge on different events")
             ev = trace.events[ex]
-            role = _role_node(trace, ev.role)
-            target = self.char(self.target[ex])
-            if trace.use_counts:
-                return AtLeast(cx, role, target) if cx > cy else AtMost(cx, role, target)
-            if cx and cy:
+            if cx and cy and not trace.use_counts:
                 # classes 1 and 2 differ on edges into S without the splitter
-                into_rest = Some(role, self._compound(self.rest[ex]))
+                into_rest = Some(_role_node(trace, ev.role), self._compound(self.rest[ex]))
                 return into_rest if cx == 1 else Not(into_rest)
-            return Some(role, target) if cx else Not(Some(role, target))
+            return _count_literal(trace, ev.role, cx, cy, self.char(self.target[ex]))
         raise BisimError("internal: separated elements have matching histories")
 
 
@@ -362,7 +454,8 @@ class WitnessConcept:
 
 def separating_concept(interp: Interpretation, trace: RefinementTrace,
                        x: int, y: int) -> WitnessConcept:
-    """A concept satisfied by x but not by y, read off the trace.
+    """A concept satisfied by x but not by y, read off the trace: off its
+    levels when the signature rounds part the two, else off its loop.
 
     Raises NotSeparatedError when the two elements share a final block
     (then no concept of the traced language family separates them).
@@ -373,7 +466,11 @@ def separating_concept(interp: Interpretation, trace: RefinementTrace,
         raise ElementOutOfRangeError("element out of range for the traced graph")
     if x == y:
         raise NotSeparatedError("an element cannot be separated from itself")
-    concept = _WitnessBuilder(trace).separate(x, y)
+    last = trace.levels[-1][0]
+    if last[x] != last[y]:
+        concept = _LevelWitness(trace).separate(x, y)
+    else:
+        concept = _WitnessBuilder(trace).separate(x, y)
     ext = eval_concept(interp, concept, trace.phi)
     if x not in ext or y in ext:
         raise BisimError("internal: separating concept failed validation")

@@ -30,16 +30,20 @@ the refinement with three-way splits against compound splitters in
 O(m log n) edge scans.  A block B of a compound S splits every block by
 its edges into B and into S without B, in time linear in B's in-edges.
 
-refinement_trace records a refinement for the witness builder: the
+refinement_trace records a refinement for the witness builders.  It
+runs the signature rounds under the same stopping rule and keeps every
+partition they pass through as a level: level 0 is the label partition
+and level i round i's, so two elements share a block of level d exactly
+when they agree on every concept of modal depth at most d (see
+quotient).  The recorded loop runs on first read of its fields: the
 loop alone, from the label partition pre-split by per-role degree (with
 counting) or by per-role "has an edge" (without), the coarsest
 refinement of it that is stable against the whole domain, whose
 compounds start as the whole domain.  It records every split: which
 block split, against which splitter block along which role, at which
-step, into which classes, and from which compound.  The witness builder
-consumes this to assemble concepts separating two elements that ended
-up in different blocks.  Its blocks are compute_partition's, with other
-block ids.
+step, into which classes, and from which compound.  The witness
+builder reads it for pairs that the rounds leave in one block.  Its
+blocks are compute_partition's, with other block ids.
 """
 
 from __future__ import annotations
@@ -139,12 +143,7 @@ class SplitEvent:
     compound: int                      # row of RefinementTrace.compounds: S
 
 
-@dataclass(eq=False)
-class RefinementTrace:
-    graph: LabeledGraph
-    phi: FeatureSet
-    use_counts: bool
-    n_split_roles: int
+class _RecordedLoop(NamedTuple):
     init_block_of: np.ndarray
     final_block_of: np.ndarray
     n_blocks: int
@@ -154,6 +153,49 @@ class RefinementTrace:
     # n_split_roles rows are (-1, 0, -1), the whole domain; a step at time
     # t adds the splitter B and then S without B, the last row of time t
     compounds: np.ndarray
+
+
+class RefinementTrace:
+    """A refinement of graph for phi, recorded for the witness builders.
+
+    levels are the signature rounds' partitions as (block ids, block
+    count), level 0 the label partition.  The recorded loop's fields
+    (init_block_of, final_block_of, n_blocks, events, compounds) are
+    computed on first read.
+    """
+
+    def __init__(self, graph: LabeledGraph, phi: FeatureSet,
+                 levels: list[tuple[np.ndarray, int]], engine: str | None = None):
+        self.graph = graph
+        self.phi = phi
+        self.use_counts = bool(phi.counting)
+        self.n_split_roles = graph.n_roles * (2 if phi.inverse else 1)
+        self.levels = levels
+        self._engine = engine
+
+    @cached_property
+    def _loop(self) -> _RecordedLoop:
+        return _recorded_loop(self.phi, self.graph, self._engine)
+
+    @property
+    def init_block_of(self) -> np.ndarray:
+        return self._loop.init_block_of
+
+    @property
+    def final_block_of(self) -> np.ndarray:
+        return self._loop.final_block_of
+
+    @property
+    def n_blocks(self) -> int:
+        return self._loop.n_blocks
+
+    @property
+    def events(self) -> tuple[SplitEvent, ...]:
+        return self._loop.events
+
+    @property
+    def compounds(self) -> np.ndarray:
+        return self._loop.compounds
 
     def splitter_role(self, idx: int) -> tuple[str, bool]:
         """Role name and inverted flag for a splitter role index."""
@@ -375,17 +417,41 @@ def _record(function: str, phi: FeatureSet, graph: LabeledGraph, n_blocks: int,
                       "wall_s": time.perf_counter() - start})
 
 
+def _signature_rounds(phi: FeatureSet, graph: LabeledGraph, origin: np.ndarray,
+                      heads: np.ndarray, nsr: int):
+    """The signature rounds from the label partition, until the fixpoint,
+    all singletons, or a round that does not double the block count.
+
+    Returns every partition they pass through as (block ids, block
+    count), level 0 the label partition and level i round i's, the last
+    round's (element, compound) pairs (see _signature_round), and the
+    number of blocks the rounds split.
+    """
+    levels = [_group_rows(_label_columns(phi, graph), graph.n)]
+    pairs = None
+    round_splits = 0
+    while levels[-1][1] < graph.n:
+        block_of, k = levels[-1]
+        ids, total, split, pairs = _signature_round(block_of, k, origin, heads, nsr,
+                                                    bool(phi.counting))
+        round_splits += split
+        levels.append((ids, total))
+        if total < 2 * k:
+            break
+    return levels, pairs, round_splits
+
+
 def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = True,
                       engine: str | None = None) -> tuple[Partition, RefinementTrace | None]:
     """Coarsest partition refining the label partition and stable for phi.
 
     Returns the partition, with the counters of its rounds and loop, and,
-    when requested, the trace of refinement_trace, whose blocks are the
-    same with other block ids.  The partition never depends on
-    want_trace.  engine names the refinement loop, "numba" or "numpy";
-    None runs the one the install provides (see _kernels).  The result is
-    independent of the engine and deterministic: block ids depend only on
-    the graph and phi.
+    when requested, the trace that refinement_trace would return, built
+    from the rounds run here; its recorded loop runs before this returns.
+    The partition never depends on want_trace.  engine names the
+    refinement loop, "numba" or "numpy"; None runs the one the install
+    provides (see _kernels).  The result is independent of the engine and
+    deterministic: block ids depend only on the graph and phi.
     """
     start = time.perf_counter()
     loop = _kernels.get_refine_loop(engine)
@@ -393,36 +459,49 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     nsr = graph.n_roles * (2 if phi.inverse else 1)
     pred_indptr, pred_indices = _predecessors(phi, graph)
     origin, heads = _edge_ends(n, nsr, pred_indptr, pred_indices)
-    block_of, n_blocks = _group_rows(_label_columns(phi, graph), n)
-    against, n_against, pairs = None, 0, None
-    rounds = round_splits = 0
-    while n_blocks < n:
-        ids, k, split, pairs = _signature_round(block_of, n_blocks, origin, heads, nsr,
-                                                bool(phi.counting))
-        rounds += 1
-        round_splits += split
-        against, n_against, block_of, n_blocks = block_of, n_blocks, ids, k
-        if k < 2 * n_against:
-            break
+    levels, pairs, round_splits = _signature_rounds(phi, graph, origin, heads, nsr)
+    rounds = len(levels) - 1
+    if not want_trace:
+        del levels[:-2]  # the loop reads the last two
+    block_of, n_blocks = levels[-1]
+    against, n_against = levels[-2] if rounds else (None, 0)
 
     steps = scanned = splits = pushes = 0
     if n_against < n_blocks < n:
         # stable against the blocks the last round split: the loop's compounds
         block_of, n_blocks, _, _, (steps, scanned, splits, pushes) = _run_loop(
-            loop, phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, against, n_against,
-            pairs, False)
+            loop, phi, nsr, pred_indptr, pred_indices, block_of.copy(), n_blocks, against,
+            n_against, pairs, False)
     counters = Counters(steps, rounds * len(origin) + scanned, splits, pushes, rounds,
                         round_splits)
     partition = Partition(block_of, n_blocks, counters)
     _record("compute_partition", phi, graph, n_blocks, counters, start)
-    return partition, refinement_trace(phi, graph, engine) if want_trace else None
+    if not want_trace:
+        return partition, None
+    trace = RefinementTrace(graph, phi, levels, engine)
+    trace._loop  # the recorded loop runs here, among this call's recorded runs
+    return partition, trace
 
 
 def refinement_trace(phi: FeatureSet, graph: LabeledGraph,
                      engine: str | None = None) -> RefinementTrace:
-    """The recorded refinement: the loop alone, from the label partition
+    """The trace of phi's refinement of graph: the signature rounds now,
+    the recorded loop on first read of its fields (see RefinementTrace).
+    Its final blocks are compute_partition's."""
+    start = time.perf_counter()
+    nsr = graph.n_roles * (2 if phi.inverse else 1)
+    origin, heads = _edge_ends(graph.n, nsr, *_predecessors(phi, graph))
+    levels, _, round_splits = _signature_rounds(phi, graph, origin, heads, nsr)
+    rounds = len(levels) - 1
+    _record("refinement_trace", phi, graph, levels[-1][1],
+            Counters(0, rounds * len(origin), 0, 0, rounds, round_splits), start)
+    return RefinementTrace(graph, phi, levels, engine)
+
+
+def _recorded_loop(phi: FeatureSet, graph: LabeledGraph, engine: str | None) -> _RecordedLoop:
+    """The recording run: the loop alone, from the label partition
     pre-split by per-role degree, with the whole domain as each role's
-    first compound.  Its final blocks are compute_partition's."""
+    first compound."""
     start = time.perf_counter()
     loop = _kernels.get_refine_loop(engine)
     n = graph.n
@@ -445,10 +524,8 @@ def refinement_trace(phi: FeatureSet, graph: LabeledGraph,
         True)
     _record("refinement_trace", phi, graph, n_blocks, Counters(*counters, rounds=0, round_splits=0),
             start)
-    return RefinementTrace(
-        graph, phi, bool(phi.counting), nsr, init_ids, block_of, n_blocks,
-        tuple(SplitEvent(*e) for e in events), compounds,
-    )
+    return _RecordedLoop(init_ids, block_of, n_blocks,
+                         tuple(SplitEvent(*e) for e in events), compounds)
 
 
 def partition_to_relation(partition: Partition) -> BisimRelation:

@@ -4,8 +4,8 @@ Seeded instance generators, an exhaustive concept enumerator (subterms
 are shared, so one memoising Evaluator prices each enumerated concept at
 a single set operation), recursive tree printers that the iterative DAG
 printers are checked against, an independent matrix-based model checker, a
-brute-force role closure oracle, and a trace replayer that recomputes
-every recorded split from the graph alone.
+brute-force role closure oracle, the modal depth of a concept, and a
+trace replayer that recomputes every recorded split from the graph alone.
 """
 
 from __future__ import annotations
@@ -412,6 +412,16 @@ def closure_oracle(interp: Interpretation, axioms) -> dict[str, frozenset]:
                 rel[ax.role] |= add
                 changed = True
     return {r: frozenset(v) for r, v in rel.items()}
+
+
+def modal_depth(node, memo=None) -> int:
+    """Nesting depth of the role restrictions (some, all, atleast,
+    atmost) in a term; names, nominals, self and the constants have 0."""
+    memo = {} if memo is None else memo
+    if id(node) not in memo:
+        below = max((modal_depth(kid, memo) for kid in sx.children(node)), default=0)
+        memo[id(node)] = below + isinstance(node, (sx.Some, sx.All, sx.AtLeast, sx.AtMost))
+    return memo[id(node)]
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ class TestWitness:
     def test_nested_witness(self):
         out = run("witness", "-i", FIG2, "-I", "I1", "--phi", "", "-l", "c", "-r", "a")
         assert out.returncode == 0
-        assert out.stdout == "some r ((not F and M) and not some r top)\n"
+        assert out.stdout == "some r F\n"
 
     def test_counting_witness(self):
         out = run("witness", "-i", FIG2, "-I", "I2", "--phi", "Q", "-l", "v1", "-r", "v3")
@@ -264,7 +264,7 @@ class TestWitness:
         from dlbisim import cli
         from dlbisim.syntax import ast_size, parse_concept
 
-        text = "some r ((not F and M) and not some r top)"
+        text = "some r F"
         size = ast_size(parse_concept(text))
         argv = ["witness", "-i", FIG2, "-I", "I1", "--phi", "", "-l", "c", "-r", "a"]
         monkeypatch.setattr(cli, "WITNESS_LIMIT", size - 1)

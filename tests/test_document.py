@@ -6,6 +6,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helpers as H
@@ -21,6 +22,7 @@ from dlbisim.core import (
 from dlbisim.document import (
     IndexNames,
     InterpretationBody,
+    dumps_blocks,
     dumps_document,
     interpretation_to_json,
     load_workspace,
@@ -30,7 +32,7 @@ from dlbisim.document import (
 from dlbisim.errors import DocumentError, ElementOutOfRangeError, ParseError, UnknownNameError
 from dlbisim.gen import make_signature, random_interpretation
 from dlbisim.quotient import qs_quotient
-from dlbisim.refine import compute_partition
+from dlbisim.refine import Partition, compute_partition
 
 ROOT = Path(__file__).resolve().parent.parent
 FIG2 = str(ROOT / "tests" / "fixtures" / "fig2.kbi")
@@ -265,6 +267,19 @@ class TestWriter:
         assert plain["self_loops"] == {"r0": ["q"], "r1": []}
         body = {"I": InterpretationBody(interp, ("p", "q"), qsi)}
         assert dumps_document(body) == _canonical({"I": plain})
+
+    def test_blocks_are_written_as_json_dumps_writes_them(self):
+        rng = H.seeded(212)
+        for trial in range(60):
+            n = rng.randint(1, 14)
+            ids, block_of = np.unique([rng.randrange(rng.randint(1, n)) for _ in range(n)],
+                                      return_inverse=True)
+            part = Partition(block_of, len(ids))
+            names = IndexNames(n) if trial % 3 == 0 else _weird_names(rng, n)
+            blocks = [[names[x] for x in part.blocks[b]] for b in part.canonical_order]
+            order, bounds = part._runs
+            assert dumps_blocks(order, bounds, part.canonical_order, names) == \
+                _canonical({"blocks": blocks})
 
     def test_plain_documents(self):
         for doc in ({}, {"a": []}, {"b": {"c": [1, [2, "x"]], "a": None}, "a": True}, [1, {}]):

@@ -29,7 +29,7 @@ from dlbisim.errors import (
 )
 from dlbisim.gen import make_signature, random_interpretation
 from dlbisim.quotient import qs_quotient, quotient_interpretation, separating_concept
-from dlbisim.refine import Partition, compute_partition
+from dlbisim.refine import Partition, compute_partition, refinement_trace
 from dlbisim.semantics import (
     check_assertion,
     check_gci,
@@ -572,6 +572,47 @@ class TestSeparatingConcepts:
                 if not part.same_block(x, x + 1):
                     size = sx.ast_size(separating_concept(interp, trace, x, x + 1).concept)
                     assert size <= WITNESS_LIMIT, (str(phi), x)
+
+
+    def test_level_witnesses_have_the_parting_depth(self):
+        # level d blocks agree on every concept of modal depth d, so a pair
+        # that the rounds first part at level d has no shallower witness
+        rng = H.seeded(9100)
+        depths = Counter()
+        for _ in range(40):
+            inst = H.small_instance(rng, max_n=12)
+            graph = to_labeled_graph(inst)
+            for phi in H.ALL_PHIS:
+                trace = refinement_trace(phi, graph)
+                levels = [block_of for block_of, _ in trace.levels]
+                for x, y in itertools.permutations(range(inst.n), 2):
+                    depth = next((d for d, ids in enumerate(levels) if ids[x] != ids[y]), None)
+                    if depth is None:
+                        continue
+                    witness = separating_concept(inst, trace, x, y)
+                    ext = eval_concept(inst, witness.concept, phi)
+                    assert x in ext and y not in ext
+                    assert H.modal_depth(witness.concept) == depth, (str(phi), x, y)
+                    depths[depth] += 1
+        assert depths[0] > 1000 and depths[1] > 1000 and depths[2] > 100, depths
+
+    @pytest.mark.parametrize("seed", [79, 80, 81])
+    def test_witnesses_on_a_sparse_random_model_are_small(self, seed):
+        # the model of the test above, whose pairs all part within two rounds
+        rng = H.seeded(seed)
+        n = 600
+        concepts = {a: {x for x in range(n) if rng.random() < 0.1} for a in ("A0", "A1")}
+        roles = {r: {(x, rng.randrange(n)) for x in range(n) for _ in range(2)}
+                 for r in ("r0", "r1", "r2")}
+        interp = build_interpretation(make_signature(2, 3, 0), n, concepts, roles, {})
+        graph = to_labeled_graph(interp)
+        for phi in (EMPTY, FeatureSet.from_string("I")):
+            part, _ = compute_partition(phi, graph, want_trace=False)
+            trace = refinement_trace(phi, graph)
+            for x in range(n - 1):
+                if not part.same_block(x, x + 1):
+                    size = sx.ast_size(separating_concept(interp, trace, x, x + 1).concept)
+                    assert size <= 64, (str(phi), x, size)
 
 
 def dag_nodes(root) -> int:

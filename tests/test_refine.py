@@ -27,6 +27,7 @@ from dlbisim.refine import (
     econd_partition,
     partition_to_relation,
     recorded_runs,
+    refinement_trace,
 )
 from dlbisim.semantics import eval_concept
 
@@ -333,6 +334,27 @@ class TestCounters:
         assert runs[0]["blocks"] == part.n_blocks and runs[0]["wall_s"] >= 0
 
 
+    def test_level_witnesses_run_no_recorded_loop(self):
+        interp = H.sparse_model(H.seeded(3), 300)
+        graph = to_labeled_graph(interp)
+        phi = FeatureSet.from_string("Q")
+        with recorded_runs() as runs:
+            trace = refinement_trace(phi, graph)
+            last = trace.levels[-1][0]
+            y = int(np.flatnonzero(last != last[0])[0])
+            separating_concept(interp, trace, 0, y)
+        assert [r["function"] for r in runs] == ["refinement_trace"]
+        assert runs[0]["counters"]["extractions"] == 0
+        assert runs[0]["counters"]["rounds"] == len(trace.levels) - 1
+        # a pair that the rounds leave in one block reads the loop, run once
+        path = H.marked_path(50)
+        with recorded_runs() as runs:
+            trace = refinement_trace(FeatureSet(), to_labeled_graph(path))
+            for x in (0, 1):
+                separating_concept(path, trace, x, x + 1)
+        assert [r["counters"]["extractions"] > 0 for r in runs] == [False, True]
+
+
 class TestUniversalRoleNeverSplits:
     def test_adding_u_changes_nothing(self):
         rng = H.seeded(406)
@@ -453,6 +475,26 @@ class TestSignatureRounds:
         assert part.counters.rounds >= 2 and part.n_blocks < interp.n
         oracle = naive_largest_bisimulation(phi, interp, interp)
         assert partition_to_relation(part).pairs == oracle.pairs
+
+    def test_levels_are_the_rounds(self):
+        rng = H.seeded(413)
+        shapes = [H.small_instance(rng, max_n=20) for _ in range(8)] + list(THREE_WAY_SHAPES)
+        for shape in shapes + [CUT_UNION, H.sparse_model(H.seeded(3), 300)]:
+            graph = as_graph(shape)
+            for phi in H.ALL_PHIS[::3]:
+                part, trace = compute_partition(phi, graph, want_trace=True)
+                levels = refinement_trace(phi, graph).levels
+                assert len(levels) == len(trace.levels) == part.counters.rounds + 1
+                for (ids, k), (traced, traced_k) in zip(levels, trace.levels):
+                    assert np.array_equal(ids, traced) and k == traced_k
+                    assert k == len(np.unique(ids))
+                assert np.array_equal(levels[0][0], econd_partition(phi, graph).block_of)
+                # each level refines the one before, and the result the last
+                for (coarse, _), (fine, k) in zip(levels, levels[1:] + [(part.block_of, 0)]):
+                    assert len(set(zip(coarse.tolist(), fine.tolist()))) == len(np.unique(fine))
+                # the last level is the partition the loop resumes from
+                if part.counters.extractions == 0:
+                    assert np.array_equal(part.block_of, levels[-1][0]), str(phi)
 
     def test_traced_partition_has_the_trace_blocks(self):
         rng = H.seeded(412)
