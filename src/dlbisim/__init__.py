@@ -25,7 +25,9 @@ What is here:
   built only on request), and a slow reference fixpoint for cross
   checking,
 - quotients, multiplicity-annotated quotients, and concepts witnessing
-  why two elements fell into different blocks,
+  why two elements fell into different blocks, of the least modal depth,
+  read off the partitions of the signature rounds (refinement_trace
+  keeps them as levels and runs rounds until the two part),
 - a JSON document format and a CLI exposing all of the above.
 """
 

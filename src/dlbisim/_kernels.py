@@ -2,8 +2,8 @@
 
 Two sources implement one algorithm.  _three_way_loop works on
 preallocated numpy arrays and is compiled with numba's @njit when numba
-imports; _array_loop allocates its scratch and trace arrays, runs it and
-decodes the trace it records (the "numba" engine).  _refine_list_loop is
+imports; _array_loop allocates its scratch arrays and runs it (the
+"numba" engine).  _refine_list_loop is
 the same loop written for CPython over Python lists and dicts (the
 "numpy" engine), since interpreting the array loop on numpy scalars is
 several times slower.  The engine is a fact of the install: numba when
@@ -12,20 +12,10 @@ either engine, so that tests and `dlbisim bench` can compare them.
 
 Both engines' loops take (n, nsr, pred_indptr, pred_indices, block_of,
 elems, pos, first, last, nblocks0, against, n_against, pairs,
-use_counts, record), leave the final block ids in block_of and return
-(block_of, block count, events, compounds, counters).  An event is a
-(parent, role, splitter, time, subs, compound) tuple, subs the (block
-id, class) pairs the parent split into, in layout order, and compound
-the row of compounds the splitter was taken from.  compounds is a (k,
-3) int64 array of rows (block, time, minus).  The first nsr rows are
-(-1, 0, -1), the whole domain; a step at time t adds two, the splitter
-B as (B, t, -1) and then S without B as (B, t, row of S), or as (its
-one block, t, -1) when only one block is left.  A row (block, t, -1) is
-the set the block held just before step t.  Events and compounds are
-recorded only when record is set, which needs the whole domain as the
-start (n_against 1).  counters is (steps, edges scanned, splits, queue
-pushes).  Both loops give the same partition, block ids, events,
-compounds and counters.  The test suite establishes this: it compares
+use_counts), leave the final block ids in block_of and return
+(block_of, block count, counters), counters being (steps, edges
+scanned, splits, queue pushes).  Both loops give the same partition,
+block ids and counters.  The test suite establishes this: it compares
 _refine_list_loop with _array_loop over the uncompiled kernels on
 random instances and on adversarial shapes, for every feature set, and
 with the compiled kernels where numba imports.
@@ -37,9 +27,8 @@ caller passes the blocks of block_of and a coarser partition against,
 of n_against blocks, that every block is stable with respect to along
 every splitter role (with counting, the elements of a block have equal
 numbers of edges into each of its blocks; without, all or none of them
-have one).  Each block of against is the first compound of every role:
-the whole domain after the degree pre-split, the blocks the last
-signature round split against after the rounds (see refine).  Per role,
+have one).  Each block of against is the first compound of every role: the
+blocks the last signature round split (see refine).  Per role,
 compounds are unions of blocks that partition the domain, and every
 block is stable with respect to every compound.  A step takes a
 compound S of two blocks or more; the smaller B of its first two blocks
@@ -52,8 +41,7 @@ no edge into B, 1 edges into B and into S without B, 2 edges into B
 only.  Each element's compound at least halves whenever its in-edges
 are scanned, which bounds the edges scanned by O(m log n).  Sub-blocks
 join their parent's compound of every role at its tail, so B is the
-smaller of the compound's two oldest blocks: their histories are short,
-and so are the separating concepts read off the trace (see quotient).
+smaller of the compound's two oldest blocks.
 """
 
 from bisect import bisect_left
@@ -68,8 +56,7 @@ except ImportError:  # numba is an optional extra; _refine_list_loop runs withou
     HAVE_NUMBA = False
 
 
-def _cut_block(b, keys, base_key, nblocks, block_of, elems, pos, first, last,
-               record, sub_block, sub_count, nsub):
+def _cut_block(b, keys, base_key, nblocks, block_of, elems, pos, first, last):
     """Split block b by its touched elements, keys = class * base_key + x
     in ascending order: they move to the back of b's segment in key order,
     one sub-block per class; the untouched rest is class 0 and keeps b."""
@@ -92,10 +79,6 @@ def _cut_block(b, keys, base_key, nblocks, block_of, elems, pos, first, last,
     if nu > 0:
         last[b] = fb + nu
         residual_used = True
-        if record:
-            sub_block[nsub] = b
-            sub_count[nsub] = 0
-            nsub += 1
     seg = fb + nu
     ii = 0
     while ii < ntb:
@@ -114,13 +97,9 @@ def _cut_block(b, keys, base_key, nblocks, block_of, elems, pos, first, last,
                 block_of[elems[qq]] = cid
         first[cid] = seg
         last[cid] = seg + size_c
-        if record:
-            sub_block[nsub] = cid
-            sub_count[nsub] = cnt
-            nsub += 1
         seg += size_c
         ii = jj
-    return nblocks, nsub
+    return nblocks
 
 
 def _bucket(nt, touched, block_of, tb_cnt, tb_start, tb_fill, affected, tlist):
@@ -157,22 +136,15 @@ else:
 
 
 def _three_way_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-                    nblocks, use_counts, record, nroot, comp, head, tail, nbl, nlive, crole, nxt,
-                    prv, work, qtail, rec, rc, nrec, counts, newrec, oldrec, free, touched, tlist,
-                    tb_cnt, tb_start, tb_fill, affected, sort_keys, counters,
-                    ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start, ev_compound,
-                    sub_block, sub_count, cm, ctid):
+                    nblocks, use_counts, nroot, comp, head, tail, nbl, nlive, crole, nxt, prv,
+                    work, qtail, rec, rc, nrec, counts, newrec, oldrec, free, touched, tlist,
+                    tb_cnt, tb_start, tb_fill, affected, sort_keys, counters):
     """The loop over the state _compound_setup built, with nroot root
-    compounds; cm[:, k] = (block, time, minus) of compound row k, the nsr
-    root rows already set.  Returns the block, event, sub-block and
-    compound row counts."""
+    compounds.  Returns the block count."""
     base_key = np.int64(n + 1)
     qhead = 0
     nfree = 0
     ncomp = nroot
-    ncm = nsr
-    nev = 0
-    nsub = 0
     t = 0
     while qhead < qtail and nblocks < n:
         c = work[qhead]
@@ -206,22 +178,6 @@ def _three_way_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, fir
         nbl[cb] = 1
         comp[sl] = cb
         t += 1
-        sc = -1
-        if record:
-            sc = ctid[c]
-            cm[0, ncm] = bb
-            cm[1, ncm] = t
-            cm[2, ncm] = -1
-            ctid[cb] = ncm
-            cm[1, ncm + 1] = t
-            if nbl[c] == 1:
-                cm[0, ncm + 1] = head[c]
-                cm[2, ncm + 1] = -1
-            else:
-                cm[0, ncm + 1] = bb
-                cm[2, ncm + 1] = sc
-            ctid[c] = ncm + 1
-            ncm += 2
 
         # counts[x] = number of edges x -> (member of bb) along s, for x in
         # larger blocks (a singleton block never splits); without counting,
@@ -286,19 +242,10 @@ def _three_way_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, fir
             if ntb == sz and keys[0] // base_key == keys[ntb - 1] // base_key:
                 continue
 
-            if record:
-                ev_parent[nev] = b
-                ev_role[nev] = s
-                ev_yblock[nev] = bb
-                ev_time[nev] = t
-                ev_compound[nev] = sc
             first_new = nblocks
-            nblocks, nsub = _cut_block_jit(b, keys, base_key, nblocks, block_of, elems, pos,
-                                           first, last, record, sub_block, sub_count, nsub)
+            nblocks = _cut_block_jit(b, keys, base_key, nblocks, block_of, elems, pos, first,
+                                     last)
             counters[2] += 1
-            if record:
-                nev += 1
-                ev_sub_start[nev] = nsub
 
             # sub-blocks follow their parent into its compound of every
             # role, at its tail; a compound reaching two blocks is queued
@@ -320,7 +267,7 @@ def _three_way_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, fir
 
     counters[0] = t
     counters[3] = qtail
-    return nblocks, nev, nsub, ncm
+    return nblocks
 
 
 if HAVE_NUMBA:
@@ -336,13 +283,12 @@ def _compound_setup(n, nsr, block_of, first, last, nblocks, against, n_against, 
     against[x] is the block of element x in a coarser partition of
     n_against blocks that every block is stable against along every
     splitter role.  Compound s * n_against + C, for splitter role s and
-    block C of it, holds the blocks inside C, in id order.  A run from the
-    pre-split has the whole domain as its one block (against all 0), so
-    compound s is the whole domain along s.  pairs = (keys, distinct,
-    count) are the (element, compound) pairs over the edges, each as the
-    key element * nsr * n_against + compound: the key of each edge of
-    pred_indices, the distinct keys in ascending order, and the number of
-    edges of each.
+    block C of it, holds the blocks inside C, in id order; when against
+    has one block (all 0), compound s is the whole domain along s.
+    pairs = (keys, distinct, count) are the (element, compound) pairs
+    over the edges, each as the key element * nsr * n_against + compound:
+    the key of each edge of pred_indices, the distinct keys in ascending
+    order, and the number of edges of each.
 
     A singleton block never splits.  So, without counting, only elements
     of larger blocks keep records: one per pair, counting its edges.
@@ -401,27 +347,10 @@ def _compound_setup(n, nsr, block_of, first, last, nblocks, against, n_against, 
 
 
 def _array_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-                nblocks0, against, n_against, pairs, use_counts, record):
-    """_three_way_loop_jit on _compound_setup's state and fresh scratch
-    and trace arrays, its events decoded."""
-    # every split makes a new block: at most n events and 2n sub-blocks
-    ne = n + 1 if record else 1
-    ev_parent = np.zeros(ne, dtype=np.int32)
-    ev_role = np.zeros(ne, dtype=np.int32)
-    ev_yblock = np.zeros(ne, dtype=np.int32)
-    ev_time = np.zeros(ne, dtype=np.int64)
-    ev_sub_start = np.zeros(ne + 1, dtype=np.int32)
-    ev_compound = np.zeros(ne, dtype=np.int64)
-    sub_block = np.zeros(2 * ne, dtype=np.int32)
-    sub_count = np.zeros(2 * ne, dtype=np.int64)
+                nblocks0, against, n_against, pairs, use_counts):
+    """_three_way_loop_jit on _compound_setup's state and fresh scratch arrays."""
     counters = np.zeros(4, dtype=np.int64)   # steps, edges scanned, splits, pushes
-    # each step adds two compound rows to the nsr roots
-    cm = np.zeros((3, 2 * n * nsr + nsr + 1 if record else 1), dtype=np.int64)
-    ncm = 0
-    if record:
-        cm[:, :nsr] = np.array([[-1], [0], [-1]])
-        ncm = nsr
-    nblocks, nev, nsub = nblocks0, 0, 0
+    nblocks = nblocks0
     if 1 < nblocks0 < n:
         comp, nxt, prv, head, tail, nbl, nlive, crole, queue, live, rkey, rc = _compound_setup(
             n, nsr, block_of, first, last, nblocks0, against, n_against, pairs, use_counts)
@@ -435,9 +364,9 @@ def _array_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, 
         # step or as a root
         work = np.zeros(2 * n * nsr + 2, dtype=np.int64)
         work[:len(queue)] = queue
-        nblocks, nev, nsub, ncm = _three_way_loop_jit(
+        nblocks = _three_way_loop_jit(
             n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-            nblocks0, use_counts, record, n_against * nsr, comp, head, tail, nbl, nlive, crole,
+            nblocks0, use_counts, n_against * nsr, comp, head, tail, nbl, nlive, crole,
             nxt, prv, work, len(queue), rec, rc, len(rkey),
             np.zeros(n, dtype=np.int64),                                      # counts
             np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),         # newrec, oldrec
@@ -446,22 +375,12 @@ def _array_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, 
             np.zeros(n + 1, dtype=np.int32), np.zeros(n + 1, dtype=np.int32),  # tb_cnt, tb_start
             np.zeros(n + 1, dtype=np.int32), np.zeros(n, dtype=np.int32),     # tb_fill, affected
             np.zeros(n, dtype=np.int64), counters,                            # sort_keys
-            ev_parent, ev_role, ev_yblock, ev_time, ev_sub_start, ev_compound,
-            sub_block, sub_count, cm,
-            np.arange(n * nsr + 1, dtype=np.int64) if record else cm[0],    # ctid
         )
-    subs = list(zip(sub_block[:nsub].tolist(), sub_count[:nsub].tolist()))
-    starts = ev_sub_start[:nev + 1].tolist()
-    events = [(b, role, yblk, when, tuple(subs[starts[e]:starts[e + 1]]), sc)
-              for e, (b, role, yblk, when, sc) in enumerate(zip(
-                  ev_parent[:nev].tolist(), ev_role[:nev].tolist(),
-                  ev_yblock[:nev].tolist(), ev_time[:nev].tolist(),
-                  ev_compound[:nev].tolist()))]
-    return block_of, int(nblocks), events, cm[:, :ncm].T.copy(), tuple(counters.tolist())
+    return block_of, int(nblocks), tuple(counters.tolist())
 
 
 def _cut_list(b, keys, base, blk, el, ps, fst, lst, nblocks):
-    """_cut_block over lists; returns the block count and the subs."""
+    """_cut_block over lists; returns the block count."""
     ntb = len(keys)
     fb = fst[b]
     lb = lst[b]
@@ -477,17 +396,15 @@ def _cut_list(b, keys, base, blk, el, ps, fst, lst, nblocks):
         tpos += 1
 
     nu = lb - fb - ntb
-    subs = []
     if nu:
         lst[b] = fb + nu
-        subs.append((b, 0))
     seg = fb + nu
     ii = 0
     while ii < ntb:
         c = keys[ii] // base
         jj = bisect_left(keys, (c + 1) * base, ii)
         end = seg + jj - ii
-        if subs:
+        if nu or ii:
             cid = nblocks
             nblocks += 1
             for q in range(seg, end):
@@ -496,14 +413,13 @@ def _cut_list(b, keys, base, blk, el, ps, fst, lst, nblocks):
             cid = b
         fst[cid] = seg
         lst[cid] = end
-        subs.append((cid, c))
         seg = end
         ii = jj
-    return nblocks, subs
+    return nblocks
 
 
 def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-                      nblocks0, against, n_against, pairs, use_counts, record):
+                      nblocks0, against, n_against, pairs, use_counts):
     """_three_way_loop for CPython, run over Python lists.
 
     The arrays are read into lists on entry, because CPython indexes a
@@ -513,11 +429,9 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
     keyed x * (n * nsr + 1) + compound, so that a step counts edges per
     touched element instead of moving each edge between records.
     Touched elements are ordered by sorted() on the keys the kernel
-    sorts; the keys are unique, so both orders, and hence block ids and
-    the events, agree.
+    sorts; the keys are unique, so both orders, and hence the block ids,
+    agree.
     """
-    events = []
-    made = [-1, 0, -1] * nsr if record else []   # block, time, minus of each compound row
     t = scanned = splits = pushes = 0
     nblocks = nblocks0
     if 1 < nblocks0 < n:
@@ -530,7 +444,6 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
         head, tail, nbl, nlive, crole = (
             a[:n_against * nsr].tolist() for a in (head, tail, nbl, nlive, crole))
         recs = dict(zip(rkey.tolist(), rc[:len(rkey)].tolist()))
-        ctid = list(range(nsr))
         ptr = pred_indptr.tolist()
         idx = pred_indices.tolist()
         blk = block_of.tolist()
@@ -571,13 +484,6 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
             nbl.append(1)
             comp[sl] = cb
             t += 1
-            sc = -1
-            if record:
-                sc = ctid[c]
-                ctid.append(len(made) // 3)
-                ctid[c] = ctid[cb] + 1
-                made += (bb, t, -1)
-                made += (head[c], t, -1) if nbl[c] == 1 else (bb, t, sc)
 
             # cnt[x] = number of edges x -> (member of bb) along s
             ip = ptr[s]
@@ -626,10 +532,8 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
                 if len(keys) == lst[b] - fst[b] and keys[0] // base == keys[-1] // base:
                     continue
                 first_new = nblocks
-                nblocks, subs = _cut_list(b, keys, base, blk, el, ps, fst, lst, nblocks)
+                nblocks = _cut_list(b, keys, base, blk, el, ps, fst, lst, nblocks)
                 splits += 1
-                if record:
-                    events.append((b, s, bb, t, tuple(subs), sc))
 
                 # sub-blocks follow their parent into its compound of every
                 # role, at its tail; a compound reaching two blocks is queued
@@ -646,8 +550,7 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
                             work.append(pc)
         pushes = len(work)
         block_of[:] = blk
-    compounds = np.array(made, dtype=np.int64).reshape(-1, 3)
-    return block_of, nblocks, events, compounds, (t, scanned, splits, pushes)
+    return block_of, nblocks, (t, scanned, splits, pushes)
 
 
 def active_engine() -> str:

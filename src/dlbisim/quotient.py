@@ -9,14 +9,12 @@ see the structure the plain quotient forgets.
 
 `separating_concept` turns a refinement trace into a certificate: a
 concept satisfied by one of two elements in different blocks and not by
-the other.  A pair that the signature rounds part gets a concept of the
-least modal depth, read off the rounds' levels (Cleaveland 1990, "On
-automatically explaining bisimulation inequivalence").  A pair that they
-leave in one block gets one read off the recorded loop, which replays
-its splits; these can nest as deep as the loop ran.  Neither tries to
-minimize size, which is NP-hard (Martens & Groote 2023).  Every
-certificate is re-evaluated before being returned, so a returned
-witness is always valid.
+the other.  The trace runs signature rounds until the two part, and the
+concept is read off the rounds' levels, of the least modal depth
+(Cleaveland 1990, "On automatically explaining bisimulation
+inequivalence").  It does not try to minimize size, which is NP-hard
+(Martens & Groote 2023).  Every certificate is re-evaluated before
+being returned, so a returned witness is always valid.
 """
 
 from __future__ import annotations
@@ -32,12 +30,7 @@ from .core import (
     build_qs_interpretation,
 )
 from .errors import BisimError, ElementOutOfRangeError, NotSeparatedError
-from .refine import (
-    Partition,
-    RefinementTrace,
-    _splitter_structures,
-    check_partition,
-)
+from .refine import Partition, RefinementTrace, check_partition
 from .semantics import eval_concept
 from .syntax import (
     And,
@@ -145,12 +138,11 @@ def _label_literal(probe, holds: bool) -> Concept:
     return node if holds else Not(node)
 
 
-def _count_literal(trace: RefinementTrace, s: int, cx: int, cy: int, target: Concept) -> Concept:
-    """A literal on the edges along splitter role s into target: true at
-    an element with cx of them, false at one with cy (without counting,
-    only whether there is one counts)."""
-    role = _role_node(trace, s)
-    if trace.use_counts:
+def _count_literal(role, counting: bool, cx: int, cy: int, target: Concept) -> Concept:
+    """A literal on the edges along role into target: true at an element
+    with cx of them, false at one with cy (without counting, only whether
+    there is one counts)."""
+    if counting:
         return AtLeast(cx, role, target) if cx > cy else AtMost(cx, role, target)
     return Some(role, target) if cx else Not(Some(role, target))
 
@@ -171,8 +163,12 @@ class _LevelWitness:
     conjoins C's separations from the other blocks of the element with
     fewer, whose count into Char is then exactly its count into C, while
     the other's is at least its own.  Of the (s, C) that qualify, the one
-    with the fewest conjuncts is taken.  Separations are memoised per
-    (level, block of x, block of y).
+    with the fewest conjuncts is taken.
+
+    Levels refine each other, so the level at which a pair first parts
+    is found by bisection.  Separations are memoised per (level, block
+    of x, block of y) and built from an explicit stack, so a pair that
+    parts thousands of levels deep costs no Python frames.
     """
 
     def __init__(self, trace: RefinementTrace):
@@ -182,15 +178,53 @@ class _LevelWitness:
         self.adjacency = [(g.fwd_indptr[s], g.fwd_indices) for s in range(g.n_roles)]
         if trace.phi.inverse:
             self.adjacency += [(g.rev_indptr[s], g.rev_indices) for s in range(g.n_roles)]
+        self.roles = [_role_node(trace, s) for s in range(trace.n_split_roles)]
         self.memo: dict[tuple[int, int, int], Concept] = {}
 
+    def _task(self, x: int, y: int, hi: int):
+        """(key, x, y) for separating x from y, which level hi parts: key
+        is (d, block of x, block of y) at the least level d that parts them."""
+        levels = self.levels
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if levels[mid][x] != levels[mid][y]:
+                hi = mid
+            else:
+                lo = mid + 1
+        return (hi, int(levels[hi][x]), int(levels[hi][y])), x, y
+
     def separate(self, x: int, y: int) -> Concept:
-        """A concept true at x and false at y, which some level parts."""
-        d = next(d for d, block_of in enumerate(self.levels) if block_of[x] != block_of[y])
-        key = (d, int(self.levels[d][x]), int(self.levels[d][y]))
-        if key not in self.memo:
-            self.memo[key] = self._build(d, x, y)
-        return self.memo[key]
+        """A concept true at x and false at y, which the last level parts."""
+        memo = self.memo
+        plans = {}
+        goal = self._task(x, y, len(self.levels) - 1)
+        stack = [goal]
+        while stack:
+            key, x, y = stack[-1]
+            if key in memo:
+                stack.pop()
+            elif key[0] == 0:
+                memo[key] = self._label_separation(x, y)
+            else:
+                if key not in plans:
+                    plans[key] = self._plan(key[0], x, y)
+                s, cx, cy, parts = plans[key]
+                todo = [task for task in parts if task[0] not in memo]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                char = _conjoin([memo[part] for part, _, _ in parts])
+                memo[key] = _count_literal(self.roles[s], self.trace.use_counts, cx, cy, char)
+        return memo[goal[0]]
+
+    def _label_separation(self, x: int, y: int) -> Concept:
+        trace = self.trace
+        for probe in _label_probes(trace):
+            holds = _label_value(trace, probe, x)
+            if holds != _label_value(trace, probe, y):
+                return _label_literal(probe, holds)
+        raise BisimError("internal: label blocks differ but labels agree")
 
     def _successors(self, d: int, s: int, x: int) -> dict[int, tuple[int, int]]:
         """Per level d block of x's s-successors: a member, and x's edge count into it."""
@@ -200,21 +234,18 @@ class _LevelWitness:
                                           return_counts=True)
         return dict(zip(blocks.tolist(), zip(succ[first].tolist(), counts.tolist())))
 
-    def _build(self, d: int, x: int, y: int) -> Concept:
+    def _plan(self, d: int, x: int, y: int):
+        """How level d > 0 parts x from y: (s, cx, cy, parts), the literal
+        on the s-edges (cx at x, cy at y) into the conjunction of the
+        separations that parts lists as tasks (none for a degree literal)."""
         trace = self.trace
-        if d == 0:
-            for probe in _label_probes(trace):
-                holds = _label_value(trace, probe, x)
-                if holds != _label_value(trace, probe, y):
-                    return _label_literal(probe, holds)
-            raise BisimError("internal: label blocks differ but labels agree")
         sides = [(self._successors(d - 1, s, x), self._successors(d - 1, s, y))
                  for s in range(trace.n_split_roles)]
         for s, (sx, sy) in enumerate(sides):
             dx = sum(count for _, count in sx.values())
             dy = sum(count for _, count in sy.values())
             if (dx != dy) if trace.use_counts else (bool(dx) != bool(dy)):
-                return _count_literal(trace, s, dx, dy, Top())
+                return s, dx, dy, []
         best = None
         for s, (sx, sy) in enumerate(sides):
             for c in sorted(sx.keys() | sy.keys()):
@@ -229,220 +260,8 @@ class _LevelWitness:
             raise BisimError("internal: level blocks differ but signatures agree")
         _, s, c, cx, cy, others = best
         member = (sides[s][0] if c in sides[s][0] else sides[s][1])[c][0]
-        char = _conjoin([self.separate(member, others[o][0]) for o in sorted(others) if o != c])
-        return _count_literal(trace, s, cx, cy, char)
-
-
-class _WitnessBuilder:
-    """Replays a trace; builds characteristic and separating concepts."""
-
-    def __init__(self, trace: RefinementTrace):
-        self.trace = trace
-        g = trace.graph
-        # A zone is a block's fact history as a linked list: zone z is
-        # (event index, class, zone before it), sub-blocks share their
-        # parent's zone, and zones 0..n_init-1 are the empty histories of
-        # the initial blocks, marked by event index -1.
-        n_init = int(trace.init_block_of.max()) + 1 if len(trace.init_block_of) else 0
-        zones: list[tuple[int, int, int]] = [(-1, 0, -1)] * n_init
-        zone_of = {b: b for b in range(n_init)}
-        # target[ei]: the splitter's zone before the splits of event ei's
-        # step, i.e. its facts from events at earlier times; all events of
-        # one step share the splitter, so it is read at the step's first.
-        # A compound entry's zone is read the same way, at its time; a
-        # root entry, the whole domain, has zone -1.
-        target: list[int] = []
-        blocks, times, self.minus = (trace.compounds[:, i].tolist() for i in range(3))
-        compound_zone: list[int] = []
-
-        def resolve(before: float) -> None:
-            while len(compound_zone) < len(times) and times[len(compound_zone)] <= before:
-                block = blocks[len(compound_zone)]
-                compound_zone.append(zone_of[block] if block >= 0 else -1)
-
-        time = None
-        for ei, ev in enumerate(trace.events):
-            if ev.time != time:
-                time = ev.time
-                resolve(time)
-                splitter_zone = zone_of[ev.splitter]
-            target.append(splitter_zone)
-            before = zone_of[ev.parent]
-            for b, c in ev.subs:
-                zone_of[b] = len(zones)
-                zones.append((ei, c, before))
-        resolve(float("inf"))
-        # rest[ei]: without counting, the compound entry S without the
-        # splitter, the last entry event ei's step made
-        last_at = {when: k for k, when in enumerate(times)}
-        self.rest = [-1 if trace.use_counts else last_at[ev.time] for ev in trace.events]
-        self.zones = zones
-        self.zone_of = zone_of
-        self.target = target
-        self.compound_zone = compound_zone
-        # each initial block's first member
-        blocks, first = np.unique(trace.init_block_of, return_index=True)
-        self.init_rep = dict(zip(blocks.tolist(), first.tolist()))
-        _, _, self.degrees = _splitter_structures(trace.phi, g)
-        # without counting, an initial block's "has an edge" literal for a
-        # role follows from its labels unless the pre-split cut its label
-        # block along that role: only those (role, label block) pairs need it
-        self.mixed: set[tuple[int, int]] = set()
-        if not trace.use_counts:
-            self.labels = trace.levels[0][0]
-            for s, has in enumerate(self.degrees > 0):
-                both = np.intersect1d(self.labels[has], self.labels[~has])
-                self.mixed.update((s, int(b)) for b in both)
-        self._zone_memo: dict[int, Concept] = {}
-        self._compound_memo: dict[int, Concept] = {}
-
-    def _init_probes(self):
-        yield from _label_probes(self.trace)
-        for s in range(self.trace.n_split_roles):
-            yield ("degree", s, None)
-
-    def _probe_value(self, probe, x: int):
-        kind, key, _ = probe
-        if kind != "degree":
-            return _label_value(self.trace, probe, x)
-        degree = int(self.degrees[key, x])
-        return degree if self.trace.use_counts else degree > 0
-
-    def _probe_literal(self, probe, vx, vy) -> Concept:
-        if probe[0] != "degree":
-            return _label_literal(probe, vx)
-        return _count_literal(self.trace, probe[1], vx, vy, Top())
-
-    def init_literals(self, rep: int) -> list[Concept]:
-        out: list[Concept] = []
-        for probe in self._init_probes():
-            v = self._probe_value(probe, rep)
-            if probe[0] != "degree":
-                out.append(self._probe_literal(probe, v, not v))
-            elif self.trace.use_counts:
-                role = _role_node(self.trace, probe[1])
-                if v:
-                    out.append(AtLeast(v, role, Top()))
-                out.append(AtMost(v, role, Top()))
-            elif (probe[1], int(self.labels[rep])) in self.mixed:
-                out.append(self._probe_literal(probe, v, not v))
-        return out
-
-    def _fact_literal(self, ei: int, c: int, target: Concept, rest: Concept | None) -> Concept:
-        role = _role_node(self.trace, self.trace.events[ei].role)
-        if self.trace.use_counts:
-            if c == 0:
-                return AtMost(0, role, target)
-            return And(AtLeast(c, role, target), AtMost(c, role, target))
-        if c == 0:
-            return Not(Some(role, target))
-        # the parent's elements all have edges into S, so within the parent
-        # class 2 is just "no edge into S without B"
-        into_rest = Some(role, rest)
-        return And(Some(role, target), into_rest) if c == 1 else Not(into_rest)
-
-    def char(self, zone: int) -> Concept:
-        """Concept whose extension is the zone: its initial literals and facts.
-
-        The conjunction nests left, so a zone's concept is its previous
-        zone's concept and one fact literal, shared by every zone after
-        it.  Memoised per zone, like the compound concepts (see _build).
-        """
-        self._build(zone)
-        return self._zone_memo[zone]
-
-    def _compound(self, k: int) -> Concept:
-        """Concept whose extension is compound entry k."""
-        self._build(~k)
-        return self._compound_memo[k]
-
-    def _build(self, node: int) -> None:
-        """Memoise the concept of a zone, or of compound k given as ~k.
-
-        A fact's literal needs the concept of its splitter's zone and,
-        for a three-way split, of a compound, which needs zones in turn;
-        all of them are built from one explicit stack.
-        """
-        zmemo = self._zone_memo
-        cmemo = self._compound_memo
-        stack = [node]
-        while stack:
-            z = stack[-1]
-            if z < 0:
-                k = ~z
-                if k in cmemo:
-                    stack.pop()
-                    continue
-                minus = self.minus[k]
-                zk = self.compound_zone[k]
-                if zk < 0:
-                    cmemo[k] = Top()
-                    continue
-                pending = [] if zk in zmemo else [zk]
-                if minus >= 0 and minus not in cmemo:
-                    pending.append(~minus)
-                if pending:
-                    stack.extend(pending)
-                    continue
-                if minus < 0:
-                    cmemo[k] = zmemo[zk]
-                elif isinstance(cmemo[minus], Top):
-                    cmemo[k] = Not(zmemo[zk])
-                else:
-                    cmemo[k] = And(cmemo[minus], Not(zmemo[zk]))
-                continue
-            if z in zmemo:
-                stack.pop()
-                continue
-            ei, c, before = self.zones[z]
-            if ei < 0:
-                zmemo[z] = _conjoin(self.init_literals(self.init_rep[z]))
-                continue
-            rest = self.rest[ei]
-            pending = [d for d in (before, self.target[ei]) if d not in zmemo]
-            if rest >= 0 and rest not in cmemo:
-                pending.append(~rest)
-            if pending:
-                stack.extend(pending)
-                continue
-            literal = self._fact_literal(ei, c, zmemo[self.target[ei]],
-                                         cmemo[rest] if rest >= 0 else None)
-            # Top is the empty conjunction; no literal is Top
-            zmemo[z] = literal if isinstance(zmemo[before], Top) else And(zmemo[before], literal)
-
-    def _history(self, block: int) -> list[tuple[int, int]]:
-        """The block's facts (event index, count class), oldest first."""
-        out = []
-        ei, c, before = self.zones[self.zone_of[block]]
-        while ei >= 0:
-            out.append((ei, c))
-            ei, c, before = self.zones[before]
-        return out[::-1]
-
-    def separate(self, x: int, y: int) -> Concept:
-        trace = self.trace
-        bx, by = int(trace.final_block_of[x]), int(trace.final_block_of[y])
-        if bx == by:
-            raise NotSeparatedError("elements %d and %d share a block" % (x, y))
-        ix, iy = int(trace.init_block_of[x]), int(trace.init_block_of[y])
-        if ix != iy:
-            for probe in self._init_probes():
-                vx, vy = self._probe_value(probe, x), self._probe_value(probe, y)
-                if vx != vy:
-                    return self._probe_literal(probe, vx, vy)
-            raise BisimError("internal: initial blocks differ but labels agree")
-        for (ex, cx), (ey, cy) in zip(self._history(bx), self._history(by)):
-            if ex == ey and cx == cy:
-                continue
-            if ex != ey:
-                raise BisimError("internal: histories diverge on different events")
-            ev = trace.events[ex]
-            if cx and cy and not trace.use_counts:
-                # classes 1 and 2 differ on edges into S without the splitter
-                into_rest = Some(_role_node(trace, ev.role), self._compound(self.rest[ex]))
-                return into_rest if cx == 1 else Not(into_rest)
-            return _count_literal(trace, ev.role, cx, cy, self.char(self.target[ex]))
-        raise BisimError("internal: separated elements have matching histories")
+        return s, cx, cy, [self._task(member, others[o][0], d - 1)
+                           for o in sorted(others) if o != c]
 
 
 @dataclass(frozen=True)
@@ -454,23 +273,23 @@ class WitnessConcept:
 
 def separating_concept(interp: Interpretation, trace: RefinementTrace,
                        x: int, y: int) -> WitnessConcept:
-    """A concept satisfied by x but not by y, read off the trace: off its
-    levels when the signature rounds part the two, else off its loop.
+    """A concept satisfied by x but not by y, read off the trace's levels;
+    the trace runs signature rounds until the two part.
 
-    Raises NotSeparatedError when the two elements share a final block
-    (then no concept of the traced language family separates them).
-    The result is checked by evaluation before being returned.
+    Raises NotSeparatedError when the two elements share a final block,
+    found by the first round that splits no block (then no concept of the
+    traced language family separates them).  The result is checked by
+    evaluation before being returned.
     """
     n = trace.graph.n
     if not (0 <= x < n and 0 <= y < n):
         raise ElementOutOfRangeError("element out of range for the traced graph")
     if x == y:
         raise NotSeparatedError("an element cannot be separated from itself")
-    last = trace.levels[-1][0]
-    if last[x] != last[y]:
-        concept = _LevelWitness(trace).separate(x, y)
-    else:
-        concept = _WitnessBuilder(trace).separate(x, y)
+    while trace.levels[-1][0][x] == trace.levels[-1][0][y]:
+        if not trace.extend():
+            raise NotSeparatedError("elements %d and %d share a block" % (x, y))
+    concept = _LevelWitness(trace).separate(x, y)
     ext = eval_concept(interp, concept, trace.phi)
     if x not in ext or y in ext:
         raise BisimError("internal: separating concept failed validation")

@@ -30,20 +30,15 @@ the refinement with three-way splits against compound splitters in
 O(m log n) edge scans.  A block B of a compound S splits every block by
 its edges into B and into S without B, in time linear in B's in-edges.
 
-refinement_trace records a refinement for the witness builders.  It
+refinement_trace records a refinement for the witness builder.  It
 runs the signature rounds under the same stopping rule and keeps every
 partition they pass through as a level: level 0 is the label partition
 and level i round i's, so two elements share a block of level d exactly
 when they agree on every concept of modal depth at most d (see
-quotient).  The recorded loop runs on first read of its fields: the
-loop alone, from the label partition pre-split by per-role degree (with
-counting) or by per-role "has an edge" (without), the coarsest
-refinement of it that is stable against the whole domain, whose
-compounds start as the whole domain.  It records every split: which
-block split, against which splitter block along which role, at which
-step, into which classes, and from which compound.  The witness
-builder reads it for pairs that the rounds leave in one block.  Its
-blocks are compute_partition's, with other block ids.
+quotient).  The trace runs further rounds on request (extend), past the
+doubling rule, until a round splits no block or every block is a
+singleton: its last level is then the coarsest stable partition,
+compute_partition's blocks with other block ids.
 """
 
 from __future__ import annotations
@@ -125,77 +120,81 @@ class Partition:
 
 @dataclass(frozen=True)
 class SplitEvent:
-    """One block split: parent broke into classes against a splitter.
+    """One block split by a signature round: block parent of level
+    level - 1 broke into the blocks subs of level level, ascending."""
 
-    The splitter block B was taken from compound S.  With counting a
-    class is the exact number of edges into B, and every element of the
-    parent has the same number of edges into S.  Otherwise class 0 has
-    no edge into B, class 1 edges into B and into S without B, class 2
-    edges into B only, and every element of the parent has an edge into
-    S.
-    """
-
+    level: int
     parent: int
-    role: int
-    splitter: int
-    time: int
-    subs: tuple[tuple[int, int], ...]  # (block id, class) in layout order
-    compound: int                      # row of RefinementTrace.compounds: S
-
-
-class _RecordedLoop(NamedTuple):
-    init_block_of: np.ndarray
-    final_block_of: np.ndarray
-    n_blocks: int
-    events: tuple[SplitEvent, ...]
-    # (k, 3) int64 rows (block, time, minus): the set the block held just
-    # before step time, without row minus unless minus is -1.  The first
-    # n_split_roles rows are (-1, 0, -1), the whole domain; a step at time
-    # t adds the splitter B and then S without B, the last row of time t
-    compounds: np.ndarray
+    subs: tuple[int, ...]
 
 
 class RefinementTrace:
-    """A refinement of graph for phi, recorded for the witness builders.
+    """The signature rounds of phi's refinement of graph, kept as levels
+    for the witness builder.
 
-    levels are the signature rounds' partitions as (block ids, block
-    count), level 0 the label partition.  The recorded loop's fields
-    (init_block_of, final_block_of, n_blocks, events, compounds) are
-    computed on first read.
+    levels are the rounds' partitions as (block ids, block count), level
+    0 the label partition and level i round i's.  extend runs one more
+    round; complete is set once the last level is the coarsest stable
+    partition: when a round split no block, or every block is a
+    singleton.
     """
 
-    def __init__(self, graph: LabeledGraph, phi: FeatureSet,
-                 levels: list[tuple[np.ndarray, int]], engine: str | None = None):
+    def __init__(self, graph: LabeledGraph, phi: FeatureSet, levels: list[tuple[np.ndarray, int]],
+                 origin: np.ndarray, heads: np.ndarray, run: dict | None = None):
         self.graph = graph
         self.phi = phi
         self.use_counts = bool(phi.counting)
         self.n_split_roles = graph.n_roles * (2 if phi.inverse else 1)
         self.levels = levels
-        self._engine = engine
+        self._origin = origin
+        self._heads = heads
+        # the recorded run that counts the rounds, made by refinement_trace
+        # or by the first round extend runs where runs are recorded
+        self._run = run
+        k = levels[-1][1]
+        self.complete = k == graph.n or (len(levels) > 1 and k == levels[-2][1])
 
-    @cached_property
-    def _loop(self) -> _RecordedLoop:
-        return _recorded_loop(self.phi, self.graph, self._engine)
-
-    @property
-    def init_block_of(self) -> np.ndarray:
-        return self._loop.init_block_of
-
-    @property
-    def final_block_of(self) -> np.ndarray:
-        return self._loop.final_block_of
-
-    @property
-    def n_blocks(self) -> int:
-        return self._loop.n_blocks
+    def extend(self) -> bool:
+        """Run one more signature round and keep its partition as a level;
+        False, and no round, once the trace is complete."""
+        if self.complete:
+            return False
+        start = time.perf_counter()
+        block_of, k = self.levels[-1]
+        ids, total, split, _ = _signature_round(block_of, k, self._origin, self._heads,
+                                                self.n_split_roles, self.use_counts)
+        self.levels.append((ids, total))
+        self.complete = total == k or total == self.graph.n
+        run = self._run
+        if run is None:
+            self._run = _record("refinement_trace", self.phi, self.graph, total,
+                                Counters(0, len(self._origin), 0, 0, 1, split), start)
+        else:
+            counters = run["counters"]
+            counters["edges_scanned"] += len(self._origin)
+            counters["rounds"] += 1
+            counters["round_splits"] += split
+            run["blocks"] = total
+            run["wall_s"] += time.perf_counter() - start
+        return True
 
     @property
     def events(self) -> tuple[SplitEvent, ...]:
-        return self._loop.events
-
-    @property
-    def compounds(self) -> np.ndarray:
-        return self._loop.compounds
+        """The splits of the levels so far: one per block of level d - 1
+        that round d split, in order of d and then of the parent's id."""
+        out = []
+        for d in range(1, len(self.levels)):
+            (coarse, k), (fine, total) = self.levels[d - 1], self.levels[d]
+            if total == k:
+                continue
+            parent = np.zeros(total, dtype=np.int64)
+            parent[fine] = coarse
+            subs = np.argsort(parent, kind="stable")
+            bounds = np.zeros(k + 1, dtype=np.int64)
+            np.cumsum(np.bincount(parent, minlength=k), out=bounds[1:])
+            for b in np.flatnonzero(np.diff(bounds) > 1).tolist():
+                out.append(SplitEvent(d, b, tuple(subs[bounds[b]:bounds[b + 1]].tolist())))
+        return tuple(out)
 
     def splitter_role(self, idx: int) -> tuple[str, bool]:
         """Role name and inverted flag for a splitter role index."""
@@ -240,14 +239,6 @@ def _predecessors(phi: FeatureSet, graph: LabeledGraph):
         return (np.vstack([graph.rev_indptr, graph.fwd_indptr + len(graph.rev_indices)]),
                 np.concatenate([graph.rev_indices, graph.fwd_indices]))
     return np.ascontiguousarray(graph.rev_indptr), np.ascontiguousarray(graph.rev_indices)
-
-
-def _splitter_structures(phi: FeatureSet, graph: LabeledGraph):
-    """Predecessor CSR per splitter role, and per-node degree columns."""
-    degrees = np.diff(graph.fwd_indptr, axis=1).astype(np.int64)  # (n_roles, n)
-    if phi.inverse:
-        degrees = np.vstack([degrees, np.diff(graph.rev_indptr, axis=1).astype(np.int64)])
-    return (*_predecessors(phi, graph), degrees)
 
 
 def _dense_ids(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
@@ -374,7 +365,7 @@ def _signature_ids(blocks, k, pairs, nsr, counting):
 
 
 def _run_loop(loop, phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, against,
-              n_against, pairs, record):
+              n_against, pairs):
     """The engine's loop on the layout of block_of (see _kernels)."""
     n = len(block_of)
     elems = np.argsort(block_of, kind="stable").astype(np.int32)
@@ -387,7 +378,7 @@ def _run_loop(loop, phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, aga
     first[:n_blocks] = bounds[:-1]
     last[:n_blocks] = bounds[1:]
     return loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last, n_blocks,
-                against, n_against, pairs, bool(phi.counting), record)
+                against, n_against, pairs, bool(phi.counting))
 
 
 # the list recorded_runs() collects into, in the current context
@@ -408,13 +399,16 @@ def recorded_runs():
 
 
 def _record(function: str, phi: FeatureSet, graph: LabeledGraph, n_blocks: int,
-            counters: Counters, start: float) -> None:
+            counters: Counters, start: float) -> dict | None:
+    """Append a run to the recorded_runs list in force, if any, and return it."""
     runs = _RUNS.get()
-    if runs is not None:
-        runs.append({"function": function, "phi": str(phi), "n": graph.n,
-                      "edges": int(graph.n_edges), "blocks": int(n_blocks),
-                      "counters": {k: int(v) for k, v in counters._asdict().items()},
-                      "wall_s": time.perf_counter() - start})
+    if runs is None:
+        return None
+    runs.append({"function": function, "phi": str(phi), "n": graph.n,
+                 "edges": int(graph.n_edges), "blocks": int(n_blocks),
+                 "counters": {k: int(v) for k, v in counters._asdict().items()},
+                 "wall_s": time.perf_counter() - start})
+    return runs[-1]
 
 
 def _signature_rounds(phi: FeatureSet, graph: LabeledGraph, origin: np.ndarray,
@@ -447,11 +441,11 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
 
     Returns the partition, with the counters of its rounds and loop, and,
     when requested, the trace that refinement_trace would return, built
-    from the rounds run here; its recorded loop runs before this returns.
-    The partition never depends on want_trace.  engine names the
-    refinement loop, "numba" or "numpy"; None runs the one the install
-    provides (see _kernels).  The result is independent of the engine and
-    deterministic: block ids depend only on the graph and phi.
+    from the rounds run here.  The partition never depends on
+    want_trace.  engine names the refinement loop, "numba" or "numpy";
+    None runs the one the install provides (see _kernels).  The result
+    is independent of the engine and deterministic: block ids depend only
+    on the graph and phi.
     """
     start = time.perf_counter()
     loop = _kernels.get_refine_loop(engine)
@@ -469,63 +463,30 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     steps = scanned = splits = pushes = 0
     if n_against < n_blocks < n:
         # stable against the blocks the last round split: the loop's compounds
-        block_of, n_blocks, _, _, (steps, scanned, splits, pushes) = _run_loop(
+        block_of, n_blocks, (steps, scanned, splits, pushes) = _run_loop(
             loop, phi, nsr, pred_indptr, pred_indices, block_of.copy(), n_blocks, against,
-            n_against, pairs, False)
+            n_against, pairs)
     counters = Counters(steps, rounds * len(origin) + scanned, splits, pushes, rounds,
                         round_splits)
     partition = Partition(block_of, n_blocks, counters)
     _record("compute_partition", phi, graph, n_blocks, counters, start)
     if not want_trace:
         return partition, None
-    trace = RefinementTrace(graph, phi, levels, engine)
-    trace._loop  # the recorded loop runs here, among this call's recorded runs
-    return partition, trace
+    return partition, RefinementTrace(graph, phi, levels, origin, heads)
 
 
-def refinement_trace(phi: FeatureSet, graph: LabeledGraph,
-                     engine: str | None = None) -> RefinementTrace:
-    """The trace of phi's refinement of graph: the signature rounds now,
-    the recorded loop on first read of its fields (see RefinementTrace).
-    Its final blocks are compute_partition's."""
+def refinement_trace(phi: FeatureSet, graph: LabeledGraph) -> RefinementTrace:
+    """The trace of phi's refinement of graph: the signature rounds under
+    compute_partition's stopping rule, more on request (see
+    RefinementTrace).  Its one recorded run counts them all."""
     start = time.perf_counter()
     nsr = graph.n_roles * (2 if phi.inverse else 1)
     origin, heads = _edge_ends(graph.n, nsr, *_predecessors(phi, graph))
     levels, _, round_splits = _signature_rounds(phi, graph, origin, heads, nsr)
     rounds = len(levels) - 1
-    _record("refinement_trace", phi, graph, levels[-1][1],
-            Counters(0, rounds * len(origin), 0, 0, rounds, round_splits), start)
-    return RefinementTrace(graph, phi, levels, engine)
-
-
-def _recorded_loop(phi: FeatureSet, graph: LabeledGraph, engine: str | None) -> _RecordedLoop:
-    """The recording run: the loop alone, from the label partition
-    pre-split by per-role degree, with the whole domain as each role's
-    first compound."""
-    start = time.perf_counter()
-    loop = _kernels.get_refine_loop(engine)
-    n = graph.n
-    nsr = graph.n_roles * (2 if phi.inverse else 1)
-    pred_indptr, pred_indices, degrees = _splitter_structures(phi, graph)
-
-    # stable against the whole domain along every splitter role
-    cols = _label_columns(phi, graph)
-    cols.append(degrees.T if phi.counting else (degrees > 0).T)
-    init_ids, nblocks0 = _group_rows(cols, n)
-
-    # the (element, role) pairs: against the whole domain, a count is a degree
-    domain = np.zeros(n, dtype=np.int64)
-    keys, _ = _edge_ends(n, nsr, pred_indptr, pred_indices)
-    flat = degrees.T.ravel()
-    distinct = np.flatnonzero(flat > 0)
-    pairs = keys, distinct, flat[distinct]
-    block_of, n_blocks, events, compounds, counters = _run_loop(
-        loop, phi, nsr, pred_indptr, pred_indices, init_ids.copy(), nblocks0, domain, 1, pairs,
-        True)
-    _record("refinement_trace", phi, graph, n_blocks, Counters(*counters, rounds=0, round_splits=0),
-            start)
-    return _RecordedLoop(init_ids, block_of, n_blocks,
-                         tuple(SplitEvent(*e) for e in events), compounds)
+    run = _record("refinement_trace", phi, graph, levels[-1][1],
+                  Counters(0, rounds * len(origin), 0, 0, rounds, round_splits), start)
+    return RefinementTrace(graph, phi, levels, origin, heads, run)
 
 
 def partition_to_relation(partition: Partition) -> BisimRelation:

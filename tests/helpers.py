@@ -4,8 +4,7 @@ Seeded instance generators, an exhaustive concept enumerator (subterms
 are shared, so one memoising Evaluator prices each enumerated concept at
 a single set operation), recursive tree printers that the iterative DAG
 printers are checked against, an independent matrix-based model checker, a
-brute-force role closure oracle, the modal depth of a concept, and a
-trace replayer that recomputes every recorded split from the graph alone.
+brute-force role closure oracle, and the modal depth of a concept.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dlbisim.core import (
     build_interpretation,
 )
 from dlbisim.gen import make_signature, random_interpretation
-from dlbisim.refine import RefinementTrace
 
 ALL_PHIS = FeatureSet.all_subsets()
 
@@ -414,104 +412,26 @@ def closure_oracle(interp: Interpretation, axioms) -> dict[str, frozenset]:
     return {r: frozenset(v) for r, v in rel.items()}
 
 
-def modal_depth(node, memo=None) -> int:
+def modal_depth(root) -> int:
     """Nesting depth of the role restrictions (some, all, atleast,
-    atmost) in a term; names, nominals, self and the constants have 0."""
-    memo = {} if memo is None else memo
-    if id(node) not in memo:
-        below = max((modal_depth(kid, memo) for kid in sx.children(node)), default=0)
+    atmost) in a term; names, nominals, self and the constants have 0.
+    Each distinct node is visited once, from an explicit stack."""
+    memo: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        kids = sx.children(node)
+        todo = [kid for kid in kids if id(kid) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        below = max((memo[id(kid)] for kid in kids), default=0)
         memo[id(node)] = below + isinstance(node, (sx.Some, sx.All, sx.AtLeast, sx.AtMost))
-    return memo[id(node)]
-
-
-# ---------------------------------------------------------------------------
-# trace replay
-
-
-def replay_trace(trace: RefinementTrace) -> np.ndarray:
-    """Recompute every recorded split from the graph and assert that the
-    events reproduce the final partition, block id for block id.
-
-    Events sharing a time stamp come from one step; both the splitter
-    zone and each parent zone are read from the snapshot taken when that
-    step began, and so is each compound entry of that time.  Every event
-    splits against a splitter B taken from a compound S; a root compound
-    entry (block -1) is the whole domain.  With counting, the classes are
-    recomputed as the edge counts into B, and every element of the
-    parent must have the same count into S; without, from the edges into
-    B and into the rest of S, and every element of the parent must have
-    an edge into S.
-    """
-    graph = trace.graph
-    n = graph.n
-    n_r = graph.n_roles
-    zones: dict[int, set[int]] = {}
-    for x in range(n):
-        zones.setdefault(int(trace.init_block_of[x]), set()).add(x)
-    compounds: list[frozenset[int]] = []
-    table = trace.compounds.tolist()
-    assert table[:trace.n_split_roles] == [[-1, 0, -1]] * trace.n_split_roles
-
-    def resolve(before: float) -> None:
-        # compound entries up to the given time, from the current zones
-        while len(compounds) < len(table) and table[len(compounds)][1] <= before:
-            block, _, minus = table[len(compounds)]
-            members = frozenset(range(n)) if block < 0 else frozenset(zones[block])
-            compounds.append(members if minus < 0 else compounds[minus] - members)
-
-    events = trace.events
-    i = 0
-    while i < len(events):
-        j = i
-        while j < len(events) and events[j].time == events[i].time:
-            j += 1
-        group = events[i:j]
-        resolve(group[0].time)
-        snapshot = {b: frozenset(m) for b, m in zones.items()}
-        target = snapshot[group[0].splitter]
-        for ev in group:
-            assert ev.splitter == group[0].splitter and ev.role == group[0].role
-            assert ev.compound == group[0].compound
-            members = snapshot[ev.parent]
-            # the step's entries: the splitter, then the rest of S last
-            made = [k for k, entry in enumerate(table) if entry[1] == ev.time]
-            whole = compounds[ev.compound]
-            rest = whole - target
-            assert len(made) == 2 and compounds[made[0]] == target, ev
-            assert compounds[made[1]] == rest, ev
-            counts = {}
-            into_whole = set()
-            for x in members:
-                if ev.role < n_r:
-                    reach = graph.successors(ev.role, x)
-                else:
-                    reach = graph.predecessors(ev.role - n_r, x)
-                c = sum(1 for y in reach if int(y) in target)
-                if trace.use_counts:
-                    into_whole.add(sum(1 for y in reach if int(y) in whole))
-                else:
-                    into_rest = any(int(y) in rest for y in reach)
-                    assert c or into_rest, (ev, x)
-                    c = 0 if not c else 1 if into_rest else 2
-                counts[x] = c
-            assert len(into_whole) <= 1, (ev, into_whole)
-            observed = sorted(set(counts.values()))
-            recorded = [c for _, c in ev.subs]
-            assert recorded == observed, (ev, recorded, observed)
-            assert len({b for b, _ in ev.subs}) == len(ev.subs)
-            del zones[ev.parent]
-            for b, c in ev.subs:
-                zones[b] = {x for x in members if counts[x] == c}
-                assert zones[b], ev
-        i = j
-    resolve(float("inf"))
-
-    out = np.zeros(n, dtype=np.int64)
-    for b, members in zones.items():
-        for x in members:
-            out[x] = b
-    assert (out == trace.final_block_of).all()
-    return out
+    return memo[id(root)]
 
 
 # ---------------------------------------------------------------------------

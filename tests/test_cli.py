@@ -245,6 +245,28 @@ class TestWitness:
         assert out.returncode == 1
         assert out.stdout == "NOT SEPARATED\n"
 
+    @pytest.mark.parametrize("phi", ["", "Q"])
+    def test_pair_parting_at_the_last_round(self, tmp_path, phi):
+        # on a path with a marked end, x0 and x1 part only in round n - 2
+        from dlbisim.core import FeatureSet
+        from dlbisim.document import load_workspace
+        from dlbisim.semantics import eval_concept
+        from dlbisim.syntax import parse_concept
+
+        n = 60
+        names = ["x%d" % i for i in range(n)]
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "signature": {"concepts": ["A"], "roles": ["r"], "individuals": []},
+            "interpretations": {"I": {
+                "domain": names, "concepts": {"A": [names[-1]]},
+                "roles": {"r": [[a, b] for a, b in zip(names, names[1:])]}}}}))
+        out = run("witness", "-i", str(path), "-I", "I", "--phi", phi, "-l", "x0", "-r", "x1")
+        assert out.returncode == 0, out.stderr
+        interp = load_workspace(str(path)).interpretation("I")
+        ext = eval_concept(interp, parse_concept(out.stdout), FeatureSet.from_string(phi))
+        assert 0 in ext and 1 not in ext
+
     def test_numeric_element_references(self):
         by_name = run("witness", "-i", FIG2, "-I", "I1", "--phi", "", "-l", "u2", "-r", "u3")
         by_index = run("witness", "-i", FIG2, "-I", "I1", "--phi", "", "-l", "4", "-r", "5")

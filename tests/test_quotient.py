@@ -29,7 +29,7 @@ from dlbisim.errors import (
 )
 from dlbisim.gen import make_signature, random_interpretation
 from dlbisim.quotient import qs_quotient, quotient_interpretation, separating_concept
-from dlbisim.refine import Partition, compute_partition, refinement_trace
+from dlbisim.refine import Partition, compute_partition, recorded_runs, refinement_trace
 from dlbisim.semantics import (
     check_assertion,
     check_gci,
@@ -524,6 +524,29 @@ class TestSeparatingConcepts:
         with pytest.raises(ElementOutOfRangeError):
             separating_concept(interp, trace, 0, 2)
 
+    def test_a_shared_final_block_costs_no_further_round(self):
+        # the rounds stop after one that splits nothing: the trace is complete
+        # and a pair in one of its blocks is not separated without more work
+        interp = two_cycle()
+        with recorded_runs() as runs:
+            trace = refinement_trace(EMPTY, to_labeled_graph(interp))
+            with pytest.raises(NotSeparatedError):
+                separating_concept(interp, trace, 0, 1)
+        assert [r["function"] for r in runs] == ["refinement_trace"]
+        assert runs[0]["counters"]["rounds"] == 1 and runs[0]["counters"]["extractions"] == 0
+        assert [k for _, k in trace.levels] == [1, 1] and trace.complete
+
+    def test_a_pair_parting_two_thousand_levels_deep(self):
+        # the witness is built from an explicit stack: no Python frame per level
+        n = 2000
+        path = H.marked_path(n)
+        for phi in (EMPTY, FeatureSet.from_string("Q")):
+            trace = refinement_trace(phi, to_labeled_graph(path))
+            witness = separating_concept(path, trace, 0, 1)
+            depth = H.modal_depth(witness.concept)
+            assert depth == len(trace.levels) - 1 == n - 2
+            assert dag_nodes(witness.concept) <= 4 * depth
+
     def test_named_elements_split_by_a_nominal_literal(self):
         phi = FeatureSet.from_string("O")
         interp = two_cycle()
@@ -576,25 +599,34 @@ class TestSeparatingConcepts:
 
     def test_level_witnesses_have_the_parting_depth(self):
         # level d blocks agree on every concept of modal depth d, so a pair
-        # that the rounds first part at level d has no shallower witness
+        # that the rounds first part at level d has no shallower witness;
+        # the trace runs rounds until every pair the partition splits parts
         rng = H.seeded(9100)
         depths = Counter()
+        beyond = 0
         for _ in range(40):
             inst = H.small_instance(rng, max_n=12)
             graph = to_labeled_graph(inst)
             for phi in H.ALL_PHIS:
+                part, _ = compute_partition(phi, graph, want_trace=False)
                 trace = refinement_trace(phi, graph)
-                levels = [block_of for block_of, _ in trace.levels]
+                doubling = len(trace.levels) - 1
                 for x, y in itertools.permutations(range(inst.n), 2):
-                    depth = next((d for d, ids in enumerate(levels) if ids[x] != ids[y]), None)
-                    if depth is None:
+                    if part.same_block(x, y):
+                        with pytest.raises(NotSeparatedError):
+                            separating_concept(inst, trace, x, y)
                         continue
                     witness = separating_concept(inst, trace, x, y)
+                    levels = [block_of for block_of, _ in trace.levels]
+                    depth = next(d for d, ids in enumerate(levels) if ids[x] != ids[y])
                     ext = eval_concept(inst, witness.concept, phi)
                     assert x in ext and y not in ext
                     assert H.modal_depth(witness.concept) == depth, (str(phi), x, y)
                     depths[depth] += 1
+                    beyond += depth > doubling
         assert depths[0] > 1000 and depths[1] > 1000 and depths[2] > 100, depths
+        # pairs that part only in rounds past the doubling rule
+        assert beyond > 100, beyond
 
     @pytest.mark.parametrize("seed", [79, 80, 81])
     def test_witnesses_on_a_sparse_random_model_are_small(self, seed):

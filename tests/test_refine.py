@@ -20,8 +20,8 @@ from dlbisim.quotient import separating_concept
 from dlbisim.refine import (
     Partition,
     _group_rows,
+    _predecessors,
     _signature_round,
-    _splitter_structures,
     check_partition,
     compute_partition,
     econd_partition,
@@ -209,8 +209,6 @@ class TestDeterminismAndEngines:
                 part, trace = compute_partition(phi, graph, engine="numpy")
                 assert np.array_equal(part.block_of, ref_part.block_of), str(phi)
                 assert part.n_blocks == ref_part.n_blocks, str(phi)
-                assert trace.events == ref_trace.events, str(phi)
-                assert np.array_equal(trace.compounds, ref_trace.compounds), str(phi)
                 assert part.counters == ref_part.counters, str(phi)
         # some loops resumed from more compounds than the whole domain
         assert max(starts) > 1
@@ -276,10 +274,7 @@ class TestThreeWaySplits:
                 part, trace = compute_partition(phi, graph)
                 oracle = naive_largest_bisimulation(phi, interp, interp)
                 assert partition_to_relation(part).pairs == oracle.pairs, str(phi)
-                # every split is three-way, against a compound of the trace
                 assert trace.events, str(phi)
-                assert all(0 <= ev.compound < len(trace.compounds) for ev in trace.events)
-                H.replay_trace(trace)
 
     def test_witnesses_for_every_split_pair(self):
         for interp in THREE_WAY_SHAPES:
@@ -302,7 +297,7 @@ class TestCounters:
     def test_edges_scanned_within_m_log_n(self, monkeypatch, shape, phi):
         phi = FeatureSet.from_string(phi)
         graph = as_graph(shape)
-        _, pred_indices, _ = _splitter_structures(phi, graph)
+        _, pred_indices = _predecessors(phi, graph)
         bound = 2 * len(pred_indices) * (math.ceil(math.log2(graph.n)) + 1)
         part, _ = compute_partition(phi, graph, want_trace=False)
         ref, _ = array_loop_partition(monkeypatch, phi, graph)
@@ -324,14 +319,20 @@ class TestCounters:
         graph = to_labeled_graph(H.marked_path(50))
         with recorded_runs() as runs:
             part, trace = compute_partition(FeatureSet(), graph, want_trace=True)
+            assert [r["function"] for r in runs] == ["compute_partition"]
+            rounds = len(trace.levels) - 1
+            while trace.extend():
+                pass
         compute_partition(FeatureSet(), graph, want_trace=False)
         assert [r["function"] for r in runs] == ["compute_partition", "refinement_trace"]
         assert runs[0]["counters"] == part.counters._asdict()
-        # the recording run: no rounds, only the loop from the degree pre-split
-        traced = runs[1]["counters"]
-        assert traced["rounds"] == 0 and traced["extractions"] >= traced["splits"] > 0
-        assert runs[1]["blocks"] == trace.n_blocks == part.n_blocks
         assert runs[0]["blocks"] == part.n_blocks and runs[0]["wall_s"] >= 0
+        # the trace's own run counts the rounds it ran past compute_partition's
+        traced = runs[1]["counters"]
+        assert traced["rounds"] == len(trace.levels) - 1 - rounds > 0
+        assert traced["extractions"] == traced["splits"] == 0
+        assert traced["edges_scanned"] == traced["rounds"] * graph.n_edges
+        assert runs[1]["blocks"] == trace.levels[-1][1] == part.n_blocks
 
 
     def test_level_witnesses_run_no_recorded_loop(self):
@@ -346,13 +347,19 @@ class TestCounters:
         assert [r["function"] for r in runs] == ["refinement_trace"]
         assert runs[0]["counters"]["extractions"] == 0
         assert runs[0]["counters"]["rounds"] == len(trace.levels) - 1
-        # a pair that the rounds leave in one block reads the loop, run once
+        # a pair that the doubling rule leaves in one block runs more rounds,
+        # counted in the same run
         path = H.marked_path(50)
         with recorded_runs() as runs:
             trace = refinement_trace(FeatureSet(), to_labeled_graph(path))
+            first = len(trace.levels)
             for x in (0, 1):
                 separating_concept(path, trace, x, x + 1)
-        assert [r["counters"]["extractions"] > 0 for r in runs] == [False, True]
+        assert len(trace.levels) > first
+        assert [r["function"] for r in runs] == ["refinement_trace"]
+        assert runs[0]["counters"]["extractions"] == 0
+        assert runs[0]["counters"]["rounds"] == len(trace.levels) - 1
+        assert runs[0]["blocks"] == trace.levels[-1][1]
 
 
 class TestUniversalRoleNeverSplits:
@@ -372,15 +379,26 @@ class TestUniversalRoleNeverSplits:
                 assert a.n_blocks == b.n_blocks
 
 
+def blocks_of(block_of):
+    return blocks_as_sets(Partition(block_of, int(block_of.max()) + 1))
+
+
 class TestTraces:
-    def test_replay_reconstructs_partition(self):
+    def test_extended_levels_reach_the_partition(self):
         rng = H.seeded(407)
         for _ in range(25):
             interp = H.small_instance(rng)
             graph = to_labeled_graph(interp)
             for phi in H.ALL_PHIS:
-                _, trace = compute_partition(phi, graph)
-                H.replay_trace(trace)
+                part, trace = compute_partition(phi, graph)
+                while trace.extend():
+                    pass
+                assert trace.complete and not trace.extend()
+                final, k = trace.levels[-1]
+                assert k == part.n_blocks, str(phi)
+                assert np.array_equal(Partition(final, k).canonical_of, part.canonical_of)
+                # the last round split nothing, unless every block is a singleton
+                assert k == interp.n or trace.levels[-2][1] == k
 
     def test_trace_metadata(self):
         sig = Signature(("A",), ("r", "s"), ())
@@ -393,15 +411,16 @@ class TestTraces:
         assert trace.splitter_role(0) == ("r", False)
         assert trace.splitter_role(3) == ("s", True)
         assert trace.use_counts is False
-        assert trace.n_blocks == part.n_blocks
-        # labels, then per splitter role "has an edge": r, s, inv r, inv s
-        has_edge = [(1, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1)]
-        labels = econd_partition(phi, graph).block_of
-        rows = sorted(set(zip(labels.tolist(), has_edge)))
-        expected = [rows.index(row) for row in zip(labels.tolist(), has_edge)]
-        assert trace.init_block_of.tolist() == expected
-        times = [ev.time for ev in trace.events]
-        assert times == sorted(times)
+        assert np.array_equal(trace.levels[0][0], econd_partition(phi, graph).block_of)
+        while trace.extend():
+            pass
+        assert trace.levels[-1][1] == part.n_blocks
+        # one event per block that a round split, into the blocks of its level
+        assert [ev.level for ev in trace.events] == sorted(ev.level for ev in trace.events)
+        for ev in trace.events:
+            coarse, fine = trace.levels[ev.level - 1][0], trace.levels[ev.level][0]
+            subs = np.unique(fine[coarse == ev.parent]).tolist()
+            assert len(subs) > 1 and tuple(subs) == ev.subs
 
     def test_counting_traces_expose_degree_presplit(self):
         sig = Signature((), ("r",), ())
@@ -409,8 +428,9 @@ class TestTraces:
             sig, 3, {}, {"r": {(0, 1), (0, 2)}}, {})
         graph = to_labeled_graph(interp)
         _, trace = compute_partition(FeatureSet.from_string("Q"), graph)
-        # out-degrees 2,0,0 split the root off before any step
-        assert len(np.unique(trace.init_block_of)) == 2
+        # the first round, against the one label block, splits by out-degree:
+        # 2, 0, 0 split the root off
+        assert blocks_of(trace.levels[1][0]) == {frozenset({0}), frozenset({1, 2})}
         assert trace.use_counts is True
 
     def test_plain_traces_expose_edge_presplit(self):
@@ -419,13 +439,14 @@ class TestTraces:
             sig, 4, {}, {"r": {(0, 1), (0, 2), (1, 2)}}, {})
         graph = to_labeled_graph(interp)
         part, trace = compute_partition(FeatureSet(), graph)
-        # out-degrees 2,1,0,0: the elements with an edge split off before
-        # any step, whatever their degree
-        assert trace.init_block_of.tolist() == [1, 1, 0, 0]
+        # out-degrees 2,1,0,0: the first round splits off the elements with
+        # an edge, whatever their degree
+        assert blocks_of(trace.levels[1][0]) == {frozenset({0, 1}), frozenset({2, 3})}
         assert trace.use_counts is False
-        # the one step, against B = {2, 3}: 0 has edges into B and into the
-        # rest of the domain (class 1), 1 into B only (class 2)
-        assert [ev.subs for ev in trace.events] == [((1, 1), (2, 2))]
+        # the second: 0 has edges into {0, 1} and into {2, 3}, 1 into {2, 3} only
+        assert blocks_of(trace.levels[2][0]) == {frozenset({0}), frozenset({1}),
+                                                 frozenset({2, 3})}
+        assert [(ev.level, len(ev.subs)) for ev in trace.events] == [(1, 2), (2, 2)]
         assert part.n_blocks == 3
 
 
@@ -506,5 +527,7 @@ class TestSignatureRounds:
                 untraced, _ = compute_partition(phi, graph, want_trace=False)
                 assert np.array_equal(part.block_of, untraced.block_of)
                 assert part.counters == untraced.counters
-                final = Partition(trace.final_block_of, trace.n_blocks)
+                while trace.extend():
+                    pass
+                final = Partition(*trace.levels[-1])
                 assert np.array_equal(part.canonical_of, final.canonical_of), str(phi)

@@ -442,8 +442,8 @@ class TestSharedTerms:
 
     @pytest.mark.parametrize("phi", ["", "Q"])
     def test_path_witness(self, phi):
-        # the separating concept of a path's first two elements nests about
-        # n deep and is astronomically larger as a tree than as a DAG
+        # the separating concept of a path's first two elements nests one
+        # restriction per level, n - 2 deep: a chain, linear as a tree
         n = 200
         sig = make_signature(1, 1, 0)
         interp = build_interpretation(sig, n, {"A0": {n - 1}},
@@ -455,4 +455,6 @@ class TestSharedTerms:
         seconds = time.perf_counter() - start
         assert seconds < 2.0
         size = sx.ast_size(witness.concept)
-        assert size > 2 ** 100
+        assert n - 2 < size <= 4 * (n - 2)
+        assert sx.validate_in_language(FeatureSet.from_string(phi), witness.concept).ok
+        assert sx.to_text(witness.concept) == H.recursive_to_text(witness.concept)
