@@ -16,10 +16,8 @@ What is here:
   checking, least closure of an interpretation under role inclusion
   axioms,
 - the coarsest stable partition of an interpretation via exact numpy
-  signature rounds and a worklist refinement loop that finishes what
-  they leave (a kernel compiled with numba when numba is installed,
-  otherwise a pure-Python loop over lists; active_engine names the
-  one that runs),
+  signature rounds and a worklist refinement loop over Python lists
+  that finishes what they leave (active_engine names it "numpy"),
 - bisimulation checking, largest bisimulations within and across
   interpretations (verdicts and pair counts read off block ids, pairs
   built only on request), and a slow reference fixpoint for cross

@@ -1,24 +1,13 @@
-"""Partition refinement inner loop: numba-compiled, or over Python lists.
+"""Partition refinement inner loop, over Python lists.
 
-Two sources implement one algorithm.  _three_way_loop works on
-preallocated numpy arrays and is compiled with numba's @njit when numba
-imports; _array_loop allocates its scratch arrays and runs it (the
-"numba" engine).  _refine_list_loop is
-the same loop written for CPython over Python lists and dicts (the
-"numpy" engine), since interpreting the array loop on numpy scalars is
-several times slower.  The engine is a fact of the install: numba when
-it imports, the list loop otherwise.  compute_partition can still name
-either engine, so that tests and `dlbisim bench` can compare them.
-
-Both engines' loops take (n, nsr, pred_indptr, pred_indices, block_of,
+_refine_list_loop takes (n, nsr, pred_indptr, pred_indices, block_of,
 elems, pos, first, last, nblocks0, against, n_against, pairs,
-use_counts), leave the final block ids in block_of and return
+use_counts), leaves the final block ids in block_of and returns
 (block_of, block count, counters), counters being (steps, edges
-scanned, splits, queue pushes).  Both loops give the same partition,
-block ids and counters.  The test suite establishes this: it compares
-_refine_list_loop with _array_loop over the uncompiled kernels on
-random instances and on adversarial shapes, for every feature set, and
-with the compiled kernels where numba imports.
+scanned, splits, queue pushes).  It reads the arrays into lists on
+entry and runs over lists and dicts, because CPython indexes a list
+several times faster than a numpy array.  This is the only refinement
+loop; active_engine names it "numpy".
 
 Splitting discipline: three-way splits against compound splitters
 (Paige & Tarjan 1987, in the array form of Valmari 2009).  The loop's
@@ -45,240 +34,19 @@ smaller of the compound's two oldest blocks.
 """
 
 from bisect import bisect_left
+from itertools import repeat
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; _refine_list_loop runs without it
-    HAVE_NUMBA = False
-
-
-def _cut_block(b, keys, base_key, nblocks, block_of, elems, pos, first, last):
-    """Split block b by its touched elements, keys = class * base_key + x
-    in ascending order: they move to the back of b's segment in key order,
-    one sub-block per class; the untouched rest is class 0 and keeps b."""
-    ntb = len(keys)
-    fb = first[b]
-    lb = last[b]
-    tpos = lb - ntb
-    for oi in range(ntb):
-        x = int(keys[oi] % base_key)
-        cur = pos[x]
-        z = elems[tpos]
-        elems[tpos] = x
-        elems[cur] = z
-        pos[x] = tpos
-        pos[z] = cur
-        tpos += 1
-
-    nu = lb - fb - ntb
-    residual_used = False
-    if nu > 0:
-        last[b] = fb + nu
-        residual_used = True
-    seg = fb + nu
-    ii = 0
-    while ii < ntb:
-        cnt = keys[ii] // base_key
-        jj = ii
-        while jj < ntb and keys[jj] // base_key == cnt:
-            jj += 1
-        size_c = jj - ii
-        if not residual_used:
-            cid = b
-            residual_used = True
-        else:
-            cid = nblocks
-            nblocks += 1
-            for qq in range(seg, seg + size_c):
-                block_of[elems[qq]] = cid
-        first[cid] = seg
-        last[cid] = seg + size_c
-        seg += size_c
-        ii = jj
-    return nblocks
-
-
-def _bucket(nt, touched, block_of, tb_cnt, tb_start, tb_fill, affected, tlist):
-    """Group touched[:nt] by current block: the affected blocks in
-    first-touch order, and block b's elements at tlist[tb_start[b]:] in
-    touch order, tb_cnt[b] of them.  Returns the number of blocks."""
-    na = 0
-    for i in range(nt):
-        b = block_of[touched[i]]
-        if tb_cnt[b] == 0:
-            affected[na] = b
-            na += 1
-        tb_cnt[b] += 1
-    off = 0
-    for k in range(na):
-        b = affected[k]
-        tb_start[b] = off
-        tb_fill[b] = off
-        off += tb_cnt[b]
-    for i in range(nt):
-        x = touched[i]
-        b = block_of[x]
-        tlist[tb_fill[b]] = x
-        tb_fill[b] += 1
-    return na
-
-
-if HAVE_NUMBA:
-    _cut_block_jit = njit(cache=True)(_cut_block)
-    _bucket_jit = njit(cache=True)(_bucket)
-else:
-    _cut_block_jit = _cut_block
-    _bucket_jit = _bucket
-
-
-def _three_way_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-                    nblocks, use_counts, nroot, comp, head, tail, nbl, nlive, crole, nxt, prv,
-                    work, qtail, rec, rc, nrec, counts, newrec, oldrec, free, touched, tlist,
-                    tb_cnt, tb_start, tb_fill, affected, sort_keys, counters):
-    """The loop over the state _compound_setup built, with nroot root
-    compounds.  Returns the block count."""
-    base_key = np.int64(n + 1)
-    qhead = 0
-    nfree = 0
-    ncomp = nroot
-    t = 0
-    while qhead < qtail and nblocks < n:
-        c = work[qhead]
-        qhead += 1
-        s = crole[c]
-        b1 = head[c]
-        b2 = nxt[b1 * nsr + s]
-        bb = b1
-        if last[b2] - first[b2] < last[b1] - first[b1]:
-            bb = b2
-        # bb leaves S's block list and becomes a compound of its own
-        sl = bb * nsr + s
-        p = prv[sl]
-        q = nxt[sl]
-        if p < 0:
-            head[c] = q
-        else:
-            nxt[p * nsr + s] = q
-        if q >= 0:
-            prv[q * nsr + s] = p
-        else:
-            tail[c] = p
-        nxt[sl] = -1
-        prv[sl] = -1
-        nbl[c] -= 1
-        cb = ncomp
-        ncomp += 1
-        crole[cb] = s
-        head[cb] = bb
-        tail[cb] = bb
-        nbl[cb] = 1
-        comp[sl] = cb
-        t += 1
-
-        # counts[x] = number of edges x -> (member of bb) along s, for x in
-        # larger blocks (a singleton block never splits); without counting,
-        # the edges also move from their records (x, S) to new records
-        # (x, {bb})
-        nt = 0
-        for i in range(first[bb], last[bb]):
-            y = elems[i]
-            for j in range(pred_indptr[s, y], pred_indptr[s, y + 1]):
-                x = pred_indices[j]
-                if last[block_of[x]] - first[block_of[x]] == 1:
-                    continue
-                if counts[x] == 0:
-                    touched[nt] = x
-                    nt += 1
-                    if not use_counts:
-                        oldrec[x] = rec[j]
-                        if nfree > 0:
-                            nfree -= 1
-                            newrec[x] = free[nfree]
-                        else:
-                            newrec[x] = nrec
-                            nrec += 1
-                counts[x] += 1
-                if not use_counts:
-                    rec[j] = newrec[x]
-            counters[1] += pred_indptr[s, y + 1] - pred_indptr[s, y]
-
-        nlive[cb] = nt
-        # free the records (x, S) that lost their last edge
-        if not use_counts:
-            for i in range(nt):
-                x = touched[i]
-                rc[newrec[x]] = counts[x]
-                r = oldrec[x]
-                rc[r] -= counts[x]
-                if rc[r] == 0:
-                    free[nfree] = r
-                    nfree += 1
-                    nlive[c] -= 1
-        if nbl[c] >= 2 and nlive[c] > 0:
-            work[qtail] = c
-            qtail += 1
-
-        na = _bucket_jit(nt, touched, block_of, tb_cnt, tb_start, tb_fill, affected, tlist)
-        for k in range(na):
-            b = affected[k]
-            sz = last[b] - first[b]
-            ntb = tb_cnt[b]
-            s0 = tb_start[b]
-            tb_cnt[b] = 0
-            for ii in range(ntb):
-                x = tlist[s0 + ii]
-                if use_counts:
-                    cls = counts[x]
-                elif rc[oldrec[x]] > 0:
-                    cls = 1
-                else:
-                    cls = 2
-                sort_keys[ii] = cls * base_key + x
-            keys = np.sort(sort_keys[:ntb])
-            if ntb == sz and keys[0] // base_key == keys[ntb - 1] // base_key:
-                continue
-
-            first_new = nblocks
-            nblocks = _cut_block_jit(b, keys, base_key, nblocks, block_of, elems, pos, first,
-                                     last)
-            counters[2] += 1
-
-            # sub-blocks follow their parent into its compound of every
-            # role, at its tail; a compound reaching two blocks is queued
-            for s2 in range(nsr):
-                pc = comp[b * nsr + s2]
-                for cid in range(first_new, nblocks):
-                    cs = cid * nsr + s2
-                    comp[cs] = pc
-                    nxt[tail[pc] * nsr + s2] = cid
-                    prv[cs] = tail[pc]
-                    tail[pc] = cid
-                    nbl[pc] += 1
-                    if nbl[pc] == 2 and nlive[pc] > 0:
-                        work[qtail] = pc
-                        qtail += 1
-
-        for i in range(nt):
-            counts[touched[i]] = 0
-
-    counters[0] = t
-    counters[3] = qtail
-    return nblocks
-
-
-if HAVE_NUMBA:
-    _three_way_loop_jit = njit(cache=True)(_three_way_loop)
-else:
-    _three_way_loop_jit = _three_way_loop
+# There is no compiled engine.  tests/test_acceptance.py and
+# perfbench/worker.py read this flag, so it stays, always False.
+HAVE_NUMBA = False
 
 
 def _compound_setup(n, nsr, block_of, first, last, nblocks, against, n_against, pairs,
                     use_counts):
-    """The loop's start state: compounds = blocks of a coarser stable partition.
+    """The loop's start state, as lists: compounds = blocks of a coarser
+    stable partition.
 
     against[x] is the block of element x in a coarser partition of
     n_against blocks that every block is stable against along every
@@ -287,8 +55,8 @@ def _compound_setup(n, nsr, block_of, first, last, nblocks, against, n_against, 
     has one block (all 0), compound s is the whole domain along s.
     pairs = (keys, distinct, count) are the (element, compound) pairs
     over the edges, each as the key element * nsr * n_against + compound:
-    the key of each edge of pred_indices, the distinct keys in ascending
-    order, and the number of edges of each.
+    the key of each edge, the distinct keys in ascending order, and the
+    number of edges of each; the setup reads the last two.
 
     A singleton block never splits.  So, without counting, only elements
     of larger blocks keep records: one per pair, counting its edges.
@@ -298,14 +66,13 @@ def _compound_setup(n, nsr, block_of, first, last, nblocks, against, n_against, 
     could split against it.
 
     Returns comp (block * nsr + role -> compound), nxt and prv (each
-    compound's blocks as a list linked per block slot), head, tail, nbl,
-    nlive and crole (first and last block, block count, live count and
-    role per compound), the queue of root compounds to split, live
-    (whether each pair is a record), and rkey and rc (record -> x * (n *
-    nsr + 1) + compound, and its edge count).  The arrays have room for
-    every compound, block and record the loop can create.
+    compound's blocks as a list linked per block slot), with room for
+    every block the loop can create; head, tail, nbl, nlive and crole
+    (first and last block, block count, live count and role per
+    compound) of the root compounds, which the loop extends as it makes
+    compounds; the queue of root compounds to split; and the records,
+    x * (n * nsr + 1) + compound -> edge count, empty with counting.
     """
-    kc = n * nsr + 1
     nroot = nsr * n_against
     # the blocks grouped by the block of against that holds them
     aof = np.empty(nblocks, dtype=np.int64)
@@ -314,73 +81,38 @@ def _compound_setup(n, nsr, block_of, first, last, nblocks, against, n_against, 
     size = np.bincount(aof, minlength=n_against)
     ends = np.cumsum(size)
     link = np.flatnonzero(aof[order[1:]] == aof[order[:-1]])
-    comp = np.empty((n, nsr), dtype=np.int64)
-    nxt = np.full((n, nsr), -1, dtype=np.int64)
-    prv = np.full((n, nsr), -1, dtype=np.int64)
-    comp[:nblocks] = np.arange(nsr) * n_against + aof[:, None]
+    nxt = np.full((nblocks, nsr), -1, dtype=np.int64)
+    prv = np.full((nblocks, nsr), -1, dtype=np.int64)
     nxt[order[link]] = order[link + 1, None]
     prv[order[link + 1]] = order[link, None]
-    # per role the compounds stay disjoint and non-empty: at most n each
-    head = np.zeros(kc, dtype=np.int64)
-    tail = np.zeros(kc, dtype=np.int64)
-    nbl = np.zeros(kc, dtype=np.int64)
-    nlive = np.zeros(kc, dtype=np.int64)
-    crole = np.zeros(kc, dtype=np.int64)
-    head[:nroot].reshape(nsr, n_against)[:] = order[ends - size]
-    tail[:nroot].reshape(nsr, n_against)[:] = order[ends - 1]
-    nbl[:nroot].reshape(nsr, n_against)[:] = size
-    crole[:nroot] = np.arange(nroot) // n_against
-    keys, distinct, count = pairs
+
+    def slots(rows):
+        # the blocks there are, then -1 for those the loop can make
+        out = rows.ravel().tolist()
+        out.extend(repeat(-1, (n - nblocks) * nsr))
+        return out
+
+    comp, nxt, prv = map(slots, (np.arange(nsr) * n_against + aof[:, None], nxt, prv))
+    nbl = np.tile(size, nsr)
+    _, distinct, count = pairs
     owner, pcomp = np.divmod(distinct, nroot)
     live = (last[:nblocks] - first[:nblocks] > 1)[block_of][owner]
-    nlive[:nroot] = np.bincount(pcomp[live], minlength=nroot)
-    # live records hold at least one edge each; a step makes at most one
-    # record per touched element before it frees the emptied ones
-    rc = np.zeros((0 if use_counts else len(keys)) + n + 1, dtype=np.int64)
-    rkey = np.zeros(0, dtype=np.int64)
+    nlive = np.bincount(pcomp[live], minlength=nroot)
+    recs = {}
     if not use_counts:
-        rkey = owner[live] * kc + pcomp[live]
-        rc[:len(rkey)] = count[live]
-    queue = np.flatnonzero((nbl[:nroot] > 1) & (nlive[:nroot] > 0))
-    return (comp.ravel(), nxt.ravel(), prv.ravel(), head, tail, nbl, nlive, crole, queue, live,
-            rkey, rc)
-
-
-def _array_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-                nblocks0, against, n_against, pairs, use_counts):
-    """_three_way_loop_jit on _compound_setup's state and fresh scratch arrays."""
-    counters = np.zeros(4, dtype=np.int64)   # steps, edges scanned, splits, pushes
-    nblocks = nblocks0
-    if 1 < nblocks0 < n:
-        comp, nxt, prv, head, tail, nbl, nlive, crole, queue, live, rkey, rc = _compound_setup(
-            n, nsr, block_of, first, last, nblocks0, against, n_against, pairs, use_counts)
-        # rec: edge position in pred_indices -> its record, or -1
-        rec = np.zeros(0, dtype=np.int64)
-        if not use_counts:
-            counters[1] = len(pred_indices)
-            keys, distinct, _ = pairs
-            rec = np.where(live, np.cumsum(live) - 1, -1)[np.searchsorted(distinct, keys)]
-        # a compound is queued at most once at a time, and only after a
-        # step or as a root
-        work = np.zeros(2 * n * nsr + 2, dtype=np.int64)
-        work[:len(queue)] = queue
-        nblocks = _three_way_loop_jit(
-            n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
-            nblocks0, use_counts, n_against * nsr, comp, head, tail, nbl, nlive, crole,
-            nxt, prv, work, len(queue), rec, rc, len(rkey),
-            np.zeros(n, dtype=np.int64),                                      # counts
-            np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),         # newrec, oldrec
-            np.zeros(len(rc), dtype=np.int64),                                # free
-            np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32),         # touched, tlist
-            np.zeros(n + 1, dtype=np.int32), np.zeros(n + 1, dtype=np.int32),  # tb_cnt, tb_start
-            np.zeros(n + 1, dtype=np.int32), np.zeros(n, dtype=np.int32),     # tb_fill, affected
-            np.zeros(n, dtype=np.int64), counters,                            # sort_keys
-        )
-    return block_of, int(nblocks), tuple(counters.tolist())
+        recs = dict(zip((owner[live] * (n * nsr + 1) + pcomp[live]).tolist(),
+                        count[live].tolist()))
+    queue = np.flatnonzero((nbl > 1) & (nlive > 0)).tolist()
+    return (comp, nxt, prv, np.tile(order[ends - size], nsr).tolist(),
+            np.tile(order[ends - 1], nsr).tolist(), nbl.tolist(), nlive.tolist(),
+            (np.arange(nroot) // n_against).tolist(), queue, recs)
 
 
 def _cut_list(b, keys, base, blk, el, ps, fst, lst, nblocks):
-    """_cut_block over lists; returns the block count."""
+    """Split block b by its touched elements, keys = class * base + x in
+    ascending order: they move to the back of b's segment in key order,
+    one sub-block per class; the untouched rest is class 0 and keeps b.
+    Returns the block count."""
     ntb = len(keys)
     fb = fst[b]
     lb = lst[b]
@@ -420,32 +152,27 @@ def _cut_list(b, keys, base, blk, el, ps, fst, lst, nblocks):
 
 def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last,
                       nblocks0, against, n_against, pairs, use_counts):
-    """_three_way_loop for CPython, run over Python lists.
+    """The refinement loop on _compound_setup's state (see the module).
 
-    The arrays are read into lists on entry, because CPython indexes a
-    list far faster than a numpy array, and only the block ids are
-    written back.  Dicts stand in for the kernel's per-step scratch
-    arrays (counts, groups by block) and for its records, which are
-    keyed x * (n * nsr + 1) + compound, so that a step counts edges per
-    touched element instead of moving each edge between records.
-    Touched elements are ordered by sorted() on the keys the kernel
-    sorts; the keys are unique, so both orders, and hence the block ids,
-    agree.
+    Only the block ids are written back to the arrays.  A step counts the
+    edges into its splitter per touched element in a dict, and groups
+    the touched elements by block in another; without counting, the
+    records are a dict keyed x * (n * nsr + 1) + compound, so that a step
+    moves each touched element's count, not each edge, between records.
+    Each group is sorted by its unique keys class * (n + 1) + x, so the
+    block ids depend only on the input.
     """
     t = scanned = splits = pushes = 0
     nblocks = nblocks0
     if 1 < nblocks0 < n:
-        comp, nxt, prv, head, tail, nbl, nlive, crole, queue, _, rkey, rc = _compound_setup(
+        comp, nxt, prv, head, tail, nbl, nlive, crole, work, recs = _compound_setup(
             n, nsr, block_of, first, last, nblocks0, against, n_against, pairs, use_counts)
         if not use_counts:
             scanned = len(pred_indices)
-        comp, nxt, prv = comp.tolist(), nxt.tolist(), prv.tolist()
-        # compounds are numbered in order of creation: the lists grow
-        head, tail, nbl, nlive, crole = (
-            a[:n_against * nsr].tolist() for a in (head, tail, nbl, nlive, crole))
-        recs = dict(zip(rkey.tolist(), rc[:len(rkey)].tolist()))
-        ptr = pred_indptr.tolist()
-        idx = pred_indices.tolist()
+        # per role its in-edge offsets from 0, so that a role with few
+        # edges holds small ints, and its part of pred_indices
+        ptr = [(row - row[0]).tolist() for row in pred_indptr]
+        idx = [pred_indices[lo:hi].tolist() for lo, hi in pred_indptr[:, [0, -1]].tolist()]
         blk = block_of.tolist()
         el = elems.tolist()
         ps = pos.tolist()
@@ -454,7 +181,6 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
         kc = n * nsr + 1
         base = n + 1
         base2 = 2 * base
-        work = queue.tolist()
         qhead = 0
         while qhead < len(work) and nblocks < n:
             c = work[qhead]
@@ -487,10 +213,11 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
 
             # cnt[x] = number of edges x -> (member of bb) along s
             ip = ptr[s]
+            ix = idx[s]
             cnt = {}
             get = cnt.get
             for y in el[fst[bb]:lst[bb]]:
-                for x in idx[ip[y]:ip[y + 1]]:
+                for x in ix[ip[y]:ip[y + 1]]:
                     cnt[x] = get(x, 0) + 1
             scanned += sum(cnt.values())
 
@@ -554,18 +281,6 @@ def _refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, f
 
 
 def active_engine() -> str:
-    """The engine this install runs: numba when it imports, the list loop otherwise."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def get_refine_loop(engine: str | None = None):
-    """The loop of the named engine; None names the installed one."""
-    if engine is None:
-        engine = active_engine()
-    if engine == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba is not importable in this environment")
-        return _array_loop
-    if engine == "numpy":
-        return _refine_list_loop
-    raise ValueError("engine must be numba or numpy, got %r" % engine)
+    """The name of the refinement loop: "numpy", the name the benchmark
+    records and `dlbisim bench --engine` accepts, for the list loop."""
+    return "numpy"

@@ -25,7 +25,6 @@ import json
 import sys
 import time
 
-from . import _kernels
 from .bisim import (
     bisimulation_pairs,
     bisimulation_size,
@@ -255,9 +254,6 @@ def cmd_bench(args) -> int:
         phi = FeatureSet.from_string(args.phi or "")
     except ValueError as exc:
         raise DocumentError(str(exc))
-    engines = ["numba", "numpy"] if args.engine == "both" else [args.engine]
-    if "numba" in engines and not _kernels.HAVE_NUMBA:
-        raise DocumentError("engine %s requested but numba is not importable" % args.engine)
     sizes = []
     for part in args.sizes.split(","):
         part = part.strip()
@@ -266,23 +262,17 @@ def cmd_bench(args) -> int:
         sizes.append(int(part))
 
     warm = benchmark_graph(args.seed, 256, args.roles, args.concepts, args.max_out)
-    for engine in engines:
-        compute_partition(phi, warm, want_trace=False, engine=engine)
+    compute_partition(phi, warm, want_trace=False)
 
-    with_engine = args.engine == "both"
-    rows = ["n,sigma,engine,millis" if with_engine else "n,sigma,millis"]
+    rows = ["n,sigma,millis"]
     for n in sizes:
         graph = benchmark_graph(args.seed, n, args.roles, args.concepts, args.max_out)
-        for engine in engines:
-            best = float("inf")
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                compute_partition(phi, graph, want_trace=False, engine=engine)
-                best = min(best, (time.perf_counter() - start) * 1000.0)
-            if with_engine:
-                rows.append("%d,%d,%s,%.3f" % (n, args.roles, engine, best))
-            else:
-                rows.append("%d,%d,%.3f" % (n, args.roles, best))
+        best = float("inf")
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            compute_partition(phi, graph, want_trace=False)
+            best = min(best, (time.perf_counter() - start) * 1000.0)
+        rows.append("%d,%d,%.3f" % (n, args.roles, best))
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 
@@ -381,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--concepts", type=int, default=2)
     sp.add_argument("--max-out", type=int, default=4)
     sp.add_argument("--phi", default="Q")
-    sp.add_argument("--engine", choices=("numba", "numpy", "both"),
-                    default=_kernels.active_engine(),
-                    help="refinement engine to time (default: the installed one)")
+    sp.add_argument("--engine", choices=("numpy",), default="numpy",
+                    help="refinement engine to time; numpy, the list loop, is the only one")
     sp.add_argument("--repeats", type=int, default=3)
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--output", "-o", default="-")

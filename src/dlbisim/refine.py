@@ -364,21 +364,24 @@ def _signature_ids(blocks, k, pairs, nsr, counting):
     return ids, total
 
 
-def _run_loop(loop, phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, against,
-              n_against, pairs):
-    """The engine's loop on the layout of block_of (see _kernels)."""
+def _run_loop(phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, against, n_against,
+              pairs):
+    """The refinement loop on the layout of block_of (see _kernels): the
+    elements in block order, each element's place in it, and each
+    block's bounds, with room for the n blocks the loop can reach."""
     n = len(block_of)
     elems = np.argsort(block_of, kind="stable").astype(np.int32)
     pos = np.zeros(n, dtype=np.int32)
     pos[elems] = np.arange(n, dtype=np.int32)
     bounds = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(np.bincount(block_of, minlength=n_blocks), out=bounds[1:])
-    first = np.zeros(n + 1, dtype=np.int32)
-    last = np.zeros(n + 1, dtype=np.int32)
+    first = np.zeros(n, dtype=np.int32)
+    last = np.zeros(n, dtype=np.int32)
     first[:n_blocks] = bounds[:-1]
     last[:n_blocks] = bounds[1:]
-    return loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos, first, last, n_blocks,
-                against, n_against, pairs, bool(phi.counting))
+    return _kernels._refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos,
+                                      first, last, n_blocks, against, n_against, pairs,
+                                      bool(phi.counting))
 
 
 # the list recorded_runs() collects into, in the current context
@@ -442,13 +445,14 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     Returns the partition, with the counters of its rounds and loop, and,
     when requested, the trace that refinement_trace would return, built
     from the rounds run here.  The partition never depends on
-    want_trace.  engine names the refinement loop, "numba" or "numpy";
-    None runs the one the install provides (see _kernels).  The result
-    is independent of the engine and deterministic: block ids depend only
-    on the graph and phi.
+    want_trace.  The result is deterministic: block ids depend only on
+    the graph and phi.  engine may name the refinement loop, "numpy"
+    (see _kernels.active_engine); any other name but None raises
+    ValueError.
     """
+    if engine not in (None, "numpy"):
+        raise ValueError("engine must be numpy, got %r" % (engine,))
     start = time.perf_counter()
-    loop = _kernels.get_refine_loop(engine)
     n = graph.n
     nsr = graph.n_roles * (2 if phi.inverse else 1)
     pred_indptr, pred_indices = _predecessors(phi, graph)
@@ -464,8 +468,8 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     if n_against < n_blocks < n:
         # stable against the blocks the last round split: the loop's compounds
         block_of, n_blocks, (steps, scanned, splits, pushes) = _run_loop(
-            loop, phi, nsr, pred_indptr, pred_indices, block_of.copy(), n_blocks, against,
-            n_against, pairs)
+            phi, nsr, pred_indptr, pred_indices, block_of.copy(), n_blocks, against, n_against,
+            pairs)
     counters = Counters(steps, rounds * len(origin) + scanned, splits, pushes, rounds,
                         round_splits)
     partition = Partition(block_of, n_blocks, counters)

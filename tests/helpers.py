@@ -77,13 +77,20 @@ def cut_copy(rng: random.Random, interp: Interpretation):
     role = rng.choice(sorted(r for r, pairs in roles.items() if pairs))
     roles[role].discard(rng.choice(sorted(roles[role])))
     copy = build_interpretation(interp.signature, interp.n, dict(interp.concept_ext), roles, {})
-    n = interp.n
-    union = build_interpretation(
-        interp.signature, 2 * n,
-        {a: set(ext) | {x + n for x in ext} for a, ext in interp.concept_ext.items()},
-        {r: set(interp.role_ext[r]) | {(x + n, y + n) for x, y in roles[r]} for r in roles},
+    return copy, disjoint_union(interp, copy)
+
+
+def disjoint_union(a: Interpretation, b: Interpretation) -> Interpretation:
+    """a and b, two interpretations of one signature without individuals,
+    as one, b's elements after a's: the numbering of
+    disjoint_union_graph(a, b)."""
+    n = a.n
+    return build_interpretation(
+        a.signature, n + b.n,
+        {c: set(ext) | {x + n for x in b.concept_ext[c]} for c, ext in a.concept_ext.items()},
+        {r: set(pairs) | {(x + n, y + n) for x, y in b.role_ext[r]}
+         for r, pairs in a.role_ext.items()},
         {})
-    return copy, union
 
 
 def marked_path(n: int) -> Interpretation:

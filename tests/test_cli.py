@@ -8,8 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from dlbisim._kernels import HAVE_NUMBA
-
 ROOT = Path(__file__).resolve().parent.parent
 FIG2 = str(ROOT / "tests" / "fixtures" / "fig2.kbi")
 
@@ -382,20 +380,10 @@ class TestBench:
         for row in rows[1:]:
             float(row.split(",")[2])
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_both_engines(self):
-        out = run("bench", "--sizes", "300", "--repeats", "1", "--engine", "both")
-        assert out.returncode == 0
-        rows = out.stdout.strip().split("\n")
-        assert rows[0] == "n,sigma,engine,millis"
-        assert [row.split(",")[2] for row in rows[1:]] == ["numba", "numpy"]
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is importable")
-    def test_numba_engines_need_numba(self):
-        for engine in ("numba", "both"):
-            out = run("bench", "--sizes", "300", "--repeats", "1", "--engine", engine)
-            assert out.returncode == 3
-            assert out.stderr == "error: engine %s requested but numba is not importable\n" % engine
+    def test_engine_is_numpy_only(self):
+        out = run("bench", "--sizes", "300", "--repeats", "1", "--engine", "numba")
+        assert out.returncode == 2
+        assert "invalid choice: 'numba'" in out.stderr
 
     def test_rejects_bad_sizes(self):
         out = run("bench", "--sizes", "12,-3")

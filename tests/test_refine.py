@@ -1,4 +1,4 @@
-"""Partition refinement: engines, traces, determinism, three-way splits, counters."""
+"""Partition refinement: oracle, traces, determinism, three-way splits, counters."""
 
 import math
 from collections import Counter
@@ -153,6 +153,25 @@ class TestAgainstNaiveOracle:
                 oracle = naive_largest_bisimulation(phi, union, union)
                 assert partition_to_relation(part).pairs == oracle.pairs, str(phi)
 
+    def test_loop_instances(self, monkeypatch):
+        # instances on which the loop runs, some of them resuming from more
+        # compounds than the whole domain (THREE_WAY_SHAPES are checked in
+        # TestThreeWaySplits)
+        rng = H.seeded(407)
+        cases = [(interp, to_labeled_graph(interp))
+                 for interp in (H.small_instance(rng, max_n=40) for _ in range(15))]
+        cases.append((H.disjoint_union(*CUT_UNION), as_graph(CUT_UNION)))
+        starts = []
+        setup = _kernels._compound_setup
+        monkeypatch.setattr(_kernels, "_compound_setup",
+                            lambda *a: starts.append(a[-3]) or setup(*a))
+        for interp, graph in cases:
+            for phi in H.ALL_PHIS:
+                part, _ = compute_partition(phi, graph, want_trace=False)
+                oracle = naive_largest_bisimulation(phi, interp, interp)
+                assert partition_to_relation(part).pairs == oracle.pairs, str(phi)
+        assert max(starts) > 1
+
     def test_no_roles_stays_at_labels(self):
         rng = H.seeded(402)
         for _ in range(10):
@@ -178,52 +197,15 @@ class TestDeterminismAndEngines:
                 assert a_part.n_blocks == b_part.n_blocks
                 assert a_trace.events == b_trace.events
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
-    def test_numpy_and_numba_agree(self):
-        rng = H.seeded(404)
-        for _ in range(15):
-            interp = H.small_instance(rng)
-            graph = to_labeled_graph(interp)
-            for phi in H.ALL_PHIS:
-                np_part, np_trace = compute_partition(phi, graph, engine="numpy")
-                nb_part, nb_trace = compute_partition(phi, graph, engine="numba")
-                assert np.array_equal(np_part.block_of, nb_part.block_of)
-                assert np_part.n_blocks == nb_part.n_blocks
-                assert np_trace.events == nb_trace.events
-
-    def test_list_loop_matches_array_loop(self, monkeypatch):
-        # _refine_list_loop and the array kernels are separate sources; run
-        # the kernels uncompiled, through _array_loop, as the reference, so
-        # this holds without numba.
-        rng = H.seeded(407)
-        graphs = [to_labeled_graph(H.small_instance(rng, max_n=40)) for _ in range(15)]
-        graphs += [to_labeled_graph(interp) for interp in THREE_WAY_SHAPES]
-        graphs.append(as_graph(CUT_UNION))
-        starts = []
-        setup = _kernels._compound_setup
-        monkeypatch.setattr(_kernels, "_compound_setup",
-                            lambda *a: starts.append(a[-3]) or setup(*a))
-        for graph in graphs:
-            for phi in H.ALL_PHIS:
-                ref_part, ref_trace = array_loop_partition(monkeypatch, phi, graph)
-                part, trace = compute_partition(phi, graph, engine="numpy")
-                assert np.array_equal(part.block_of, ref_part.block_of), str(phi)
-                assert part.n_blocks == ref_part.n_blocks, str(phi)
-                assert part.counters == ref_part.counters, str(phi)
-        # some loops resumed from more compounds than the whole domain
-        assert max(starts) > 1
-
     def test_engine_selection(self):
-        try:
-            import numba  # noqa: F401
-            installed = "numba"
-        except ImportError:
-            installed = "numpy"
-        assert _kernels.active_engine() == installed
-        assert _kernels.get_refine_loop("numpy") is _kernels._refine_list_loop
-        for name in ("auto", "fast"):
+        assert _kernels.active_engine() == "numpy"
+        graph = to_labeled_graph(H.marked_path(12))
+        named, _ = compute_partition(FeatureSet(), graph, want_trace=False, engine="numpy")
+        default, _ = compute_partition(FeatureSet(), graph, want_trace=False)
+        assert np.array_equal(named.block_of, default.block_of)
+        for name in ("numba", "auto"):
             with pytest.raises(ValueError):
-                _kernels.get_refine_loop(name)
+                compute_partition(FeatureSet(), graph, engine=name)
 
     def test_trace_optional(self):
         rng = H.seeded(405)
@@ -256,16 +238,6 @@ def as_graph(shape):
     return to_labeled_graph(shape)
 
 
-def array_loop_partition(monkeypatch, phi, graph):
-    """compute_partition through _array_loop over the uncompiled kernels."""
-    with monkeypatch.context() as m:
-        m.setattr(_kernels, "_three_way_loop_jit", _kernels._three_way_loop)
-        m.setattr(_kernels, "_cut_block_jit", _kernels._cut_block)
-        m.setattr(_kernels, "_bucket_jit", _kernels._bucket)
-        m.setattr(_kernels, "get_refine_loop", lambda engine=None: _kernels._array_loop)
-        return compute_partition(phi, graph)
-
-
 class TestThreeWaySplits:
     def test_shapes_match_the_oracle(self):
         for interp in THREE_WAY_SHAPES:
@@ -294,14 +266,12 @@ class TestCounters:
                                        _cut_union(410, 1000)],
                              ids=["path", "tree", "cycle", "cut"])
     @pytest.mark.parametrize("phi", ["", "I", "Q", "IQ"])
-    def test_edges_scanned_within_m_log_n(self, monkeypatch, shape, phi):
+    def test_edges_scanned_within_m_log_n(self, shape, phi):
         phi = FeatureSet.from_string(phi)
         graph = as_graph(shape)
         _, pred_indices = _predecessors(phi, graph)
         bound = 2 * len(pred_indices) * (math.ceil(math.log2(graph.n)) + 1)
         part, _ = compute_partition(phi, graph, want_trace=False)
-        ref, _ = array_loop_partition(monkeypatch, phi, graph)
-        assert part.counters == ref.counters
         assert part.counters.edges_scanned <= bound, part.counters
         # every split makes at least one block
         init_blocks = len(np.unique(econd_partition(phi, graph).block_of))
