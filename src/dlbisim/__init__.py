@@ -15,17 +15,18 @@ What is here:
 - concept and role evaluation by preimages on boolean vectors, axiom
   checking, least closure of an interpretation under role inclusion
   axioms,
-- the coarsest stable partition of an interpretation via exact numpy
-  signature rounds and a worklist refinement loop over Python lists
-  that finishes what they leave (active_engine names it "numpy"),
+- the coarsest stable partition of an interpretation via exact
+  signature rounds to the fixpoint: whole-array numpy rounds, then
+  rounds that read only the in-edges of the elements that moved
+  (active_engine names the refinement "numpy"),
 - bisimulation checking, largest bisimulations within and across
   interpretations (verdicts and pair counts read off block ids, pairs
   built only on request), and a slow reference fixpoint for cross
   checking,
 - quotients, multiplicity-annotated quotients, and concepts witnessing
   why two elements fell into different blocks, of the least modal depth,
-  read off the partitions of the signature rounds (refinement_trace
-  keeps them as levels and runs rounds until the two part),
+  read off the partitions of the signature rounds (the trace that
+  compute_partition returns keeps them as levels),
 - a JSON document format and a CLI exposing all of the above.
 """
 
@@ -83,7 +84,6 @@ from .refine import (
     SplitEvent,
     compute_partition,
     econd_partition,
-    refinement_trace,
 )
 from .semantics import (
     Evaluator,

@@ -46,7 +46,7 @@ from .document import (
 from .errors import BisimError, DocumentError, NotSeparatedError, ParseError, TooLargeError
 from .gen import benchmark_graph, random_document
 from .quotient import qs_quotient, quotient_interpretation, separating_concept
-from .refine import compute_partition, recorded_runs, refinement_trace
+from .refine import compute_partition, recorded_runs
 from .semantics import check_kb, eval_concept, eval_concept_qs, eval_role, least_r_extension
 from .syntax import ast_size, parse_concept, parse_role, to_text
 
@@ -206,7 +206,7 @@ def cmd_witness(args) -> int:
     phi = _phi_of(ws, args)
     x = _element_ref(ws, args.interpretation, args.left)
     y = _element_ref(ws, args.interpretation, args.right)
-    trace = refinement_trace(phi, to_labeled_graph(interp))
+    trace = compute_partition(phi, to_labeled_graph(interp))[1]
     try:
         witness = separating_concept(interp, trace, x, y)
     except NotSeparatedError:
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-out", type=int, default=4)
     sp.add_argument("--phi", default="Q")
     sp.add_argument("--engine", choices=("numpy",), default="numpy",
-                    help="refinement engine to time; numpy, the list loop, is the only one")
+                    help="refinement engine to time; numpy, the signature rounds, is the only one")
     sp.add_argument("--repeats", type=int, default=3)
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--output", "-o", default="-")

@@ -9,8 +9,8 @@ see the structure the plain quotient forgets.
 
 `separating_concept` turns a refinement trace into a certificate: a
 concept satisfied by one of two elements in different blocks and not by
-the other.  The trace runs signature rounds until the two part, and the
-concept is read off the rounds' levels, of the least modal depth
+the other.  The concept is read off the levels of the signature rounds
+that the trace keeps, of the least modal depth
 (Cleaveland 1990, "On automatically explaining bisimulation
 inequivalence").  It does not try to minimize size, which is NP-hard
 (Martens & Groote 2023).  Every certificate is re-evaluated before
@@ -166,15 +166,15 @@ class _LevelWitness:
     with the fewest conjuncts is taken.
 
     Levels refine each other, so the level at which a pair first parts
-    is found by bisection.  Separations are memoised per (level, block
-    of x, block of y) and built from an explicit stack, so a pair that
-    parts thousands of levels deep costs no Python frames.
+    is found by bisection, over the trace's lookups of each level's
+    blocks.  Separations are memoised per (level, block of x, block of y)
+    and built from an explicit stack, so a pair that parts thousands of
+    levels deep costs no Python frames.
     """
 
     def __init__(self, trace: RefinementTrace):
         self.trace = trace
         g = trace.graph
-        self.levels = [block_of for block_of, _ in trace.levels]
         self.adjacency = [(g.fwd_indptr[s], g.fwd_indices) for s in range(g.n_roles)]
         if trace.phi.inverse:
             self.adjacency += [(g.rev_indptr[s], g.rev_indices) for s in range(g.n_roles)]
@@ -184,21 +184,24 @@ class _LevelWitness:
     def _task(self, x: int, y: int, hi: int):
         """(key, x, y) for separating x from y, which level hi parts: key
         is (d, block of x, block of y) at the least level d that parts them."""
-        levels = self.levels
+        blocks_at = self.trace.blocks_at
+        pair = np.array((x, y))
         lo = 0
         while lo < hi:
             mid = (lo + hi) // 2
-            if levels[mid][x] != levels[mid][y]:
+            bx, by = blocks_at(mid, pair).tolist()
+            if bx != by:
                 hi = mid
             else:
                 lo = mid + 1
-        return (hi, int(levels[hi][x]), int(levels[hi][y])), x, y
+        bx, by = blocks_at(hi, pair).tolist()
+        return (hi, bx, by), x, y
 
     def separate(self, x: int, y: int) -> Concept:
         """A concept true at x and false at y, which the last level parts."""
         memo = self.memo
         plans = {}
-        goal = self._task(x, y, len(self.levels) - 1)
+        goal = self._task(x, y, self.trace.depth)
         stack = [goal]
         while stack:
             key, x, y = stack[-1]
@@ -230,7 +233,7 @@ class _LevelWitness:
         """Per level d block of x's s-successors: a member, and x's edge count into it."""
         indptr, indices = self.adjacency[s]
         succ = indices[indptr[x]:indptr[x + 1]]
-        blocks, first, counts = np.unique(self.levels[d][succ], return_index=True,
+        blocks, first, counts = np.unique(self.trace.blocks_at(d, succ), return_index=True,
                                           return_counts=True)
         return dict(zip(blocks.tolist(), zip(succ[first].tolist(), counts.tolist())))
 
@@ -273,11 +276,10 @@ class WitnessConcept:
 
 def separating_concept(interp: Interpretation, trace: RefinementTrace,
                        x: int, y: int) -> WitnessConcept:
-    """A concept satisfied by x but not by y, read off the trace's levels;
-    the trace runs signature rounds until the two part.
+    """A concept satisfied by x but not by y, read off the trace's levels.
 
-    Raises NotSeparatedError when the two elements share a final block,
-    found by the first round that splits no block (then no concept of the
+    Raises NotSeparatedError when the two elements share a block of the
+    last level, the coarsest stable partition (then no concept of the
     traced language family separates them).  The result is checked by
     evaluation before being returned.
     """
@@ -286,9 +288,9 @@ def separating_concept(interp: Interpretation, trace: RefinementTrace,
         raise ElementOutOfRangeError("element out of range for the traced graph")
     if x == y:
         raise NotSeparatedError("an element cannot be separated from itself")
-    while trace.levels[-1][0][x] == trace.levels[-1][0][y]:
-        if not trace.extend():
-            raise NotSeparatedError("elements %d and %d share a block" % (x, y))
+    bx, by = trace.blocks_at(trace.depth, np.array((x, y))).tolist()
+    if bx == by:
+        raise NotSeparatedError("elements %d and %d share a block" % (x, y))
     concept = _LevelWitness(trace).separate(x, y)
     ext = eval_concept(interp, concept, trace.phi)
     if x not in ext or y in ext:

@@ -1,4 +1,4 @@
-"""Coarsest stable partitions of labeled graphs: signature rounds, then a loop.
+"""Coarsest stable partitions of labeled graphs, by signature rounds.
 
 The initial partition groups nodes by label: concept membership always,
 nominal labels when nominals are active, self-loop patterns when local
@@ -8,37 +8,53 @@ are the role names, plus their inverses when inverse roles are active;
 the universal role never splits anything.  With counting active the
 stability notion is "equal number of edges into the splitter block".
 
-compute_partition refines by exact signature rounds first (Blom &
+compute_partition runs exact signature rounds to the fixpoint (Blom &
 Orzan 2005).  A round against a partition P gives each element the
 signature (its block of P, the set of (splitter role, block of P) pairs
 over its edges), the multiset with counting, and makes the elements
-with equal signatures its blocks.  Signatures are compared exactly,
-never by hash, as rows: of the dense table of edge counts per
-(element, role, block) while it has at most 8 (n + m) cells, else of
-each element's sorted pairs, padded to the longest of its power-of-two
-length class.  Either way the rows total O(n + m) cells; they are
-packed into int64 keys and ranked.  A round reads every edge once and
-sorts: O((n + m) log(n + m)) time and O(n + m) memory.  The first
-round is taken against the label partition.  Rounds stop at the
-fixpoint, the coarsest stable partition, when every block is a
-singleton, or after the first round that does not double the block
-count, so there are at most log2 n + 1 of them and they read at most
-m (log2 n + 1) edges.  The result of the last round is stable
-against every block of the partition that round split: these blocks
-are the starting compounds of the loop (see _kernels), which finishes
-the refinement with three-way splits against compound splitters in
-O(m log n) edge scans.  A block B of a compound S splits every block by
-its edges into B and into S without B, in time linear in B's in-edges.
+with equal signatures its blocks.  The first round is taken against the
+label partition.  Rounds stop after one that splits no block, whose
+partition is the coarsest stable one, or once every block is a
+singleton.  Level d is the partition after round d, level 0 the label
+partition: two elements share a level d block exactly when they agree
+on every concept of modal depth at most d (see quotient).
 
-refinement_trace records a refinement for the witness builder.  It
-runs the signature rounds under the same stopping rule and keeps every
-partition they pass through as a level: level 0 is the label partition
-and level i round i's, so two elements share a block of level d exactly
-when they agree on every concept of modal depth at most d (see
-quotient).  The trace runs further rounds on request (extend), past the
-doubling rule, until a round splits no block or every block is a
-singleton: its last level is then the coarsest stable partition,
-compute_partition's blocks with other block ids.
+Block ids follow Hopcroft's "process all but the largest" (1971), per
+round as in Valmari & Franceschinis ("Simple O(m log n) time Markov
+chain lumping", TACAS 2010): the largest sub-block of a block that a
+round splits keeps the block's id, and the others get fresh ids, above
+every id used before.  An element moves (gets a fresh id) only when its
+block at least halves, so at most log2 n times.
+
+A full round (_signature_round) reads every edge and compares whole
+signatures exactly, never by hash, in whole-array numpy passes:
+O((n + m) log(n + m)) time and O(n + m) memory.
+
+An incremental round (_incremental_rounds) reads only the in-edges of
+the elements that the round before moved.  Members of a block had equal
+signatures over the level before, and a fresh id occurs in no older
+signature, so two members have equal new signatures exactly when they
+have equal deltas: the (role, fresh block) pairs over their edges into
+moved elements, with their edge counts under counting, and without
+counting also the (role, old block) pairs whose last edge moved out,
+found by records of the edge count per (element, role, block), at most
+m of them.  The touched elements of each non-singleton block are
+grouped by their sorted deltas, and its untouched elements form one
+class.  Each element moves at most log2 n times, so the incremental
+rounds read O(m log n) edges in all.
+
+Full rounds run while the in-edges of the elements that the last round
+moved number at least m/8; the rounds after that are incremental.  The
+quantity compared is observed after every round; the constant weighs a
+whole-array pass over all m edges against Python steps over the moved
+in-edges alone, a ratio of the two implementations, not of the input.
+Random graphs fall apart into near-singletons within a few full rounds;
+paths and trees move a few elements per round and go incremental after
+one or two.
+
+With want_trace, the same run keeps every level for the witness
+builder, as changes of one element's id at one level (RefinementTrace):
+one per element at level 0 and one per move, O(n log n) in all.
 """
 
 from __future__ import annotations
@@ -52,7 +68,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .core import BisimRelation, FeatureSet, LabeledGraph
 from .errors import PartitionMismatchError
 
@@ -60,12 +75,10 @@ from .errors import PartitionMismatchError
 class Counters(NamedTuple):
     """Deterministic work counts of one refinement run."""
 
-    extractions: int    # loop steps: splitter blocks taken from a compound
-    edges_scanned: int  # edges read: m per round, the loop's predecessor edges, its record setup
-    splits: int         # blocks the loop split
-    queue_pushes: int   # worklist entries pushed
-    rounds: int         # signature rounds
-    round_splits: int   # blocks the rounds split
+    edges_scanned: int  # edges read: m per full round, then moved in-edges and record edges
+    rounds: int         # signature rounds, full and incremental
+    splits: int         # blocks the rounds split
+    moves: int          # elements given a fresh block id
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +130,11 @@ class Partition:
         return ["block %d: %s" % (i, " ".join(words[bounds[b]:bounds[b + 1]]))
                 for i, b in enumerate(self.canonical_order)]
 
-
 @dataclass(frozen=True)
 class SplitEvent:
     """One block split by a signature round: block parent of level
-    level - 1 broke into the blocks subs of level level, ascending."""
+    level - 1 broke into the blocks subs of level level, ascending; the
+    first is parent itself, which its largest sub-block keeps."""
 
     level: int
     parent: int
@@ -129,72 +142,38 @@ class SplitEvent:
 
 
 class RefinementTrace:
-    """The signature rounds of phi's refinement of graph, kept as levels
-    for the witness builder.
+    """The levels of phi's refinement of graph, for the witness builder.
 
-    levels are the rounds' partitions as (block ids, block count), level
-    0 the label partition and level i round i's.  extend runs one more
-    round; complete is set once the last level is the coarsest stable
-    partition: when a round split no block, or every block is a
-    singleton.
+    Level 0 is the label partition, level d the partition after round d,
+    and the last level, depth, the coarsest stable one.  Every element's
+    level 0 id and the fresh ids it got later are kept as changes, keyed
+    element * (depth + 1) + level in ascending order: n entries plus one
+    per move, O(n log n) in all.
     """
 
-    def __init__(self, graph: LabeledGraph, phi: FeatureSet, levels: list[tuple[np.ndarray, int]],
-                 origin: np.ndarray, heads: np.ndarray, run: dict | None = None):
+    def __init__(self, graph: LabeledGraph, phi: FeatureSet, depth: int, keys: np.ndarray,
+                 ids: np.ndarray, splits: list[tuple[int, int, int, int]]):
         self.graph = graph
         self.phi = phi
         self.use_counts = bool(phi.counting)
         self.n_split_roles = graph.n_roles * (2 if phi.inverse else 1)
-        self.levels = levels
-        self._origin = origin
-        self._heads = heads
-        # the recorded run that counts the rounds, made by refinement_trace
-        # or by the first round extend runs where runs are recorded
-        self._run = run
-        k = levels[-1][1]
-        self.complete = k == graph.n or (len(levels) > 1 and k == levels[-2][1])
+        self.depth = depth
+        self._keys = keys
+        self._ids = ids
+        self._splits = splits  # (level, parent, first fresh id, end)
 
-    def extend(self) -> bool:
-        """Run one more signature round and keep its partition as a level;
-        False, and no round, once the trace is complete."""
-        if self.complete:
-            return False
-        start = time.perf_counter()
-        block_of, k = self.levels[-1]
-        ids, total, split, _ = _signature_round(block_of, k, self._origin, self._heads,
-                                                self.n_split_roles, self.use_counts)
-        self.levels.append((ids, total))
-        self.complete = total == k or total == self.graph.n
-        run = self._run
-        if run is None:
-            self._run = _record("refinement_trace", self.phi, self.graph, total,
-                                Counters(0, len(self._origin), 0, 0, 1, split), start)
-        else:
-            counters = run["counters"]
-            counters["edges_scanned"] += len(self._origin)
-            counters["rounds"] += 1
-            counters["round_splits"] += split
-            run["blocks"] = total
-            run["wall_s"] += time.perf_counter() - start
-        return True
+    def blocks_at(self, d: int, xs):
+        """The level d block ids of xs, one element or an array of them:
+        the last change of each at level d or before, by bisection."""
+        at = np.searchsorted(self._keys, np.asarray(xs, dtype=np.int64) * (self.depth + 1) + d,
+                             side="right")
+        return self._ids[at - 1]
 
     @property
     def events(self) -> tuple[SplitEvent, ...]:
-        """The splits of the levels so far: one per block of level d - 1
-        that round d split, in order of d and then of the parent's id."""
-        out = []
-        for d in range(1, len(self.levels)):
-            (coarse, k), (fine, total) = self.levels[d - 1], self.levels[d]
-            if total == k:
-                continue
-            parent = np.zeros(total, dtype=np.int64)
-            parent[fine] = coarse
-            subs = np.argsort(parent, kind="stable")
-            bounds = np.zeros(k + 1, dtype=np.int64)
-            np.cumsum(np.bincount(parent, minlength=k), out=bounds[1:])
-            for b in np.flatnonzero(np.diff(bounds) > 1).tolist():
-                out.append(SplitEvent(d, b, tuple(subs[bounds[b]:bounds[b + 1]].tolist())))
-        return tuple(out)
+        """The splits, one per block that a round split, in level order."""
+        return tuple(SplitEvent(d, parent, (parent, *range(lo, hi)))
+                     for d, parent, lo, hi in self._splits)
 
     def splitter_role(self, idx: int) -> tuple[str, bool]:
         """Role name and inverted flag for a splitter role index."""
@@ -231,15 +210,6 @@ def econd_partition(phi: FeatureSet, graph: LabeledGraph) -> Partition:
     refines (see compute_partition)."""
     ids, k = _group_rows(_label_columns(phi, graph), graph.n)
     return Partition(ids, k)
-
-
-def _predecessors(phi: FeatureSet, graph: LabeledGraph):
-    """Predecessor CSR per splitter role: the roles, then their inverses."""
-    if phi.inverse:
-        return (np.vstack([graph.rev_indptr, graph.fwd_indptr + len(graph.rev_indices)]),
-                np.concatenate([graph.rev_indices, graph.fwd_indices]))
-    return np.ascontiguousarray(graph.rev_indptr), np.ascontiguousarray(graph.rev_indices)
-
 
 def _dense_ids(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     """Ids of the distinct values of keys, all below bound, in ascending
@@ -281,60 +251,87 @@ def _row_ids(ids: np.ndarray, bound: int, digits: np.ndarray, base: int):
             return ids, bound
 
 
-def _edge_ends(n: int, nsr: int, pred_indptr: np.ndarray, pred_indices: np.ndarray):
-    """Per position j of pred_indices, the edge from x = pred_indices[j]
-    along splitter role s into the node whose predecessor it lists:
-    x * nsr + s, and that node."""
-    slot = np.repeat(np.arange(n * nsr), (pred_indptr[:, 1:] - pred_indptr[:, :-1]).ravel())
-    roles, heads = np.divmod(slot, n)
-    return pred_indices * np.int64(nsr) + roles, heads
+def _edge_ends(phi: FeatureSet, graph: LabeledGraph):
+    """Every edge x -s-> y along a splitter role s, as the arrays (tails
+    x, roles s, heads y), by role and then head.  The splitter roles are
+    the role names and then, with inverses, their inverses, whose edges
+    are the role's own reversed.
+
+    Position j of a predecessor CSR lies in the row (role, head) of the
+    last offset at most j.  With the indptr's rows of n + 1 offsets laid
+    end to end, that row is the number of offsets at most j, less 1,
+    read off one bincount of the offsets.  The indptr is read in place,
+    so this takes O(n + m) memory beyond the graph.
+    """
+    n = graph.n
+    csrs = [(graph.rev_indptr, graph.rev_indices)]
+    if phi.inverse:
+        csrs.append((graph.fwd_indptr, graph.fwd_indices))
+    total = sum(len(indices) for _, indices in csrs)
+    tails, roles, heads = (np.empty(total, dtype=np.int64) for _ in range(3))
+    lo = 0
+    for first_role, (indptr, indices) in zip((0, graph.n_roles), csrs):
+        m = len(indices)
+        row = np.cumsum(np.bincount(indptr.ravel(), minlength=m + 1)[:m]) - 1
+        np.divmod(row, n + 1, out=(roles[lo:lo + m], heads[lo:lo + m]))
+        roles[lo:lo + m] += first_role
+        tails[lo:lo + m] = indices
+        lo += m
+    return tails, roles, heads
 
 
 def _signature_round(block_of, k, origin, heads, nsr, counting):
-    """One signature round against the partition block_of of k blocks:
-    the new block ids, their count, the number of blocks of block_of that
-    split, and the round's (element, compound) pairs.
+    """One signature round against the partition block_of of k blocks,
+    over the edges origin = x * nsr + s, of tail x and splitter role s,
+    into heads: the new block ids, their count, and the parent block of
+    each fresh id.  The largest sub-block of every block keeps the
+    block's id, the first in signature order of equal largest ones; the
+    other sub-blocks get the fresh ids k, k + 1, ... by parent.
 
-    The pairs are those over the edges, for the compounds comp = s * k + C
-    along splitter role s, C a block of block_of, as keys
-    x * nsr * k + comp: (the key of each edge, the distinct keys in
-    ascending order, the number of edges of each).  An element's
-    signature is its block and its comps, with their edge counts when
-    counting.  While the dense (element, comp) table of edge counts has
-    at most 8 (n + m) cells, the signatures are its rows; otherwise they
-    are read off the sorted pairs (_signature_ids).  The table costs one
-    bincount and a few wide keys.  On the benchmark's graphs it takes
-    1.7 to 4 times less CPU than the sorted pairs in every first round,
-    at up to 4.1 (n + m) cells, and the sorted pairs take 11 to 12
-    times less in the later rounds of named documents, at 130 to 170;
-    on random graphs the two break even between 4 and 16 cells per
-    n + m.
+    An element's signature is its block and the keys s * k + C of its
+    edges, C the head's block, with their edge counts when counting.
+    While the dense (element, key) table of edge counts has at most
+    8 (n + m) cells, the signatures are its rows; otherwise they are read
+    off the distinct keys x * nsr * k + s * k + C in ascending order
+    (_signature_ids).  Either way the rows total O(n + m) cells, packed
+    into int64 keys and ranked.  The table costs one bincount and a few
+    wide keys.  On the benchmark's graphs it takes 1.7 to 4 times less
+    CPU than the sorted keys in every first round, at up to 4.1 (n + m)
+    cells, and the sorted keys take 11 to 12 times less in the later
+    rounds of named documents, at 130 to 170; on random graphs the two
+    break even between 4 and 16 cells per n + m.
     """
     n = len(block_of)
     blocks = block_of.astype(np.int64)
     keys = origin * k + blocks[heads]
     if n * nsr * k <= 8 * (n + len(origin)):
         table = np.bincount(keys, minlength=n * nsr * k)
-        present = table > 0
-        distinct = np.flatnonzero(present)  # on bools, several times faster
-        pairs = keys, distinct, table[distinct]
-        rows = (table if counting else present.view(np.int8)).reshape(n, -1)
+        rows = (table if counting else (table > 0).view(np.int8)).reshape(n, -1)
         ids, total = _row_ids(blocks, k, rows, int(rows.max(initial=0)) + 1)
     else:
-        pairs = keys, *np.unique(keys, return_counts=True)
-        ids, total = _signature_ids(blocks, k, pairs[1:], nsr, counting)
+        ids, total = _signature_ids(blocks, k, np.unique(keys, return_counts=True), nsr,
+                                    counting)
+    if total == k:  # no block split: every block keeps its id
+        return block_of, k, np.zeros(0, dtype=np.int64)
     parent = np.empty(total, dtype=np.int64)
-    parent[ids] = block_of
-    split = int(np.count_nonzero(np.bincount(parent, minlength=k) > 1))
-    return ids.astype(np.int32), total, split, pairs
+    parent[ids] = blocks
+    # by parent, then largest first; lexsort is stable
+    order = np.lexsort((-np.bincount(ids, minlength=total), parent))
+    parent = parent[order]
+    fresh = np.zeros(total, dtype=bool)
+    np.equal(parent[1:], parent[:-1], out=fresh[1:])
+    renumber = np.empty(total, dtype=np.int32)
+    renumber[order] = np.where(fresh, k - 1 + np.cumsum(fresh), parent)
+    return renumber[ids], total, parent[fresh]
 
 
 def _signature_ids(blocks, k, pairs, nsr, counting):
     """_row_ids of the signatures read off the sorted pairs (distinct keys
-    and their edge counts, see _signature_round).  The elements whose
-    signatures have between 2^(c-1) and 2^c - 1 pairs form length class
-    c; each class is ranked on its own, its rows padded to 2^c - 1 pairs,
-    less than twice their lengths, so the rows total O(n + m) cells."""
+    and their edge counts, see _signature_round), each key x * nsr * k +
+    comp with comp = s * k + C.  The elements whose signatures have
+    between 2^(c-1) and 2^c - 1 pairs form length class c; each class is
+    ranked on its own, its rows padded to 2^c - 1 pairs, less than twice
+    their lengths, so the rows total O(n + m) cells."""
     n = len(blocks)
     distinct, count = pairs
     owner, comp = np.divmod(distinct, nsr * k)
@@ -364,24 +361,176 @@ def _signature_ids(blocks, k, pairs, nsr, counting):
     return ids, total
 
 
-def _run_loop(phi, nsr, pred_indptr, pred_indices, block_of, n_blocks, against, n_against,
-              pairs):
-    """The refinement loop on the layout of block_of (see _kernels): the
-    elements in block order, each element's place in it, and each
-    block's bounds, with room for the n blocks the loop can reach."""
+def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, nsr, counting,
+                        trace):
+    """The incremental rounds (see the module) from level `level`, of k
+    blocks block_of, whose round moved the elements `moved` out of the
+    blocks olds, until a round splits no block or every block is a
+    singleton.
+
+    Returns the final block ids and count; the rounds, edges scanned,
+    splits and moves; and, with trace, the moves as arrays of elements,
+    levels and fresh ids, and the splits as (level, parent, first fresh
+    id, end).  The elements are kept in block order, every block a
+    segment of it (Valmari's array form), so that a split moves only its
+    touched elements.
+
+    A delta entry is q * nsr + s for an edge along splitter role s into
+    fresh block q, and span + p * nsr + s, span = n * nsr, for a record
+    (x, s, p) that reached 0.  The record (x, s, p), keyed
+    x * span + p * nsr + s, counts x's s-edges into block p.  Records
+    start with the counts above 1 over the level before the first round:
+    a missing record of such a block counts 1 edge, while a fresh block's
+    records are there from its first edge on.
+    """
     n = len(block_of)
-    elems = np.argsort(block_of, kind="stable").astype(np.int32)
-    pos = np.zeros(n, dtype=np.int32)
-    pos[elems] = np.arange(n, dtype=np.int32)
-    bounds = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(np.bincount(block_of, minlength=n_blocks), out=bounds[1:])
-    first = np.zeros(n, dtype=np.int32)
-    last = np.zeros(n, dtype=np.int32)
-    first[:n_blocks] = bounds[:-1]
-    last[:n_blocks] = bounds[1:]
-    return _kernels._refine_list_loop(n, nsr, pred_indptr, pred_indices, block_of, elems, pos,
-                                      first, last, n_blocks, against, n_against, pairs,
-                                      bool(phi.counting))
+    size = np.bincount(block_of, minlength=k)
+    # the in-edges of every element, over all splitter roles, but for the
+    # edges out of singleton blocks, which never split
+    live = size[block_of[tails]] > 1
+    tails, roles, heads = tails[live], roles[live], heads[live]
+    order = np.argsort(heads, kind="stable")
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=ptr[1:])
+    ptr = ptr.tolist()
+    tail = tails[order].tolist()
+    role = roles[order].tolist()
+    scanned = 0
+    recs = {}
+    if not counting:
+        # the records, over the level before, which the first round moves from
+        before = block_of.copy()
+        before[moved] = olds
+        keys, counts = np.unique((tails * n + before[heads]) * nsr + roles, return_counts=True)
+        recs = dict(zip(keys[counts > 1].tolist(), counts[counts > 1].tolist()))
+        scanned = len(tails)
+    span = nsr * n
+    wide = 2 * span
+    el = np.argsort(block_of, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[el] = np.arange(n)
+    bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(size, out=bounds[1:])
+    el, pos, bounds, blk = el.tolist(), pos.tolist(), bounds.tolist(), block_of.tolist()
+    fst, lst = bounds[:-1], bounds[1:]
+    moved, olds = moved.tolist(), olds.tolist()
+    rounds = splits = moves = 0
+    moved_elems, moved_ids, per_round, events = [], [], [], []
+    while moved and k < n:
+        rounds += 1
+        level += 1
+        # the delta entries of the touched elements, as x * wide + entry
+        found = []
+        for y, p in zip(moved, olds):
+            q = blk[y]
+            lo = ptr[y]
+            hi = ptr[y + 1]
+            scanned += hi - lo
+            for j in range(lo, hi):
+                x = tail[j]
+                b = blk[x]
+                if lst[b] - fst[b] == 1:
+                    continue  # a singleton never splits
+                entry = q * nsr + role[j]
+                found.append(x * wide + entry)
+                if not counting:
+                    new = x * span + entry
+                    recs[new] = recs.get(new, 0) + 1
+                    old = new + (p - q) * nsr
+                    left = recs.pop(old, 1) - 1
+                    if left:
+                        recs[old] = left
+                    else:
+                        found.append(x * wide + span + p * nsr + role[j])
+        # each touched element's sorted delta, as its one entry or as the
+        # complement of its index among the longer deltas, and the touched
+        # elements of each block
+        found.sort()
+        found.append(n * wide)  # closes the last element's run
+        keyof = {}
+        shapes = {}
+        groups = {}
+        run = []
+        last = found[0] // wide
+        for code in found:
+            x, entry = divmod(code, wide)
+            if x != last:
+                if len(run) == 1:
+                    keyof[last] = run[0]
+                else:
+                    keyof[last] = ~shapes.setdefault(tuple(run), len(shapes))
+                b = blk[last]
+                group = groups.get(b)
+                if group is None:
+                    groups[b] = [last]
+                else:
+                    group.append(last)
+                run.clear()
+                last = x
+            if counting or not run or run[-1] != entry:  # without counting, a set
+                run.append(entry)
+        moved, olds = [], []
+        for b, group in groups.items():
+            fb = fst[b]
+            lb = lst[b]
+            if len(group) > 1:
+                group.sort(key=keyof.__getitem__)
+            t = lb - len(group)
+            if t == fb and keyof[group[0]] == keyof[group[-1]]:
+                continue
+            # the touched elements go to the back of b's segment in delta
+            # order; the untouched elements and each run of equal deltas
+            # are the classes, between consecutive cuts
+            cuts = [fb] if t > fb else []
+            last = None
+            for x in group:
+                if keyof[x] != last:
+                    cuts.append(t)
+                    last = keyof[x]
+                i = pos[x]
+                z = el[t]
+                el[t] = x
+                el[i] = z
+                pos[x] = t
+                pos[z] = i
+                t += 1
+            cuts.append(lb)
+            keep = 0
+            for c in range(1, len(cuts) - 1):
+                if cuts[c + 1] - cuts[c] > cuts[keep + 1] - cuts[keep]:
+                    keep = c
+            first = len(fst)
+            for c in range(len(cuts) - 1):
+                lo = cuts[c]
+                hi = cuts[c + 1]
+                if c == keep:
+                    fst[b] = lo
+                    lst[b] = hi
+                    continue
+                q = len(fst)
+                fst.append(lo)
+                lst.append(hi)
+                members = el[lo:hi]
+                for x in members:
+                    blk[x] = q
+                moved += members
+                olds += [b] * (hi - lo)
+                if trace:
+                    moved_ids += [q] * (hi - lo)
+            splits += 1
+            if trace:
+                events.append((level, b, first, len(fst)))
+        k = len(fst)
+        moves += len(moved)
+        if trace:
+            moved_elems += moved
+            per_round.append(len(moved))
+    changes = None
+    if trace:
+        changes = (np.array(moved_elems, dtype=np.int64),
+                   np.repeat(np.arange(level - rounds + 1, level + 1), per_round),
+                   np.array(moved_ids, dtype=np.int32))
+    return np.array(blk, dtype=np.int32), k, (rounds, scanned, splits, moves), changes, events
 
 
 # the list recorded_runs() collects into, in the current context
@@ -402,95 +551,75 @@ def recorded_runs():
 
 
 def _record(function: str, phi: FeatureSet, graph: LabeledGraph, n_blocks: int,
-            counters: Counters, start: float) -> dict | None:
-    """Append a run to the recorded_runs list in force, if any, and return it."""
+            counters: Counters, start: float) -> None:
+    """Append a run to the recorded_runs list in force, if any."""
     runs = _RUNS.get()
-    if runs is None:
-        return None
-    runs.append({"function": function, "phi": str(phi), "n": graph.n,
-                 "edges": int(graph.n_edges), "blocks": int(n_blocks),
-                 "counters": {k: int(v) for k, v in counters._asdict().items()},
-                 "wall_s": time.perf_counter() - start})
-    return runs[-1]
-
-
-def _signature_rounds(phi: FeatureSet, graph: LabeledGraph, origin: np.ndarray,
-                      heads: np.ndarray, nsr: int):
-    """The signature rounds from the label partition, until the fixpoint,
-    all singletons, or a round that does not double the block count.
-
-    Returns every partition they pass through as (block ids, block
-    count), level 0 the label partition and level i round i's, the last
-    round's (element, compound) pairs (see _signature_round), and the
-    number of blocks the rounds split.
-    """
-    levels = [_group_rows(_label_columns(phi, graph), graph.n)]
-    pairs = None
-    round_splits = 0
-    while levels[-1][1] < graph.n:
-        block_of, k = levels[-1]
-        ids, total, split, pairs = _signature_round(block_of, k, origin, heads, nsr,
-                                                    bool(phi.counting))
-        round_splits += split
-        levels.append((ids, total))
-        if total < 2 * k:
-            break
-    return levels, pairs, round_splits
+    if runs is not None:
+        runs.append({"function": function, "phi": str(phi), "n": graph.n,
+                     "edges": int(graph.n_edges), "blocks": int(n_blocks),
+                     "counters": {k: int(v) for k, v in counters._asdict().items()},
+                     "wall_s": time.perf_counter() - start})
 
 
 def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = True,
                       engine: str | None = None) -> tuple[Partition, RefinementTrace | None]:
     """Coarsest partition refining the label partition and stable for phi.
 
-    Returns the partition, with the counters of its rounds and loop, and,
-    when requested, the trace that refinement_trace would return, built
-    from the rounds run here.  The partition never depends on
-    want_trace.  The result is deterministic: block ids depend only on
-    the graph and phi.  engine may name the refinement loop, "numpy"
-    (see _kernels.active_engine); any other name but None raises
-    ValueError.
+    Returns the partition, with the counters of its rounds, and, when
+    requested, the trace of the same run.  The partition never depends
+    on want_trace.  The result is deterministic: block ids depend only on
+    the graph and phi.  engine may name the refinement, "numpy" (see
+    _kernels.active_engine); any other name but None raises ValueError.
     """
     if engine not in (None, "numpy"):
         raise ValueError("engine must be numpy, got %r" % (engine,))
     start = time.perf_counter()
     n = graph.n
     nsr = graph.n_roles * (2 if phi.inverse else 1)
-    pred_indptr, pred_indices = _predecessors(phi, graph)
-    origin, heads = _edge_ends(n, nsr, pred_indptr, pred_indices)
-    levels, pairs, round_splits = _signature_rounds(phi, graph, origin, heads, nsr)
-    rounds = len(levels) - 1
-    if not want_trace:
-        del levels[:-2]  # the loop reads the last two
-    block_of, n_blocks = levels[-1]
-    against, n_against = levels[-2] if rounds else (None, 0)
-
-    steps = scanned = splits = pushes = 0
-    if n_against < n_blocks < n:
-        # stable against the blocks the last round split: the loop's compounds
-        block_of, n_blocks, (steps, scanned, splits, pushes) = _run_loop(
-            phi, nsr, pred_indptr, pred_indices, block_of.copy(), n_blocks, against, n_against,
-            pairs)
-    counters = Counters(steps, rounds * len(origin) + scanned, splits, pushes, rounds,
-                        round_splits)
-    partition = Partition(block_of, n_blocks, counters)
-    _record("compute_partition", phi, graph, n_blocks, counters, start)
+    counting = bool(phi.counting)
+    tails, roles, heads = _edge_ends(phi, graph)
+    m = len(tails)
+    origin = tails * nsr + roles
+    in_degree = np.bincount(heads, minlength=n)
+    label, k = _group_rows(_label_columns(phi, graph), n)
+    block_of = label
+    rounds = scanned = splits = moves = 0
+    # with the trace, every (element, level, id) change: level 0, then the moves
+    changes = [(np.arange(n), np.zeros(n, dtype=np.int64), label)] if want_trace else []
+    events: list[tuple[int, int, int, int]] = []
+    moved_in = m  # every edge is new to the first round
+    while k < n and 8 * moved_in >= m:
+        ids, total, parents = _signature_round(block_of, k, origin, heads, nsr, counting)
+        rounds += 1
+        scanned += m
+        moved = np.flatnonzero(ids >= k)
+        firsts = np.flatnonzero(np.diff(parents, prepend=-1))
+        splits += len(firsts)
+        moves += len(moved)
+        if want_trace:
+            changes.append((moved, np.full(len(moved), rounds), ids[moved]))
+            ends = np.append(firsts[1:], len(parents))
+            events += [(rounds, parent, k + lo, k + hi) for parent, lo, hi in
+                       zip(parents[firsts].tolist(), firsts.tolist(), ends.tolist())]
+        olds, block_of, k = block_of[moved], ids, total
+        if not len(moved):
+            break  # the round split no block: the fixpoint
+        moved_in = int(in_degree[moved].sum())
+    if k < n and len(moved):
+        block_of, k, counts, more, more_events = _incremental_rounds(
+            block_of, k, moved, olds, rounds, tails, roles, heads, nsr, counting, want_trace)
+        rounds, scanned, splits, moves = map(sum, zip((rounds, scanned, splits, moves), counts))
+        changes.append(more)
+        events += more_events
+    counters = Counters(scanned, rounds, splits, moves)
+    partition = Partition(block_of, k, counters)
+    _record("compute_partition", phi, graph, k, counters, start)
     if not want_trace:
         return partition, None
-    return partition, RefinementTrace(graph, phi, levels, origin, heads)
-
-
-def refinement_trace(phi: FeatureSet, graph: LabeledGraph) -> RefinementTrace:
-    """The trace of phi's refinement of graph: the signature rounds under
-    compute_partition's stopping rule, more on request (see
-    RefinementTrace).  Its one recorded run counts them all."""
-    start = time.perf_counter()
-    nsr = graph.n_roles * (2 if phi.inverse else 1)
-    origin, heads = _edge_ends(graph.n, nsr, *_predecessors(phi, graph))
-    levels, _, round_splits = _signature_rounds(phi, graph, origin, heads, nsr)
-    rounds = len(levels) - 1
-    run = _record("refinement_trace", phi, graph, levels[-1][1],
-                  Counters(0, rounds * len(origin), 0, 0, rounds, round_splits), start)
-    return RefinementTrace(graph, phi, levels, origin, heads, run)
+    xs, levels, ids = (np.concatenate(column) for column in zip(*changes))
+    keys = xs * (rounds + 1) + levels
+    order = np.argsort(keys)
+    return partition, RefinementTrace(graph, phi, rounds, keys[order], ids[order], events)
 
 
 def partition_to_relation(partition: Partition) -> BisimRelation:

@@ -510,8 +510,7 @@ class TestStats:
         report = json.loads(stats.stderr)
         assert report["command"] == case[0]
         runs = report["refinements"]
-        assert [r["function"] for r in runs] == (
-            ["refinement_trace"] if case[0] == "witness" else ["compute_partition"])
+        assert [r["function"] for r in runs] == ["compute_partition"]
         for r in runs:
             assert list(r["counters"]) == list(Counters._fields)
             assert r["wall_s"] >= 0 and r["blocks"] >= 1

@@ -29,7 +29,8 @@ from dlbisim.errors import (
 )
 from dlbisim.gen import make_signature, random_interpretation
 from dlbisim.quotient import qs_quotient, quotient_interpretation, separating_concept
-from dlbisim.refine import Partition, compute_partition, recorded_runs, refinement_trace
+from dlbisim import refine
+from dlbisim.refine import Partition, compute_partition, recorded_runs
 from dlbisim.semantics import (
     check_assertion,
     check_gci,
@@ -529,22 +530,22 @@ class TestSeparatingConcepts:
         # and a pair in one of its blocks is not separated without more work
         interp = two_cycle()
         with recorded_runs() as runs:
-            trace = refinement_trace(EMPTY, to_labeled_graph(interp))
+            _, trace = auto(EMPTY, interp, want_trace=True)
             with pytest.raises(NotSeparatedError):
                 separating_concept(interp, trace, 0, 1)
-        assert [r["function"] for r in runs] == ["refinement_trace"]
-        assert runs[0]["counters"]["rounds"] == 1 and runs[0]["counters"]["extractions"] == 0
-        assert [k for _, k in trace.levels] == [1, 1] and trace.complete
+        assert [r["function"] for r in runs] == ["compute_partition"]
+        assert runs[0]["counters"]["rounds"] == trace.depth == 1
+        assert [trace.blocks_at(d, np.arange(2)).tolist() for d in (0, 1)] == [[0, 0], [0, 0]]
 
     def test_a_pair_parting_two_thousand_levels_deep(self):
         # the witness is built from an explicit stack: no Python frame per level
         n = 2000
         path = H.marked_path(n)
         for phi in (EMPTY, FeatureSet.from_string("Q")):
-            trace = refinement_trace(phi, to_labeled_graph(path))
+            _, trace = auto(phi, path, want_trace=True)
             witness = separating_concept(path, trace, 0, 1)
             depth = H.modal_depth(witness.concept)
-            assert depth == len(trace.levels) - 1 == n - 2
+            assert depth == trace.depth == n - 2
             assert dag_nodes(witness.concept) <= 4 * depth
 
     def test_named_elements_split_by_a_nominal_literal(self):
@@ -597,36 +598,40 @@ class TestSeparatingConcepts:
                     assert size <= WITNESS_LIMIT, (str(phi), x)
 
 
-    def test_level_witnesses_have_the_parting_depth(self):
+    def test_level_witnesses_have_the_parting_depth(self, monkeypatch):
         # level d blocks agree on every concept of modal depth d, so a pair
         # that the rounds first part at level d has no shallower witness;
-        # the trace runs rounds until every pair the partition splits parts
+        # the trace keeps every round up to the fixpoint
         rng = H.seeded(9100)
         depths = Counter()
-        beyond = 0
+        incremental = 0
+        full_levels = []  # the level each run's incremental rounds start from
+        rounds = refine._incremental_rounds
+        monkeypatch.setattr(refine, "_incremental_rounds",
+                            lambda *a: full_levels.append(a[4]) or rounds(*a))
         for _ in range(40):
             inst = H.small_instance(rng, max_n=12)
             graph = to_labeled_graph(inst)
             for phi in H.ALL_PHIS:
-                part, _ = compute_partition(phi, graph, want_trace=False)
-                trace = refinement_trace(phi, graph)
-                doubling = len(trace.levels) - 1
+                full_levels.append(None)
+                part, trace = compute_partition(phi, graph)
+                full = full_levels[-1]
+                levels = [trace.blocks_at(d, np.arange(inst.n)) for d in range(trace.depth + 1)]
                 for x, y in itertools.permutations(range(inst.n), 2):
                     if part.same_block(x, y):
                         with pytest.raises(NotSeparatedError):
                             separating_concept(inst, trace, x, y)
                         continue
                     witness = separating_concept(inst, trace, x, y)
-                    levels = [block_of for block_of, _ in trace.levels]
                     depth = next(d for d, ids in enumerate(levels) if ids[x] != ids[y])
                     ext = eval_concept(inst, witness.concept, phi)
                     assert x in ext and y not in ext
                     assert H.modal_depth(witness.concept) == depth, (str(phi), x, y)
                     depths[depth] += 1
-                    beyond += depth > doubling
+                    incremental += full is not None and depth > full
         assert depths[0] > 1000 and depths[1] > 1000 and depths[2] > 100, depths
-        # pairs that part only in rounds past the doubling rule
-        assert beyond > 100, beyond
+        # pairs that part only in incremental rounds
+        assert incremental > 100, incremental
 
     @pytest.mark.parametrize("seed", [79, 80, 81])
     def test_witnesses_on_a_sparse_random_model_are_small(self, seed):
@@ -639,8 +644,7 @@ class TestSeparatingConcepts:
         interp = build_interpretation(make_signature(2, 3, 0), n, concepts, roles, {})
         graph = to_labeled_graph(interp)
         for phi in (EMPTY, FeatureSet.from_string("I")):
-            part, _ = compute_partition(phi, graph, want_trace=False)
-            trace = refinement_trace(phi, graph)
+            part, trace = compute_partition(phi, graph)
             for x in range(n - 1):
                 if not part.same_block(x, x + 1):
                     size = sx.ast_size(separating_concept(interp, trace, x, x + 1).concept)

@@ -1,12 +1,14 @@
-"""Partition refinement: oracle, traces, determinism, three-way splits, counters."""
+"""Partition refinement: oracle, traces, determinism, incremental rounds, counters."""
 
 import math
+import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from dlbisim import _kernels
+from dlbisim import _kernels, refine
 from dlbisim.bisim import is_bisimulation, naive_largest_bisimulation
 from dlbisim.core import (
     FeatureSet,
@@ -19,15 +21,15 @@ from dlbisim.errors import PartitionMismatchError
 from dlbisim.quotient import separating_concept
 from dlbisim.refine import (
     Partition,
+    _edge_ends,
     _group_rows,
-    _predecessors,
+    _label_columns,
     _signature_round,
     check_partition,
     compute_partition,
     econd_partition,
     partition_to_relation,
     recorded_runs,
-    refinement_trace,
 )
 from dlbisim.semantics import eval_concept
 
@@ -141,8 +143,8 @@ class TestAgainstNaiveOracle:
         assert not part.same_block(0, 1)
 
     def test_cut_copy_unions(self):
-        # the rounds hand over to the loop, which resumes from compounds
-        # other than the whole domain
+        # full rounds split most blocks, and incremental rounds finish
+        # from partitions of many blocks
         rng = H.seeded(408)
         for _ in range(4):
             interp = H.sparse_model(rng, 14, n_roles=2, max_out=2, n_concepts=1)
@@ -154,17 +156,16 @@ class TestAgainstNaiveOracle:
                 assert partition_to_relation(part).pairs == oracle.pairs, str(phi)
 
     def test_loop_instances(self, monkeypatch):
-        # instances on which the loop runs, some of them resuming from more
-        # compounds than the whole domain (THREE_WAY_SHAPES are checked in
-        # TestThreeWaySplits)
+        # instances on which incremental rounds run, some of them from more
+        # blocks than one (DEEP_SHAPES are checked in TestDeepShapes)
         rng = H.seeded(407)
         cases = [(interp, to_labeled_graph(interp))
                  for interp in (H.small_instance(rng, max_n=40) for _ in range(15))]
         cases.append((H.disjoint_union(*CUT_UNION), as_graph(CUT_UNION)))
         starts = []
-        setup = _kernels._compound_setup
-        monkeypatch.setattr(_kernels, "_compound_setup",
-                            lambda *a: starts.append(a[-3]) or setup(*a))
+        rounds = refine._incremental_rounds
+        monkeypatch.setattr(refine, "_incremental_rounds",
+                            lambda *a: starts.append(a[1]) or rounds(*a))
         for interp, graph in cases:
             for phi in H.ALL_PHIS:
                 part, _ = compute_partition(phi, graph, want_trace=False)
@@ -217,7 +218,7 @@ class TestDeterminismAndEngines:
 
 
 # shapes that split blocks in many rounds under every feature set
-THREE_WAY_SHAPES = (H.marked_path(12), H.binary_tree(4), H.two_role_chain(12))
+DEEP_SHAPES = (H.marked_path(12), H.binary_tree(4), H.two_role_chain(12))
 
 
 def _cut_union(seed, n):
@@ -226,8 +227,8 @@ def _cut_union(seed, n):
     return interp, H.cut_copy(rng, interp)[0]
 
 
-# a random model and its copy missing one edge: the rounds split most
-# blocks, and the loop finishes from the blocks of the last round
+# a random model and its copy missing one edge: full rounds split most
+# blocks, and incremental rounds finish from the blocks of the last one
 CUT_UNION = _cut_union(409, 30)
 
 
@@ -238,9 +239,9 @@ def as_graph(shape):
     return to_labeled_graph(shape)
 
 
-class TestThreeWaySplits:
+class TestDeepShapes:
     def test_shapes_match_the_oracle(self):
-        for interp in THREE_WAY_SHAPES:
+        for interp in DEEP_SHAPES:
             graph = to_labeled_graph(interp)
             for phi in H.ALL_PHIS:
                 part, trace = compute_partition(phi, graph)
@@ -249,7 +250,7 @@ class TestThreeWaySplits:
                 assert trace.events, str(phi)
 
     def test_witnesses_for_every_split_pair(self):
-        for interp in THREE_WAY_SHAPES:
+        for interp in DEEP_SHAPES:
             graph = to_labeled_graph(interp)
             for phi in H.ALL_PHIS:
                 part, trace = compute_partition(phi, graph)
@@ -261,6 +262,27 @@ class TestThreeWaySplits:
                             assert x in ext and y not in ext, (str(phi), x, y)
 
 
+def path_with_roles(n=20_000, path=500, roles=200, seed=5):
+    """n elements, a marked path of `path` elements along r0 and one random
+    edge along each of roles - 1 more roles: few edges, many roles."""
+    rng = random.Random(seed)
+    sig = Signature(("A",), tuple("r%d" % i for i in range(roles)), ())
+    edges = {"r0": {(i, i + 1) for i in range(path - 1)}}
+    for i in range(1, roles):
+        edges["r%d" % i] = {(rng.randrange(n), rng.randrange(n))}
+    return build_interpretation(sig, n, {"A": {path - 1}}, edges, {})
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCounters:
     @pytest.mark.parametrize("shape", [H.marked_path(2048), H.binary_tree(10), H.equal_cycle(2048),
                                        _cut_union(410, 1000)],
@@ -269,20 +291,22 @@ class TestCounters:
     def test_edges_scanned_within_m_log_n(self, shape, phi):
         phi = FeatureSet.from_string(phi)
         graph = as_graph(shape)
-        _, pred_indices = _predecessors(phi, graph)
-        bound = 2 * len(pred_indices) * (math.ceil(math.log2(graph.n)) + 1)
+        m = len(_edge_ends(phi, graph)[0])
+        bound = 2 * m * (math.ceil(math.log2(graph.n)) + 1)
         part, _ = compute_partition(phi, graph, want_trace=False)
         assert part.counters.edges_scanned <= bound, part.counters
         # every split makes at least one block
         init_blocks = len(np.unique(econd_partition(phi, graph).block_of))
         assert part.counters.splits <= part.n_blocks - init_blocks
+        # an element moves only when its block at least halves
+        assert part.counters.moves <= graph.n * math.floor(math.log2(graph.n)), part.counters
 
     def test_counters_are_deterministic_and_optional(self):
         graph = to_labeled_graph(H.marked_path(50))
         a, _ = compute_partition(FeatureSet(), graph, want_trace=False)
         b, _ = compute_partition(FeatureSet(), graph, want_trace=True)
         assert a.counters == b.counters
-        assert a.counters.extractions >= a.counters.splits > 0
+        assert a.counters.moves >= a.counters.splits > 0
         assert Partition(a.block_of, a.n_blocks).counters is None
 
     def test_recorded_runs(self):
@@ -290,46 +314,66 @@ class TestCounters:
         with recorded_runs() as runs:
             part, trace = compute_partition(FeatureSet(), graph, want_trace=True)
             assert [r["function"] for r in runs] == ["compute_partition"]
-            rounds = len(trace.levels) - 1
-            while trace.extend():
-                pass
-        compute_partition(FeatureSet(), graph, want_trace=False)
-        assert [r["function"] for r in runs] == ["compute_partition", "refinement_trace"]
-        assert runs[0]["counters"] == part.counters._asdict()
+            for d in range(trace.depth + 1):
+                trace.blocks_at(d, np.arange(graph.n))
+        untraced, _ = compute_partition(FeatureSet(), graph, want_trace=False)
+        # outside the block: not recorded
+        assert [r["function"] for r in runs] == ["compute_partition"]
+        assert runs[0]["counters"] == part.counters._asdict() == untraced.counters._asdict()
         assert runs[0]["blocks"] == part.n_blocks and runs[0]["wall_s"] >= 0
-        # the trace's own run counts the rounds it ran past compute_partition's
-        traced = runs[1]["counters"]
-        assert traced["rounds"] == len(trace.levels) - 1 - rounds > 0
-        assert traced["extractions"] == traced["splits"] == 0
-        assert traced["edges_scanned"] == traced["rounds"] * graph.n_edges
-        assert runs[1]["blocks"] == trace.levels[-1][1] == part.n_blocks
-
+        # the trace is the run's own: one level per round, each round
+        # splitting one element off the unmarked rest
+        assert runs[0]["counters"]["rounds"] == trace.depth == 48
+        assert runs[0]["counters"]["splits"] == runs[0]["counters"]["moves"] == 48
+        assert runs[0]["blocks"] == len(np.unique(trace.blocks_at(trace.depth, np.arange(50))))
 
     def test_level_witnesses_run_no_recorded_loop(self):
         interp = H.sparse_model(H.seeded(3), 300)
         graph = to_labeled_graph(interp)
         phi = FeatureSet.from_string("Q")
         with recorded_runs() as runs:
-            trace = refinement_trace(phi, graph)
-            last = trace.levels[-1][0]
-            y = int(np.flatnonzero(last != last[0])[0])
+            part, trace = compute_partition(phi, graph)
+            y = int(np.flatnonzero(part.block_of != part.block_of[0])[0])
             separating_concept(interp, trace, 0, y)
-        assert [r["function"] for r in runs] == ["refinement_trace"]
-        assert runs[0]["counters"]["extractions"] == 0
-        assert runs[0]["counters"]["rounds"] == len(trace.levels) - 1
-        # a pair that the doubling rule leaves in one block runs more rounds,
-        # counted in the same run
+        assert [r["function"] for r in runs] == ["compute_partition"]
+        assert runs[0]["counters"]["rounds"] == trace.depth
+        # a pair that parts deep in the incremental rounds costs no more runs
         path = H.marked_path(50)
         with recorded_runs() as runs:
-            trace = refinement_trace(FeatureSet(), to_labeled_graph(path))
-            first = len(trace.levels)
+            part, trace = compute_partition(FeatureSet(), to_labeled_graph(path))
             for x in (0, 1):
                 separating_concept(path, trace, x, x + 1)
-        assert len(trace.levels) > first
-        assert [r["function"] for r in runs] == ["refinement_trace"]
-        assert runs[0]["counters"]["extractions"] == 0
-        assert runs[0]["counters"]["rounds"] == len(trace.levels) - 1
-        assert runs[0]["blocks"] == trace.levels[-1][1]
+        assert [r["function"] for r in runs] == ["compute_partition"]
+        assert runs[0]["counters"]["rounds"] == trace.depth
+        assert runs[0]["blocks"] == part.n_blocks == 50
+
+
+class TestMemory:
+    def test_many_roles_cost_no_slot_per_element_and_role(self):
+        # 20 000 elements and about 700 edges over 200 roles: the n * 400
+        # (element, splitter role) slots under I took 349 MB here
+        graph = to_labeled_graph(path_with_roles())
+        phi = FeatureSet.from_string("I")
+        part = []
+        peak = traced_peak(lambda: part.append(compute_partition(phi, graph, want_trace=False)))
+        assert part[0][0].n_blocks > 500
+        assert peak < 512 * (graph.n + graph.n_edges), peak
+
+    def test_trace_levels_take_n_log_n(self):
+        # a marked path parts its first two elements at level n - 2; the
+        # levels kept as per-element changes take O(n log n), not O(n^2)
+        n = 20_000
+        graph = to_labeled_graph(H.marked_path(n))
+
+        def run():
+            _, trace = compute_partition(FeatureSet(), graph, want_trace=True)
+            pair = np.array([0, 1])
+            parted = [d for d in range(trace.depth + 1)
+                      if len(set(trace.blocks_at(d, pair).tolist())) == 2]
+            assert parted[0] == trace.depth == n - 2
+
+        peak = traced_peak(run)
+        assert peak < 128 * n * math.log2(n), peak
 
 
 class TestUniversalRoleNeverSplits:
@@ -353,6 +397,32 @@ def blocks_of(block_of):
     return blocks_as_sets(Partition(block_of, int(block_of.max()) + 1))
 
 
+def level(trace, d):
+    """The block ids of every element at level d of the trace."""
+    return trace.blocks_at(d, np.arange(trace.graph.n))
+
+
+def full_rounds(phi, graph):
+    """The levels of phi's refinement of graph by full signature rounds
+    alone: the reference for the levels that incremental rounds reach."""
+    tails, roles, heads = _edge_ends(phi, graph)
+    nsr = graph.n_roles * (2 if phi.inverse else 1)
+    block_of, k = _group_rows(_label_columns(phi, graph), graph.n)
+    levels = [block_of]
+    while k < graph.n:
+        ids, total, _ = _signature_round(block_of, k, tails * nsr + roles, heads, nsr,
+                                         bool(phi.counting))
+        levels.append(ids)
+        if total == k:
+            break
+        block_of, k = ids, total
+    return levels
+
+
+def same_partition(a, b):
+    return len(set(zip(a.tolist(), b.tolist()))) == len(np.unique(a)) == len(np.unique(b))
+
+
 class TestTraces:
     def test_extended_levels_reach_the_partition(self):
         rng = H.seeded(407)
@@ -361,14 +431,12 @@ class TestTraces:
             graph = to_labeled_graph(interp)
             for phi in H.ALL_PHIS:
                 part, trace = compute_partition(phi, graph)
-                while trace.extend():
-                    pass
-                assert trace.complete and not trace.extend()
-                final, k = trace.levels[-1]
+                final = level(trace, trace.depth)
+                k = len(np.unique(final))
                 assert k == part.n_blocks, str(phi)
-                assert np.array_equal(Partition(final, k).canonical_of, part.canonical_of)
+                assert np.array_equal(final, part.block_of)
                 # the last round split nothing, unless every block is a singleton
-                assert k == interp.n or trace.levels[-2][1] == k
+                assert k == interp.n or len(np.unique(level(trace, trace.depth - 1))) == k
 
     def test_trace_metadata(self):
         sig = Signature(("A",), ("r", "s"), ())
@@ -381,16 +449,17 @@ class TestTraces:
         assert trace.splitter_role(0) == ("r", False)
         assert trace.splitter_role(3) == ("s", True)
         assert trace.use_counts is False
-        assert np.array_equal(trace.levels[0][0], econd_partition(phi, graph).block_of)
-        while trace.extend():
-            pass
-        assert trace.levels[-1][1] == part.n_blocks
-        # one event per block that a round split, into the blocks of its level
+        assert np.array_equal(level(trace, 0), econd_partition(phi, graph).block_of)
+        assert len(np.unique(level(trace, trace.depth))) == part.n_blocks
+        # one event per block that a round split, into the blocks of its
+        # level; the largest keeps the parent's id
         assert [ev.level for ev in trace.events] == sorted(ev.level for ev in trace.events)
         for ev in trace.events:
-            coarse, fine = trace.levels[ev.level - 1][0], trace.levels[ev.level][0]
+            coarse, fine = level(trace, ev.level - 1), level(trace, ev.level)
             subs = np.unique(fine[coarse == ev.parent]).tolist()
-            assert len(subs) > 1 and tuple(subs) == ev.subs
+            assert len(subs) > 1 and tuple(subs) == ev.subs and subs[0] == ev.parent
+            sizes = np.bincount(fine)[subs]
+            assert sizes[0] == sizes.max()
 
     def test_counting_traces_expose_degree_presplit(self):
         sig = Signature((), ("r",), ())
@@ -400,7 +469,7 @@ class TestTraces:
         _, trace = compute_partition(FeatureSet.from_string("Q"), graph)
         # the first round, against the one label block, splits by out-degree:
         # 2, 0, 0 split the root off
-        assert blocks_of(trace.levels[1][0]) == {frozenset({0}), frozenset({1, 2})}
+        assert blocks_of(level(trace, 1)) == {frozenset({0}), frozenset({1, 2})}
         assert trace.use_counts is True
 
     def test_plain_traces_expose_edge_presplit(self):
@@ -411,11 +480,11 @@ class TestTraces:
         part, trace = compute_partition(FeatureSet(), graph)
         # out-degrees 2,1,0,0: the first round splits off the elements with
         # an edge, whatever their degree
-        assert blocks_of(trace.levels[1][0]) == {frozenset({0, 1}), frozenset({2, 3})}
+        assert blocks_of(level(trace, 1)) == {frozenset({0, 1}), frozenset({2, 3})}
         assert trace.use_counts is False
         # the second: 0 has edges into {0, 1} and into {2, 3}, 1 into {2, 3} only
-        assert blocks_of(trace.levels[2][0]) == {frozenset({0}), frozenset({1}),
-                                                 frozenset({2, 3})}
+        assert blocks_of(level(trace, 2)) == {frozenset({0}), frozenset({1}),
+                                              frozenset({2, 3})}
         assert [(ev.level, len(ev.subs)) for ev in trace.events] == [(1, 2), (2, 2)]
         assert part.n_blocks == 3
 
@@ -437,13 +506,8 @@ class TestSignatureRounds:
             heads = np.concatenate([heads, np.arange(n)])
             roles = np.concatenate([roles, rng.integers(0, nsr, n)])
         for counting in (False, True):
-            ids, total, split, pairs = _signature_round(block_of, k, tails * nsr + roles, heads,
-                                                        nsr, counting)
-            # the (element, compound) pairs the loop resumes from
-            keys = (tails * nsr + roles) * k + block_of[heads]
-            assert np.array_equal(pairs[0], keys)
-            distinct, count = np.unique(keys, return_counts=True)
-            assert np.array_equal(pairs[1], distinct) and np.array_equal(pairs[2], count)
+            ids, total, parents = _signature_round(block_of, k, tails * nsr + roles, heads,
+                                                   nsr, counting)
             pairs = {x: Counter() for x in range(n)}
             for x, y, s in zip(tails.tolist(), heads.tolist(), roles.tolist()):
                 pairs[x][s, int(block_of[y])] += 1
@@ -454,42 +518,50 @@ class TestSignatureRounds:
                 classes.setdefault(signature[x], set()).add(int(ids[x]))
             assert all(len(v) == 1 for v in classes.values())
             assert total == len(classes) == len(set(ids.tolist()))
-            parents = Counter(b for b, _ in classes)
-            assert split == sum(1 for c in parents.values() if c > 1)
+            # the largest sub-block of every block keeps its id, the others
+            # get the fresh ids k..total-1, whose parents are listed in order
+            size = np.bincount(ids, minlength=total)
+            for b in range(k):
+                subs = np.unique(ids[block_of == b])
+                assert b in subs and size[b] == size[subs].max()
+                assert all(parents[sub - k] == b for sub in subs if sub != b)
+            assert len(parents) == total - k and np.all(np.diff(parents) >= 0)
+            splits = Counter(b for b, _ in classes)
+            assert len(set(parents.tolist())) == sum(1 for c in splits.values() if c > 1)
 
     def test_counting_model_settles_by_rounds(self):
         interp = H.sparse_model(H.seeded(3), 300)
         phi = FeatureSet.from_string("Q")
-        part, _ = compute_partition(phi, to_labeled_graph(interp), want_trace=False)
-        # the last round split nothing: the loop never ran
-        assert part.counters.extractions == 0 and part.counters.splits == 0
+        graph = to_labeled_graph(interp)
+        part, _ = compute_partition(phi, graph, want_trace=False)
+        # every round was a full one, reading every edge
+        assert part.counters.edges_scanned == part.counters.rounds * graph.n_edges
         assert part.counters.rounds >= 2 and part.n_blocks < interp.n
         oracle = naive_largest_bisimulation(phi, interp, interp)
         assert partition_to_relation(part).pairs == oracle.pairs
 
     def test_levels_are_the_rounds(self):
         rng = H.seeded(413)
-        shapes = [H.small_instance(rng, max_n=20) for _ in range(8)] + list(THREE_WAY_SHAPES)
+        shapes = [H.small_instance(rng, max_n=20) for _ in range(8)] + list(DEEP_SHAPES)
         for shape in shapes + [CUT_UNION, H.sparse_model(H.seeded(3), 300)]:
             graph = as_graph(shape)
             for phi in H.ALL_PHIS[::3]:
                 part, trace = compute_partition(phi, graph, want_trace=True)
-                levels = refinement_trace(phi, graph).levels
-                assert len(levels) == len(trace.levels) == part.counters.rounds + 1
-                for (ids, k), (traced, traced_k) in zip(levels, trace.levels):
-                    assert np.array_equal(ids, traced) and k == traced_k
-                    assert k == len(np.unique(ids))
-                assert np.array_equal(levels[0][0], econd_partition(phi, graph).block_of)
-                # each level refines the one before, and the result the last
-                for (coarse, _), (fine, k) in zip(levels, levels[1:] + [(part.block_of, 0)]):
+                levels = full_rounds(phi, graph)
+                assert len(levels) == trace.depth + 1 == part.counters.rounds + 1
+                for d, ids in enumerate(levels):
+                    traced = level(trace, d)
+                    assert same_partition(ids, traced), (str(phi), d)
+                    assert len(np.unique(traced)) == int(traced.max()) + 1
+                assert np.array_equal(level(trace, 0), econd_partition(phi, graph).block_of)
+                # each level refines the one before, and the last is the result
+                for coarse, fine in zip(levels, levels[1:]):
                     assert len(set(zip(coarse.tolist(), fine.tolist()))) == len(np.unique(fine))
-                # the last level is the partition the loop resumes from
-                if part.counters.extractions == 0:
-                    assert np.array_equal(part.block_of, levels[-1][0]), str(phi)
+                assert np.array_equal(part.block_of, level(trace, trace.depth)), str(phi)
 
     def test_traced_partition_has_the_trace_blocks(self):
         rng = H.seeded(412)
-        shapes = [H.small_instance(rng, max_n=20) for _ in range(8)] + list(THREE_WAY_SHAPES)
+        shapes = [H.small_instance(rng, max_n=20) for _ in range(8)] + list(DEEP_SHAPES)
         for shape in shapes + [CUT_UNION]:
             graph = as_graph(shape)
             for phi in H.ALL_PHIS[::3]:
@@ -497,7 +569,5 @@ class TestSignatureRounds:
                 untraced, _ = compute_partition(phi, graph, want_trace=False)
                 assert np.array_equal(part.block_of, untraced.block_of)
                 assert part.counters == untraced.counters
-                while trace.extend():
-                    pass
-                final = Partition(*trace.levels[-1])
+                final = Partition(level(trace, trace.depth), part.n_blocks)
                 assert np.array_equal(part.canonical_of, final.canonical_of), str(phi)
