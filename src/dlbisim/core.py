@@ -8,17 +8,17 @@ then by target, without repeats (Interpretation.role_edges); the pair
 set role_ext is a view built only when asked for.  From those arrays
 each basic role (a role name or its inverse) gets one CSR index of its
 edges, sorted by head and then by tail (Interpretation.in_edges);
-neighbour lists, graph building, evaluation and quotients all read it.
+neighbour lists, evaluation and quotients read it.
 Edge multiplicities of a QS-interpretation are weight arrays aligned to
 the same edges (QSInterpretation.weights), with qu and se as views.
 The refinement engine takes a LabeledGraph, which stores the same data
-as numpy arrays (per-node label bits, CSR adjacency per role in both
-directions) so the hot loop never touches Python objects; its adjacency
-rows are the interpretations' edge indexes stacked with node offsets.
+as numpy arrays: per-node label bits, and every edge of every role in
+one edge list (tails, roles, heads), the sides' role_edges laid end to
+end with node offsets.
 
-Reverse adjacency is always materialised, whether or not inverse roles
-are in the active feature set; consumers gate on the feature set, the
-storage does not.  Disjoint unions keep, per individual name, one node
+The edge list holds the role names' edges only; consumers read an
+inverse role's edges as its role's reversed, when the active feature set
+has inverse roles.  Disjoint unions keep, per individual name, one node
 per side; the union is internal plumbing for the cross-interpretation
 bisimulation check and is not itself a model of the signature.
 """
@@ -107,16 +107,6 @@ def _check_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
             raise UnknownNameError("duplicate %s name %r" % (kind, name))
         seen.add(name)
     return names
-
-
-def _edge_index(n: int, tail: np.ndarray, head: np.ndarray, order: np.ndarray | None = None):
-    """(ptr, tail, head) of int64 edges sorted by head and then by tail;
-    order, when given, is the permutation that sorts them so."""
-    if order is None:
-        order = np.lexsort((tail, head))
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(head, minlength=n), out=ptr[1:])
-    return ptr, tail[order], head[order]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -255,8 +245,8 @@ class Interpretation:
         edges are sorted by head and then by tail, and ptr[y]:ptr[y + 1]
         are the positions of the edges into y, so tail[ptr[y]:ptr[y + 1]]
         lists y's neighbours in ascending order.  Built from role_edges
-        on first use and kept: successors and predecessors slice it,
-        graph building stacks it, and evaluation and quotients read it.
+        on first use and kept: successors and predecessors slice it, and
+        evaluation and quotients read it.
         """
         key = (role, inverted)
         if key not in self._in_edges:
@@ -264,7 +254,10 @@ class Interpretation:
             tail, head = (dst, src) if inverted else (src, dst)
             # the edges are sorted by (src, dst), so a stable sort by head
             # keeps each head's edges sorted by tail
-            self._in_edges[key] = _edge_index(self.n, tail, head, np.argsort(head, kind="stable"))
+            order = np.argsort(head, kind="stable")
+            ptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(head, minlength=self.n), out=ptr[1:])
+            self._in_edges[key] = ptr, tail[order], head[order]
         return self._in_edges[key]
 
 
@@ -448,7 +441,12 @@ class BisimRelation:
 
 
 class LabeledGraph:
-    """Array form of one interpretation, or of a disjoint union of two."""
+    """Array form of one interpretation, or of a disjoint union of two.
+
+    The edges are one list of read-only int64 arrays: edge i runs from
+    tails[i] to heads[i] along role name roles[i], and the edges are
+    sorted by role, then tail, then head, without repeats.
+    """
 
     __slots__ = (
         "signature",
@@ -459,17 +457,15 @@ class LabeledGraph:
         "nominal_key",
         "nominal_sets",
         "individual_nodes",
-        "fwd_indptr",
-        "fwd_indices",
-        "rev_indptr",
-        "rev_indices",
+        "tails",
+        "roles",
+        "heads",
         "origin_side",
         "origin_elem",
     )
 
     def __init__(self, signature, n, n_sides, atom_bits, self_bits, nominal_key, nominal_sets,
-                 individual_nodes, fwd_indptr, fwd_indices, rev_indptr, rev_indices,
-                 origin_side, origin_elem):
+                 individual_nodes, tails, roles, heads, origin_side, origin_elem):
         self.signature = signature
         self.n = n
         self.n_sides = n_sides
@@ -478,10 +474,9 @@ class LabeledGraph:
         self.nominal_key = nominal_key
         self.nominal_sets = nominal_sets
         self.individual_nodes = individual_nodes
-        self.fwd_indptr = fwd_indptr
-        self.fwd_indices = fwd_indices
-        self.rev_indptr = rev_indptr
-        self.rev_indices = rev_indices
+        self.tails = tails
+        self.roles = roles
+        self.heads = heads
         self.origin_side = origin_side
         self.origin_elem = origin_elem
 
@@ -491,46 +486,32 @@ class LabeledGraph:
 
     @property
     def n_edges(self) -> int:
-        return int(len(self.fwd_indices))
-
-    def successors(self, role_idx: int, x: int) -> np.ndarray:
-        lo, hi = self.fwd_indptr[role_idx, x], self.fwd_indptr[role_idx, x + 1]
-        return self.fwd_indices[lo:hi]
-
-    def predecessors(self, role_idx: int, y: int) -> np.ndarray:
-        lo, hi = self.rev_indptr[role_idx, y], self.rev_indptr[role_idx, y + 1]
-        return self.rev_indices[lo:hi]
+        return int(len(self.tails))
 
 
 def _assemble(sig: Signature, sizes: list[int], atom_bits: np.ndarray,
-              individual_nodes: dict[str, tuple[int, ...]], edge_index) -> LabeledGraph:
+              individual_nodes: dict[str, tuple[int, ...]], side_edges) -> LabeledGraph:
     """Shared assembly for to_labeled_graph, disjoint_union_graph and from_arrays.
 
     The graph's nodes are the sides' elements, side after side.
-    edge_index(k, inverted) lists per side the (ptr, tail, head) index
-    of role k, or of its inverse, in that side's own element ids; its
-    rows are stacked with node offsets into the CSR adjacency, the
-    inverse's as forward rows (grouped by source) and the role's own as
-    reverse rows (grouped by target).
+    side_edges lists per side, per role name, its (src, dst) arrays in
+    that side's own element ids, sorted by src and then by dst without
+    repeats; they are laid end to end, role after role and within a role
+    side after side, with node offsets, which keeps them sorted by (role,
+    tail, head).
     """
     n = sum(sizes)
     offsets = list(itertools.accumulate(sizes, initial=0))[:-1]
     n_r = len(sig.role_names)
+    parts = [(k, off, *edges[k]) for k in range(n_r) for off, edges in zip(offsets, side_edges)]
+    empty = [np.zeros(0, dtype=np.int64)]  # concatenate needs one array, even with no roles
+    tails = _frozen(np.concatenate(empty + [src + off for _, off, src, _ in parts]))
+    heads = _frozen(np.concatenate(empty + [dst + off for _, off, _, dst in parts]))
+    roles = _frozen(np.repeat(np.array([k for k, *_ in parts], dtype=np.int64),
+                              [len(src) for _, _, src, _ in parts]))
     self_bits = np.zeros((n, n_r), dtype=np.uint8)
-    csr = []
-    for inverted in (True, False):
-        indptr = np.zeros((n_r, n + 1), dtype=np.int64)
-        chunks = [np.zeros(0, dtype=np.int64)]  # concatenate needs one, even with no roles
-        base = 0
-        for k in range(n_r):
-            for off, size, (ptr, tail, head) in zip(offsets, sizes, edge_index(k, inverted)):
-                indptr[k, off:off + size] = base + ptr[:-1]
-                chunks.append(tail + off)
-                base += len(tail)
-                if not inverted:
-                    self_bits[off + tail[tail == head], k] = 1
-            indptr[k, n] = base
-        csr += [indptr, np.concatenate(chunks).astype(np.int32)]
+    loop = tails == heads
+    self_bits[tails[loop], roles[loop]] = 1
 
     node_names: dict[int, list[str]] = {}
     for name, nodes in individual_nodes.items():
@@ -551,7 +532,8 @@ def _assemble(sig: Signature, sizes: list[int], atom_bits: np.ndarray,
     origin_side = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
     origin_elem = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes])
     return LabeledGraph(sig, n, len(sizes), atom_bits, self_bits, nominal_key,
-                        tuple(nominal_sets), individual_nodes, *csr, origin_side, origin_elem)
+                        tuple(nominal_sets), individual_nodes, tails, roles, heads, origin_side,
+                        origin_elem)
 
 
 def _interpretations_graph(parts: list[Interpretation]) -> LabeledGraph:
@@ -567,8 +549,7 @@ def _interpretations_graph(parts: list[Interpretation]) -> LabeledGraph:
                                     for interp, off in zip(parts, offsets))
                         for name in sig.individual_names}
     return _assemble(sig, sizes, atom_bits, individual_nodes,
-                     lambda k, inverted: [interp.in_edges(sig.role_names[k], inverted)
-                                          for interp in parts])
+                     [[interp.role_edges[name] for name in sig.role_names] for interp in parts])
 
 
 def to_labeled_graph(interp: Interpretation) -> LabeledGraph:
@@ -596,28 +577,26 @@ def from_arrays(signature: Signature, n: int, atom_bits: np.ndarray,
     """Build a LabeledGraph straight from numpy data.
 
     role_edges is a sequence of (src, dst) array pairs, one per role
-    name, already deduplicated.  Used by the benchmark path where
-    materialising Python pair sets would dominate the run.
+    name, in any order; repeated edges count once.  Used by the benchmark
+    path where materialising Python pair sets would dominate the run.
     """
     if len(role_edges) != len(signature.role_names):
         raise SignatureMismatchError("expected one edge array pair per role name")
     individual_map = dict(individual_map or {})
-    index = {}
-    for k, (src, dst) in enumerate(role_edges):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if len(src) and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
+    edges = []
+    for src, dst in role_edges:
+        rows = np.column_stack((_int_array(src), _int_array(dst)))
+        if len(rows) and (rows.min() < 0 or rows.max() >= n):
             raise ElementOutOfRangeError("edge endpoint outside 0..%d" % (n - 1))
-        index[(k, True)] = [_edge_index(n, dst, src)]
-        index[(k, False)] = [_edge_index(n, src, dst)]
+        rows = _sorted_rows(rows)
+        edges.append((rows[:, 0], rows[:, 1]))
     individual_nodes = {}
     for name in signature.individual_names:
         if name not in individual_map:
             raise PartialIndividualMapError("individual %r has no assigned element" % name)
         individual_nodes[name] = (int(individual_map[name]),)
     atom_bits = np.ascontiguousarray(atom_bits, dtype=np.uint8)
-    return _assemble(signature, [n], atom_bits, individual_nodes,
-                     lambda k, inverted: index[(k, inverted)])
+    return _assemble(signature, [n], atom_bits, individual_nodes, [edges])
 
 
 def extract_interpretation(graph: LabeledGraph, side: int) -> Interpretation:
@@ -626,18 +605,14 @@ def extract_interpretation(graph: LabeledGraph, side: int) -> Interpretation:
     nodes = np.flatnonzero(graph.origin_side == side)
     if len(nodes) == 0:
         raise EmptyDomainError("graph has no nodes with origin side %d" % side)
-    # a side's nodes are consecutive (see _assemble), so its edges are one
-    # slice of each role's CSR rows
-    first, stop = int(nodes[0]), int(nodes[-1]) + 1
     back = graph.origin_elem.astype(np.int64)
     concept_ext = {name: back[nodes[graph.atom_bits[nodes, j] != 0]].tolist()
                    for j, name in enumerate(sig.concept_names)}
-    role_ext = {}
-    for k, name in enumerate(sig.role_names):
-        indptr = graph.fwd_indptr[k, first:stop + 1]
-        src = np.repeat(nodes, np.diff(indptr))
-        dst = graph.fwd_indices[indptr[0]:indptr[-1]]
-        role_ext[name] = np.column_stack((back[src], back[dst]))
+    mine = graph.origin_side[graph.tails] == side
+    tails, roles, heads = back[graph.tails[mine]], graph.roles[mine], back[graph.heads[mine]]
+    bounds = np.searchsorted(roles, np.arange(len(sig.role_names) + 1)).tolist()
+    role_ext = {name: np.column_stack((tails[lo:hi], heads[lo:hi]))
+                for name, lo, hi in zip(sig.role_names, bounds, bounds[1:])}
     individual_map = {name: int(back[v]) for name, owners in graph.individual_nodes.items()
                       for v in owners if graph.origin_side[v] == side}
     return build_interpretation(sig, int(back[nodes].max()) + 1, concept_ext, role_ext,

@@ -74,7 +74,5 @@ def benchmark_graph(seed: int, n: int, n_roles: int = 3, n_concepts: int = 2,
     for _ in range(n_roles):
         deg = rng.integers(0, max_out + 1, size=n)
         src = np.repeat(np.arange(n, dtype=np.int64), deg)
-        dst = rng.integers(0, n, size=len(src), dtype=np.int64)
-        packed = np.unique(src * n + dst)
-        edges.append((packed // n, packed % n))
+        edges.append((src, rng.integers(0, n, size=len(src), dtype=np.int64)))
     return from_arrays(sig, n, atom_bits, edges)

@@ -20,6 +20,7 @@ being returned, so a returned witness is always valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .core import (
     build_qs_interpretation,
 )
 from .errors import BisimError, ElementOutOfRangeError, NotSeparatedError
-from .refine import Partition, RefinementTrace, check_partition
+from .refine import Partition, RefinementTrace, _edge_ends, check_partition
 from .semantics import eval_concept
 from .syntax import (
     And,
@@ -167,19 +168,26 @@ class _LevelWitness:
 
     Levels refine each other, so the level at which a pair first parts
     is found by bisection, over the trace's lookups of each level's
-    blocks.  Separations are memoised per (level, block of x, block of y)
-    and built from an explicit stack, so a pair that parts thousands of
-    levels deep costs no Python frames.
+    blocks.  The edges along the splitter roles are sorted once by tail,
+    then role, then head, so an element's edges are one slice, found by
+    bisection.  Separations are memoised per (level, block of x, block
+    of y) and built from an explicit stack, so a pair that parts
+    thousands of levels deep costs no Python frames.
     """
 
     def __init__(self, trace: RefinementTrace):
         self.trace = trace
-        g = trace.graph
-        self.adjacency = [(g.fwd_indptr[s], g.fwd_indices) for s in range(g.n_roles)]
-        if trace.phi.inverse:
-            self.adjacency += [(g.rev_indptr[s], g.rev_indices) for s in range(g.n_roles)]
         self.roles = [_role_node(trace, s) for s in range(trace.n_split_roles)]
         self.memo: dict[tuple[int, int, int], Concept] = {}
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_edge_ends sorted by tail, then role, then head: a stable sort
+        by tail does it, since _edge_ends lists the edges by role, and
+        within a role the edges of one tail by head."""
+        tails, roles, heads = _edge_ends(self.trace.phi, self.trace.graph)
+        order = np.argsort(tails, kind="stable")
+        return tails[order], roles[order], heads[order]
 
     def _task(self, x: int, y: int, hi: int):
         """(key, x, y) for separating x from y, which level hi parts: key
@@ -229,28 +237,37 @@ class _LevelWitness:
                 return _label_literal(probe, holds)
         raise BisimError("internal: label blocks differ but labels agree")
 
-    def _successors(self, d: int, s: int, x: int) -> dict[int, tuple[int, int]]:
-        """Per level d block of x's s-successors: a member, and x's edge count into it."""
-        indptr, indices = self.adjacency[s]
-        succ = indices[indptr[x]:indptr[x + 1]]
-        blocks, first, counts = np.unique(self.trace.blocks_at(d, succ), return_index=True,
-                                          return_counts=True)
-        return dict(zip(blocks.tolist(), zip(succ[first].tolist(), counts.tolist())))
+    def _successors(self, d: int, x: int) -> dict[int, dict[int, tuple[int, int]]]:
+        """Per splitter role s of x's edges, per level d block of x's
+        s-successors: its least member, and x's s-edge count into it."""
+        tails, roles, heads = self._edges
+        lo, hi = np.searchsorted(tails, (x, x + 1)).tolist()
+        heads = heads[lo:hi]
+        width = self.trace.graph.n  # above every block id
+        keys, first, counts = np.unique(roles[lo:hi] * width
+                                        + self.trace.blocks_at(d, heads),
+                                        return_index=True, return_counts=True)
+        out: dict[int, dict[int, tuple[int, int]]] = {}
+        for key, member, count in zip(keys.tolist(), heads[first].tolist(), counts.tolist()):
+            s, c = divmod(key, width)
+            out.setdefault(s, {})[c] = (member, count)
+        return out
 
     def _plan(self, d: int, x: int, y: int):
         """How level d > 0 parts x from y: (s, cx, cy, parts), the literal
         on the s-edges (cx at x, cy at y) into the conjunction of the
         separations that parts lists as tasks (none for a degree literal)."""
         trace = self.trace
-        sides = [(self._successors(d - 1, s, x), self._successors(d - 1, s, y))
-                 for s in range(trace.n_split_roles)]
-        for s, (sx, sy) in enumerate(sides):
+        succ_x, succ_y = self._successors(d - 1, x), self._successors(d - 1, y)
+        sides = {s: (succ_x.get(s, {}), succ_y.get(s, {}))
+                 for s in sorted(succ_x.keys() | succ_y.keys())}
+        for s, (sx, sy) in sides.items():
             dx = sum(count for _, count in sx.values())
             dy = sum(count for _, count in sy.values())
             if (dx != dy) if trace.use_counts else (bool(dx) != bool(dy)):
                 return s, dx, dy, []
         best = None
-        for s, (sx, sy) in enumerate(sides):
+        for s, (sx, sy) in sides.items():
             for c in sorted(sx.keys() | sy.keys()):
                 cx, cy = (side[c][1] if c in side else 0 for side in (sx, sy))
                 if (cx == cy) if trace.use_counts else (bool(cx) == bool(cy)):

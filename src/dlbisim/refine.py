@@ -253,31 +253,17 @@ def _row_ids(ids: np.ndarray, bound: int, digits: np.ndarray, base: int):
 
 def _edge_ends(phi: FeatureSet, graph: LabeledGraph):
     """Every edge x -s-> y along a splitter role s, as the arrays (tails
-    x, roles s, heads y), by role and then head.  The splitter roles are
-    the role names and then, with inverses, their inverses, whose edges
-    are the role's own reversed.
-
-    Position j of a predecessor CSR lies in the row (role, head) of the
-    last offset at most j.  With the indptr's rows of n + 1 offsets laid
-    end to end, that row is the number of offsets at most j, less 1,
-    read off one bincount of the offsets.  The indptr is read in place,
-    so this takes O(n + m) memory beyond the graph.
+    x, roles s, heads y).  The splitter roles are the role names and
+    then, with inverses, their inverses, whose edges are the role's own
+    reversed: the graph's own arrays, sorted by (role, tail, head), and
+    with inverses their reversed copies after them, sorted by (role,
+    head, tail).
     """
-    n = graph.n
-    csrs = [(graph.rev_indptr, graph.rev_indices)]
-    if phi.inverse:
-        csrs.append((graph.fwd_indptr, graph.fwd_indices))
-    total = sum(len(indices) for _, indices in csrs)
-    tails, roles, heads = (np.empty(total, dtype=np.int64) for _ in range(3))
-    lo = 0
-    for first_role, (indptr, indices) in zip((0, graph.n_roles), csrs):
-        m = len(indices)
-        row = np.cumsum(np.bincount(indptr.ravel(), minlength=m + 1)[:m]) - 1
-        np.divmod(row, n + 1, out=(roles[lo:lo + m], heads[lo:lo + m]))
-        roles[lo:lo + m] += first_role
-        tails[lo:lo + m] = indices
-        lo += m
-    return tails, roles, heads
+    if not phi.inverse:
+        return graph.tails, graph.roles, graph.heads
+    return (np.concatenate((graph.tails, graph.heads)),
+            np.concatenate((graph.roles, graph.roles + graph.n_roles)),
+            np.concatenate((graph.heads, graph.tails)))
 
 
 def _signature_round(block_of, k, origin, heads, nsr, counting):
@@ -386,10 +372,11 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
     n = len(block_of)
     size = np.bincount(block_of, minlength=k)
     # the in-edges of every element, over all splitter roles, but for the
-    # edges out of singleton blocks, which never split
+    # edges out of singleton blocks, which never split, in any order within
+    # an element: the deltas are sorted
     live = size[block_of[tails]] > 1
     tails, roles, heads = tails[live], roles[live], heads[live]
-    order = np.argsort(heads, kind="stable")
+    order = np.argsort(heads)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(heads, minlength=n), out=ptr[1:])
     ptr = ptr.tolist()

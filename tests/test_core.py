@@ -178,6 +178,20 @@ def _assert_same_graph(g, h):
             assert a == b, field
 
 
+def _assert_sorted_edges(graph):
+    """The edge arrays are int64 and sorted by (role, tail, head) without repeats."""
+    n = graph.n
+    assert graph.tails.dtype == graph.roles.dtype == graph.heads.dtype == np.int64
+    assert len(graph.tails) == len(graph.roles) == len(graph.heads) == graph.n_edges
+    keys = (graph.roles * n + graph.tails) * n + graph.heads
+    assert (np.diff(keys) > 0).all()
+
+
+def _role_pairs(graph, k):
+    mine = graph.roles == k
+    return list(zip(graph.tails[mine].tolist(), graph.heads[mine].tolist()))
+
+
 class TestLabeledGraph:
     def test_roundtrip_through_graph(self):
         rng = H.seeded(41)
@@ -186,8 +200,8 @@ class TestLabeledGraph:
             graph = to_labeled_graph(interp)
             assert extract_interpretation(graph, 0) == interp
 
-    def test_csr_matches_edges(self):
-        # shapes the stacked index must handle, then seeded random instances
+    def test_edge_arrays_match_edges(self):
+        # shapes the edge list must handle, then seeded random instances
         sig = Signature(("A",), ("r", "s"), ("a", "b"))
         instances = [
             build_interpretation(Signature(("A",), (), ("a",)), 3, {"A": {1}}, {}, {"a": 2}),
@@ -198,16 +212,10 @@ class TestLabeledGraph:
         instances += [H.small_instance(rng, 2, 3, 3, 9) for _ in range(60)]
         for interp in instances:
             graph = to_labeled_graph(interp)
+            _assert_sorted_edges(graph)
             for k, name in enumerate(interp.signature.role_names):
                 pairs = sorted(interp.role_ext[name])
-                for indptr, indices in ((graph.fwd_indptr, graph.fwd_indices),
-                                        (graph.rev_indptr, graph.rev_indices)):
-                    rows = [indices[indptr[k, x]:indptr[k, x + 1]] for x in interp.domain]
-                    assert all((np.diff(row) > 0).all() for row in rows)
-                fwd = [(x, int(y)) for x in interp.domain for y in graph.successors(k, x)]
-                rev = [(int(x), y) for y in interp.domain for x in graph.predecessors(k, y)]
-                assert fwd == pairs
-                assert sorted(rev) == pairs
+                assert _role_pairs(graph, k) == pairs
                 assert [(x, y) for x in interp.domain for y in interp.successors(name, x)] == pairs
                 assert [(x, y) for y in interp.domain for x in interp.predecessors(name, y)] == \
                     sorted(pairs, key=lambda p: (p[1], p[0]))
@@ -218,13 +226,16 @@ class TestLabeledGraph:
         for _ in range(40):
             a, b = H.instance_pair(rng, 2, 3, 2, 9)
             union = disjoint_union_graph(a, b)
+            _assert_sorted_edges(union)
+            for k, name in enumerate(a.signature.role_names):
+                assert _role_pairs(union, k) == sorted(a.role_ext[name]) + sorted(
+                    (x + a.n, y + a.n) for x, y in b.role_ext[name])
             edges = [(np.concatenate([src_a, src_b + a.n]), np.concatenate([dst_a, dst_b + a.n]))
                      for (src_a, dst_a), (src_b, dst_b)
                      in zip(_shuffled_edges(rng, a), _shuffled_edges(rng, b))]
             atom = np.concatenate([_atom_bits(a), _atom_bits(b)])
             ref = from_arrays(a.signature, a.n + b.n, atom, edges, a.individual_map)
-            for field in ("atom_bits", "self_bits", "fwd_indptr", "fwd_indices",
-                          "rev_indptr", "rev_indices"):
+            for field in ("atom_bits", "self_bits", "tails", "roles", "heads"):
                 _assert_same_array(getattr(union, field), getattr(ref, field), field)
 
     def test_label_bits(self):
@@ -270,9 +281,12 @@ class TestLabeledGraph:
         ]
         graph = from_arrays(sig, 3, atom, edges)
         assert graph.n_edges == 2
-        assert graph.successors(0, 0).tolist() == [1]
-        assert graph.predecessors(0, 1).tolist() == [0, 1]
+        assert (graph.tails.tolist(), graph.roles.tolist(), graph.heads.tolist()) == \
+            ([0, 1], [0, 0], [1, 1])
         assert graph.self_bits[1, 0] == 1
+        # a repeated edge counts once, as in build_interpretation
+        repeated = [(np.array([1, 0, 1, 0]), np.array([1, 1, 1, 1])), edges[1]]
+        _assert_same_graph(from_arrays(sig, 3, atom, repeated), graph)
         with pytest.raises(SignatureMismatchError):
             from_arrays(sig, 3, atom, edges[:1])
         with pytest.raises(ElementOutOfRangeError):

@@ -359,6 +359,14 @@ class TestMemory:
         assert part[0][0].n_blocks > 500
         assert peak < 512 * (graph.n + graph.n_edges), peak
 
+    def test_graph_of_many_roles_has_no_offsets_per_role(self):
+        # 20 000 elements and about 700 edges over 200 roles: the graph's
+        # one n * roles field is self_bits, of one byte per slot
+        interp = path_with_roles()
+        graph = []
+        peak = traced_peak(lambda: graph.append(to_labeled_graph(interp)))
+        assert peak < 512 * (graph[0].n + graph[0].n_edges), peak
+
     def test_trace_levels_take_n_log_n(self):
         # a marked path parts its first two elements at level n - 2; the
         # levels kept as per-element changes take O(n log n), not O(n^2)
