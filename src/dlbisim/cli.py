@@ -14,7 +14,8 @@ or JSON to stdout or a file.  Exit codes are uniform across commands:
 The `bench` command times the partition refinement on seeded random
 graphs and emits CSV.  Timing figures are the only part of the output
 that is not reproducible byte for byte: bench's millis column, and the
-wall_s fields that --stats writes to stderr.  Everything else is.
+wall_s, load_s and write_s fields that --stats writes to stderr.
+Everything else is.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import functools
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from .bisim import (
     bisimulation_pairs,
@@ -56,10 +58,22 @@ EXPLAIN_LIMIT = 40_000
 WITNESS_LIMIT = 2 ** 22
 
 
+@contextmanager
+def _timed(args, key: str):
+    """Adds the wall time of the block to args.layer_times[key], which
+    --stats reports (see _run)."""
+    start = time.perf_counter()
+    yield
+    times = getattr(args, "layer_times", None)
+    if times is not None:
+        times[key] += time.perf_counter() - start
+
+
 def _load(args) -> Workspace:
-    if args.input == "-":
-        return loads_workspace(sys.stdin.read())
-    return load_workspace(args.input)
+    with _timed(args, "load_s"):
+        if args.input == "-":
+            return loads_workspace(sys.stdin.read())
+        return load_workspace(args.input)
 
 
 def _phi_of(ws: Workspace, args) -> FeatureSet:
@@ -98,14 +112,15 @@ def cmd_partition(args) -> int:
     phi = _phi_of(ws, args)
     partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
-    if args.json:
-        order, bounds = partition._runs
-        _emit(dumps_blocks(order, bounds, partition.canonical_order, names), args.output)
-    else:
-        # without names to_lines writes each element's index, which is its
-        # name in an index domain
-        display = None if isinstance(names, IndexNames) else names
-        _emit("\n".join(partition.to_lines(display)) + "\n", args.output)
+    with _timed(args, "write_s"):
+        if args.json:
+            order, bounds = partition._runs
+            _emit(dumps_blocks(order, bounds, partition.canonical_order, names), args.output)
+        else:
+            # without names to_lines writes each element's index, which is
+            # its name in an index domain
+            display = None if isinstance(names, IndexNames) else names
+            _emit("\n".join(partition.to_lines(display)) + "\n", args.output)
     return 0
 
 
@@ -115,7 +130,11 @@ def cmd_minimize(args) -> int:
     phi = _phi_of(ws, args)
     partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
-    qnames = tuple(names[partition.blocks[b][0]] for b in partition.canonical_order)
+    # each block's smallest element, the first of its run, names it; in an
+    # index domain the name of x is str(x)
+    order, bounds = partition._runs
+    firsts = order[bounds[:-1]][list(partition.canonical_order)].tolist()
+    qnames = list(map(str if isinstance(names, IndexNames) else names.__getitem__, firsts))
     if args.qs:
         qsi = qs_quotient(interp, partition)
         body = InterpretationBody(qsi.base, qnames, qsi)
@@ -127,7 +146,8 @@ def cmd_minimize(args) -> int:
     }
     if str(phi):
         doc["phi"] = str(phi)
-    _emit(dumps_document(doc), args.output)
+    with _timed(args, "write_s"):
+        _emit(dumps_document(doc), args.output)
     return 0
 
 
@@ -149,12 +169,14 @@ def cmd_bisim(args) -> int:
     phi = _phi_of(ws, args)
     if args.json:
         pairs = bisimulation_pairs(phi, ia, ib)
-        _emit(dumps_pairs(pairs, ws.element_names[args.left], ws.element_names[args.right]),
-              args.output)
+        with _timed(args, "write_s"):
+            _emit(dumps_pairs(pairs, ws.element_names[args.left], ws.element_names[args.right]),
+                  args.output)
         return 0 if pairs is not None else 1
     size = bisimulation_size(phi, ia, ib)
     if size is not None:
-        _emit("BISIMILAR\npairs: %d\n" % size, args.output)
+        with _timed(args, "write_s"):
+            _emit("BISIMILAR\npairs: %d\n" % size, args.output)
         return 0
     lines = ["NOT BISIMILAR"]
     if ia.n * ib.n <= EXPLAIN_LIMIT:
@@ -165,7 +187,8 @@ def cmd_bisim(args) -> int:
             log = []
         if log:
             lines.append(_format_record(log[0], ws, args.left, args.right))
-    _emit("\n".join(lines) + "\n", args.output)
+    with _timed(args, "write_s"):
+        _emit("\n".join(lines) + "\n", args.output)
     return 1
 
 
@@ -210,13 +233,15 @@ def cmd_witness(args) -> int:
     try:
         witness = separating_concept(interp, trace, x, y)
     except NotSeparatedError:
-        _emit("NOT SEPARATED\n", args.output)
+        with _timed(args, "write_s"):
+            _emit("NOT SEPARATED\n", args.output)
         return 1
     size = ast_size(witness.concept)
     if size > WITNESS_LIMIT:
         raise TooLargeError("separating concept has %d nodes as a tree, above the print limit of %d"
                             % (size, WITNESS_LIMIT))
-    _emit(to_text(witness.concept) + "\n", args.output)
+    with _timed(args, "write_s"):
+        _emit(to_text(witness.concept) + "\n", args.output)
     return 0
 
 
@@ -279,7 +304,8 @@ def cmd_bench(args) -> int:
 
 def _add_stats(sp):
     sp.add_argument("--stats", action="store_true",
-                    help="print the counters and wall time of every refinement run "
+                    help="print the counters and wall time of every refinement run, "
+                         "and the document load and output write times, "
                          "as one JSON object on stderr")
 
 
@@ -387,12 +413,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """The command; with --stats, then its refinements on stderr."""
+    """The command; with --stats, then its refinements and the wall time
+    of its document load and of formatting and writing its output on
+    stderr."""
     if not getattr(args, "stats", False):
         return args.func(args)
+    args.layer_times = {"load_s": 0.0, "write_s": 0.0}
     with recorded_runs() as runs:
         code = args.func(args)
-    sys.stderr.write(json.dumps({"command": args.command, "refinements": runs}) + "\n")
+    sys.stderr.write(json.dumps({"command": args.command, "refinements": runs,
+                                 **args.layer_times}) + "\n")
     return code
 
 

@@ -294,9 +294,9 @@ def build_interpretation(
     norm_concepts = {}
     for name in signature.concept_names:
         elems = frozenset(concept_ext.get(name, ()))
-        for x in elems:
-            if not (0 <= x < n):
-                raise ElementOutOfRangeError("concept %r contains element %r outside 0..%d" % (name, x, n - 1))
+        if elems and (min(elems) < 0 or max(elems) >= n):
+            x = next(x for x in elems if not (0 <= x < n))
+            raise ElementOutOfRangeError("concept %r contains element %r outside 0..%d" % (name, x, n - 1))
         norm_concepts[name] = elems
 
     norm_roles = {}

@@ -33,14 +33,18 @@ the neutral default: multiplicity 1 per edge in both directions, and
 self loops read off the role's diagonal.  A direction or role missing
 inside "counts" takes the same default.  Counts are below 2**63.
 
-Loading turns each list of element references into an int64 array in
-one pass, and each interpretation keeps its edges in those arrays (see
-the core module); a repeated edge counts once, and of two "counts" rows
-for one edge the later one counts.  Writing goes the other way:
-dumps_document writes an InterpretationBody from the arrays, one string
-concatenation per row from pieces made once per element, and the text
-is exactly what json.dumps(indent=2, sort_keys=True) writes for the
-same data.
+Loading turns each list of element references into an int64 array
+with one scan of the list: one type check, one name lookup per name
+and one array conversion; only a list that fails them is read again
+one entry at a time, to name its first problem.  Each interpretation
+keeps its edges in those arrays (see the core module); a repeated edge
+counts once, and of two "counts" rows for one edge the later one
+counts.  Writing goes the other way: dumps_document writes an
+InterpretationBody from the arrays, each list of rows as whole-array
+sums of per-element pieces (object arrays of strings), appends every
+piece of the document to one list and joins it once.  The text is
+exactly what json.dumps(indent=2, sort_keys=True) writes for the same
+data.
 
 Malformed JSON and unparseable grammar strings raise ParseError; every
 structural or semantic problem (unknown fields, bad types, names or
@@ -56,7 +60,7 @@ import gc
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -93,7 +97,7 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def _str_list(val, where: str) -> list[str]:
-    _expect(isinstance(val, list) and all(isinstance(s, str) for s in val),
+    _expect(isinstance(val, list) and set(map(type, val)) <= {str},
             "%s must be a list of strings" % where)
     return val
 
@@ -133,7 +137,7 @@ def _name_index(names):
     for an index domain."""
     if isinstance(names, IndexNames):
         return names
-    return {name: i for i, name in enumerate(names)}
+    return dict(zip(names, range(len(names))))
 
 
 @dataclass
@@ -223,32 +227,33 @@ def _resolve_ref(ref, n: int, index, where: str) -> int:
     raise DocumentError("%s: element reference %r is not an index or name" % (where, ref))
 
 
-def _int_column(values: list, n: int | None) -> np.ndarray | None:
-    """values as int64 when all are ints in 0..n-1 (or non-negative and
-    below 2**63 when n is None), else None."""
-    if not set(map(type, values)) <= {int}:
+def _index_array(refs: list, index, counted: bool = False) -> np.ndarray | None:
+    """refs as an int64 array, each name replaced by its element, or None
+    when some entry is not an int or a known name, or is an int outside
+    int64.  With counted the entries are [src, dst, count] rows flattened,
+    and a count must be an int.  The range of the values is not checked."""
+    types = set(map(type, refs))
+    if not types <= {int, str}:
         return None
-    try:
-        arr = np.array(values, dtype=np.int64)
-    except OverflowError:
-        return None
-    if len(arr) and (arr.min() < 0 or (n is not None and arr.max() >= n)):
-        return None
-    return arr
-
-
-def _ref_column(refs: list, n: int, index) -> np.ndarray | None:
-    """Element indices of refs as int64, or None when one is invalid."""
-    if str in set(map(type, refs)):
+    if str in types:
+        if counted and not set(map(type, refs[2::3])) <= {int}:
+            return None
         get = index.get
-        refs = [get(ref) if type(ref) is str else ref for ref in refs]
-    return _int_column(refs, n)
+        if types == {str}:
+            refs = list(map(get, refs))
+        else:
+            refs = [get(ref) if type(ref) is str else ref for ref in refs]
+    try:
+        # an unknown name is None here, which np.array refuses
+        return np.array(refs, dtype=np.int64)
+    except (TypeError, OverflowError):
+        return None
 
 
 def _load_refs(refs: list, n: int, index, where: str) -> np.ndarray:
     """Element indices of a list of references."""
-    out = _ref_column(refs, n, index)
-    if out is None:
+    out = _index_array(refs, index)
+    if out is None or (len(out) and (out.min() < 0 or out.max() >= n)):
         # some reference is invalid: resolve one by one to report the first
         out = np.array([_resolve_ref(ref, n, index, where) for ref in refs], dtype=np.int64)
     return out
@@ -257,17 +262,18 @@ def _load_refs(refs: list, n: int, index, where: str) -> np.ndarray:
 def _load_rows(items: list, width: int, n: int, index, where: str, shape: str,
                count: str = "") -> np.ndarray:
     """The (m, width) int64 array of [src, dst] (width 2) or [src, dst,
-    count] (width 3) rows.  Entries are checked column by column; when one
-    is malformed, they are checked again one by one, which reports the
-    first problem in document order: shape is the message for an entry
-    of the wrong form, count the one for a bad count."""
+    count] (width 3) rows.  The rows are flattened and read as one array;
+    when one is malformed, they are checked again one by one, which
+    reports the first problem in document order: shape is the message
+    for an entry of the wrong form, count the one for a bad count."""
     if set(map(type, items)) <= {list} and set(map(len, items)) <= {width}:
-        flat = list(chain.from_iterable(items))
-        cols = [_ref_column(flat[0::width], n, index), _ref_column(flat[1::width], n, index)]
-        if width == 3:
-            cols.append(_int_column(flat[2::3], None))
-        if all(col is not None for col in cols):
-            return np.column_stack(cols)
+        rows = _index_array(list(chain.from_iterable(items)), index, width == 3)
+        if rows is not None:
+            rows = rows.reshape(-1, width)
+            refs = rows[:, :2]
+            if not len(rows) or (refs.min() >= 0 and refs.max() < n
+                                 and (width == 2 or rows[:, 2].min() >= 0)):
+                return rows
     rows = []
     for item in items:
         _expect(isinstance(item, list) and len(item) == width, shape)
@@ -471,39 +477,42 @@ def interpretation_to_json(interp: Interpretation, names=None,
                            qsi: QSInterpretation | None = None) -> dict:
     """JSON-ready form of one interpretation: the data dumps_document
     writes for InterpretationBody(interp, names, qsi)."""
-    return json.loads(_text(InterpretationBody(interp, names, qsi), "\n"))
+    out: list[str] = []
+    _write(InterpretationBody(interp, names, qsi), "\n", out)
+    return json.loads("".join(out))
 
 
 class _Literals:
     """The JSON literals of a domain's element names, and row pieces made
-    from them, each list made once."""
+    from them, each an object array indexed by element and made once."""
 
     def __init__(self, names):
-        self.text = [_literal(name) for name in names]
-        self._pieces: dict[tuple[str, str], list[str]] = {}
+        self.text = np.array(list(map(_literal, names)), dtype=object)
+        self._pieces: dict[tuple[str, str], np.ndarray] = {}
 
-    def pieces(self, before: str, after: str) -> list[str]:
+    def pieces(self, before: str, after: str) -> np.ndarray:
         key = (before, after)
         if key not in self._pieces:
-            self._pieces[key] = [before + s + after for s in self.text]
+            self._pieces[key] = before + self.text + after
         return self._pieces[key]
 
 
-def _rows_text(rows, left: _Literals, right: _Literals, pad: str, counted: bool = False) -> str:
-    """JSON text of a list of [left, right] or, when counted, [left,
-    right, count] rows, for rows of index pairs (x, y) or triples (x, y,
-    count).  The list's first line is indented as pad ("\\n" and spaces)
-    says; each row is one concatenation of per-element pieces."""
+def _rows(xs: np.ndarray, ys: np.ndarray, left: _Literals, right: _Literals, pad: str,
+          counts: np.ndarray | None = None) -> list[str]:
+    """The JSON texts of the [left, right] rows of the index arrays xs
+    and ys, or with counts of the [left, right, count] rows, in a list
+    whose first line is indented as pad ("\\n" and spaces) says.  Each
+    row is a sum of object arrays: the pieces of its elements and the
+    text of its count, made once per distinct count."""
     item, inner = pad + "  ", pad + "    "
-    opens = left.pieces("[" + inner, "," + inner)
-    if counted:
-        mids = right.pieces("", "," + inner)
-        end = item + "]"
-        text = ("," + item).join([opens[x] + mids[y] + str(k) + end for x, y, k in rows])
+    rows = left.pieces("[" + inner, "," + inner)[xs]
+    if counts is None:
+        rows += right.pieces("", item + "]")[ys]
     else:
-        closes = right.pieces("", item + "]")
-        text = ("," + item).join([opens[x] + closes[y] for x, y in rows])
-    return "[" + item + text + pad + "]" if text else "[]"
+        rows += right.pieces("", "," + inner)[ys]
+        distinct, which = np.unique(counts, return_inverse=True)
+        rows += np.array([str(k) + item + "]" for k in distinct.tolist()], dtype=object)[which]
+    return rows.tolist()
 
 
 class _Refs:
@@ -516,31 +525,39 @@ class _Refs:
         self.literals = literals
         self.cols = cols
 
-    def text(self, pad: str) -> str:
-        if len(self.cols) > 1:
-            rows = zip(*(col.tolist() for col in self.cols))
-            return _rows_text(rows, self.literals, self.literals, pad, len(self.cols) == 3)
-        if not len(self.cols[0]):
-            return "[]"
+    def write(self, pad: str, out: list[str]) -> None:
+        cols = self.cols
+        if not len(cols[0]):
+            out.append("[]")
+            return
+        if len(cols) == 1:
+            items = self.literals.text[cols[0]].tolist()
+        else:
+            items = _rows(cols[0], cols[1], self.literals, self.literals, pad, *cols[2:])
         item = pad + "  "
-        names = self.literals.text
-        return "[" + item + ("," + item).join([names[x] for x in self.cols[0].tolist()]) + pad + "]"
+        out += ("[" + item, ("," + item).join(items), pad + "]")
 
 
-def _text(value, pad: str) -> str:
-    """value as json.dumps(indent=2, sort_keys=True) writes it at the
-    indentation pad ("\\n" and spaces) says."""
+def _write(value, pad: str, out: list[str]) -> None:
+    """Appends to out the pieces of value as json.dumps(indent=2,
+    sort_keys=True) writes it at the indentation pad ("\\n" and spaces)
+    says."""
     if isinstance(value, InterpretationBody):
         value = value.tree()
     if isinstance(value, _Refs):
-        return value.text(pad)
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        value.write(pad, out)
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         inner = pad + "  "
-        return "{" + ",".join([inner + _literal(key) + ": " + _text(value[key], inner)
-                               for key in sorted(value)]) + pad + "}"
-    # json.dumps writes every line break of a nested value as "\n" and the
-    # indentation of the line relative to the value's own
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+        sep = "{"
+        for key in sorted(value):
+            out.append(sep + inner + _literal(key) + ": ")
+            _write(value[key], inner, out)
+            sep = ","
+        out.append(pad + "}")
+    else:
+        # json.dumps writes every line break of a nested value as "\n" and
+        # the indentation of the line relative to the value's own
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", pad))
 
 
 def signature_to_json(sig: Signature) -> dict:
@@ -558,13 +575,16 @@ def dumps_document(doc: dict) -> str:
     InterpretationBody value in doc, or in an object inside it, is
     written as its interpretation_to_json form would be.
     """
-    return _text(doc, "\n") + "\n"
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def dumps_blocks(order: np.ndarray, bounds, block_order, names) -> str:
     """dumps_document of {"blocks": [[name, ...], ...]}, for the blocks
     that are the runs order[bounds[b]:bounds[b + 1]], listed in
-    block_order.  Like the rows of _rows_text, the text is one join of
+    block_order.  Like the rows of _rows, the text is one join of
     per-element pieces: each element's literal between the line breaks
     and brackets that its place in its block calls for."""
     bounds = np.asarray(bounds, dtype=np.int64)
@@ -578,30 +598,42 @@ def dumps_blocks(order: np.ndarray, bounds, block_order, names) -> str:
     place[ends - 1] += 2      # last of its block
     item, inner = "\n    ", "\n      "
     close = item + "]," + item
-    heads = ("", "[" + inner, "", "[" + inner)
-    tails = ("," + inner, "," + inner, close, close)
-    literals = _Literals(names).text
-    place = place.tolist()
+    heads = ["", "[" + inner, "", "[" + inner]
+    tails = ["," + inner, "," + inner, close, close]
     parts = [""] * (3 * len(elems))
-    parts[0::3] = [heads[k] for k in place]
-    parts[1::3] = [literals[x] for x in elems.tolist()]
-    parts[2::3] = [tails[k] for k in place]
+    parts[0::3] = np.array(heads, dtype=object)[place].tolist()
+    parts[1::3] = _Literals(names).text[elems].tolist()
+    parts[2::3] = np.array(tails, dtype=object)[place].tolist()
     parts[0] = '{\n  "blocks": [' + item + parts[0]
     parts[-1] = item + "]\n  ]\n}\n"
     return "".join(parts)
 
 
+# pairs that dumps_pairs reads and writes at a time
+_PAIR_CHUNK = 1 << 16
+
+
 def dumps_pairs(pairs, left_names, right_names) -> str:
     """dumps_document of {"bisimilar": ..., "pairs": [[left, right], ...]}.
 
-    pairs holds (left index, right index) tuples, or is None for a
-    negative verdict, which has no "pairs" key.  The pair list is written
-    row by row from per-element pieces (see _rows_text), since the
-    general encoder is slow on millions of two-element lists; the text
-    is the same.
+    pairs iterates over (left index, right index) tuples, or is None for
+    a negative verdict, which has no "pairs" key.  The pairs are read
+    _PAIR_CHUNK at a time into index arrays and written as _rows, so at
+    most _PAIR_CHUNK rows are held as separate strings, and the text is
+    the same as the general encoder's.
     """
     if pairs is None:
         return dumps_document({"bisimilar": False})
-    return ('{\n  "bisimilar": true,\n  "pairs": '
-            + _rows_text(pairs, _Literals(left_names), _Literals(right_names), "\n  ")
-            + "\n}\n")
+    pairs = iter(pairs)
+    left, right = _Literals(left_names), _Literals(right_names)
+    sep = ",\n    "
+    parts = ['{\n  "bisimilar": true,\n  "pairs": [\n    ']
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(pairs, _PAIR_CHUNK)), dtype=np.int64)
+        if not len(flat):
+            break
+        parts += (sep.join(_rows(flat[0::2], flat[1::2], left, right, "\n  ")), sep)
+    if len(parts) == 1:
+        return dumps_document({"bisimilar": True, "pairs": []})
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)

@@ -183,13 +183,22 @@ class RefinementTrace:
         return names[idx - len(names)], True
 
 
-def _label_columns(phi: FeatureSet, graph: LabeledGraph) -> list[np.ndarray]:
+def _label_ids(phi: FeatureSet, graph: LabeledGraph) -> tuple[np.ndarray, int]:
+    """Ids of the distinct node labels, numbered in lexicographic order of
+    the rows (atom bits, nominal key, self bits), and their count.  The
+    self bits (n * roles bytes) are packed eight roles a byte, first role
+    in the high bit, so that bytes compare as the bit rows do, and are
+    grouped from those bytes: no n * roles array wider than a byte is
+    made."""
     cols = [graph.atom_bits.astype(np.int64)]
     if phi.nominals:
         cols.append(graph.nominal_key.astype(np.int64)[:, None])
-    if phi.local_refl:
-        cols.append(graph.self_bits.astype(np.int64))
-    return cols
+    ids, k = _group_rows(cols, graph.n)
+    if phi.local_refl and graph.n_roles and graph.n:
+        packed = np.packbits(graph.self_bits, axis=1)
+        ids, k = _row_ids(ids.astype(np.int64), k, packed, 256)
+        ids = ids.astype(np.int32)
+    return ids, k
 
 
 def _group_rows(cols, n: int) -> tuple[np.ndarray, int]:
@@ -208,8 +217,7 @@ def _group_rows(cols, n: int) -> tuple[np.ndarray, int]:
 def econd_partition(phi: FeatureSet, graph: LabeledGraph) -> Partition:
     """Partition by node labels only, which the first signature round
     refines (see compute_partition)."""
-    ids, k = _group_rows(_label_columns(phi, graph), graph.n)
-    return Partition(ids, k)
+    return Partition(*_label_ids(phi, graph))
 
 def _dense_ids(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     """Ids of the distinct values of keys, all below bound, in ascending
@@ -568,7 +576,7 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     m = len(tails)
     origin = tails * nsr + roles
     in_degree = np.bincount(heads, minlength=n)
-    label, k = _group_rows(_label_columns(phi, graph), n)
+    label, k = _label_ids(phi, graph)
     block_of = label
     rounds = scanned = splits = moves = 0
     # with the trace, every (element, level, id) change: level 0, then the moves

@@ -514,6 +514,9 @@ class TestStats:
         for r in runs:
             assert list(r["counters"]) == list(Counters._fields)
             assert r["wall_s"] >= 0 and r["blocks"] >= 1
+        # the document load and the output write, timed apart
+        assert list(report) == ["command", "refinements", "load_s", "write_s"]
+        assert report["load_s"] > 0 and report["write_s"] > 0
 
     def test_only_refining_commands_take_the_flag(self):
         out = run("eval", "-i", FIG2, "-I", "I2", "-c", "F", "--stats")

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,11 @@ from dlbisim.core import (
 from dlbisim.document import (
     IndexNames,
     InterpretationBody,
+    _Literals,
+    _Refs,
     dumps_blocks,
     dumps_document,
+    dumps_pairs,
     interpretation_to_json,
     load_workspace,
     loads_workspace,
@@ -48,6 +52,10 @@ def _doc(body):
 
 def _with_counts(spec):
     return _doc({"roles": {"r": [[0, 1]]}, "counts": {"r": spec}})
+
+
+def _named(**fields):
+    return _doc(dict(NAMED, **fields))
 
 
 def _canonical(doc) -> str:
@@ -128,6 +136,57 @@ MALFORMED = [
      "role extension for 's': not a role name"),
     ("concept not in signature", _doc({"concepts": {"B": [0]}}), UnknownNameError,
      "concept extension for 'B': not a concept name"),
+    # lists that the one-scan reader refuses, read again entry by entry
+    ("mixed references, unknown name", _named(roles={"r": [["x", 1], [2, "w"]]}), DocumentError,
+     "interpretations.I.roles.r: unknown element 'w'"),
+    ("mixed references, index above the domain", _named(roles={"r": [["x", 1], [2, 3]]}),
+     DocumentError, "interpretations.I.roles.r: index 3 outside 0..2"),
+    ("mixed concept references", _named(concepts={"A": ["y", 0, "q"]}), DocumentError,
+     "interpretations.I.concepts.A: unknown element 'q'"),
+    ("mixed self loops", _named(self_loops={"r": [1, "x", "q"]}), DocumentError,
+     "interpretations.I.self_loops.r: unknown element 'q'"),
+    ("true in a concept", _doc({"concepts": {"A": [0, True]}}), DocumentError,
+     "interpretations.I.concepts.A: element reference True is not an index or name"),
+    ("1.5 in a row", _doc({"roles": {"r": [[0, 1], [1.5, 0]]}}), DocumentError,
+     "interpretations.I.roles.r: element reference 1.5 is not an index or name"),
+    ("true among names", _named(roles={"r": [["x", "y"], ["y", True]]}), DocumentError,
+     "interpretations.I.roles.r: element reference True is not an index or name"),
+    ("1.5 among names", _named(concepts={"A": ["x", 1.5]}), DocumentError,
+     "interpretations.I.concepts.A: element reference 1.5 is not an index or name"),
+    ("unknown name in a row", _named(roles={"r": [["x", "y"], ["z", "w"]]}), DocumentError,
+     "interpretations.I.roles.r: unknown element 'w'"),
+    ("unknown concept element", _named(concepts={"A": ["x", "w"]}), DocumentError,
+     "interpretations.I.concepts.A: unknown element 'w'"),
+    ("unknown self loop element", _named(self_loops={"r": ["w"]}), DocumentError,
+     "interpretations.I.self_loops.r: unknown element 'w'"),
+    ("unknown count element", _named(roles={"r": [["x", "y"]]},
+                                     counts={"r": {"forward": [["x", "w", 1]]}}),
+     DocumentError, "interpretations.I: unknown element 'w'"),
+    ("name as a count", _named(roles={"r": [["x", "y"]]},
+                               counts={"r": {"forward": [["x", "y", "1"]]}}),
+     DocumentError, "interpretations.I.counts.r.forward: count must be a non-negative integer"),
+    ("index name as a count", _with_counts({"forward": [[0, 1, "1"]]}), DocumentError,
+     "interpretations.I.counts.r.forward: count must be a non-negative integer"),
+    ("ragged rows, long after short", _doc({"roles": {"r": [[0, 1], [0, 1, 2]]}}), DocumentError,
+     "interpretations.I.roles.r entries must be [src, dst]"),
+    ("ragged rows, short after long", _doc({"roles": {"r": [[0, 1], [2]]}}), DocumentError,
+     "interpretations.I.roles.r entries must be [src, dst]"),
+    ("ragged count rows", _with_counts({"forward": [[0, 1, 1], [0, 1]]}), DocumentError,
+     "interpretations.I.counts.r.forward entries must be [src, dst, count]"),
+    ("two names as one string", _named(roles={"r": [["x", "y"], "xy"]}), DocumentError,
+     "interpretations.I.roles.r entries must be [src, dst]"),
+    ("huge count", _with_counts({"forward": [[0, 1, 2 ** 63]]}), DocumentError,
+     "interpretations.I.counts.r.forward: count 9223372036854775808 is not below 2**63"),
+    ("huge count after the largest", _with_counts({"forward": [[0, 1, 2 ** 63 - 1],
+                                                               [0, 1, 2 ** 63]]}),
+     DocumentError,
+     "interpretations.I.counts.r.forward: count 9223372036854775808 is not below 2**63"),
+    ("huge count among names", _named(roles={"r": [["x", "y"]]},
+                                      counts={"r": {"forward": [["x", "y", 2 ** 63]]}}),
+     DocumentError,
+     "interpretations.I.counts.r.forward: count 9223372036854775808 is not below 2**63"),
+    ("bad reference before huge count", _with_counts({"forward": [[0, 5, 1], [0, 1, 2 ** 63]]}),
+     DocumentError, "interpretations.I: index 5 outside 0..2"),
 ]
 
 
@@ -280,6 +339,60 @@ class TestWriter:
             order, bounds = part._runs
             assert dumps_blocks(order, bounds, part.canonical_order, names) == \
                 _canonical({"blocks": blocks})
+
+    def test_counted_rows_repeat_each_count(self):
+        # counts of one and two digits and the largest, each twice, in no order
+        literals = _Literals(("p", "q\u00e9"))
+        xs, ys = np.array([0, 1, 0, 1, 1, 0, 0, 1]), np.array([1, 1, 0, 0, 1, 0, 1, 0])
+        counts = np.array([10, 0, 2 ** 63 - 1, 9, 0, 10, 9, 2 ** 63 - 1], dtype=np.int64)
+        names = ("p", "q\u00e9")
+        rows = [[names[x], names[y], k] for x, y, k in zip(xs.tolist(), ys.tolist(),
+                                                           counts.tolist())]
+        assert dumps_document({"a": {"rows": _Refs(literals, xs, ys, counts)}}) == \
+            _canonical({"a": {"rows": rows}})
+
+    def test_empty_role_and_count_lists(self):
+        empty = np.zeros(0, dtype=np.int64)
+        literals = _Literals(("p",))
+        doc = {"names": _Refs(literals, empty), "pairs": _Refs(literals, empty, empty),
+               "counted": _Refs(literals, empty, empty, empty)}
+        assert dumps_document(doc) == _canonical({"names": [], "pairs": [], "counted": []})
+        sig = make_signature(1, 2, 0)
+        interp = build_interpretation(sig, 1, {}, {}, {})
+        for qsi in (None, qs_embedding(interp)):
+            body = {"I": InterpretationBody(interp, None, qsi)}
+            assert dumps_document(body) == _canonical({"I": _reference_json(interp, None, qsi)})
+
+    def test_names_that_need_escapes(self):
+        names = ('q"uote', "back\\slash", "tab\there", "new\nline", "\x00nul", "na\u00efve",
+                 "\u65e5\u672c", "\U0001f600", "", " ", "\u2028")
+        n = len(names)
+        sig = make_signature(1, 1, 1)
+        interp = build_interpretation(sig, n, {"A0": {1, 4, 7}},
+                                      {"r0": {(x, (3 * x + 1) % n) for x in range(n)}},
+                                      {"a0": 6})
+        qsi = qs_embedding(interp)
+        body = {"I": InterpretationBody(interp, names, qsi)}
+        assert dumps_document(body) == _canonical({"I": _reference_json(interp, names, qsi)})
+        pairs = [(x, y) for x in range(n) for y in range(n) if (x + y) % 3 == 0]
+        assert dumps_pairs(iter(pairs), names, names[::-1]) == _canonical(
+            {"bisimilar": True, "pairs": [[names[x], names[::-1][y]] for x, y in pairs]})
+
+    def test_pairs_are_read_in_chunks(self):
+        # 160 000 pairs: the text and its chunks, but never the rows as
+        # objects, which took 3.4 times the text
+        n = 400
+        names = IndexNames(n)
+        tracemalloc.start()
+        try:
+            text = dumps_pairs(((x, y) for x in range(n) for y in range(n)), names, names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == _canonical({"bisimilar": True,
+                                   "pairs": [[str(x), str(y)] for x in range(n)
+                                             for y in range(n)]})
+        assert peak < 2.5 * len(text), (peak, len(text))
 
     def test_plain_documents(self):
         for doc in ({}, {"a": []}, {"b": {"c": [1, [2, "x"]], "a": None}, "a": True}, [1, {}]):
