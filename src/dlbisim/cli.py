@@ -21,6 +21,7 @@ Everything else is.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -49,7 +50,14 @@ from .errors import BisimError, DocumentError, NotSeparatedError, ParseError, To
 from .gen import benchmark_graph, random_document
 from .quotient import qs_quotient, quotient_interpretation, separating_concept
 from .refine import compute_partition, recorded_runs
-from .semantics import check_kb, eval_concept, eval_concept_qs, eval_role, least_r_extension
+from .semantics import (
+    check_kb,
+    eval_concept,
+    eval_concept_qs,
+    eval_role,
+    least_r_extension,
+    recorded_searches,
+)
 from .syntax import ast_size, parse_concept, parse_role, to_text
 
 EXPLAIN_LIMIT = 40_000
@@ -199,8 +207,8 @@ def cmd_eval(args) -> int:
     names = ws.element_names[args.interpretation]
     if args.role is not None:
         pairs = eval_role(interp, parse_role(args.role), phi)
-        body = "".join("%s %s\n" % (names[x], names[y]) for x, y in sorted(pairs))
-        _emit(body, args.output)
+        with _timed(args, "write_s"):
+            _emit("".join("%s %s\n" % (names[x], names[y]) for x, y in sorted(pairs)), args.output)
         return 0
     node = parse_concept(args.concept)
     if args.qs:
@@ -208,7 +216,8 @@ def cmd_eval(args) -> int:
         ext = eval_concept_qs(qsi, node, phi)
     else:
         ext = eval_concept(interp, node, phi)
-    _emit("".join(names[x] + "\n" for x in sorted(ext)), args.output)
+    with _timed(args, "write_s"):
+        _emit("".join(names[x] + "\n" for x in sorted(ext)), args.output)
     return 0
 
 
@@ -219,7 +228,8 @@ def cmd_check_kb(args) -> int:
     if ws.kb is None:
         raise DocumentError("document has no kb section")
     report = check_kb(interp, ws.kb, phi)
-    _emit("\n".join(report.to_lines()) + "\n", args.output)
+    with _timed(args, "write_s"):
+        _emit("\n".join(report.to_lines()) + "\n", args.output)
     return 0 if report.ok else 1
 
 
@@ -305,6 +315,7 @@ def cmd_bench(args) -> int:
 def _add_stats(sp):
     sp.add_argument("--stats", action="store_true",
                     help="print the counters and wall time of every refinement run, "
+                         "the counters of the preimage searches, "
                          "and the document load and output write times, "
                          "as one JSON object on stderr")
 
@@ -360,10 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--role", help="role in the text grammar")
     sp.add_argument("--qs", action="store_true",
                     help="count over the document's multiplicity data")
+    _add_stats(sp)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("check-kb", help="evaluate every kb axiom over one interpretation")
     _add_io(sp)
+    _add_stats(sp)
     sp.set_defaults(func=cmd_check_kb)
 
     sp = sub.add_parser("witness", help="concept separating two non-bisimilar elements")
@@ -413,15 +426,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """The command; with --stats, then its refinements and the wall time
-    of its document load and of formatting and writing its output on
-    stderr."""
+    """The command; with --stats, then its refinements, the counters of its
+    preimage searches and the wall time of its document load and of
+    formatting and writing its output on stderr."""
     if not getattr(args, "stats", False):
         return args.func(args)
     args.layer_times = {"load_s": 0.0, "write_s": 0.0}
-    with recorded_runs() as runs:
+    with recorded_runs() as runs, recorded_searches() as searches:
         code = args.func(args)
     sys.stderr.write(json.dumps({"command": args.command, "refinements": runs,
+                                 "searches": dataclasses.asdict(searches),
                                  **args.layer_times}) + "\n")
     return code
 

@@ -27,8 +27,8 @@ import numpy as np
 from .core import (
     Interpretation,
     QSInterpretation,
+    _frozen,
     build_interpretation,
-    build_qs_interpretation,
 )
 from .errors import BisimError, ElementOutOfRangeError, NotSeparatedError
 from .refine import Partition, RefinementTrace, _edge_ends, check_partition
@@ -49,11 +49,6 @@ from .syntax import (
 )
 
 
-def _block_rows(nb: int, keys: np.ndarray, *cols: np.ndarray) -> np.ndarray:
-    """Rows (a, b, *cols) of the keys a * nb + b."""
-    return np.column_stack((keys // nb, keys % nb) + cols)
-
-
 def quotient_interpretation(interp: Interpretation, partition: Partition) -> Interpretation:
     """Collapse blocks to elements; block ids follow smallest members."""
     check_partition(partition, interp.n)
@@ -67,7 +62,8 @@ def quotient_interpretation(interp: Interpretation, partition: Partition) -> Int
     role_ext = {}
     for r in sig.role_names:
         src, dst = interp.edges(r)
-        role_ext[r] = _block_rows(nb, np.unique(cls[src] * nb + cls[dst]))
+        keys = np.unique(cls[src] * nb + cls[dst])
+        role_ext[r] = np.column_stack((keys // nb, keys % nb))
     individual_map = {a: int(cls[x]) for a, x in interp.individual_map.items()}
     return build_interpretation(sig, nb, concept_ext, role_ext, individual_map)
 
@@ -78,21 +74,23 @@ def qs_quotient(interp: Interpretation, partition: Partition) -> QSInterpretatio
     sig = interp.signature
     cls = partition.canonical_of.astype(np.int64)
     nb = partition.n_blocks
-    qu: dict[tuple[str, bool], np.ndarray] = {}
-    se: dict[str, np.ndarray] = {}
+    weights: dict[tuple[str, bool], np.ndarray] = {}
+    loops: dict[str, np.ndarray] = {}
     for r in sig.role_names:
         for inverted in (False, True):
             src, dst = interp.edges(r, inverted)
             # edges from each element into each block, then the largest
-            # such count over the members of the element's block
+            # such count over the members of the element's block; the block
+            # pairs come out sorted and are the quotient's edges, so the
+            # counts align to base.edges(r, inverted)
             keys, counts = np.unique(src * nb + cls[dst], return_counts=True)
             block_keys, at = np.unique(cls[keys // nb] * nb + keys % nb, return_inverse=True)
             top = np.zeros(len(block_keys), dtype=np.int64)
             np.maximum.at(top, at, counts)
-            qu[(r, inverted)] = _block_rows(nb, block_keys, top)
+            weights[(r, inverted)] = _frozen(top)
             if not inverted:
-                se[r] = cls[src[src == dst]]
-    return build_qs_interpretation(base, qu, se)
+                loops[r] = _frozen(np.unique(cls[src[src == dst]]))
+    return QSInterpretation(base, weights, loops)
 
 
 def _conjoin(parts: list[Concept]) -> Concept:

@@ -14,7 +14,16 @@ R* runs R on a fresh loop state, entered and left by eps-steps; C? is
 a step that keeps the elements in C, eps a step that keeps all, and U
 a step from any element to every element.  The search starts from the
 target elements at state 1 and takes the steps backward; the elements
-that reach state 0 form the preimage.
+that reach state 0 form the preimage.  It takes its frontiers, the
+elements that entered one state and whose steps back are still to be
+taken, in one of two ways (the rule of direction-optimising BFS, Beamer,
+Asanovic & Patterson 2012).  A wide frontier takes one numpy pass, at
+about 15 us whatever its size.  A thin one, whose elements and the
+edges their steps would read number at most _WALK_EDGES (16), is walked
+element by element from a Python queue, which costs about 1 us per
+element; a state entered by a U step is always passed.  The rule counts
+edges and not only elements, so the walk never reads a hub's many
+in-edges one at a time.
 
 Roles are read through Interpretation.in_edges, per basic role the edge
 arrays grouped by target.  Number restrictions count along a basic role
@@ -27,8 +36,11 @@ Everything else is inherited from the underlying interpretation.
 Cost, for n elements and m edges: a concept node costs O(n) vector
 work plus the preimage under it.  A role of |R| constructors has
 O(|R|) states and steps, each element enters each state at most once,
-and an edge step reads the edges into the elements it takes, so a
-preimage costs O(|R| (n + m)) per target column.  Evaluation is
+whether walked or passed, and an edge step reads the edges into the
+elements it takes, so a preimage costs O(|R| (n + m)) per target
+column.  A deep, thin search no longer makes one numpy pass per level:
+`some (r)* A` along a path of 20 000 elements is walked with no pass
+at all, where one pass per level took 20 001.  Evaluation is
 bottom-up from an explicit stack and memoised on subterm identity, so
 shared subtrees (the witness builder produces heavily shared DAGs) are
 evaluated once and nesting depth costs no Python frames.
@@ -45,6 +57,8 @@ for p pairs reached.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +69,8 @@ from .errors import FeatureViolationError, UnknownNameError
 
 # cells per bool matrix of singleton targets in Evaluator.role
 _BATCH_CELLS = 1 << 22
+# most cells plus edges that a frontier may read to be walked (see _Walk)
+_WALK_EDGES = 16
 
 
 def _require(phi, expr):
@@ -74,6 +90,127 @@ def _ranges(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum()), cnt
 
 
+@dataclass
+class SearchCounters:
+    """Deterministic work counts of preimage searches."""
+
+    searches: int = 0
+    passes: int = 0      # numpy passes, one per frontier that is not walked
+    pass_edges: int = 0  # edges the numpy passes read
+    walked: int = 0      # cells the walk expanded one at a time
+    walk_edges: int = 0  # edges the walk read
+
+
+# the SearchCounters that recorded_searches() counts into, in the current context
+_SEARCHES: ContextVar[SearchCounters | None] = ContextVar("searches", default=None)
+
+
+@contextmanager
+def recorded_searches():
+    """Count the work of every preimage search inside the block into one
+    SearchCounters: evaluators made inside it count into it."""
+    counters = SearchCounters()
+    token = _SEARCHES.set(counters)
+    try:
+        yield counters
+    finally:
+        _SEARCHES.reset(token)
+
+
+class _Walk:
+    """Expands the thin frontiers of one search a cell at a time.
+
+    The walk takes (state, cell) items from a Python queue and marks the
+    same seen vectors as the numpy passes, read and written through
+    memoryviews.  It hands back to fresh, for numpy passes, every cell
+    whose steps read more than _WALK_EDGES edges, every cell that enters
+    a state with a U step, and the whole queue once it holds more than
+    _WALK_EDGES items.  The queue is first in, first out, so its length
+    is the width of the frontier, and a search that fans out leaves the
+    walk within a few levels.
+    """
+
+    def __init__(self, into: list[list], seen: list[np.ndarray], k: int, counters: SearchCounters):
+        self.k = k
+        self.counters = counters
+        # go[p]: 0 when no step enters p, 1 to queue a cell that enters p,
+        # 2 to hand it back because a U step enters p
+        go = [2 if any(kind is sx.UniversalRole for _, kind, _ in steps) else int(bool(steps))
+              for steps in into]
+        marks = [memoryview(s) for s in seen]
+        self.go = go
+        self.ptrs: list[list] = []
+        self.steps: list[list] = []
+        for steps in into:
+            ptrs, views = [], []
+            for p, kind, arg in steps:
+                if kind is sx.RoleName:
+                    ptrs.append(memoryview(arg[0]))
+                    arg = (ptrs[-1], memoryview(arg[1]))
+                elif kind is sx.Test:
+                    arg = memoryview(arg)
+                views.append((p, kind, arg, marks[p], go[p]))
+            self.ptrs.append(ptrs)
+            self.steps.append(views)
+
+    def run(self, q: int, cells: np.ndarray, fresh: dict) -> bool:
+        """Walk from the frontier (q, cells); False, doing nothing, when a U
+        step enters q or the cells and the edges their steps read number
+        more than _WALK_EDGES."""
+        k = self.k
+        if self.go[q] == 2:
+            return False
+        cells = cells.tolist()
+        reads = len(cells)
+        for ptr in self.ptrs[q]:
+            for cell in cells:
+                row = cell // k
+                reads += ptr[row + 1] - ptr[row]
+        if reads > _WALK_EDGES:
+            return False
+        queue = deque((q, cell) for cell in cells)
+        take, put = queue.popleft, queue.append
+        ptrs, steps = self.ptrs, self.steps
+        back: dict[int, list] = {}
+        walked = edges = 0
+        while queue:
+            q, cell = take()
+            row, col = divmod(cell, k)
+            reads = 0
+            for ptr in ptrs[q]:
+                reads += ptr[row + 1] - ptr[row]
+            if reads > _WALK_EDGES:
+                back.setdefault(q, []).append(cell)
+                continue
+            walked += 1
+            edges += reads
+            for p, kind, arg, mark, go in steps[q]:
+                if kind is sx.RoleName:
+                    ptr, tail = arg
+                    reach = tail[ptr[row]:ptr[row + 1]]
+                elif kind is sx.Epsilon or arg[row]:
+                    reach = (row,)
+                else:
+                    continue
+                for x in reach:
+                    c = x * k + col
+                    if not mark[c]:
+                        mark[c] = True
+                        if go == 1:
+                            put((p, c))
+                        elif go == 2:
+                            back.setdefault(p, []).append(c)
+            if len(queue) > _WALK_EDGES:
+                for p, c in queue:
+                    back.setdefault(p, []).append(c)
+                queue.clear()
+        for p, part in back.items():
+            fresh.setdefault(p, []).append(np.array(part, dtype=np.int64))
+        self.counters.walked += walked
+        self.counters.walk_edges += edges
+        return True
+
+
 class Evaluator:
     """Evaluates concepts, roles and axioms against one interpretation.
 
@@ -87,6 +224,8 @@ class Evaluator:
         self.qs = qs
         self._memo: dict[int, np.ndarray | None] = {}
         self._keepalive: list = []
+        recorded = _SEARCHES.get()
+        self.counters = recorded if recorded is not None else SearchCounters()
 
     def concept(self, c) -> frozenset[int]:
         _require(self.phi, c)
@@ -219,26 +358,36 @@ class Evaluator:
         """pre_R of every column of the n x k bool matrix targets, R the automaton into.
 
         The search runs backward from the target cells at state 1, and the
-        cells that reach state 0 are the preimage.
+        cells that reach state 0 are the preimage.  A thin frontier is
+        walked cell by cell (see _Walk), any other takes one numpy pass.
         """
         n, k = targets.shape
         # cell x * k + j is element x in column j; fresh[q] holds the cells
         # that entered state q and whose steps back are still to be taken
-        seen = [np.zeros(n * k, dtype=bool), targets.reshape(-1).copy()] + [None] * (len(into) - 2)
+        seen = [np.zeros(n * k, dtype=bool), targets.reshape(-1).copy()]
+        seen += [np.zeros(n * k, dtype=bool) for _ in into[2:]]
         start = np.flatnonzero(seen[1])
         fresh = {1: [start]} if len(start) else {}
         spread: dict[int, np.ndarray] = {}
         last = None
+        walk = None
+        counters = self.counters
+        counters.searches += 1
         while fresh:
             q, parts = fresh.popitem()
             cells = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if len(cells) <= _WALK_EDGES:
+                if walk is None:
+                    walk = _Walk(into, seen, k, counters)
+                if walk.run(q, cells, fresh):
+                    continue
+            counters.passes += 1
             rows, cols = np.divmod(cells, k) if k > 1 else (cells, 0)
             for p, kind, arg in into[q]:
-                if seen[p] is None:
-                    seen[p] = np.zeros(n * k, dtype=bool)
                 if kind is sx.RoleName:
                     ptr, tail, _ = arg
                     pos, cnt = _ranges(ptr, rows)
+                    counters.pass_edges += len(pos)
                     reach = tail[pos] * k + np.repeat(cols, cnt) if k > 1 else tail[pos]
                     reach = reach[~seen[p][reach]]
                     if len(reach) > 1:

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -496,11 +497,15 @@ class TestStats:
         ("bisim", "-i", FIG2, "--phi", "Q", "-l", "I1", "-r", "I2"),
         ("bisim", "-i", FIG2, "--phi", "I", "-l", "I1", "-r", "I2", "--json"),
         ("witness", "-i", FIG2, "-I", "I2", "--phi", "Q", "-l", "v1", "-r", "v3"),
+        ("eval", "-i", FIG2, "-I", "I2", "--phi", "IU", "-c", "some (inv(r) | U)* F"),
+        ("eval", "-i", FIG2, "-I", "I1", "--phi", "", "--role", "(r ; r)"),
+        ("check-kb", "-i", FIG2, "-I", "I3"),
     ]
 
     @pytest.mark.parametrize("case", CASES, ids=lambda case: "-".join(case[:1] + case[-2:]))
     def test_stdout_unchanged_and_stderr_is_json(self, case):
         from dlbisim.refine import Counters
+        from dlbisim.semantics import SearchCounters
 
         plain = run(*case)
         stats = run(*case, "--stats")
@@ -510,18 +515,29 @@ class TestStats:
         report = json.loads(stats.stderr)
         assert report["command"] == case[0]
         runs = report["refinements"]
-        assert [r["function"] for r in runs] == ["compute_partition"]
+        refining = case[0] not in ("eval", "check-kb")
+        assert [r["function"] for r in runs] == ["compute_partition"] * refining
         for r in runs:
             assert list(r["counters"]) == list(Counters._fields)
             assert r["wall_s"] >= 0 and r["blocks"] >= 1
+        searches = report["searches"]
+        assert list(searches) == [f.name for f in dataclasses.fields(SearchCounters)]
+        assert all(type(v) is int and v >= 0 for v in searches.values())
+        if not refining:
+            assert searches["searches"] >= 1
+            assert searches["passes"] + searches["walked"] >= 1
         # the document load and the output write, timed apart
-        assert list(report) == ["command", "refinements", "load_s", "write_s"]
+        assert list(report) == ["command", "refinements", "searches", "load_s", "write_s"]
         assert report["load_s"] > 0 and report["write_s"] > 0
 
-    def test_only_refining_commands_take_the_flag(self):
-        out = run("eval", "-i", FIG2, "-I", "I2", "-c", "F", "--stats")
-        assert out.returncode == 2
-        assert "unrecognized arguments: --stats" in out.stderr
+    def test_eval_counts_its_searches(self):
+        # some r F: one search over the fixture's four-element I2, whose
+        # frontier is thin enough to be walked rather than passed
+        out = run("eval", "-i", FIG2, "-I", "I2", "--phi", "", "-c", "some r F", "--stats")
+        assert out.returncode == 0
+        searches = json.loads(out.stderr)["searches"]
+        assert searches["searches"] == 1
+        assert searches["passes"] == 0 and searches["walked"] >= 1
 
 
 class TestParser:

@@ -174,6 +174,32 @@ class TestQSQuotient:
                     assert all(type(b) is int for b in qsi.se[role])
                 json.dumps(interpretation_to_json(qsi.base, qsi=qsi))
 
+    def test_equals_the_validated_build_on_random_partitions(self):
+        # qs_quotient builds its QSInterpretation unchecked; the checked
+        # constructor must accept the same data and give the same value
+        rng = H.seeded(74)
+        for _ in range(60):
+            interp = H.small_instance(rng)
+            ids = [rng.randrange(rng.randint(1, interp.n)) for _ in range(interp.n)]
+            block_of = np.unique(ids, return_inverse=True)[1]
+            part = Partition(block_of, int(block_of.max()) + 1)
+            qsi = qs_quotient(interp, part)
+            cls = part.canonical_of
+            qu, se = {}, {}
+            for role in interp.signature.role_names:
+                pairs = interp.role_ext[role]
+                for inverted in (False, True):
+                    edges = [(y, x) if inverted else (x, y) for x, y in pairs]
+                    top = {}
+                    for (x, block), k in Counter((x, int(cls[y])) for x, y in edges).items():
+                        key = (int(cls[x]), block)
+                        top[key] = max(top.get(key, 0), k)
+                    qu[(role, inverted)] = top
+                se[role] = {int(cls[x]) for x, y in pairs if x == y}
+            assert qsi == build_qs_interpretation(qsi.base, qu, se)
+            for arr in (*qsi.weights.values(), *qsi.loops.values()):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+
 
 class TestQuotientIsBisimilar:
     def test_canonical_injection_passes_the_checker(self):

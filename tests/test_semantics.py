@@ -4,8 +4,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dlbisim import semantics
 from dlbisim import syntax as sx
 from dlbisim.core import (
     FeatureSet,
@@ -275,6 +277,108 @@ class TestRoleBatches:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
         assert pairs == {(x, x + j) for x in range(n) for j in range(13) if x + j < n}
+
+
+# every role constructor the automaton has a step for
+WALK_ROLES = ["(r0 ; test(A0))*", "(inv(r1) | eps)", "((r0)* ; inv((r1 ; r0)))",
+              "(U ; test(some r1 A0))", "((r0 | U))*", "(test(not A0) ; (inv(r0))*)"]
+
+
+def role_kinds(role) -> set[str]:
+    """Class names of the role's nodes, those under its tests excluded."""
+    kinds, stack = set(), [role]
+    while stack:
+        node = stack.pop()
+        kinds.add(type(node).__name__)
+        if not isinstance(node, sx.Test):
+            stack.extend(sx.children(node))
+    return kinds
+
+
+class TestWalkAndPass:
+    """A search walks thin frontiers cell by cell and takes wide ones in numpy
+    passes; forcing either path everywhere must not change a result."""
+
+    @pytest.mark.parametrize("limit", [0, 10 ** 9], ids=["numpy-only", "walk-wherever-allowed"])
+    def test_both_paths_against_the_oracle(self, monkeypatch, limit):
+        monkeypatch.setattr(semantics, "_WALK_EDGES", limit)
+        rng = H.seeded(121)
+        fixed = [sx.parse_role(t) for t in WALK_ROLES]
+        used = set()
+        for phi in H.ALL_PHIS:
+            for _ in range(3):
+                interp = H.small_instance(rng, max_n=10)
+                # the fixed roles read r0, r1 and A0
+                while len(interp.signature.role_names) < 2 or not interp.signature.concept_names:
+                    interp = H.small_instance(rng, max_n=10)
+                sig = interp.signature
+                roles = [random_role(rng, phi, sig, 3) for _ in range(3)]
+                roles += [r for r in fixed if sx.validate_in_language(phi, r).ok]
+                concepts = [random_concept(rng, phi, sig, 3) for _ in range(4)]
+                concepts += [sx.Some(r, random_concept(rng, phi, sig, 1)) for r in roles]
+                concepts += [sx.All(r, random_concept(rng, phi, sig, 1)) for r in roles]
+                qsi = qs_embedding(interp)
+                for c in concepts:
+                    expect = H.matrix_eval_concept(interp, c)
+                    assert eval_concept(interp, c, phi) == expect, (str(phi), sx.to_text(c))
+                    assert eval_concept_qs(qsi, c, phi) == expect, (str(phi), sx.to_text(c))
+                abox = []
+                for r in roles:
+                    used.update(role_kinds(r))
+                    pairs = H.matrix_eval_role(interp, r)
+                    assert eval_role(interp, r, phi) == pairs, (str(phi), sx.to_text(r))
+                    for a in sig.individual_names:
+                        for b in sig.individual_names:
+                            abox += [sx.RoleAssertion(r, a, b), sx.NegatedRoleAssertion(r, a, b)]
+                imap = interp.individual_map
+                report = check_kb(interp, sx.KnowledgeBase(abox=tuple(abox)), phi)
+                for _, _, axiom, holds in report.entries:
+                    related = (imap[axiom.a], imap[axiom.b]) in H.matrix_eval_role(interp, axiom.role)
+                    assert holds == (related == isinstance(axiom, sx.RoleAssertion))
+        assert used >= {"Inverse", "Compose", "RoleUnion", "Star", "Test", "Epsilon",
+                        "UniversalRole"}
+
+    def test_a_marked_path_takes_few_numpy_passes(self):
+        # one pass per level would be n + 1 passes of one cell each
+        n = 20_000
+        interp = H.marked_path(n)
+        ev = Evaluator(interp, FeatureSet())
+        assert ev.concept(sx.parse_concept("some (r0)* A0")) == frozenset(range(n))
+        counters = ev.counters
+        assert counters.searches == 1
+        assert counters.passes <= 2
+        assert counters.walked >= n
+        assert counters.walk_edges == n - 1
+
+    def test_a_hub_is_never_walked(self, monkeypatch):
+        # the hub 0 has an in-edge from each of 1..h and one edge to h + 1,
+        # the only element in A0: the walk reaches the hub and must hand it
+        # to a numpy pass rather than read its h in-edges one at a time
+        h = 200_000
+        src = np.concatenate([np.arange(1, h + 1), [0]])
+        dst = np.concatenate([np.zeros(h, dtype=np.int64), [h + 1]])
+        interp = build_interpretation(make_signature(1, 1, 0), h + 2, {"A0": {h + 1}},
+                                      {"r0": np.column_stack((src, dst))}, {})
+        concept = sx.parse_concept("some (r0)* A0")
+        ev = Evaluator(interp, FeatureSet())
+        ext = ev.concept(concept)
+        counters = ev.counters
+        assert counters.walked >= 1 and counters.passes >= 1
+        assert counters.walk_edges <= semantics._WALK_EDGES * counters.walked < h
+        assert counters.pass_edges >= h
+        monkeypatch.setattr(semantics, "_WALK_EDGES", 0)
+        assert ext == eval_concept(interp, concept, FeatureSet()) == frozenset(range(h + 2))
+
+    def test_counters_add_up_across_evaluators_in_a_recording(self):
+        interp = H.marked_path(50)
+        concept = sx.parse_concept("(some (r0)* A0 and all r0 A0)")
+        with semantics.recorded_searches() as recorded:
+            eval_concept(interp, concept, FeatureSet())
+            eval_concept(interp, concept, FeatureSet())
+        ev = Evaluator(interp, FeatureSet())
+        ev.concept(concept)
+        assert recorded.searches == 2 * ev.counters.searches == 4
+        assert recorded.walked == 2 * ev.counters.walked
 
 
 class TestLongPath:
