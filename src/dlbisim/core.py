@@ -2,10 +2,11 @@
 
 An interpretation lives over a fixed signature of concept names, role
 names and individual names.  Domains are dense integer ranges 0..n-1.
-Concept extensions are frozensets of elements.  Each role's edges are
-stored as two read-only int64 arrays (src, dst), sorted by source and
-then by target, without repeats (Interpretation.role_edges); the pair
-set role_ext is a view built only when asked for.  From those arrays
+Each concept's members are one read-only int64 array, sorted, without
+repeats (Interpretation.concept_members), and each role's edges are two
+read-only int64 arrays (src, dst), sorted by source and then by target,
+without repeats (Interpretation.role_edges); the sets concept_ext and
+role_ext are views built only when asked for.  From the edge arrays
 each basic role (a role name or its inverse) gets one CSR index of its
 edges, sorted by head and then by tail (Interpretation.in_edges);
 neighbour lists, evaluation and quotients read it.
@@ -118,6 +119,15 @@ def _int_array(value) -> np.ndarray:
     return np.asarray(value if isinstance(value, np.ndarray) else list(value), dtype=np.int64)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """values sorted, without repeats.  Not np.unique: its first call
+    imports numpy.ma, 10 to 20 ms of CPU that most commands never pay."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _int_rows(value, width: int) -> np.ndarray:
     """An (m, width) int64 array, from an array of that shape or an
     iterable of width-tuples of integers."""
@@ -179,18 +189,19 @@ class Signature:
 class Interpretation:
     """A finite interpretation: dense domain 0..n-1 plus extensions.
 
-    Each role's edges are stored as role_edges[role] = (src, dst), two
-    read-only int64 arrays sorted by source and then by target, without
-    repeats.  Instances should be produced through build_interpretation,
-    which validates and normalises the extensions (every signature name
-    is present as a key, concept extensions are frozensets).  Two
-    interpretations are equal when they have the same signature, domain
-    size, extensions and individual map.
+    Each concept's members are stored as concept_members[concept], one
+    read-only int64 array, sorted, without repeats.  Each role's edges
+    are stored as role_edges[role] = (src, dst), two read-only int64
+    arrays sorted by source and then by target, without repeats.
+    Instances should be produced through build_interpretation, which
+    validates and normalises the extensions (every signature name is
+    present as a key).  Two interpretations are equal when they have the
+    same signature, domain size, extensions and individual map.
     """
 
     signature: Signature
     n: int
-    concept_ext: Mapping[str, frozenset[int]]
+    concept_members: Mapping[str, np.ndarray]
     role_edges: Mapping[str, tuple[np.ndarray, np.ndarray]]
     individual_map: Mapping[str, int]
 
@@ -200,8 +211,9 @@ class Interpretation:
         if not isinstance(other, Interpretation):
             return NotImplemented
         return (self.signature == other.signature and self.n == other.n
-                and self.concept_ext == other.concept_ext
                 and self.individual_map == other.individual_map
+                and all(np.array_equal(self.concept_members[a], other.concept_members[a])
+                        for a in self.signature.concept_names)
                 and all(np.array_equal(a, b)
                         for r in self.signature.role_names
                         for a, b in zip(self.role_edges[r], other.role_edges[r])))
@@ -209,6 +221,12 @@ class Interpretation:
     @property
     def domain(self) -> range:
         return range(self.n)
+
+    @cached_property
+    def concept_ext(self) -> Mapping[str, frozenset[int]]:
+        """Each concept's members as a frozenset: a read-only view of
+        concept_members, built on first use."""
+        return MappingProxyType({a: frozenset(x.tolist()) for a, x in self.concept_members.items()})
 
     @cached_property
     def role_ext(self) -> Mapping[str, frozenset[tuple[int, int]]]:
@@ -270,8 +288,9 @@ def build_interpretation(
 ) -> Interpretation:
     """Validate and normalise the pieces of an interpretation.
 
-    A role's edges are given as an (m, 2) integer array of (src, dst)
-    rows or as an iterable of pairs; repeated edges count once.  Raises
+    A concept's members are given as an integer array or an iterable of
+    integers, and a role's edges as an (m, 2) integer array of (src, dst)
+    rows or as an iterable of pairs; repeats count once.  Raises
     EmptyDomainError, UnknownNameError, ElementOutOfRangeError or
     PartialIndividualMapError; the message names the offending field.
     """
@@ -293,11 +312,12 @@ def build_interpretation(
 
     norm_concepts = {}
     for name in signature.concept_names:
-        elems = frozenset(concept_ext.get(name, ()))
-        if elems and (min(elems) < 0 or max(elems) >= n):
-            x = next(x for x in elems if not (0 <= x < n))
-            raise ElementOutOfRangeError("concept %r contains element %r outside 0..%d" % (name, x, n - 1))
-        norm_concepts[name] = elems
+        elems = _int_array(concept_ext.get(name, ()))
+        bad = (elems < 0) | (elems >= n)
+        if bad.any():
+            raise ElementOutOfRangeError("concept %r contains element %r outside 0..%d"
+                                         % (name, int(elems[bad][0]), n - 1))
+        norm_concepts[name] = _frozen(_sorted_unique(elems))
 
     norm_roles = {}
     for name in signature.role_names:
@@ -543,8 +563,7 @@ def _interpretations_graph(parts: list[Interpretation]) -> LabeledGraph:
     atom_bits = np.zeros((sum(sizes), len(sig.concept_names)), dtype=np.uint8)
     for interp, off in zip(parts, offsets):
         for j, name in enumerate(sig.concept_names):
-            ext = interp.concept_ext[name]
-            atom_bits[off + np.fromiter(ext, dtype=np.int64, count=len(ext)), j] = 1
+            atom_bits[off + interp.concept_members[name], j] = 1
     individual_nodes = {name: tuple(off + interp.individual_map[name]
                                     for interp, off in zip(parts, offsets))
                         for name in sig.individual_names}
@@ -606,7 +625,7 @@ def extract_interpretation(graph: LabeledGraph, side: int) -> Interpretation:
     if len(nodes) == 0:
         raise EmptyDomainError("graph has no nodes with origin side %d" % side)
     back = graph.origin_elem.astype(np.int64)
-    concept_ext = {name: back[nodes[graph.atom_bits[nodes, j] != 0]].tolist()
+    concept_ext = {name: back[nodes[graph.atom_bits[nodes, j] != 0]]
                    for j, name in enumerate(sig.concept_names)}
     mine = graph.origin_side[graph.tails] == side
     tails, roles, heads = back[graph.tails[mine]], graph.roles[mine], back[graph.heads[mine]]

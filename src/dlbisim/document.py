@@ -319,7 +319,7 @@ def _load_interpretation(obj, sig: Signature, where: str):
     concept_ext = {}
     for cname, refs in concepts.items():
         _expect(isinstance(refs, list), "%s.concepts.%s must be a list" % (where, cname))
-        concept_ext[cname] = _load_refs(refs, n, index, "%s.concepts.%s" % (where, cname)).tolist()
+        concept_ext[cname] = _load_refs(refs, n, index, "%s.concepts.%s" % (where, cname))
 
     roles = obj.get("roles", {})
     _expect(isinstance(roles, dict), "%s.roles must be an object" % where)
@@ -457,11 +457,7 @@ class InterpretationBody:
         literals = _Literals(names)
         sig = interp.signature
         out: dict = {"domain": _Refs(literals, np.arange(interp.n))}
-        out["concepts"] = {}
-        for a in sig.concept_names:
-            ext = interp.concept_ext[a]
-            elems = np.fromiter(ext, dtype=np.int64, count=len(ext))
-            out["concepts"][a] = _Refs(literals, np.sort(elems))
+        out["concepts"] = {a: _Refs(literals, interp.concept_members[a]) for a in sig.concept_names}
         out["roles"] = {r: _Refs(literals, *interp.edges(r)) for r in sig.role_names}
         out["individuals"] = {a: names[x] for a, x in interp.individual_map.items()}
         if qsi is not None:

@@ -55,10 +55,7 @@ def quotient_interpretation(interp: Interpretation, partition: Partition) -> Int
     sig = interp.signature
     cls = partition.canonical_of.astype(np.int64)
     nb = partition.n_blocks
-    concept_ext = {}
-    for a in sig.concept_names:
-        ext = interp.concept_ext[a]
-        concept_ext[a] = np.unique(cls[np.fromiter(ext, dtype=np.int64, count=len(ext))]).tolist()
+    concept_ext = {a: cls[members] for a, members in interp.concept_members.items()}
     role_ext = {}
     for r in sig.role_names:
         src, dst = interp.edges(r)

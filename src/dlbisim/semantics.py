@@ -279,8 +279,7 @@ class Evaluator:
         if isinstance(c, (sx.ConceptName, sx.Nominal, sx.HasSelf)):
             out = np.zeros(n, dtype=bool)
             if isinstance(c, sx.ConceptName):
-                ext = interp.concept_ext[c.name]
-                out[np.fromiter(ext, dtype=np.int64, count=len(ext))] = True
+                out[interp.concept_members[c.name]] = True
             elif isinstance(c, sx.Nominal):
                 out[interp.individual_map[c.name]] = True
             elif self.qs is not None:
@@ -608,5 +607,5 @@ def least_r_extension(interp: Interpretation, axioms) -> Interpretation:
                     for v in right:
                         add(target, u, v)
 
-    return build_interpretation(interp.signature, interp.n, interp.concept_ext, rels,
+    return build_interpretation(interp.signature, interp.n, interp.concept_members, rels,
                                 interp.individual_map)

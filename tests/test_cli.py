@@ -530,6 +530,18 @@ class TestStats:
         assert list(report) == ["command", "refinements", "searches", "load_s", "write_s"]
         assert report["load_s"] > 0 and report["write_s"] > 0
 
+    def test_extend_rbox_reports_its_load_and_write(self):
+        case = ("extend-rbox", "-i", FIG2, "-I", "I2")
+        plain = run(*case)
+        stats = run(*case, "--stats")
+        assert plain.returncode == stats.returncode == 0
+        assert stats.stdout == plain.stdout
+        report = json.loads(stats.stderr)
+        assert report["command"] == "extend-rbox"
+        assert report["refinements"] == []
+        assert set(report["searches"].values()) == {0}
+        assert report["load_s"] > 0 and report["write_s"] > 0
+
     def test_eval_counts_its_searches(self):
         # some r F: one search over the fixture's four-element I2, whose
         # frontier is thin enough to be walked rather than passed

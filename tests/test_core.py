@@ -1,5 +1,7 @@
 """Interpretation construction, validation and the array-backed graph form."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,42 @@ class TestEdgeArrays:
     def test_rows_of_the_wrong_width_are_rejected(self):
         with pytest.raises(ValueError):
             build_interpretation(self.sig, 3, {}, {"r": [(0, 1, 2)]}, {"a": 0})
+
+
+class TestConceptMembers:
+    sig = Signature(("A", "B"), ("r",), ("a",))
+
+    @pytest.mark.parametrize("members", [
+        {4, 1, 2},
+        [2, 4, 1, 4, 2],
+        np.array([4, 2, 1], dtype=np.int32),
+        (x for x in (4, 1, 2, 1)),
+    ], ids=["set", "list-with-repeats", "unsorted-array", "generator"])
+    def test_sorted_unique_read_only_int64(self, members):
+        interp = build_interpretation(self.sig, 5, {"A": members}, {}, {"a": 0})
+        arr = interp.concept_members["A"]
+        assert arr.dtype == np.int64 and arr.tolist() == [1, 2, 4]
+        with pytest.raises(ValueError):
+            arr[0] = 0
+        assert interp.concept_members["B"].dtype == np.int64
+        assert interp.concept_members["B"].shape == (0,)
+
+    def test_set_view_matches_the_arrays(self):
+        interp = random_interpretation(random.Random(3), make_signature(3, 1, 0), 30)
+        for a, members in interp.concept_members.items():
+            assert interp.concept_ext[a] == frozenset(members.tolist())
+        with pytest.raises(TypeError):
+            interp.concept_ext["A0"] = frozenset()
+
+    def test_equality_sees_one_member(self):
+        a = build_interpretation(self.sig, 4, {"A": [0, 2], "B": [3]}, {}, {"a": 0})
+        assert a == build_interpretation(self.sig, 4, {"A": {2, 0}, "B": (3,)}, {}, {"a": 0})
+        assert a != build_interpretation(self.sig, 4, {"A": [0, 2], "B": [2]}, {}, {"a": 0})
+        assert a != build_interpretation(self.sig, 4, {"A": [0, 2, 3], "B": [3]}, {}, {"a": 0})
+
+    def test_first_bad_member_in_input_order_is_named(self):
+        with pytest.raises(ElementOutOfRangeError, match=r"'A' contains element 5 outside 0\.\.2"):
+            build_interpretation(self.sig, 3, {"A": [5, -1]}, {}, {"a": 0})
 
 
 def _atom_bits(interp):
