@@ -96,8 +96,8 @@ def _label_key(interp: Interpretation, phi: FeatureSet, x: int):
     sig = interp.signature
     atoms = tuple(x in interp.concept_ext[a] for a in sig.concept_names)
     nom = tuple(interp.individual_map[a] == x for a in sig.individual_names) if phi.nominals else ()
-    self_bits = tuple(x in interp.successors(r, x) for r in sig.role_names) if phi.local_refl else ()
-    return atoms, nom, self_bits
+    loops = tuple(x in interp.successors(r, x) for r in sig.role_names) if phi.local_refl else ()
+    return atoms, nom, loops
 
 
 def _pairs_of(rel) -> frozenset[tuple[int, int]]:

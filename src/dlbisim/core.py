@@ -13,9 +13,9 @@ neighbour lists, evaluation and quotients read it.
 Edge multiplicities of a QS-interpretation are weight arrays aligned to
 the same edges (QSInterpretation.weights), with qu and se as views.
 The refinement engine takes a LabeledGraph, which stores the same data
-as numpy arrays: per-node label bits, and every edge of every role in
-one edge list (tails, roles, heads), the sides' role_edges laid end to
-end with node offsets.
+as lists of numpy arrays, O(n + m + memberships) whatever the number of
+names: the sides' concept_members and role_edges laid end to end with
+node offsets, as (members, concepts) and (tails, roles, heads).
 
 The edge list holds the role names' edges only; consumers read an
 inverse role's edges as its role's reversed, when the active feature set
@@ -240,8 +240,12 @@ class Interpretation:
         inverted, sorted by u and then by v."""
         if not inverted:
             return self.role_edges[role]
-        _, tail, head = self.in_edges(role, False)
-        return head, tail
+        if role not in self._reversed:
+            src, dst = self.role_edges[role]
+            # a stable sort by dst keeps each dst's edges sorted by src
+            order = np.argsort(dst, kind="stable")
+            self._reversed[role] = _frozen(dst[order]), _frozen(src[order])
+        return self._reversed[role]
 
     def successors(self, role: str, x: int) -> tuple[int, ...]:
         ptr, tail, _ = self.in_edges(role, True)
@@ -250,6 +254,10 @@ class Interpretation:
     def predecessors(self, role: str, y: int) -> tuple[int, ...]:
         ptr, tail, _ = self.in_edges(role, False)
         return tuple(tail[ptr[y]:ptr[y + 1]].tolist())
+
+    @cached_property
+    def _reversed(self) -> dict:
+        return {}
 
     @cached_property
     def _in_edges(self) -> dict:
@@ -262,20 +270,16 @@ class Interpretation:
         Returns (ptr, tail, head): edge i runs from tail[i] to head[i],
         edges are sorted by head and then by tail, and ptr[y]:ptr[y + 1]
         are the positions of the edges into y, so tail[ptr[y]:ptr[y + 1]]
-        lists y's neighbours in ascending order.  Built from role_edges
-        on first use and kept: successors and predecessors slice it, and
-        evaluation and quotients read it.
+        lists y's neighbours in ascending order.  ptr is built on first use
+        and kept: successors and predecessors slice it, and evaluation
+        reads it.
         """
         key = (role, inverted)
         if key not in self._in_edges:
-            src, dst = self.role_edges[role]
-            tail, head = (dst, src) if inverted else (src, dst)
-            # the edges are sorted by (src, dst), so a stable sort by head
-            # keeps each head's edges sorted by tail
-            order = np.argsort(head, kind="stable")
+            head, tail = self.edges(role, not inverted)
             ptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(head, minlength=self.n), out=ptr[1:])
-            self._in_edges[key] = ptr, tail[order], head[order]
+            self._in_edges[key] = ptr, tail, head
         return self._in_edges[key]
 
 
@@ -418,7 +422,7 @@ def build_qs_interpretation(base: Interpretation, qu, se) -> QSInterpretation:
         weights[(role, bool(inverted))] = _frozen(rows[:, 2].copy())
     loops = {}
     for role in base.signature.role_names:
-        elems = np.unique(_int_array(se.get(role, ())))
+        elems = _sorted_unique(_int_array(se.get(role, ())))
         if len(elems) and (elems[0] < 0 or elems[-1] >= base.n):
             raise ElementOutOfRangeError("se set for %r contains element outside the domain" % role)
         loops[role] = _frozen(elems)
@@ -460,45 +464,33 @@ class BisimRelation:
         return BisimRelation(self.n_right, self.n_left, frozenset((y, x) for x, y in self.pairs))
 
 
+@dataclass(eq=False, slots=True)
 class LabeledGraph:
     """Array form of one interpretation, or of a disjoint union of two.
 
-    The edges are one list of read-only int64 arrays: edge i runs from
-    tails[i] to heads[i] along role name roles[i], and the edges are
-    sorted by role, then tail, then head, without repeats.
+    The nodes are the sides' elements, side after side, and sizes lists
+    the sides' element counts.  The edges are one list of read-only int64
+    arrays: edge i runs from tails[i] to heads[i] along role name
+    roles[i], and the edges are sorted by role, then tail, then head,
+    without repeats.  The concept memberships are one list the same way:
+    node members[i] is in concept name concepts[i], sorted by concept and
+    then node.  nominal_key numbers each node's set of individual names,
+    0 for none.
     """
 
-    __slots__ = (
-        "signature",
-        "n",
-        "n_sides",
-        "atom_bits",
-        "self_bits",
-        "nominal_key",
-        "nominal_sets",
-        "individual_nodes",
-        "tails",
-        "roles",
-        "heads",
-        "origin_side",
-        "origin_elem",
-    )
+    signature: Signature
+    sizes: tuple[int, ...]
+    members: np.ndarray
+    concepts: np.ndarray
+    nominal_key: np.ndarray
+    individual_nodes: dict[str, tuple[int, ...]]
+    tails: np.ndarray
+    roles: np.ndarray
+    heads: np.ndarray
 
-    def __init__(self, signature, n, n_sides, atom_bits, self_bits, nominal_key, nominal_sets,
-                 individual_nodes, tails, roles, heads, origin_side, origin_elem):
-        self.signature = signature
-        self.n = n
-        self.n_sides = n_sides
-        self.atom_bits = atom_bits
-        self.self_bits = self_bits
-        self.nominal_key = nominal_key
-        self.nominal_sets = nominal_sets
-        self.individual_nodes = individual_nodes
-        self.tails = tails
-        self.roles = roles
-        self.heads = heads
-        self.origin_side = origin_side
-        self.origin_elem = origin_elem
+    @property
+    def n(self) -> int:
+        return sum(self.sizes)
 
     @property
     def n_roles(self) -> int:
@@ -509,65 +501,62 @@ class LabeledGraph:
         return int(len(self.tails))
 
 
-def _assemble(sig: Signature, sizes: list[int], atom_bits: np.ndarray,
-              individual_nodes: dict[str, tuple[int, ...]], side_edges) -> LabeledGraph:
+def _end_to_end(offsets: list[int], per_side, width: int, n_columns: int):
+    """Rows laid end to end, name after name and within a name side after
+    side, with node offsets, which keeps them sorted: per_side lists per
+    side, per name index below width, a tuple of n_columns sorted arrays
+    in that side's element ids.  Returns the rows' name indices and
+    columns, read-only int64 arrays."""
+    parts = [(k, off, side[k]) for k in range(width) for off, side in zip(offsets, per_side)]
+    names = np.repeat(np.array([k for k, _, _ in parts], dtype=np.int64),
+                      [len(cols[0]) for _, _, cols in parts])
+    empty = [np.zeros(0, dtype=np.int64)]  # concatenate needs one array, even with no names
+    columns = [np.concatenate(empty + [cols[c] + off for _, off, cols in parts])
+               for c in range(n_columns)]
+    return tuple(map(_frozen, (names, *columns)))
+
+
+def _runs(names: np.ndarray, width: int, columns) -> list[tuple[np.ndarray, ...]]:
+    """Per name index below width, its slice of every column, of rows
+    sorted by name."""
+    bounds = np.searchsorted(names, np.arange(width + 1)).tolist()
+    return [tuple(col[lo:hi] for col in columns) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _assemble(sig: Signature, sizes: list[int], side_members, side_individuals,
+              side_edges) -> LabeledGraph:
     """Shared assembly for to_labeled_graph, disjoint_union_graph and from_arrays.
 
-    The graph's nodes are the sides' elements, side after side.
-    side_edges lists per side, per role name, its (src, dst) arrays in
-    that side's own element ids, sorted by src and then by dst without
-    repeats; they are laid end to end, role after role and within a role
-    side after side, with node offsets, which keeps them sorted by (role,
-    tail, head).
+    Per side, in that side's own element ids: side_members lists per
+    concept name (its sorted members,), side_individuals maps every
+    individual name to its element, and side_edges lists per role name
+    its (src, dst) arrays sorted by src and then by dst without repeats.
+    The lists are laid end to end (_end_to_end).
     """
-    n = sum(sizes)
     offsets = list(itertools.accumulate(sizes, initial=0))[:-1]
-    n_r = len(sig.role_names)
-    parts = [(k, off, *edges[k]) for k in range(n_r) for off, edges in zip(offsets, side_edges)]
-    empty = [np.zeros(0, dtype=np.int64)]  # concatenate needs one array, even with no roles
-    tails = _frozen(np.concatenate(empty + [src + off for _, off, src, _ in parts]))
-    heads = _frozen(np.concatenate(empty + [dst + off for _, off, _, dst in parts]))
-    roles = _frozen(np.repeat(np.array([k for k, *_ in parts], dtype=np.int64),
-                              [len(src) for _, _, src, _ in parts]))
-    self_bits = np.zeros((n, n_r), dtype=np.uint8)
-    loop = tails == heads
-    self_bits[tails[loop], roles[loop]] = 1
-
+    concepts, members = _end_to_end(offsets, side_members, len(sig.concept_names), 1)
+    roles, tails, heads = _end_to_end(offsets, side_edges, len(sig.role_names), 2)
+    individual_nodes = {name: tuple(off + int(side[name])
+                                    for side, off in zip(side_individuals, offsets))
+                        for name in sig.individual_names}
     node_names: dict[int, list[str]] = {}
     for name, nodes in individual_nodes.items():
         for node in nodes:
             node_names.setdefault(node, []).append(name)
     key_of: dict[frozenset, int] = {frozenset(): 0}
-    nominal_sets = [frozenset()]
-    nominal_key = np.zeros(n, dtype=np.int32)
+    nominal_key = np.zeros(sum(sizes), dtype=np.int32)
     for node in sorted(node_names):
-        names = frozenset(node_names[node])
-        key = key_of.get(names)
-        if key is None:
-            key = len(nominal_sets)
-            key_of[names] = key
-            nominal_sets.append(names)
-        nominal_key[node] = key
-
-    origin_side = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
-    origin_elem = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes])
-    return LabeledGraph(sig, n, len(sizes), atom_bits, self_bits, nominal_key,
-                        tuple(nominal_sets), individual_nodes, tails, roles, heads, origin_side,
-                        origin_elem)
+        nominal_key[node] = key_of.setdefault(frozenset(node_names[node]), len(key_of))
+    return LabeledGraph(sig, tuple(sizes), members, concepts, nominal_key, individual_nodes,
+                        tails, roles, heads)
 
 
 def _interpretations_graph(parts: list[Interpretation]) -> LabeledGraph:
     sig = parts[0].signature
-    sizes = [interp.n for interp in parts]
-    offsets = list(itertools.accumulate(sizes, initial=0))[:-1]
-    atom_bits = np.zeros((sum(sizes), len(sig.concept_names)), dtype=np.uint8)
-    for interp, off in zip(parts, offsets):
-        for j, name in enumerate(sig.concept_names):
-            atom_bits[off + interp.concept_members[name], j] = 1
-    individual_nodes = {name: tuple(off + interp.individual_map[name]
-                                    for interp, off in zip(parts, offsets))
-                        for name in sig.individual_names}
-    return _assemble(sig, sizes, atom_bits, individual_nodes,
+    return _assemble(sig, [interp.n for interp in parts],
+                     [[(interp.concept_members[name],) for name in sig.concept_names]
+                      for interp in parts],
+                     [interp.individual_map for interp in parts],
                      [[interp.role_edges[name] for name in sig.role_names] for interp in parts])
 
 
@@ -595,12 +584,18 @@ def from_arrays(signature: Signature, n: int, atom_bits: np.ndarray,
                 role_edges, individual_map: Mapping[str, int] | None = None) -> LabeledGraph:
     """Build a LabeledGraph straight from numpy data.
 
-    role_edges is a sequence of (src, dst) array pairs, one per role
-    name, in any order; repeated edges count once.  Used by the benchmark
-    path where materialising Python pair sets would dominate the run.
+    atom_bits is an (n, concept names) array whose nonzero cells are the
+    memberships.  role_edges is a sequence of (src, dst) array pairs, one
+    per role name, in any order; repeated edges count once.  Used by the
+    benchmark path where materialising Python pair sets would dominate
+    the run.
     """
     if len(role_edges) != len(signature.role_names):
         raise SignatureMismatchError("expected one edge array pair per role name")
+    atom_bits = np.asarray(atom_bits)
+    if atom_bits.shape != (n, len(signature.concept_names)):
+        raise SignatureMismatchError("expected atom bits of shape (%d, %d)"
+                                     % (n, len(signature.concept_names)))
     individual_map = dict(individual_map or {})
     edges = []
     for src, dst in role_edges:
@@ -609,32 +604,31 @@ def from_arrays(signature: Signature, n: int, atom_bits: np.ndarray,
             raise ElementOutOfRangeError("edge endpoint outside 0..%d" % (n - 1))
         rows = _sorted_rows(rows)
         edges.append((rows[:, 0], rows[:, 1]))
-    individual_nodes = {}
     for name in signature.individual_names:
         if name not in individual_map:
             raise PartialIndividualMapError("individual %r has no assigned element" % name)
-        individual_nodes[name] = (int(individual_map[name]),)
-    atom_bits = np.ascontiguousarray(atom_bits, dtype=np.uint8)
-    return _assemble(signature, [n], atom_bits, individual_nodes, [edges])
+    concepts, members = np.nonzero(atom_bits.T)  # sorted by concept, then node
+    return _assemble(signature, [n], [_runs(concepts, len(signature.concept_names), (members,))],
+                     [individual_map], [edges])
 
 
 def extract_interpretation(graph: LabeledGraph, side: int) -> Interpretation:
     """Project one side of a (possibly united) graph back to an interpretation."""
     sig = graph.signature
-    nodes = np.flatnonzero(graph.origin_side == side)
-    if len(nodes) == 0:
+    if not 0 <= side < len(graph.sizes) or not graph.sizes[side]:
         raise EmptyDomainError("graph has no nodes with origin side %d" % side)
-    back = graph.origin_elem.astype(np.int64)
-    concept_ext = {name: back[nodes[graph.atom_bits[nodes, j] != 0]]
-                   for j, name in enumerate(sig.concept_names)}
-    mine = graph.origin_side[graph.tails] == side
-    tails, roles, heads = back[graph.tails[mine]], graph.roles[mine], back[graph.heads[mine]]
-    bounds = np.searchsorted(roles, np.arange(len(sig.role_names) + 1)).tolist()
-    role_ext = {name: np.column_stack((tails[lo:hi], heads[lo:hi]))
-                for name, lo, hi in zip(sig.role_names, bounds, bounds[1:])}
-    individual_map = {name: int(back[v]) for name, owners in graph.individual_nodes.items()
-                      for v in owners if graph.origin_side[v] == side}
-    return build_interpretation(sig, int(back[nodes].max()) + 1, concept_ext, role_ext,
+    lo = sum(graph.sizes[:side])
+    hi = lo + graph.sizes[side]
+    mine = (graph.members >= lo) & (graph.members < hi)
+    members = _runs(graph.concepts[mine], len(sig.concept_names), (graph.members[mine] - lo,))
+    mine = (graph.tails >= lo) & (graph.tails < hi)
+    edges = _runs(graph.roles[mine], len(sig.role_names),
+                  (graph.tails[mine] - lo, graph.heads[mine] - lo))
+    individual_map = {name: v - lo for name, owners in graph.individual_nodes.items()
+                      for v in owners if lo <= v < hi}
+    return build_interpretation(sig, graph.sizes[side],
+                                {name: x for name, (x,) in zip(sig.concept_names, members)},
+                                {r: np.column_stack(pair) for r, pair in zip(sig.role_names, edges)},
                                 individual_map)
 
 

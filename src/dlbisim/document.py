@@ -183,7 +183,8 @@ def _load_signature(obj) -> Signature:
 
 # Largest domain a document may declare.  An interpretation costs a few
 # hundred bytes per element (about 362 MB per million elements for
-# `partition`), so this keeps the largest document within a few GB.
+# `partition`), whatever the number of concept and role names, so this
+# keeps the largest document within a few GB.
 MAX_ELEMENTS = 1_000_000
 
 

@@ -28,6 +28,7 @@ from .core import (
     Interpretation,
     QSInterpretation,
     _frozen,
+    _sorted_unique,
     build_interpretation,
 )
 from .errors import BisimError, ElementOutOfRangeError, NotSeparatedError
@@ -59,7 +60,7 @@ def quotient_interpretation(interp: Interpretation, partition: Partition) -> Int
     role_ext = {}
     for r in sig.role_names:
         src, dst = interp.edges(r)
-        keys = np.unique(cls[src] * nb + cls[dst])
+        keys = _sorted_unique(cls[src] * nb + cls[dst])
         role_ext[r] = np.column_stack((keys // nb, keys % nb))
     individual_map = {a: int(cls[x]) for a, x in interp.individual_map.items()}
     return build_interpretation(sig, nb, concept_ext, role_ext, individual_map)
@@ -86,7 +87,7 @@ def qs_quotient(interp: Interpretation, partition: Partition) -> QSInterpretatio
             np.maximum.at(top, at, counts)
             weights[(r, inverted)] = _frozen(top)
             if not inverted:
-                loops[r] = _frozen(np.unique(cls[src[src == dst]]))
+                loops[r] = _frozen(_sorted_unique(cls[src[src == dst]]))
     return QSInterpretation(base, weights, loops)
 
 
@@ -121,11 +122,13 @@ def _label_probes(trace: RefinementTrace):
 def _label_value(trace: RefinementTrace, probe, x: int) -> bool:
     g = trace.graph
     kind, key, _ = probe
-    if kind == "atom":
-        return bool(g.atom_bits[x, key])
     if kind == "nominal":
         return x in g.individual_nodes.get(key, ())
-    return bool(g.self_bits[x, key])
+    # by bisection: both lists are sorted by name and then by node
+    names, nodes = (g.concepts, g.members) if kind == "atom" else (g.roles, g.tails)
+    lo, hi = np.searchsorted(names, (key, key + 1)).tolist()
+    lo, hi = (lo + np.searchsorted(nodes[lo:hi], (x, x + 1))).tolist()
+    return hi > lo if kind == "atom" else x in g.heads[lo:hi].tolist()
 
 
 def _label_literal(probe, holds: bool) -> Concept:

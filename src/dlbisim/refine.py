@@ -185,33 +185,34 @@ class RefinementTrace:
 
 def _label_ids(phi: FeatureSet, graph: LabeledGraph) -> tuple[np.ndarray, int]:
     """Ids of the distinct node labels, numbered in lexicographic order of
-    the rows (atom bits, nominal key, self bits), and their count.  The
-    self bits (n * roles bytes) are packed eight roles a byte, first role
-    in the high bit, so that bytes compare as the bit rows do, and are
-    grouped from those bytes: no n * roles array wider than a byte is
-    made."""
-    cols = [graph.atom_bits.astype(np.int64)]
+    the rows (atom bits, nominal key, self bits), the first name's bit
+    highest, and their count, read off the member lists and the self
+    loops without making the rows."""
+    ids, k = _fold(np.zeros(graph.n, dtype=np.int64), 1, graph.members, graph.concepts)
     if phi.nominals:
-        cols.append(graph.nominal_key.astype(np.int64)[:, None])
-    ids, k = _group_rows(cols, graph.n)
-    if phi.local_refl and graph.n_roles and graph.n:
-        packed = np.packbits(graph.self_bits, axis=1)
-        ids, k = _row_ids(ids.astype(np.int64), k, packed, 256)
-        ids = ids.astype(np.int32)
+        base = int(graph.nominal_key.max(initial=0)) + 1
+        ids, k = _dense_ids(ids * base + graph.nominal_key, k * base)
+    if phi.local_refl:
+        loop = graph.tails == graph.heads  # sorted by (role, tail), as every edge is
+        ids, k = _fold(ids, k, graph.tails[loop], graph.roles[loop])
+    return ids.astype(np.int32), k
+
+
+def _fold(ids: np.ndarray, k: int, nodes: np.ndarray, columns: np.ndarray):
+    """_dense_ids of the rows (ids[x], bits of x), ids below k; the pairs
+    (x, c) of nodes and columns, sorted by column without repeats, set bit
+    c of x.  Up to 62 - bit_length(k) columns go at a time, first column
+    highest; columns without a pair are skipped: zero digits keep ranks."""
+    at = 0
+    while at < len(columns):
+        first = int(columns[at])
+        end = int(np.searchsorted(columns, first + 62 - k.bit_length()))
+        w = int(columns[end - 1]) - first + 1
+        key = np.zeros(len(ids), dtype=np.int64)
+        np.add.at(key, nodes[at:end], np.left_shift(1, first + w - 1 - columns[at:end]))
+        ids, k = _dense_ids((ids << w) + key, k << w)
+        at = end
     return ids, k
-
-
-def _group_rows(cols, n: int) -> tuple[np.ndarray, int]:
-    """Ids of the distinct rows of the stacked columns, in lexicographic
-    row order, and their count."""
-    matrix = np.hstack(cols)
-    if matrix.shape[1] == 0:
-        return np.zeros(n, dtype=np.int32), 1
-    if n == 0:
-        return np.zeros(0, dtype=np.int32), 0
-    digits = matrix - matrix.min(axis=0)
-    ids, count = _row_ids(np.zeros(n, dtype=np.int64), 1, digits, int(digits.max()) + 1)
-    return ids.astype(np.int32), count
 
 
 def econd_partition(phi: FeatureSet, graph: LabeledGraph) -> Partition:

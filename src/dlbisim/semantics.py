@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import syntax as sx
-from .core import Interpretation, QSInterpretation, build_interpretation
+from .core import Interpretation, QSInterpretation, _sorted_unique, build_interpretation
 from .errors import FeatureViolationError, UnknownNameError
 
 # cells per bool matrix of singleton targets in Evaluator.role
@@ -467,7 +467,7 @@ def check_role_axiom(interp: Interpretation, axiom) -> bool:
             ptr, tail, _ = interp.in_edges(name, not inverted)
             pos, deg = _ranges(ptr, here)
             here = tail[pos]
-            keys = np.unique(np.repeat(start, deg) * n + here)
+            keys = _sorted_unique(np.repeat(start, deg) * n + here)
             start, here = keys // n, keys % n
         _, tail, head = interp.in_edges(axiom.role, False)
         return bool(np.isin(start * n + here, tail * n + head).all())

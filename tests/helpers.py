@@ -442,6 +442,33 @@ def modal_depth(root) -> int:
 
 
 # ---------------------------------------------------------------------------
+# label numbering
+
+
+def label_ids_oracle(phi: FeatureSet, interp: Interpretation) -> tuple[list[int], int]:
+    """The label partition refinement starts from, by a plain sort: each
+    element's row of concept bits, nominal key (with O) and self-loop bits
+    (with S), the distinct rows ranked in sorted order, and their count.
+    The nominal key numbers the sets of individual names in the order of
+    their first element, 0 for the empty set."""
+    sig = interp.signature
+    names_at: dict[int, set[str]] = {}
+    for name, x in interp.individual_map.items():
+        names_at.setdefault(x, set()).add(name)
+    key_of = {frozenset(): 0}
+    rows = []
+    for x in interp.domain:
+        row = [int(x in interp.concept_ext[a]) for a in sig.concept_names]
+        if phi.nominals:
+            row.append(key_of.setdefault(frozenset(names_at.get(x, ())), len(key_of)))
+        if phi.local_refl:
+            row += [int((x, x) in interp.role_ext[r]) for r in sig.role_names]
+        rows.append(tuple(row))
+    rank = {row: i for i, row in enumerate(sorted(set(rows)))}
+    return [rank[row] for row in rows], len(rank)
+
+
+# ---------------------------------------------------------------------------
 # duplication with edge thinning
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -73,13 +74,24 @@ FAILING_KB = """{
 """
 
 
-def run(*args, stdin=None):
+def child_env():
     env = dict(os.environ)
     # the child imports dlbisim from this checkout, installed or not
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run(*args, stdin=None, address_space=None):
+    """Run the command line in a child process; address_space caps the
+    child's address space, in bytes."""
+    env = child_env()
+    cap = None
+    if address_space is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"  # each BLAS thread reserves its own buffers
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, "-m", "dlbisim", *args],
                           input=stdin, capture_output=True, text=True,
-                          env=env, cwd=str(ROOT))
+                          env=env, cwd=str(ROOT), preexec_fn=cap)
 
 
 class TestPartition:
@@ -337,6 +349,21 @@ class TestMinimize:
         packed = json.loads(qs.stdout)["interpretations"]["C"]
         assert packed["self_loops"] == {"r": []}
 
+    @pytest.mark.parametrize("qs", [[], ["--qs"]])
+    def test_numpy_ma_is_never_imported(self, qs):
+        # the plain np.unique imports numpy.ma on its first call, tens of
+        # milliseconds of CPU
+        code = ("import io, sys\n"
+                "from contextlib import redirect_stdout\n"
+                "from dlbisim import cli\n"
+                "with redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(sys.argv[1:])\n"
+                "print(code, 'numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code, "minimize", "-i", FIG2, "-I", "I2",
+                              "--phi", "IOQUS", *qs], capture_output=True, text=True,
+                             env=child_env())
+        assert out.stdout == "0 False\n", out.stderr
+
 
 class TestExtendRbox:
     def test_chain_axiom_closure(self):
@@ -467,6 +494,36 @@ class TestFailureModes:
         out = run("partition", "-i", FIG2, "--phi", "XYZ", "-I", "I1")
         assert out.returncode == 3
         assert "unknown feature letter" in out.stderr
+
+
+WIDE = {
+    "signature": {"concepts": ["A%d" % i for i in range(1000)],
+                  "roles": ["r%d" % i for i in range(2000)], "individuals": ["a"]},
+    "interpretations": {"I": {
+        "domain": 100_000, "concepts": {"A0": [0, 5], "A999": [7]},
+        "roles": {"r0": [[0, 1], [2, 2]], "r1999": [[3, 3], [7, 0]]},
+        "individuals": {"a": 0}}},
+}
+
+
+class TestWideSignature:
+    def test_commands_cost_the_labels_that_exist(self, tmp_path):
+        # 100 000 elements, 1 000 concept and 2 000 role names, three
+        # members and four edges: tables of a label bit per element and
+        # name took 2.3 GB for partition and 4.6 GB for bisim
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(WIDE))
+        cases = [(["partition", "-I", "I", "--phi", "S"], None),
+                 (["minimize", "-I", "I", "--qs", "--phi", "IOQUS"], None),
+                 (["bisim", "-l", "I", "-r", "I", "--phi", "S"],
+                  # five singleton blocks and one of the other 99 995 elements
+                  "BISIMILAR\npairs: %d\n" % (5 + 99_995 ** 2)),
+                 (["witness", "-I", "I", "-l", "7", "-r", "8", "--phi", "S"], "A999\n"),
+                 (["witness", "-I", "I", "-l", "0", "-r", "1", "--phi", "S"], "A0\n")]
+        for args, expected in cases:
+            out = run(*args, "-i", str(path), address_space=1 << 30)
+            assert out.returncode == 0, (args, out.stderr)
+            assert expected is None or out.stdout == expected, args
 
 
 class TestDeterminism:

@@ -121,6 +121,17 @@ class TestEdgeArrays:
         assert [a.tolist() for a in interp.edges("r", True)] == [[0, 1, 3], [2, 0, 0]]
         assert interp.role_edges["s"][0].shape == (0,)
 
+    def test_inverted_index_is_the_edge_arrays(self):
+        # role_edges are sorted by (src, dst), which is the order of the
+        # inverse role's edges by head: they are returned as they are
+        interp = build_interpretation(self.sig, 4, {}, {"r": [(2, 0), (0, 3), (0, 1), (2, 2)]},
+                                      {"a": 0})
+        src, dst = interp.role_edges["r"]
+        ptr, tail, head = interp.in_edges("r", True)
+        assert np.shares_memory(tail, dst) and np.shares_memory(head, src)
+        assert ptr.tolist() == [0, 2, 2, 4, 4]
+        assert [interp.successors("r", x) for x in range(4)] == [(1, 3), (), (0, 2), ()]
+
     def test_arrays_and_pairs_build_equal_interpretations(self):
         pairs = {(0, 1), (1, 2), (2, 2)}
         a = build_interpretation(self.sig, 3, {"A": {1}}, {"r": pairs}, {"a": 0})
@@ -191,6 +202,10 @@ def _atom_bits(interp):
     return atom
 
 
+def _pairs(names, nodes):
+    return list(zip(names.tolist(), nodes.tolist()))
+
+
 def _shuffled_edges(rng, interp):
     """Per role, (src, dst) arrays of its pairs in a random order."""
     out = []
@@ -217,12 +232,17 @@ def _assert_same_graph(g, h):
 
 
 def _assert_sorted_edges(graph):
-    """The edge arrays are int64 and sorted by (role, tail, head) without repeats."""
+    """The edge and member arrays are read-only int64 and sorted by (role,
+    tail, head) and (concept, node) without repeats."""
     n = graph.n
-    assert graph.tails.dtype == graph.roles.dtype == graph.heads.dtype == np.int64
+    for field in ("tails", "roles", "heads", "members", "concepts"):
+        arr = getattr(graph, field)
+        assert arr.dtype == np.int64 and not arr.flags.writeable, field
     assert len(graph.tails) == len(graph.roles) == len(graph.heads) == graph.n_edges
     keys = (graph.roles * n + graph.tails) * n + graph.heads
     assert (np.diff(keys) > 0).all()
+    assert len(graph.members) == len(graph.concepts)
+    assert (np.diff(graph.concepts * n + graph.members) > 0).all()
 
 
 def _role_pairs(graph, k):
@@ -257,7 +277,9 @@ class TestLabeledGraph:
                 assert [(x, y) for x in interp.domain for y in interp.successors(name, x)] == pairs
                 assert [(x, y) for y in interp.domain for x in interp.predecessors(name, y)] == \
                     sorted(pairs, key=lambda p: (p[1], p[0]))
-                assert graph.self_bits[:, k].tolist() == [int((x, x) in pairs) for x in interp.domain]
+            assert _pairs(graph.concepts, graph.members) == [
+                (j, x) for j, name in enumerate(interp.signature.concept_names)
+                for x in sorted(interp.concept_ext[name])]
             _assert_same_graph(graph, from_arrays(interp.signature, interp.n, _atom_bits(interp),
                                                   _shuffled_edges(rng, interp), interp.individual_map))
 
@@ -273,7 +295,7 @@ class TestLabeledGraph:
                      in zip(_shuffled_edges(rng, a), _shuffled_edges(rng, b))]
             atom = np.concatenate([_atom_bits(a), _atom_bits(b)])
             ref = from_arrays(a.signature, a.n + b.n, atom, edges, a.individual_map)
-            for field in ("atom_bits", "self_bits", "tails", "roles", "heads"):
+            for field in ("members", "concepts", "tails", "roles", "heads"):
                 _assert_same_array(getattr(union, field), getattr(ref, field), field)
 
     def test_label_bits(self):
@@ -281,12 +303,12 @@ class TestLabeledGraph:
         interp = build_interpretation(
             sig, 3, {"A": {0, 2}}, {"r": {(1, 1), (0, 1)}}, {"a": 0, "b": 0})
         graph = to_labeled_graph(interp)
-        assert graph.atom_bits[:, 0].tolist() == [1, 0, 1]
-        assert graph.self_bits[:, 0].tolist() == [0, 1, 0]
+        assert _pairs(graph.concepts, graph.members) == [(0, 0), (0, 2)]
+        # the self loop is the edge whose tail is its head
+        loop = graph.tails == graph.heads
+        assert _pairs(graph.roles[loop], graph.tails[loop]) == [(0, 1)]
         # node 0 carries both names, node 1 and 2 none
-        assert graph.nominal_key[0] != 0
-        assert graph.nominal_key[1] == 0 and graph.nominal_key[2] == 0
-        assert graph.nominal_sets[graph.nominal_key[0]] == frozenset({"a", "b"})
+        assert graph.nominal_key.tolist() == [1, 0, 0]
         assert graph.individual_nodes == {"a": (0,), "b": (0,)}
 
     def test_union_graph(self):
@@ -296,12 +318,13 @@ class TestLabeledGraph:
         b = random_interpretation(rng, sig, 4)
         graph = disjoint_union_graph(a, b)
         assert graph.n == 7
-        assert graph.n_sides == 2
-        assert graph.origin_side.tolist() == [0] * 3 + [1] * 4
-        assert graph.origin_elem.tolist() == [0, 1, 2, 0, 1, 2, 3]
+        assert graph.sizes == (3, 4)
         assert len(graph.individual_nodes["a0"]) == 2
         assert extract_interpretation(graph, 0) == a
         assert extract_interpretation(graph, 1) == b
+        for side in (-1, 2):
+            with pytest.raises(EmptyDomainError):
+                extract_interpretation(graph, side)
 
     def test_union_requires_shared_signature(self):
         rng = H.seeded(44)
@@ -321,12 +344,14 @@ class TestLabeledGraph:
         assert graph.n_edges == 2
         assert (graph.tails.tolist(), graph.roles.tolist(), graph.heads.tolist()) == \
             ([0, 1], [0, 0], [1, 1])
-        assert graph.self_bits[1, 0] == 1
+        assert _pairs(graph.concepts, graph.members) == [(0, 0), (0, 2)]
         # a repeated edge counts once, as in build_interpretation
         repeated = [(np.array([1, 0, 1, 0]), np.array([1, 1, 1, 1])), edges[1]]
         _assert_same_graph(from_arrays(sig, 3, atom, repeated), graph)
         with pytest.raises(SignatureMismatchError):
             from_arrays(sig, 3, atom, edges[:1])
+        with pytest.raises(SignatureMismatchError):
+            from_arrays(sig, 3, atom[:2], edges)
         with pytest.raises(ElementOutOfRangeError):
             from_arrays(sig, 3, atom, [(np.array([0]), np.array([3])), edges[1]])
 

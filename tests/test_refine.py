@@ -15,14 +15,15 @@ from dlbisim.core import (
     Signature,
     build_interpretation,
     disjoint_union_graph,
+    from_arrays,
     to_labeled_graph,
 )
 from dlbisim.errors import PartitionMismatchError
+from dlbisim.gen import make_signature
 from dlbisim.quotient import separating_concept
 from dlbisim.refine import (
     Partition,
     _edge_ends,
-    _group_rows,
     _label_ids,
     _signature_round,
     check_partition,
@@ -66,18 +67,23 @@ class TestInitialPartition:
 
 
 class TestGroupRows:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (50, 1), (200, 3), (300, 40)])
+    """The label ids rank the nodes' rows of atom bits, which the graph
+    keeps as member lists: from_arrays takes the rows."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (50, 1), (200, 3), (300, 140)])
     def test_ids_match_unique_rows(self, shape):
         rng = np.random.default_rng(sum(shape))
-        for span in (2, 5, 1 << 40):
-            matrix = rng.integers(-span, span, size=shape, dtype=np.int64)
-            ids, k = _group_rows([matrix[:, :1], matrix[:, 1:]], shape[0])
+        for density in (0.02, 0.5, 0.98):
+            matrix = (rng.random(shape) < density).astype(np.uint8)
+            graph = from_arrays(make_signature(shape[1], 0, 0), shape[0], matrix, [])
+            ids, k = _label_ids(FeatureSet(), graph)
             _, inverse = np.unique(matrix, axis=0, return_inverse=True)
             assert ids.tolist() == inverse.reshape(-1).tolist()
             assert k == int(inverse.max()) + 1
 
     def test_no_columns_one_block(self):
-        ids, k = _group_rows([np.zeros((4, 0), dtype=np.int64)], 4)
+        graph = from_arrays(make_signature(0, 0, 0), 4, np.zeros((4, 0)), [])
+        ids, k = _label_ids(FeatureSet.from_string("IOQUS"), graph)
         assert ids.tolist() == [0, 0, 0, 0] and k == 1
 
 
@@ -126,20 +132,16 @@ class TestAgainstNaiveOracle:
                 assert rel.pairs == oracle.pairs, str(phi)
 
     def test_self_bits_of_many_roles(self):
-        # up to twelve roles: the packed self bits of S span two bytes
+        # up to 70 concept and role names: the label bits are folded in 61
+        # columns at a time at most, so wide rows take more than one step
         rng = H.seeded(403)
         for _ in range(40):
-            interp = H.small_instance(rng, max_roles=12, max_n=9)
+            interp = H.small_instance(rng, max_concepts=70, max_roles=70, max_n=9)
             graph = to_labeled_graph(interp)
             for phi in H.ALL_PHIS:
+                label, count = _label_ids(phi, graph)
+                assert (label.tolist(), count) == H.label_ids_oracle(phi, interp), str(phi)
                 if phi.local_refl:
-                    # the ids of the unpacked rows, in the same order
-                    cols = [graph.atom_bits, graph.self_bits]
-                    if phi.nominals:
-                        cols.insert(1, graph.nominal_key[:, None])
-                    ids, k = _group_rows([col.astype(np.int64) for col in cols], graph.n)
-                    label, count = _label_ids(phi, graph)
-                    assert (label.tolist(), count) == (ids.tolist(), k)
                     part, _ = compute_partition(phi, graph, want_trace=False)
                     oracle = naive_largest_bisimulation(phi, interp, interp)
                     assert partition_to_relation(part).pairs == oracle.pairs, str(phi)
@@ -380,9 +382,9 @@ class TestMemory:
 
     @pytest.mark.parametrize("phi", ["S", "IS"])
     def test_self_bits_are_grouped_without_a_wide_copy(self, phi):
-        # 20 000 elements and about 700 edges over 200 roles: widening the
-        # n * roles self bits to int64 took 97.8 MB here, against 3.3 MB
-        # without S
+        # 20 000 elements and about 700 edges over 200 roles: widening an
+        # n * roles table of self bits to int64 took 97.8 MB here, against
+        # 3.3 MB without S
         graph = to_labeled_graph(path_with_roles())
         plain = traced_peak(lambda: compute_partition(FeatureSet(), graph, want_trace=False))
         peak = traced_peak(lambda: compute_partition(FeatureSet.from_string(phi), graph,
@@ -390,12 +392,28 @@ class TestMemory:
         assert peak <= 2 * plain, (peak, plain)
 
     def test_graph_of_many_roles_has_no_offsets_per_role(self):
-        # 20 000 elements and about 700 edges over 200 roles: the graph's
-        # one n * roles field is self_bits, of one byte per slot
+        # 20 000 elements and about 700 edges over 200 roles: no field of
+        # the graph has a slot per element and role
         interp = path_with_roles()
         graph = []
         peak = traced_peak(lambda: graph.append(to_labeled_graph(interp)))
         assert peak < 512 * (graph[0].n + graph[0].n_edges), peak
+
+    @pytest.mark.parametrize("phi", ["S", "IOQUS"])
+    def test_wide_signature_costs_the_labels_that_exist(self, phi):
+        # 100 000 elements, 1 000 concept and 2 000 role names, three
+        # members and four edges: tables of a label bit per element and
+        # name took 2.3 GB here
+        sig = Signature(tuple("A%d" % i for i in range(1000)),
+                        tuple("r%d" % i for i in range(2000)), ("a",))
+        interp = build_interpretation(sig, 100_000, {"A0": [0, 5], "A999": [7]},
+                                      {"r0": [(0, 1), (2, 2)], "r1999": [(3, 3), (7, 0)]},
+                                      {"a": 0})
+        out = []
+        peak = traced_peak(lambda: out.append(compute_partition(
+            FeatureSet.from_string(phi), to_labeled_graph(interp), want_trace=False)))
+        assert peak < 512 * (interp.n + 4), peak
+        assert out[0][0].n_blocks == {"S": 6, "IOQUS": 7}[phi]
 
     def test_trace_levels_take_n_log_n(self):
         # a marked path parts its first two elements at level n - 2; the
