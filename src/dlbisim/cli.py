@@ -44,6 +44,7 @@ from .document import (
     dumps_pairs,
     load_workspace,
     loads_workspace,
+    recorded_loads,
     signature_to_json,
 )
 from .errors import BisimError, DocumentError, NotSeparatedError, ParseError, TooLargeError
@@ -80,7 +81,7 @@ def _timed(args, key: str):
 def _load(args) -> Workspace:
     with _timed(args, "load_s"):
         if args.input == "-":
-            return loads_workspace(sys.stdin.read())
+            return loads_workspace(sys.stdin.buffer.read())
         return load_workspace(args.input)
 
 
@@ -318,7 +319,7 @@ def _add_io(sp, interp=True, json_flag=False):
         sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.add_argument("--stats", action="store_true",
                     help="print the counters and wall time of every refinement run, "
-                         "the counters of the preimage searches, "
+                         "the counters of the preimage searches and of the document load, "
                          "and the document load and output write times, "
                          "as one JSON object on stderr")
 
@@ -406,15 +407,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """The command; with --stats, then its refinements, the counters of its
-    preimage searches and the wall time of its document load and of
-    formatting and writing its output on stderr."""
+    preimage searches and of its document load (see LoadCounters), and the
+    wall time of that load and of formatting and writing its output on
+    stderr."""
     if not getattr(args, "stats", False):
         return args.func(args)
     args.layer_times = {"load_s": 0.0, "write_s": 0.0}
-    with recorded_runs() as runs, recorded_searches() as searches:
+    with recorded_runs() as runs, recorded_searches() as searches, recorded_loads() as loads:
         code = args.func(args)
     sys.stderr.write(json.dumps({"command": args.command, "refinements": runs,
                                  "searches": dataclasses.asdict(searches),
+                                 "load": dataclasses.asdict(loads),
                                  **args.layer_times}) + "\n")
     return code
 

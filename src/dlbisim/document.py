@@ -33,10 +33,30 @@ the neutral default: multiplicity 1 per edge in both directions, and
 self loops read off the role's diagonal.  A direction or role missing
 inside "counts" takes the same default.  Counts are below 2**63.
 
-Loading turns each list of element references into an int64 array
-with one scan of the list: one type check, one name lookup per name
-and one array conversion; only a list that fails them is read again
-one entry at a time, to name its first problem.  Each interpretation
+Loading reads the lists of decimal references straight from the
+document's bytes into int64 arrays, and json.loads parses only the
+rest (the skeleton), in which a short string marks each list cut out.
+The scan runs on a document that is ASCII and has no backslash; then
+quote parity tells exactly what is inside a string.  A candidate is an
+object value that opens with ":", whitespace and "[" outside any
+string, and ends at the last "]" before the next ":".  It is read only
+if, by whole-text passes (bytes methods, numpy, one np.fromstring), it
+proves to be a flat list, or a list of rows of width 2 or 3, of JSON
+integers or strings of digits below 10**18 without leading zeros,
+every reference bare or every one quoted, the counts of rows bare; its
+first token is looked at first, so most other lists cost O(1).  A
+marker becomes an array only where the loader reads references: the
+domain (its names, when they are all quoted decimals; "0", "1", ... in
+order is a domain given as a size), "concepts", "roles", "counts" and
+"self_loops".  Bare references are indices; quoted ones are names,
+found by value among decimal names.  Anywhere else, and when a
+reference names no element, a marker is turned back into the list
+json.loads reads from its text.  Every list not read from the bytes is
+read as before: one type check, one name lookup per name and one array
+conversion, and only a list that fails them is read again one entry at
+a time, to name its first problem.  So the errors, and the line and
+column of a ParseError (if the skeleton does not parse, the whole text
+is parsed again), are those of a plain json.loads.  Each interpretation
 keeps its edges in those arrays (see the core module); a repeated edge
 counts once, and of two "counts" rows for one edge the later one
 counts.  Writing goes the other way: dumps_document writes an
@@ -46,10 +66,10 @@ piece of the document to one list and joins it once.  The text is
 exactly what json.dumps(indent=2, sort_keys=True) writes for the same
 data.
 
-Malformed JSON and unparseable grammar strings raise ParseError; every
-structural or semantic problem (unknown fields, bad types, names or
-element references) raises DocumentError or one of the construction
-errors from the core module.  A domain of more than MAX_ELEMENTS
+Bytes that are not UTF-8, malformed JSON and unparseable grammar
+strings raise ParseError; every structural or semantic problem (unknown
+fields, bad types, names or element references) raises DocumentError or
+one of the construction errors from the core module.  A domain of more than MAX_ELEMENTS
 elements raises TooLargeError before anything is allocated for it, so a
 few bytes of input cannot ask for gigabytes of memory.
 """
@@ -58,7 +78,11 @@ from __future__ import annotations
 
 import gc
 import json
+import re
+import warnings
 from collections.abc import Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -194,22 +218,259 @@ def _check_domain_size(size: int, where: str) -> None:
                             % (where, size, MAX_ELEMENTS))
 
 
-def _load_domain(val, where: str):
-    """The domain's names and their index (see _name_index)."""
+@dataclass
+class LoadCounters:
+    """Deterministic counts of document loads: the bytes read, and the
+    reference lists read straight from the bytes (scanned) or from the
+    parsed JSON lists (declined)."""
+
+    bytes: int = 0
+    scanned: int = 0
+    declined: int = 0
+
+
+# the LoadCounters that recorded_loads() counts into, in the current context
+_LOADS: ContextVar[LoadCounters | None] = ContextVar("loads", default=None)
+
+
+@contextmanager
+def recorded_loads():
+    """Count every document load inside the block into one LoadCounters."""
+    counters = LoadCounters()
+    token = _LOADS.set(counters)
+    try:
+        yield counters
+    finally:
+        _LOADS.reset(token)
+
+
+# The bytes that _decimal_list reads a list with: JSON whitespace, digits,
+# and the table that turns quotes and brackets into spaces.
+_WS = b" \t\n\r"
+_DIGITS = b"0123456789"
+_SPACED = bytes.maketrans(b'"[]', b"   ")
+# 10, 100, ..., 10**17: a value below 10**18 has one digit more than the
+# number of these it reaches, and any larger one is taken for 18 digits
+_POWERS = 10 ** np.arange(1, 18, dtype=np.int64)
+
+
+def _decimal_list(seg: bytes):
+    """(values, width, quoted) when seg is the text of a JSON list of
+    decimal references (width 1) or of [src, dst] or [src, dst, count]
+    rows (width 2 or 3), every reference bare or every one quoted, the
+    counts bare; else None.  values are the numbers in text order.
+
+    Nothing but whole-text passes: bytes methods, a few numpy passes
+    over the bytes and one np.fromstring.  The list's brackets and
+    commas, with digits, quotes and whitespace deleted, must be the
+    list's shape exactly.  The text read with quotes and brackets as
+    spaces must parse as one number per reference, each slot holding one
+    run of digits (a slot of whitespace parses as 0, so with a 0 the runs
+    are counted).  As many quotes as there are strings must be followed
+    by a digit, and as many preceded by one: then each string holds only
+    digits.  And the digit count must be the sum of the values' digit
+    counts (see _POWERS), which rules out leading zeros and values of 19
+    digits or more, so np.fromstring cannot have saturated.
+    """
+    shape = seg.translate(None, _DIGITS + _WS)
+    quoted = b'"' in shape
+    ref = b'""' if quoted else b""
+    text = np.frombuffer(seg, dtype=np.uint8)
+    digit = (text - 48) < 10
+    digits = int(np.count_nonzero(digit))
+    if shape[1:2] == b"[":
+        unit = shape[1:shape.find(b"]") + 1]
+        if unit == b"[%s,%s]" % (ref, ref):
+            width = 2
+        elif unit == b"[%s,%s,]" % (ref, ref):
+            width = 3
+        else:
+            return None
+        k = (len(shape) - 1) // (len(unit) + 1)
+    else:
+        width, unit = 1, ref
+        k = shape.count(b",") + 1 if digits or quoted else 0
+    if shape != b"[" + ((b"," + unit) * k)[1:] + b"]":
+        return None
+    if quoted:
+        quote = text == 34
+        strings = shape.count(b'"') // 2
+        if (np.count_nonzero(quote[:-1] & digit[1:]) != strings
+                or np.count_nonzero(digit[:-1] & quote[1:]) != strings):
+            return None
+    count = k * width
+    if not count:
+        return np.zeros(0, dtype=np.int64), 1, False
+    try:
+        values = np.fromstring(seg.translate(_SPACED), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if (len(values) != count
+            or digits != count + int(np.searchsorted(_POWERS, values, side="right").sum())):
+        return None
+    if values.min() == 0 and np.count_nonzero(digit[1:] > digit[:-1]) != count:
+        return None
+    return values, width, quoted
+
+
+def _may_be_decimal(data: bytes, start: int) -> bool:
+    """Whether the list at data[start] opens like a _decimal_list: a
+    look at its first token only."""
+    head = data[start + 1:start + 80].lstrip(_WS)
+    if head[:1] == b"[":
+        head = head[1:].lstrip(_WS)
+    return head[:1] == b"]" or head[:1].isdigit() or (head[:1] == b'"' and head[1:2].isdigit())
+
+
+class _Reader:
+    """The reference lists of one document read straight from its bytes,
+    and the counts of its load (see LoadCounters).
+
+    scan cuts every list of decimal references that is an object value
+    out of the text; in the parsed skeleton the string "\\0i" stands for
+    list i.  elements makes a marker at a reference position the array;
+    unmark and restore turn markers anywhere else back into the lists
+    json.loads reads from their text.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.data = b""
+        self.spans: list[tuple[int, int]] = []
+        self.found: list[tuple[np.ndarray, int, bool]] = []
+        self.scanned = self.declined = 0
+
+    def scan(self, data: bytes) -> bytes:
+        """The skeleton of data, an ASCII text without backslashes.
+
+        A list is a candidate when ":", whitespace and "[" open it
+        outside any string (by quote parity, exact without backslashes),
+        and it ends at the last "]" before the next ":".  Without
+        backslashes no string of the text can hold a NUL, so the markers
+        cannot be taken for the document's strings.
+        """
+        self.data = data
+        pieces = []
+        done = quotes = counted = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            for match in re.finditer(rb":[ \t\n\r]*\[", data):
+                colon = match.start()
+                quotes += data.count(b'"', counted, colon)
+                counted = colon
+                start = match.end() - 1
+                if quotes % 2 or not _may_be_decimal(data, start):
+                    continue
+                stop = data.find(b":", start)
+                end = data.rfind(b"]", start, stop if stop >= 0 else len(data))
+                found = _decimal_list(data[start:end + 1]) if end >= 0 else None
+                if found is None:
+                    continue
+                pieces += (data[done:start], b'"\\u0000%d"' % len(self.found))
+                self.spans.append((start, end))
+                self.found.append(found)
+                # a list read holds an even number of quotes
+                done = counted = end + 1
+        if not pieces:
+            return data
+        pieces.append(data[done:])
+        return b"".join(pieces)
+
+    def listed(self, val) -> int | None:
+        """The number of the list the marker val stands for, or None."""
+        if self.found and type(val) is str and val[:1] == "\0":
+            return int(val[1:])
+        return None
+
+    def unmark(self, val):
+        """val, or the list it stands for as json.loads reads it."""
+        i = self.listed(val)
+        if i is None:
+            return val
+        start, end = self.spans[i]
+        return json.loads(self.data[start:end + 1])
+
+    def restore(self, val):
+        """val with every marker in it unmarked, at any depth."""
+        if not self.found:
+            return val
+        if isinstance(val, dict):
+            return {key: self.restore(v) for key, v in val.items()}
+        if isinstance(val, list):
+            return list(map(self.restore, val))
+        return self.unmark(val)
+
+    def elements(self, val, width: int, n: int, lookup) -> np.ndarray | None:
+        """The references of the list val stands for, as the int64 array
+        (width 1) or (m, width) array the loader reads, or None when val
+        is no marker, or its list is of another width, or some reference
+        is not an element: quoted ones go through lookup (see
+        _load_domain), bare ones must be below n."""
+        i = self.listed(val)
+        if i is None:
+            return None
+        values, w, quoted = self.found[i]
+        if len(values) and w != width:
+            return None
+        rows = values.reshape(-1, width) if width > 1 else values
+        if len(values):
+            refs = rows[:, :2] if width == 3 else rows
+            if quoted and lookup is not _same:
+                mapped = lookup(refs) if lookup is not None else None
+                if mapped is None:
+                    return None
+                refs[...] = mapped
+            if refs.max() >= n:
+                return None
+        self.scanned += 1
+        return rows
+
+
+def _same(values: np.ndarray) -> np.ndarray:
+    return values
+
+
+def _load_domain(val, where: str, reader: _Reader):
+    """The domain's names, their index (see _name_index) and the lookup
+    of quoted decimal references: the elements of an array of decimal
+    values, or None when one names no element; None when names are not
+    decimals.  In a domain given as a size, and in the name list "0",
+    "1", ... in order, which loads as one, a decimal is its element."""
+    i = reader.listed(val)
+    if i is not None:
+        values, width, quoted = reader.found[i]
+        if width == 1 and quoted:
+            _check_domain_size(len(values), where)
+            if np.array_equal(values, np.arange(len(values))):
+                names = IndexNames(len(values))
+                reader.scanned += 1
+                return names, names, _same
+            order = np.argsort(values)
+            ordered = values[order]
+            if (ordered[1:] != ordered[:-1]).all():
+                def lookup(refs):
+                    at = np.minimum(np.searchsorted(ordered, refs), len(ordered) - 1)
+                    return order[at] if (ordered[at] == refs).all() else None
+
+                names = tuple(map(str, values.tolist()))
+                reader.scanned += 1
+                return names, _name_index(names), lookup
+        val = reader.unmark(val)
     if isinstance(val, bool):
         raise DocumentError("%s.domain must be a size or a list of names" % where)
     if isinstance(val, int):
         _expect(val > 0, "%s.domain must be positive" % where)
         _check_domain_size(val, where)
         names = IndexNames(val)
-        return names, names
+        return names, names, _same
     if isinstance(val, list):
+        reader.declined += 1
         _check_domain_size(len(val), where)
         names = tuple(_str_list(val, "%s.domain" % where))
         _expect(len(names) > 0, "%s.domain must not be empty" % where)
         index = _name_index(names)
         _expect(len(index) == len(names), "%s.domain has duplicate names" % where)
-        return names, index
+        return names, index, None
     raise DocumentError("%s.domain must be a size or a list of names" % where)
 
 
@@ -251,17 +512,18 @@ def _index_array(refs: list, index, counted: bool = False) -> np.ndarray | None:
         return None
 
 
-def _load_refs(refs: list, n: int, index, where: str) -> np.ndarray:
+def _load_refs(refs: list, n: int, index, where: str, reader: _Reader) -> np.ndarray:
     """Element indices of a list of references."""
     out = _index_array(refs, index)
     if out is None or (len(out) and (out.min() < 0 or out.max() >= n)):
         # some reference is invalid: resolve one by one to report the first
+        refs = reader.restore(refs)
         out = np.array([_resolve_ref(ref, n, index, where) for ref in refs], dtype=np.int64)
     return out
 
 
-def _load_rows(items: list, width: int, n: int, index, where: str, shape: str,
-               count: str = "") -> np.ndarray:
+def _load_rows(items: list, width: int, n: int, index, where: str, reader: _Reader,
+               shape: str, count: str = "") -> np.ndarray:
     """The (m, width) int64 array of [src, dst] (width 2) or [src, dst,
     count] (width 3) rows.  The rows are flattened and read as one array;
     when one is malformed, they are checked again one by one, which
@@ -276,7 +538,7 @@ def _load_rows(items: list, width: int, n: int, index, where: str, shape: str,
                                  and (width == 2 or rows[:, 2].min() >= 0)):
                 return rows
     rows = []
-    for item in items:
+    for item in reader.restore(items):
         _expect(isinstance(item, list) and len(item) == width, shape)
         row = [_resolve_ref(item[0], n, index, where), _resolve_ref(item[1], n, index, where)]
         if width == 3:
@@ -289,57 +551,60 @@ def _load_rows(items: list, width: int, n: int, index, where: str, shape: str,
     return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
-def _load_counts(obj, sig: Signature, n: int, index, where: str):
-    _expect(isinstance(obj, dict), "%s.counts must be an object" % where)
-    qu: dict[tuple[str, bool], np.ndarray] = {}
-    for role, spec in obj.items():
-        _expect(role in sig.role_index, "%s.counts: %r is not a role name" % (where, role))
-        _expect(isinstance(spec, dict), "%s.counts.%s must be an object" % (where, role))
-        _check_keys(spec, ("forward", "backward"), "%s.counts.%s" % (where, role))
-        for key, inverted in (("forward", False), ("backward", True)):
-            if key not in spec:
-                continue
-            entries = spec[key]
-            _expect(isinstance(entries, list), "%s.counts.%s.%s must be a list" % (where, role, key))
-            qu[(role, inverted)] = _load_rows(
-                entries, 3, n, index, where,
-                "%s.counts.%s.%s entries must be [src, dst, count]" % (where, role, key),
-                "%s.counts.%s.%s" % (where, role, key))
-    return qu
-
-
-def _load_interpretation(obj, sig: Signature, where: str):
+def _load_interpretation(obj, sig: Signature, where: str, reader: _Reader):
     _expect(isinstance(obj, dict), "%s must be an object" % where)
     _check_keys(obj, ("domain", "concepts", "roles", "individuals", "counts", "self_loops"), where)
     _expect("domain" in obj, "%s is missing the domain field" % where)
-    names, index = _load_domain(obj["domain"], where)
+    names, index, lookup = _load_domain(obj["domain"], where, reader)
     n = len(names)
+
+    def refs(val, width: int, field: str, at: str = "", shape: str = "") -> np.ndarray:
+        """The array of the reference list val of the field: read from the
+        bytes, or else from its JSON list; at names a bad reference (by
+        default the field), shape a malformed row."""
+        out = reader.elements(val, width, n, lookup)
+        if out is not None:
+            return out
+        val = reader.unmark(val)
+        _expect(isinstance(val, list), "%s must be a list" % field)
+        reader.declined += 1
+        if width == 1:
+            return _load_refs(val, n, index, at or field, reader)
+        return _load_rows(val, width, n, index, at or field, reader, shape, field)
 
     concepts = obj.get("concepts", {})
     _expect(isinstance(concepts, dict), "%s.concepts must be an object" % where)
-    concept_ext = {}
-    for cname, refs in concepts.items():
-        _expect(isinstance(refs, list), "%s.concepts.%s must be a list" % (where, cname))
-        concept_ext[cname] = _load_refs(refs, n, index, "%s.concepts.%s" % (where, cname))
+    concept_ext = {cname: refs(val, 1, "%s.concepts.%s" % (where, cname))
+                   for cname, val in concepts.items()}
 
     roles = obj.get("roles", {})
     _expect(isinstance(roles, dict), "%s.roles must be an object" % where)
-    role_ext = {}
-    for rname, pairs in roles.items():
-        _expect(isinstance(pairs, list), "%s.roles.%s must be a list" % (where, rname))
-        role_ext[rname] = _load_rows(pairs, 2, n, index, "%s.roles.%s" % (where, rname),
-                                     "%s.roles.%s entries must be [src, dst]" % (where, rname))
+    role_ext = {rname: refs(val, 2, "%s.roles.%s" % (where, rname),
+                            shape="%s.roles.%s entries must be [src, dst]" % (where, rname))
+                for rname, val in roles.items()}
 
     individuals = obj.get("individuals", {})
     _expect(isinstance(individuals, dict), "%s.individuals must be an object" % where)
-    individual_map = {a: _resolve_ref(ref, n, index, "%s.individuals.%s" % (where, a))
+    individual_map = {a: _resolve_ref(reader.restore(ref), n, index,
+                                      "%s.individuals.%s" % (where, a))
                       for a, ref in individuals.items()}
 
     interp = build_interpretation(sig, n, concept_ext, role_ext, individual_map)
 
     qsi = None
     if "counts" in obj or "self_loops" in obj:
-        qu = _load_counts(obj.get("counts", {}), sig, n, index, where)
+        counts = obj.get("counts", {})
+        _expect(isinstance(counts, dict), "%s.counts must be an object" % where)
+        qu: dict[tuple[str, bool], np.ndarray] = {}
+        for role, spec in counts.items():
+            _expect(role in sig.role_index, "%s.counts: %r is not a role name" % (where, role))
+            _expect(isinstance(spec, dict), "%s.counts.%s must be an object" % (where, role))
+            _check_keys(spec, ("forward", "backward"), "%s.counts.%s" % (where, role))
+            for key, inverted in (("forward", False), ("backward", True)):
+                if key in spec:
+                    field = "%s.counts.%s.%s" % (where, role, key)
+                    qu[(role, inverted)] = refs(spec[key], 3, field, where,
+                                                "%s entries must be [src, dst, count]" % field)
         for role in sig.role_names:
             for inverted in (False, True):
                 if (role, inverted) not in qu:
@@ -349,11 +614,10 @@ def _load_interpretation(obj, sig: Signature, where: str):
             loops_obj = obj["self_loops"]
             _expect(isinstance(loops_obj, dict), "%s.self_loops must be an object" % where)
             se = {}
-            for role, refs in loops_obj.items():
+            for role, val in loops_obj.items():
                 _expect(role in sig.role_index,
                         "%s.self_loops: %r is not a role name" % (where, role))
-                _expect(isinstance(refs, list), "%s.self_loops.%s must be a list" % (where, role))
-                se[role] = _load_refs(refs, n, index, "%s.self_loops.%s" % (where, role))
+                se[role] = refs(val, 1, "%s.self_loops.%s" % (where, role))
         else:
             se = {role: src[src == dst] for role, (src, dst) in interp.role_edges.items()}
         qsi = build_qs_interpretation(interp, qu, se)
@@ -396,19 +660,55 @@ def _parse_json(text: str):
             gc.enable()
 
 
-def loads_workspace(text: str) -> Workspace:
-    doc = _parse_json(text)
+def _decode(data: bytes) -> str:
+    """data, UTF-8 bytes, as text; ParseError at the first byte that is
+    not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line = data.rfind(b"\n", 0, at) + 1
+        raise ParseError("invalid UTF-8: byte 0x%02x, %s" % (data[at], exc.reason),
+                         data.count(b"\n", 0, at) + 1, len(data[line:at].decode("utf-8")) + 1)
+
+
+def _parse(text: str | bytes):
+    """The parsed document and its _Reader.  An ASCII text without
+    backslashes is read by _Reader.scan, and json.loads parses only its
+    skeleton; when that fails, it parses the whole text, for the
+    document's own error message and position."""
+    if isinstance(text, str):
+        if not text.isascii():
+            return _parse_json(text), _Reader(len(text.encode("utf-8", "surrogatepass")))
+        text = text.encode("ascii")
+    reader = _Reader(len(text))
+    if not text.isascii():
+        return _parse_json(_decode(text)), reader
+    if b"\\" not in text:
+        skeleton = reader.scan(text)
+        if skeleton is not text:
+            try:
+                return _parse_json(skeleton.decode("ascii")), reader
+            except ParseError:
+                reader = _Reader(len(text))
+    return _parse_json(text.decode("ascii")), reader
+
+
+def _workspace(doc, reader: _Reader) -> Workspace:
+    """The workspace of the parsed document doc, whose markers reader
+    reads (see _Reader)."""
     _expect(isinstance(doc, dict), "document must be a JSON object")
     _check_keys(doc, ("signature", "phi", "interpretations", "kb"), "document")
     _expect("signature" in doc, "document is missing the signature field")
     _expect("interpretations" in doc, "document is missing the interpretations field")
-    sig = _load_signature(doc["signature"])
+    sig = _load_signature(reader.restore(doc["signature"]))
 
     phi = None
     if "phi" in doc:
-        _expect(isinstance(doc["phi"], str), "phi must be a string of feature letters")
+        spec = reader.restore(doc["phi"])
+        _expect(isinstance(spec, str), "phi must be a string of feature letters")
         try:
-            phi = FeatureSet.from_string(doc["phi"])
+            phi = FeatureSet.from_string(spec)
         except ValueError as exc:
             raise DocumentError(str(exc))
 
@@ -419,7 +719,8 @@ def loads_workspace(text: str) -> Workspace:
     element_index = {}
     qs = {}
     for iname, spec in body.items():
-        interp, names, index, qsi = _load_interpretation(spec, sig, "interpretations.%s" % iname)
+        interp, names, index, qsi = _load_interpretation(spec, sig, "interpretations.%s" % iname,
+                                                         reader)
         interpretations[iname] = interp
         element_names[iname] = names
         element_index[iname] = index
@@ -429,13 +730,29 @@ def loads_workspace(text: str) -> Workspace:
     kb = None
     kb_strings = None
     if "kb" in doc:
-        kb, kb_strings = _load_kb(doc["kb"])
+        kb, kb_strings = _load_kb(reader.restore(doc["kb"]))
     return Workspace(sig, phi, interpretations, element_names, qs, kb, kb_strings, element_index)
 
 
+def loads_workspace(text: str | bytes) -> Workspace:
+    """The workspace of a document, given as its text or its UTF-8 bytes."""
+    doc, reader = _parse(text)
+    ws = _workspace(doc, reader)
+    counters = _LOADS.get()
+    if counters is not None:
+        counters.bytes += reader.size
+        counters.scanned += reader.scanned
+        counters.declined += reader.declined
+    return ws
+
+
 def load_workspace(path: str) -> Workspace:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_workspace(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if b"\r" in data:
+        # as a text-mode read does, so error positions count lines alike
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return loads_workspace(data)
 
 
 class InterpretationBody:

@@ -490,6 +490,45 @@ class TestFailureModes:
             err = capsys.readouterr().err
             assert ("more than the limit of 3" in err) == (code == 3)
 
+    def test_decimal_domain_above_the_limit(self, monkeypatch, tmp_path, capsys):
+        # a name list of decimals, which the loader reads from the bytes
+        from dlbisim import cli, document
+
+        monkeypatch.setattr(document, "MAX_ELEMENTS", 3)
+        path = tmp_path / "doc.json"
+        for domain, code in ((["0", "1", "2"], 0), (["2", "0", "1"], 0), (["0", "1", "2", "3"], 3),
+                             (["3", "2", "1", "0"], 3)):
+            path.write_text(json.dumps({
+                "signature": {"concepts": [], "roles": [], "individuals": []},
+                "interpretations": {"I": {"domain": domain}}}))
+            assert cli.main(["partition", "-i", str(path), "--phi", "", "-I", "I"]) == code
+            err = capsys.readouterr().err
+            assert ("more than the limit of 3" in err) == (code == 3)
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_invalid_utf8_is_a_parse_error(self, source, tmp_path):
+        data = SINGLETON.encode().replace(b'["x"]', b'["x\xff"]', 1)
+        at = data.index(b"\xff")
+        line, column = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        argv = [sys.executable, "-m", "dlbisim", "partition", "--phi", "", "-I", "S", "-i"]
+        out = subprocess.run(argv + [str(path) if source == "file" else "-"],
+                             input=data if source == "stdin" else None, capture_output=True,
+                             env=child_env(), cwd=str(ROOT))
+        assert out.returncode == 2
+        assert out.stderr.decode() == ("parse error: invalid UTF-8: byte 0xff, invalid start "
+                                       "byte (line %d, column %d)\n" % (line, column))
+
+    def test_byte_order_mark_is_refused_from_files_and_stdin(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("\ufeff" + SINGLETON, encoding="utf-8")
+        for out in (run("partition", "-i", str(path), "-I", "S"),
+                    run("partition", "-i", "-", "-I", "S", stdin="\ufeff" + SINGLETON)):
+            assert out.returncode == 2
+            assert out.stderr == ("parse error: invalid JSON: Unexpected UTF-8 BOM (decode "
+                                  "using utf-8-sig) (line 1, column 1)\n")
+
     def test_unknown_feature_letter(self):
         out = run("partition", "-i", FIG2, "--phi", "XYZ", "-I", "I1")
         assert out.returncode == 3
@@ -561,6 +600,7 @@ class TestStats:
 
     @pytest.mark.parametrize("case", CASES, ids=lambda case: "-".join(case[:1] + case[-2:]))
     def test_stdout_unchanged_and_stderr_is_json(self, case):
+        from dlbisim.document import LoadCounters
         from dlbisim.refine import Counters
         from dlbisim.semantics import SearchCounters
 
@@ -583,8 +623,11 @@ class TestStats:
         if not refining:
             assert searches["searches"] >= 1
             assert searches["passes"] + searches["walked"] >= 1
-        # the document load and the output write, timed apart
-        assert list(report) == ["command", "refinements", "searches", "load_s", "write_s"]
+        # the counters of the document load, and the load and the output
+        # write, timed apart
+        assert list(report) == ["command", "refinements", "searches", "load", "load_s", "write_s"]
+        assert list(report["load"]) == [f.name for f in dataclasses.fields(LoadCounters)]
+        assert report["load"]["bytes"] == os.path.getsize(FIG2)
         assert report["load_s"] > 0 and report["write_s"] > 0
 
     def test_extend_rbox_reports_its_load_and_write(self):
@@ -598,6 +641,23 @@ class TestStats:
         assert report["refinements"] == []
         assert set(report["searches"].values()) == {0}
         assert report["load_s"] > 0 and report["write_s"] > 0
+
+    def test_load_counts(self):
+        # every list of a document of indices, and of the quotient written
+        # from it, whose names are decimals, is read from the bytes; gen
+        # names elements x0, x1, ..., so no list of its output is
+        index = json.dumps({
+            "signature": {"concepts": ["A"], "roles": ["r"], "individuals": []},
+            "interpretations": {"I": {"domain": 5, "concepts": {"A": [0, 4]},
+                                      "roles": {"r": [[0, 1], [1, 2], [2, 2], [4, 3]]}}}})
+        written = run("minimize", "-i", "-", "-I", "I", "--qs", stdin=index).stdout
+        named = run("gen", "--seed", "3", "--n", "30", "--roles", "2", "--concepts", "3").stdout
+        for doc, scanned, declined in ((index, 2, 0), (written, 1 + 1 + 1 + 3, 0),
+                                       (named, 0, 1 + 3 + 2)):
+            out = run("partition", "-i", "-", "-I", "I", "--stats", stdin=doc)
+            assert out.returncode == 0
+            load = json.loads(out.stderr)["load"]
+            assert load == {"bytes": len(doc.encode()), "scanned": scanned, "declined": declined}
 
     def test_eval_counts_its_searches(self):
         # some r F: one search over the fixture's four-element I2, whose

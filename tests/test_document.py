@@ -4,14 +4,17 @@ import gc
 import json
 import os
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers as H
-from dlbisim import cli
+from dlbisim import cli, document
 from dlbisim.core import (
     FeatureSet,
     Interpretation,
@@ -31,9 +34,16 @@ from dlbisim.document import (
     interpretation_to_json,
     load_workspace,
     loads_workspace,
+    recorded_loads,
     signature_to_json,
 )
-from dlbisim.errors import DocumentError, ElementOutOfRangeError, ParseError, UnknownNameError
+from dlbisim.errors import (
+    BisimError,
+    DocumentError,
+    ElementOutOfRangeError,
+    ParseError,
+    UnknownNameError,
+)
 from dlbisim.gen import make_signature, random_interpretation
 from dlbisim.quotient import qs_quotient
 from dlbisim.refine import Partition, compute_partition
@@ -260,6 +270,387 @@ class TestLoading:
         for iname, names in ws.element_names.items():
             assert ws.element_index[iname] == {name: i for i, name in enumerate(names)}
 
+
+def _outcome(load):
+    """What a load gives: the workspace's contents and name lookups, or
+    its error's class and message."""
+    try:
+        ws = load()
+    except BisimError as exc:
+        return type(exc), str(exc)
+    names = {i: list(names) for i, names in ws.element_names.items()}
+    probes = ["0", "1", "2", "01", " 1", "x", "5", "-0"]
+    lookups = {i: [ws.element_index[i].get(name) for name in names[i] + probes] for i in names}
+    return (ws.signature, ws.phi, ws.interpretations, ws.qs, ws.kb_strings, names, lookups)
+
+
+def _unscanned(text: str):
+    """The workspace of text read without the scan: every list parsed."""
+    return document._workspace(document._parse_json(text), document._Reader(0))
+
+
+def _scan_counts(text):
+    with recorded_loads() as counts:
+        loads_workspace(text)
+    return counts
+
+
+def _same_as_unscanned(text: str):
+    expected = _outcome(lambda: _unscanned(text))
+    assert _outcome(lambda: loads_workspace(text)) == expected, text
+    assert _outcome(lambda: loads_workspace(text.encode())) == expected, text
+    return expected
+
+
+# valid JSON that no scan reads, and tokens that are not JSON
+_ODD = st.sampled_from(['"01"', "-0", "-1", '" 1"', '"1 "', '""', '"x5"', str(2 ** 63),
+                        str(10 ** 18), str(10 ** 18 - 1), "1e2", "1.0", "true", "[0]",
+                        '{"k": [1]}', '{"k": [[0, 1]]}'])
+_BAD = st.one_of(st.sampled_from(["01", "00", "1 2", "x", "-", '"1"2', "1\x0b", "0x1", '""2',
+                                  '2""', '" "2', '"1""2"', '"1" "2"']),
+                 st.text(alphabet='01" \t', min_size=1, max_size=5))
+_GAPS = st.sampled_from(["", "", "", " ", "\n    ", "\t", "\r\n"])
+_SOUP = st.text(alphabet='0123456789,[]"- \t\n\r\x0bx', max_size=14)
+
+
+@st.composite
+def _list_text(draw, items):
+    """The text of a list of items, each a reference, a count or a list
+    of them: references bare, quoted or either, with gaps of JSON
+    whitespace, now and then a token that no scan reads; one list in
+    eight is noisy: a token soup, or a list with tokens that are not
+    JSON."""
+    noisy = draw(st.integers(0, 7)) == 7
+    if noisy and draw(st.integers(0, 3)) == 3:
+        return draw(_SOUP)
+    style = draw(st.sampled_from(["bare", "quoted", "mixed"]))
+
+    def text(item, count=False):
+        if isinstance(item, list):
+            return "[" + join([text(x, i == 2) for i, x in enumerate(item)]) + "]"
+        if noisy and draw(st.integers(0, 2)) == 2:
+            return draw(_BAD)
+        if draw(st.integers(0, 9)) == 9:
+            return draw(_ODD)
+        quote = not count and (style == "quoted" or style == "mixed" and draw(st.booleans()))
+        return '"%d"' % item if quote else str(item)
+
+    def join(texts):
+        gaps = draw(st.lists(_GAPS, min_size=2 * len(texts), max_size=2 * len(texts)))
+        return ",".join(gaps[2 * i] + t + gaps[2 * i + 1] for i, t in enumerate(texts))
+
+    end = draw(st.sampled_from(["", ",", "\x0b"])) if noisy else ""
+    return "[" + join([text(item) for item in items]) + end + "]"
+
+
+_ELEMENT = st.integers(0, 3)
+
+
+def _rows(width):
+    sizes = st.sampled_from([width] * 8 + [width - 1, width + 1])
+    return st.lists(sizes.flatmap(lambda k: st.lists(_ELEMENT, min_size=k, max_size=k)),
+                    max_size=4)
+
+
+@st.composite
+def _texts(draw):
+    """Documents with lists drawn at reference positions, at other
+    positions, and after a ": [" inside keys and strings."""
+
+    def lists(*shapes):
+        return draw(st.one_of(*[
+            (st.lists(_ELEMENT, max_size=5) if width == 1 else _rows(width)).flatmap(_list_text)
+            for width in shapes]))
+
+    def rarely(usual, *other):
+        return lists(*other) if draw(st.integers(0, 5)) == 5 else usual
+
+    domain = draw(st.sampled_from(["3", "4", '["0", "1", "2"]', '["2", "0", "1", "3"]',
+                                   '["x", "y", "z", "w"]'] * 3
+                                  + ['["0", "1", "01"]', '["0", "0", "1"]', '["1", "0", "3"]',
+                                     "[]"]))
+    fields = ['"domain": ' + rarely(domain, 1),
+              '"concepts": {"A": %s, "B: [1, 2]": %s}' % (lists(1), lists(1)),
+              '"individuals": {"a": %s}' % rarely(draw(st.sampled_from(
+                  ["0", '"1"', '"x"', '"01"'])), 1)]
+    edges = draw(st.lists(st.tuples(_ELEMENT, _ELEMENT), unique=True, max_size=3))
+    if draw(st.booleans()):
+        # multiplicities of the role's own edges, now and then of others
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(edges), max_size=len(edges)))
+        forward = [[x, y, k] for (x, y), k in zip(edges, weights)]
+        backward = [[y, x, k] for (x, y), k in zip(edges, weights)]
+        fields.append('"counts": {"r": {"forward": %s, "backward": %s}}' % (
+            rarely(draw(_list_text(forward)), 3), rarely(draw(_list_text(backward)), 3)))
+    fields.append('"roles": {"r": %s}'
+                  % rarely(draw(_list_text([list(edge) for edge in edges])), 2))
+    if draw(st.booleans()):
+        fields.append('"self_loops": {"r": %s}' % lists(1))
+    if draw(st.integers(0, 3)) == 3:
+        fields.append('"concepts": {"A": %s}' % lists(1))
+    if draw(st.integers(0, 9)) == 9:
+        fields.append('"extra": %s' % lists(1, 2))
+    gap = draw(_GAPS)
+    interp = "{" + ("," + gap).join(draw(st.permutations(fields))) + "}"
+    parts = ['"signature": {"concepts": %s, "roles": ["r"], "individuals": ["a"]}'
+             % rarely('["A", "B: [1, 2]"]', 1, 2),
+             '"interpretations": {"I": %s}' % interp]
+    if draw(st.booleans()):
+        parts.append('"phi": %s' % rarely('"IQ"', 1))
+    if draw(st.booleans()):
+        parts.append('"kb": {"tbox": %s, "abox": ["A(a)"]}' % rarely('["A sub A"]', 1, 2))
+    return "{" + ", ".join(draw(st.permutations(parts))) + "}"
+
+
+class _Bare(str):
+    """The text of a JSON number."""
+
+
+def _read_as_json(text: str):
+    """What _decimal_list should give for text, read with json.loads:
+    (values, width, quoted) of a flat list, or a list of rows of width 2
+    or 3, of canonical decimals below 10**18, every reference bare or
+    every one quoted, the counts bare; else None."""
+    try:
+        val = json.loads(text, parse_int=_Bare, parse_float=_Bare, parse_constant=_Bare)
+    except ValueError:
+        return None
+    if not isinstance(val, list):
+        return None
+    if not val:
+        return [], 1, False
+    width = len(val[0]) if isinstance(val[0], list) else 1
+    if width == 1:
+        refs, counts = val, []
+    elif width in (2, 3) and all(isinstance(row, list) and len(row) == width for row in val):
+        refs = [x for row in val for x in row[:2]]
+        counts = [x for row in val for x in row[2:]]
+    else:
+        return None
+    tokens = [x for row in val for x in row] if width > 1 else val
+    if not all(isinstance(x, str) and x.isascii() and x.isdigit() and str(int(x)) == x
+               and int(x) < 10 ** 18 for x in tokens):
+        return None
+    quoted = {type(x) is not _Bare for x in refs}
+    if len(quoted) > 1 or not all(type(x) is _Bare for x in counts):
+        return None
+    return [int(x) for x in tokens], width, quoted.pop()
+
+
+@st.composite
+def _scan_candidates(draw):
+    """Texts from "[" to "]": lists of references or rows, or soups."""
+    if draw(st.integers(0, 3)) == 3:
+        return "[" + draw(st.text(alphabet='0123456789,[]"- \t\n\x0bxe.', max_size=16)) + "]"
+    items = draw(st.one_of(st.lists(_ELEMENT, max_size=5), _rows(2), _rows(3)))
+    text = draw(_list_text(items))
+    return text if text[:1] == "[" and text[-1:] == "]" else "[" + text + "]"
+
+
+# (case, list text of the concept A in a domain of size 3, how the
+# unscanned loader ends, whether the scan reads the list)
+EDGES = [
+    ("leading zero", "[01]", (ParseError, "invalid JSON: Expecting ',' delimiter"), False),
+    ("quoted leading zero", '["01"]',
+     (DocumentError, "interpretations.I.concepts.A: unknown element '01'"), False),
+    ("minus zero", "[-0, 2]", {0, 2}, False),
+    ("space in a quoted reference", '[" 1"]',
+     (DocumentError, "interpretations.I.concepts.A: unknown element ' 1'"), False),
+    ("empty string", '[""]', (DocumentError, "interpretations.I.concepts.A: unknown element ''"),
+     False),
+    ("empty string before a number", '[""2]',
+     (ParseError, "invalid JSON: Expecting ',' delimiter"), False),
+    ("space string before a number", '[" "2]',
+     (ParseError, "invalid JSON: Expecting ',' delimiter"), False),
+    ("two numbers in one slot", "[1 2]", (ParseError, "invalid JSON: Expecting ',' delimiter"),
+     False),
+    ("trailing comma", "[0, 1,]", (ParseError, "invalid JSON: Expecting value"), False),
+    ("leading zeros and an empty slot", "[00, ]", (ParseError, "invalid JSON: Expecting ','"),
+     False),
+    ("leading comma", "[,1]", (ParseError, "invalid JSON: Expecting value"), False),
+    ("vertical tab", "[1\x0b]", (ParseError, "invalid JSON: Expecting ',' delimiter"), False),
+    ("bare and quoted", '[0, "1"]', {0, 1}, False),
+    ("spaced out", '[ 2 ,\n 0\t]', {0, 2}, True),
+    ("quoted", '["2", "0"]', {0, 2}, True),
+]
+
+
+class TestScan:
+    """The reference lists that the loader reads straight from the bytes
+    give what json.loads and the list reader give."""
+
+    @given(st.one_of(
+        _scan_candidates(),
+        st.lists(_BAD, min_size=1, max_size=4).map(lambda tokens: '["0", ' + ", ".join(tokens)
+                                                    + "]"),
+        st.lists(st.sampled_from(["0", "00", "01", "007", "", " ", "\t", "1", "10", '"0"', '"00"',
+                                  str(10 ** 18), str(10 ** 18 - 1), "0" * 20, "9" * 20]),
+                 min_size=1, max_size=5).map(lambda tokens: "[" + ",".join(tokens) + "]")))
+    @settings(max_examples=1500, deadline=None)
+    def test_lists_are_read_as_json_reads_them(self, text):
+        read = document._decimal_list(text.encode())
+        if read is not None:
+            values, width, quoted = read
+            read = values.tolist(), width, quoted
+        assert read == _read_as_json(text)
+
+    @given(_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_documents_load_as_without_the_scan(self, text):
+        _same_as_unscanned(text)
+
+    @given(_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_files_load_as_without_the_scan(self, text):
+        # the CLI's path: the bytes of a file, against the text a
+        # text-mode read gives
+        with tempfile.NamedTemporaryFile("wb", suffix=".json") as handle:
+            handle.write(text.encode())
+            handle.flush()
+            with open(handle.name, encoding="utf-8") as read:
+                expected = _outcome(lambda: _unscanned(read.read()))
+            assert _outcome(lambda: load_workspace(handle.name)) == expected
+
+    @pytest.mark.parametrize("case,refs,expected,scanned", EDGES, ids=[e[0] for e in EDGES])
+    def test_edge_cases(self, case, refs, expected, scanned):
+        text = '{"signature": %s, "interpretations": {"I": {"domain": 3, "concepts": {"A": %s}, ' \
+               '"individuals": {"a": 0}}}}' % (json.dumps(SIG), refs)
+        got = _same_as_unscanned(text)
+        if isinstance(expected, set):
+            assert got[2]["I"].concept_ext["A"] == expected
+        else:
+            assert got[0] is expected[0] and got[1].startswith(expected[1])
+        assert (document._decimal_list(refs.encode()) is not None) == scanned
+
+    @pytest.mark.parametrize("count,scanned", [(10 ** 18 - 1, True), (10 ** 18, False),
+                                               (2 ** 63 - 1, False), (2 ** 63, False)])
+    def test_large_counts(self, count, scanned):
+        text = json.dumps(_with_counts({"forward": [[0, 1, count]]}))
+        got = _same_as_unscanned(text)
+        if count < 2 ** 63:
+            assert got[3]["I"].qu[("r", False)] == {(0, 1): count}
+            counts = _scan_counts(text)
+            # roles.r, and counts.r.forward when it is scanned
+            assert (counts.scanned, counts.declined) == (1 + scanned, 1 - scanned)
+        else:
+            assert got == (DocumentError, "interpretations.I.counts.r.forward: count %d is not "
+                                          "below 2**63" % count)
+
+    def test_list_after_a_colon_in_a_key(self):
+        sig = {"concepts": ["A", "B: [0, 1]"], "roles": [], "individuals": []}
+        text = json.dumps({"signature": sig, "interpretations": {"I": {
+            "domain": 3, "concepts": {"A": [0], "B: [0, 1]": [2]}}}})
+        got = _same_as_unscanned(text)
+        assert got[2]["I"].concept_ext == {"A": {0}, "B: [0, 1]": {2}}
+        assert (_scan_counts(text).scanned, _scan_counts(text).declined) == (2, 0)
+
+    def test_duplicate_keys_last_wins(self):
+        text = '{"signature": %s, "interpretations": {"I": {"domain": 3, ' \
+               '"concepts": {"A": [0], "A": [1, 2]}, "individuals": {"a": 0}, ' \
+               '"concepts": {"A": [2]}}}}' % json.dumps(SIG)
+        got = _same_as_unscanned(text)
+        assert got[2]["I"].concept_ext["A"] == {2}
+
+    def test_lists_at_other_positions_stay_lists(self):
+        sig = {"concepts": ["1", "2"], "roles": [], "individuals": []}
+        text = json.dumps({"signature": sig, "interpretations": {"I": {
+            "domain": ["0", "1"], "concepts": {"1": ["1"], "2": []}}}, "kb": {"tbox": []}})
+        got = _same_as_unscanned(text)
+        assert got[0].concept_names == ("1", "2") and got[4]["tbox"] == ()
+        for phi in ([1], []):
+            bad = json.dumps({"signature": sig, "phi": phi, "interpretations": {}})
+            assert _same_as_unscanned(bad) == (DocumentError,
+                                               "phi must be a string of feature letters")
+        bad = json.dumps(_doc({"individuals": {"a": [0]}}))
+        assert _same_as_unscanned(bad) == (
+            DocumentError, "interpretations.I.individuals.a: element reference [0] is not an "
+                           "index or name")
+        bad = json.dumps(_doc({"concepts": {"A": [{"k": [0]}]}}))
+        assert _same_as_unscanned(bad) == (
+            DocumentError, "interpretations.I.concepts.A: element reference {'k': [0]} is not "
+                           "an index or name")
+
+    def test_decimal_name_lists(self):
+        # names given as decimals out of order are found by value, and a
+        # list "0", "1", ... in order loads as a domain given as a size
+        for domain, kind in ((["2", "0", "1"], tuple), (["0", "1", "2"], IndexNames),
+                             (["7", "30", "4"], tuple)):
+            refs = [[domain[2], domain[0]], [domain[1], domain[1]]]
+            text = json.dumps(_doc({"domain": domain, "roles": {"r": refs},
+                                    "concepts": {"A": domain[1:]},
+                                    "individuals": {"a": domain[2]}}))
+            got = _same_as_unscanned(text)
+            assert got[2]["I"].role_ext["r"] == {(2, 0), (1, 1)}
+            assert type(loads_workspace(text).element_names["I"]) is kind
+            counts = _scan_counts(text)
+            assert (counts.scanned, counts.declined) == (3, 0)
+
+    def test_every_list_of_an_index_document_is_scanned(self):
+        doc = _doc({"concepts": {"A": [2, 0]}, "roles": {"r": [[0, 1], [2, 2]]},
+                    "counts": {"r": {"forward": [[0, 1, 4], [2, 2, 1]],
+                                     "backward": [[1, 0, 4], [2, 2, 1]]}},
+                    "self_loops": {"r": [2]}})
+        for text in (json.dumps(doc), json.dumps(doc, indent=3)):
+            counts = _scan_counts(text)
+            assert (counts.bytes, counts.scanned, counts.declined) == (len(text), 5, 0)
+
+    def test_every_list_of_a_written_document_is_scanned(self):
+        rng = H.seeded(213)
+        for trial in range(12):
+            sig = make_signature(rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 2))
+            interp = random_interpretation(rng, sig, rng.randint(1, 14), 0.3, 0.5)
+            qsi = qs_embedding(interp) if trial % 2 else None
+            text = dumps_document({"signature": signature_to_json(sig), "interpretations": {
+                "I": InterpretationBody(interp, None, qsi)}})
+            lists = 1 + len(sig.concept_names) + len(sig.role_names) * (4 if qsi else 1)
+            counts = _scan_counts(text)
+            assert (counts.scanned, counts.declined) == (lists, 0), text
+            _same_as_unscanned(text)
+
+    def test_named_documents_scan_none(self):
+        doc = {"signature": SIG, "interpretations": {"I": {
+            "domain": ["x0", "x1", "x2"], "concepts": {"A": ["x1"]},
+            "roles": {"r": [["x0", "x2"]]}, "individuals": {"a": "x0"}}}}
+        counts = _scan_counts(json.dumps(doc))
+        assert (counts.scanned, counts.declined) == (0, 3)
+
+
+class TestBytes:
+    def test_invalid_utf8_is_a_parse_error(self):
+        data = json.dumps(_doc({})).encode().replace(b'"a"', b'"a\xff"', 1)
+        with pytest.raises(ParseError) as info:
+            loads_workspace(data)
+        at = data.index(b"\xff")
+        assert str(info.value) == ("invalid UTF-8: byte 0xff, invalid start byte "
+                                   "(line 1, column %d)" % (at + 1))
+        # columns count characters
+        with pytest.raises(ParseError, match=r"\(line 2, column 2\)"):
+            loads_workspace("{\né".encode() + b"\xc3(")
+
+    def test_byte_order_mark_message_is_kept(self):
+        text = "\ufeff" + json.dumps(_doc({}))
+        with pytest.raises(ParseError) as info:
+            loads_workspace(text.encode())
+        assert str(info.value) == ("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) "
+                                   "(line 1, column 1)")
+        with pytest.raises(ParseError) as again:
+            loads_workspace(text)
+        assert str(again.value) == str(info.value)
+
+    def test_non_ascii_documents_load_without_the_scan(self):
+        doc = {"signature": {"concepts": ["Å"], "roles": ["r"], "individuals": []},
+               "interpretations": {"I": {"domain": 3, "concepts": {"Å": [1]},
+                                         "roles": {"r": [[0, 2]]}}}}
+        text = json.dumps(doc, ensure_ascii=False)
+        _same_as_unscanned(text)
+        counts = _scan_counts(text.encode())
+        assert (counts.bytes, counts.scanned, counts.declined) == (len(text.encode()), 0, 2)
+
+    def test_file_line_breaks_count_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for breaks in (b"\r\n", b"\r"):
+            path.write_bytes(b"{" + breaks + b'"signature":' + breaks + b"]")
+            with pytest.raises(ParseError, match=r"\(line 3, column 1\)"):
+                load_workspace(str(path))
 
 def _weird_names(rng, n):
     pool = ['q"uote', "back\\slash", "tab\there", "new\nline", "\x00nul", "naïve", "日本",
