@@ -318,13 +318,21 @@ def _union_blocks(phi: FeatureSet, ia: Interpretation,
     (with U) ask that every block holds nodes of both sides.  If the
     largest candidate fails them, nothing smaller can succeed, so the
     result is None.  Otherwise it is (left ids, right ids, block count).
+
+    Rounds only split blocks, so clause 1 fails as soon as an
+    individual's two nodes part: the refinement watches those pairs and
+    stops at the first level that parts one, and the result is None
+    without the rounds after it.  Clauses 10 and 11 are decided on the
+    coarsest partition, which a run that no pair stopped reaches.
     """
     graph = disjoint_union_graph(ia, ib)
-    partition, _ = compute_partition(phi, graph, want_trace=False)
-    left, right = partition.block_of[:ia.n], partition.block_of[ia.n:]
-    for a in ia.signature.individual_names:
-        if left[ia.individual_map[a]] != right[ib.individual_map[a]]:
-            return None
+    watch = [(ia.individual_map[a], ia.n + ib.individual_map[a])
+             for a in ia.signature.individual_names]
+    partition, _ = compute_partition(phi, graph, want_trace=False, watch=watch)
+    block_of = partition.block_of
+    if any(block_of[x] != block_of[y] for x, y in watch):
+        return None
+    left, right = block_of[:ia.n], block_of[ia.n:]
     n_blocks = partition.n_blocks
     if phi.universal and not np.array_equal(np.bincount(left, minlength=n_blocks) > 0,
                                             np.bincount(right, minlength=n_blocks) > 0):

@@ -233,7 +233,8 @@ def cmd_witness(args) -> int:
     phi = _phi_of(ws, args)
     x = _element_ref(ws, args.interpretation, args.left)
     y = _element_ref(ws, args.interpretation, args.right)
-    trace = compute_partition(phi, to_labeled_graph(interp))[1]
+    # the concept is read off the levels up to the one where x and y part
+    trace = compute_partition(phi, to_labeled_graph(interp), watch=[(x, y)])[1]
     try:
         witness = separating_concept(interp, trace, x, y)
     except NotSeparatedError:

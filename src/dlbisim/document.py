@@ -66,12 +66,18 @@ piece of the document to one list and joins it once.  The text is
 exactly what json.dumps(indent=2, sort_keys=True) writes for the same
 data.
 
-Bytes that are not UTF-8, malformed JSON and unparseable grammar
-strings raise ParseError; every structural or semantic problem (unknown
-fields, bad types, names or element references) raises DocumentError or
-one of the construction errors from the core module.  A domain of more than MAX_ELEMENTS
-elements raises TooLargeError before anything is allocated for it, so a
-few bytes of input cannot ask for gigabytes of memory.
+Bytes that are not UTF-8, malformed JSON, JSON that nests arrays and
+objects more than MAX_NESTING = 100 levels deep (brackets inside strings
+do not count) and unparseable grammar strings raise ParseError.  A
+document that the schema accepts nests at most 7 levels, so the depth is
+measured only when a load fails, with the error of the first array or
+object that opens too deep in place of the failure; a JSON syntax error
+is kept as json.loads reports it.  Every structural or semantic problem
+(unknown fields, bad types, names or element references) raises
+DocumentError or one of the construction errors from the core module.  A
+domain of more than MAX_ELEMENTS elements raises TooLargeError before
+anything is allocated for it, so a few bytes of input cannot ask for
+gigabytes of memory.
 """
 
 from __future__ import annotations
@@ -96,7 +102,7 @@ from .core import (
     build_interpretation,
     build_qs_interpretation,
 )
-from .errors import DocumentError, ParseError, TooLargeError
+from .errors import BisimError, DocumentError, ParseError, TooLargeError
 from .syntax import (
     KnowledgeBase,
     parse_assertion,
@@ -734,10 +740,61 @@ def _workspace(doc, reader: _Reader) -> Workspace:
     return Workspace(sig, phi, interpretations, element_names, qs, kb, kb_strings, element_index)
 
 
+# the levels of arrays and objects a document may nest; a document that the
+# schema accepts nests at most 7
+MAX_NESTING = 100
+_CHUNK = 1 << 20
+
+
+def _nesting_error(text: str | bytes) -> ParseError | None:
+    """A ParseError at the first array or object of text, UTF-8 text,
+    that opens more than MAX_NESTING levels deep outside any string, or
+    None.  Escapes are blanked first, keeping positions, so quote parity
+    tells what is inside a string; the bytes are read in chunks of
+    _CHUNK, the level and the parity carried across."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    if b"\\" in data:
+        data = re.sub(rb"\\.", b"__", data, flags=re.S)
+    step = np.zeros(256, dtype=np.int8)  # by byte: +1 opens, -1 closes
+    step[list(b"[{")] = 1
+    step[list(b"]}")] = -1
+    level = parity = 0
+    for lo in range(0, len(data), _CHUNK):
+        codes = np.frombuffer(data, dtype=np.uint8, count=min(_CHUNK, len(data) - lo), offset=lo)
+        quotes = np.cumsum(codes == ord('"'), dtype=np.int64)
+        quotes += parity
+        levels = np.cumsum(step[codes] * (quotes % 2 == 0), dtype=np.int64)
+        levels += level
+        over = np.flatnonzero(levels > MAX_NESTING)
+        if len(over):
+            at = lo + int(over[0])
+            start = data.rfind(b"\n", 0, at) + 1
+            return ParseError("document nests arrays and objects more than %d levels deep"
+                              % MAX_NESTING, data.count(b"\n", 0, at) + 1,
+                              len(data[start:at].decode("utf-8", "replace")) + 1)
+        level, parity = int(levels[-1]), int(quotes[-1]) % 2
+    return None
+
+
 def loads_workspace(text: str | bytes) -> Workspace:
-    """The workspace of a document, given as its text or its UTF-8 bytes."""
-    doc, reader = _parse(text)
-    ws = _workspace(doc, reader)
+    """The workspace of a document, given as its text or its UTF-8 bytes.
+
+    A document that the schema accepts nests at most 7 levels, so the
+    nesting is measured only when the load fails, but for a JSON syntax
+    error: past MAX_NESTING levels the error is a ParseError at the first
+    array or object that opens too deep.  Deeper than json.loads or the
+    loader can recurse, the load fails with RecursionError, which is
+    reported alike."""
+    try:
+        doc, reader = _parse(text)
+        ws = _workspace(doc, reader)
+    except ParseError:
+        raise
+    except (BisimError, RecursionError):
+        deep = _nesting_error(text)
+        if deep is None:
+            raise
+        raise deep from None
     counters = _LOADS.get()
     if counters is not None:
         counters.bytes += reader.size

@@ -297,6 +297,11 @@ def separating_concept(interp: Interpretation, trace: RefinementTrace,
     last level, the coarsest stable partition (then no concept of the
     traced language family separates them).  The result is checked by
     evaluation before being returned.
+
+    Only the levels up to the one where x and y part are read, so the
+    trace may be that of a run watching (x, y) (see compute_partition),
+    which stops at that level, and the concept is the one the full trace
+    gives.  A run that watched other pairs may stop before x and y part.
     """
     n = trace.graph.n
     if not (0 <= x < n and 0 <= y < n):

@@ -41,7 +41,9 @@ found by records of the edge count per (element, role, block), at most
 m of them.  The touched elements of each non-singleton block are
 grouped by their sorted deltas, and its untouched elements form one
 class.  Each element moves at most log2 n times, so the incremental
-rounds read O(m log n) edges in all.
+rounds read O(m log n) edges in all.  A round in which no block has two
+touched elements, as on a path, moves each touched element to a fresh
+block of its own, by ascending element, with no sort and no grouping.
 
 Full rounds run while the in-edges of the elements that the last round
 moved number at least m/8; the rounds after that are incremental.  The
@@ -55,11 +57,25 @@ one or two.
 With want_trace, the same run keeps every level for the witness
 builder, as changes of one element's id at one level (RefinementTrace):
 one per element at level 0 and one per move, O(n log n) in all.
+
+A run may watch pairs of nodes.  Rounds only split blocks, so two nodes
+that part at level d stay parted, and a concept of modal depth d tells
+them apart; a question that asks whether some watched pair parts is
+decided at that level.  Such a run stops after the label partition, or
+after the first round, full or incremental, in which a watched pair
+lies in two blocks, and its partition, counters and trace are those of
+that level, which the coarsest stable partition refines.  Only the
+moved elements of a round can part from a partner, so an incremental
+round checks only those.  This is "on the fly" checking (Fernandez &
+Mounier, CAV 1991) applied to partition refinement: a negative bisim
+verdict from an individual and a witness cost the rounds up to the
+level that decides them.  Without watched pairs nothing is checked.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -145,10 +161,11 @@ class RefinementTrace:
     """The levels of phi's refinement of graph, for the witness builder.
 
     Level 0 is the label partition, level d the partition after round d,
-    and the last level, depth, the coarsest stable one.  Every element's
-    level 0 id and the fresh ids it got later are kept as changes, keyed
-    element * (depth + 1) + level in ascending order: n entries plus one
-    per move, O(n log n) in all.
+    and the last level, depth, the coarsest stable one, or the level at
+    which a run with watched pairs stopped.  Every element's level 0 id
+    and the fresh ids it got later are kept as changes, keyed element *
+    (depth + 1) + level in ascending order: n entries plus one per move,
+    O(n log n) in all.
     """
 
     def __init__(self, graph: LabeledGraph, phi: FeatureSet, depth: int, keys: np.ndarray,
@@ -357,18 +374,21 @@ def _signature_ids(blocks, k, pairs, nsr, counting):
 
 
 def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, nsr, counting,
-                        trace):
+                        trace, partners):
     """The incremental rounds (see the module) from level `level`, of k
     blocks block_of, whose round moved the elements `moved` out of the
-    blocks olds, until a round splits no block or every block is a
-    singleton.
+    blocks olds, until a round splits no block, every block is a
+    singleton, or, with partners (each watched element's list of the
+    elements it is watched with), a watched pair parts.
 
     Returns the final block ids and count; the rounds, edges scanned,
     splits and moves; and, with trace, the moves as arrays of elements,
     levels and fresh ids, and the splits as (level, parent, first fresh
     id, end).  The elements are kept in block order, every block a
     segment of it (Valmari's array form), so that a split moves only its
-    touched elements.
+    touched elements.  When no edge leaves a block that can split, the
+    first round reads nothing and splits nothing, and it is counted
+    without the set-up.
 
     A delta entry is q * nsr + s for an edge along splitter role s into
     fresh block q, and span + p * nsr + s, span = n * nsr, for a record
@@ -377,6 +397,10 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
     start with the counts above 1 over the level before the first round:
     a missing record of such a block counts 1 edge, while a fresh block's
     records are there from its first edge on.
+
+    A round in which no block has two touched elements splits each
+    touched block in two: its touched element moves to a fresh id, by
+    ascending element, as the grouping would move it, with no sort.
     """
     n = len(block_of)
     size = np.bincount(block_of, minlength=k)
@@ -384,6 +408,10 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
     # edges out of singleton blocks, which never split, in any order within
     # an element: the deltas are sorted
     live = size[block_of[tails]] > 1
+    if not live.any():
+        changes = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                   np.zeros(0, dtype=np.int32)) if trace else None
+        return block_of, k, (1, 0, 0, 0), changes, []
     tails, roles, heads = tails[live], roles[live], heads[live]
     order = np.argsort(heads)
     ptr = np.zeros(n + 1, dtype=np.int64)
@@ -438,89 +466,120 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
                         recs[old] = left
                     else:
                         found.append(x * wide + span + p * nsr + role[j])
-        # each touched element's sorted delta, as its one entry or as the
-        # complement of its index among the longer deltas, and the touched
-        # elements of each block
-        found.sort()
-        found.append(n * wide)  # closes the last element's run
-        keyof = {}
-        shapes = {}
-        groups = {}
-        run = []
-        last = found[0] // wide
-        for code in found:
-            x, entry = divmod(code, wide)
-            if x != last:
-                if len(run) == 1:
-                    keyof[last] = run[0]
-                else:
-                    keyof[last] = ~shapes.setdefault(tuple(run), len(shapes))
-                b = blk[last]
-                group = groups.get(b)
-                if group is None:
-                    groups[b] = [last]
-                else:
-                    group.append(last)
-                run.clear()
-                last = x
-            if counting or not run or run[-1] != entry:  # without counting, a set
-                run.append(entry)
         moved, olds = [], []
-        for b, group in groups.items():
-            fb = fst[b]
-            lb = lst[b]
-            if len(group) > 1:
-                group.sort(key=keyof.__getitem__)
-            t = lb - len(group)
-            if t == fb and keyof[group[0]] == keyof[group[-1]]:
-                continue
-            # the touched elements go to the back of b's segment in delta
-            # order; the untouched elements and each run of equal deltas
-            # are the classes, between consecutive cuts
-            cuts = [fb] if t > fb else []
-            last = None
-            for x in group:
-                if keyof[x] != last:
-                    cuts.append(t)
-                    last = keyof[x]
+        # the touched element of each block, while no block has two
+        single = {}
+        for code in found:
+            x = code // wide
+            if single.setdefault(blk[x], x) != x:
+                single = None
+                break
+        if single is not None:
+            for x in sorted(single.values()):
+                b = blk[x]
+                t = lst[b] - 1
                 i = pos[x]
                 z = el[t]
                 el[t] = x
                 el[i] = z
                 pos[x] = t
                 pos[z] = i
-                t += 1
-            cuts.append(lb)
-            keep = 0
-            for c in range(1, len(cuts) - 1):
-                if cuts[c + 1] - cuts[c] > cuts[keep + 1] - cuts[keep]:
-                    keep = c
-            first = len(fst)
-            for c in range(len(cuts) - 1):
-                lo = cuts[c]
-                hi = cuts[c + 1]
-                if c == keep:
-                    fst[b] = lo
-                    lst[b] = hi
-                    continue
                 q = len(fst)
-                fst.append(lo)
-                lst.append(hi)
-                members = el[lo:hi]
-                for x in members:
-                    blk[x] = q
-                moved += members
-                olds += [b] * (hi - lo)
+                fst.append(t)
+                lst.append(t + 1)
+                lst[b] = t
+                blk[x] = q
+                moved.append(x)
+                olds.append(b)
                 if trace:
-                    moved_ids += [q] * (hi - lo)
-            splits += 1
-            if trace:
-                events.append((level, b, first, len(fst)))
+                    moved_ids.append(q)
+                    events.append((level, b, q, q + 1))
+            splits += len(moved)
+        else:
+            # each touched element's sorted delta, as its one entry or as the
+            # complement of its index among the longer deltas, and the touched
+            # elements of each block
+            found.sort()
+            found.append(n * wide)  # closes the last element's run
+            keyof = {}
+            shapes = {}
+            groups = {}
+            run = []
+            last = found[0] // wide
+            for code in found:
+                x, entry = divmod(code, wide)
+                if x != last:
+                    if len(run) == 1:
+                        keyof[last] = run[0]
+                    else:
+                        keyof[last] = ~shapes.setdefault(tuple(run), len(shapes))
+                    b = blk[last]
+                    group = groups.get(b)
+                    if group is None:
+                        groups[b] = [last]
+                    else:
+                        group.append(last)
+                    run.clear()
+                    last = x
+                if counting or not run or run[-1] != entry:  # without counting, a set
+                    run.append(entry)
+            for b, group in groups.items():
+                fb = fst[b]
+                lb = lst[b]
+                if len(group) > 1:
+                    group.sort(key=keyof.__getitem__)
+                t = lb - len(group)
+                if t == fb and keyof[group[0]] == keyof[group[-1]]:
+                    continue
+                # the touched elements go to the back of b's segment in delta
+                # order; the untouched elements and each run of equal deltas
+                # are the classes, between consecutive cuts
+                cuts = [fb] if t > fb else []
+                last = None
+                for x in group:
+                    if keyof[x] != last:
+                        cuts.append(t)
+                        last = keyof[x]
+                    i = pos[x]
+                    z = el[t]
+                    el[t] = x
+                    el[i] = z
+                    pos[x] = t
+                    pos[z] = i
+                    t += 1
+                cuts.append(lb)
+                keep = 0
+                for c in range(1, len(cuts) - 1):
+                    if cuts[c + 1] - cuts[c] > cuts[keep + 1] - cuts[keep]:
+                        keep = c
+                first = len(fst)
+                for c in range(len(cuts) - 1):
+                    lo = cuts[c]
+                    hi = cuts[c + 1]
+                    if c == keep:
+                        fst[b] = lo
+                        lst[b] = hi
+                        continue
+                    q = len(fst)
+                    fst.append(lo)
+                    lst.append(hi)
+                    members = el[lo:hi]
+                    for x in members:
+                        blk[x] = q
+                    moved += members
+                    olds += [b] * (hi - lo)
+                    if trace:
+                        moved_ids += [q] * (hi - lo)
+                splits += 1
+                if trace:
+                    events.append((level, b, first, len(fst)))
         k = len(fst)
         moves += len(moved)
         if trace:
             moved_elems += moved
             per_round.append(len(moved))
+        if partners and any(blk[x] != blk[y] for x in moved for y in partners.get(x, ())):
+            break
     changes = None
     if trace:
         changes = (np.array(moved_elems, dtype=np.int64),
@@ -558,7 +617,8 @@ def _record(function: str, phi: FeatureSet, graph: LabeledGraph, n_blocks: int,
 
 
 def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = True,
-                      engine: str | None = None) -> tuple[Partition, RefinementTrace | None]:
+                      engine: str | None = None, watch: Sequence[tuple[int, int]] = ()
+                      ) -> tuple[Partition, RefinementTrace | None]:
     """Coarsest partition refining the label partition and stable for phi.
 
     Returns the partition, with the counters of its rounds, and, when
@@ -566,6 +626,15 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     on want_trace.  The result is deterministic: block ids depend only on
     the graph and phi.  engine may name the refinement, "numpy" (see
     _kernels.active_engine); any other name but None raises ValueError.
+
+    watch lists pairs of nodes.  The run stops after the label partition,
+    or after the first round, in which some watched pair lies in two
+    blocks; the partition, its counters and the trace are then those of
+    that level, which the coarsest stable partition refines.  Rounds only
+    split blocks, so a pair that parts stays parted: only a caller whose
+    question is decided once a pair parts may pass pairs (see
+    bisim._union_blocks and the witness command).  Without pairs the run
+    goes to the fixpoint, with no per-round check.
     """
     if engine not in (None, "numpy"):
         raise ValueError("engine must be numpy, got %r" % (engine,))
@@ -583,8 +652,12 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     # with the trace, every (element, level, id) change: level 0, then the moves
     changes = [(np.arange(n), np.zeros(n, dtype=np.int64), label)] if want_trace else []
     events: list[tuple[int, int, int, int]] = []
+    watched = len(watch) > 0
+    if watched:
+        left, right = np.array(watch, dtype=np.int64).T
+    parted = watched and bool(np.any(label[left] != label[right]))
     moved_in = m  # every edge is new to the first round
-    while k < n and 8 * moved_in >= m:
+    while not parted and k < n and 8 * moved_in >= m:
         ids, total, parents = _signature_round(block_of, k, origin, heads, nsr, counting)
         rounds += 1
         scanned += m
@@ -600,10 +673,17 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
         olds, block_of, k = block_of[moved], ids, total
         if not len(moved):
             break  # the round split no block: the fixpoint
+        parted = watched and bool(np.any(ids[left] != ids[right]))
         moved_in = int(in_degree[moved].sum())
-    if k < n and len(moved):
+    if not parted and k < n and len(moved):
+        partners: dict[int, list[int]] = {}
+        if watched:
+            for x, y in zip(left.tolist(), right.tolist()):
+                partners.setdefault(x, []).append(y)
+                partners.setdefault(y, []).append(x)
         block_of, k, counts, more, more_events = _incremental_rounds(
-            block_of, k, moved, olds, rounds, tails, roles, heads, nsr, counting, want_trace)
+            block_of, k, moved, olds, rounds, tails, roles, heads, nsr, counting, want_trace,
+            partners)
         rounds, scanned, splits, moves = map(sum, zip((rounds, scanned, splits, moves), counts))
         changes.append(more)
         events += more_events

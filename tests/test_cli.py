@@ -278,6 +278,34 @@ class TestWitness:
         ext = eval_concept(interp, parse_concept(out.stdout), FeatureSet.from_string(phi))
         assert 0 in ext and 1 not in ext
 
+    def test_the_rounds_stop_where_the_pair_parts(self, tmp_path):
+        # x57 and x58 of a 60-element path part at level 1 of 58; the text
+        # is the one the full trace gives
+        from dlbisim.core import FeatureSet, to_labeled_graph
+        from dlbisim.document import load_workspace
+        from dlbisim.quotient import separating_concept
+        from dlbisim.refine import compute_partition
+        from dlbisim.syntax import to_text
+
+        n = 60
+        names = ["x%d" % i for i in range(n)]
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "signature": {"concepts": ["A"], "roles": ["r"], "individuals": []},
+            "interpretations": {"I": {
+                "domain": names, "concepts": {"A": [names[-1]]},
+                "roles": {"r": [[a, b] for a, b in zip(names, names[1:])]}}}}))
+        interp = load_workspace(str(path)).interpretation("I")
+        _, full = compute_partition(FeatureSet(), to_labeled_graph(interp))
+        for left, right, level in (("x57", "x58", 1), ("x0", "x1", 58), ("x58", "x59", 0)):
+            out = run("witness", "-i", str(path), "-I", "I", "--phi", "", "-l", left, "-r", right,
+                      "--stats")
+            assert out.returncode == 0, out.stderr
+            x, y = names.index(left), names.index(right)
+            assert out.stdout == to_text(separating_concept(interp, full, x, y).concept) + "\n"
+            rounds = [r["counters"]["rounds"] for r in json.loads(out.stderr)["refinements"]]
+            assert rounds == [level]
+
     def test_numeric_element_references(self):
         by_name = run("witness", "-i", FIG2, "-I", "I1", "--phi", "", "-l", "u2", "-r", "u3")
         by_index = run("witness", "-i", FIG2, "-I", "I1", "--phi", "", "-l", "4", "-r", "5")
@@ -423,6 +451,22 @@ class TestFailureModes:
         out = run("partition", "-i", "-", "--phi", "", "-I", "I", stdin="{bad json")
         assert out.returncode == 2
         assert "parse error" in out.stderr
+
+    @pytest.mark.parametrize("opening", ['{"a":', "["])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_json_is_a_parse_error(self, opening, source, tmp_path):
+        depth = 100_000
+        text = opening * depth + ("1" + "}" * depth if opening != "[" else "")
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        if source == "file":
+            out = run("partition", "-i", str(path), "--phi", "", "-I", "I")
+        else:
+            out = run("partition", "-i", "-", "--phi", "", "-I", "I", stdin=text)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("parse error: document nests arrays and objects more than 100 "
+                              "levels deep (line 1, column %d)\n" % (len(opening) * 100 + 1))
 
     def test_bad_concept_grammar_is_a_parse_error(self):
         out = run("eval", "-i", FIG2, "-I", "I1", "--phi", "", "-c", "some r (")

@@ -652,6 +652,63 @@ class TestBytes:
             with pytest.raises(ParseError, match=r"\(line 3, column 1\)"):
                 load_workspace(str(path))
 
+class TestNesting:
+    """A document nested more than MAX_NESTING levels is a ParseError at
+    the first array or object that opens too deep; one that the schema
+    accepts nests at most 7."""
+
+    @pytest.mark.parametrize("opening", ['{"a":', "["])
+    def test_deep_documents_are_parse_errors(self, opening, tmp_path):
+        depth = 100_000
+        text = opening * depth + ("1" + "}" * depth if opening != "[" else "")
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        column = len(opening) * document.MAX_NESTING + 1
+        message = ("document nests arrays and objects more than 100 levels deep "
+                   "(line 1, column %d)" % column)
+        for load in (lambda: loads_workspace(text), lambda: loads_workspace(text.encode()),
+                     lambda: load_workspace(str(path))):
+            with pytest.raises(ParseError) as info:
+                load()
+            assert str(info.value) == message
+
+    def test_the_limit_is_exact(self):
+        for extra, error in ((0, DocumentError), (1, ParseError)):
+            inner = "[" * (document.MAX_NESTING - 1 + extra) + "]" * (document.MAX_NESTING - 1 + extra)
+            with pytest.raises(error) as info:
+                loads_workspace('{"signature": %s}' % inner)
+            if error is ParseError:
+                assert str(info.value).endswith("(line 1, column %d)"
+                                                % (len('{"signature": ') + document.MAX_NESTING))
+
+    def test_strings_do_not_nest(self):
+        # brackets inside strings, escaped quotes and non-ASCII text count
+        # for nothing; the column counts characters
+        for name in ("[[[{{{", '\\"[[', "é[[", "\\\\"):
+            prefix = '{"signature": ["%s", ' % name
+            inner = "[" * (document.MAX_NESTING - 2) + "]" * (document.MAX_NESTING - 2)
+            with pytest.raises(DocumentError):
+                loads_workspace(prefix + inner + "]}")
+            with pytest.raises(ParseError) as info:
+                loads_workspace(prefix + "[" + inner + "]]}")
+            column = len(prefix) + document.MAX_NESTING - 1
+            assert str(info.value).endswith("(line 1, column %d)" % column), name
+
+    def test_accepted_documents_nest_at_most_seven_levels(self):
+        rng = H.seeded(431)
+        for doc, _ in _documents(rng, 12):
+            text = dumps_document(doc)
+            loads_workspace(text)
+            assert document._nesting_error(text) is None
+            levels = np.cumsum([{"[": 1, "{": 1, "]": -1, "}": -1}.get(c, 0)
+                                for c in text if c in "[]{}"])
+            assert levels.max() <= 7
+
+    def test_json_syntax_errors_are_kept(self):
+        with pytest.raises(ParseError, match="invalid JSON: Expecting value"):
+            loads_workspace("[" * 150 + "x")
+
+
 def _weird_names(rng, n):
     pool = ['q"uote', "back\\slash", "tab\there", "new\nline", "\x00nul", "naïve", "日本",
             "\U0001f600", "", " ", "x"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dlbisim import _kernels, refine
-from dlbisim.bisim import is_bisimulation, naive_largest_bisimulation
+from dlbisim.bisim import bisimilar, bisimulation_size, is_bisimulation, naive_largest_bisimulation
 from dlbisim.core import (
     FeatureSet,
     Signature,
@@ -33,6 +33,7 @@ from dlbisim.refine import (
     recorded_runs,
 )
 from dlbisim.semantics import eval_concept
+from dlbisim.syntax import to_text
 
 import helpers as H
 
@@ -627,3 +628,206 @@ class TestSignatureRounds:
                 assert part.counters == untraced.counters
                 final = Partition(level(trace, trace.depth), part.n_blocks)
                 assert np.array_equal(part.canonical_of, final.canonical_of), str(phi)
+
+
+class TestSingleTouchRounds:
+    def test_fresh_ids_go_by_ascending_touched_element(self):
+        # two marked paths told apart by A1 and A2 and numbered out of order:
+        # from round 2 on, each round touches one element in each path's
+        # block, and the block of the smaller element gets the first fresh id
+        order = [10, 18, 16, 14, 0, 17, 11, 2, 3, 9, 5, 7, 4, 19, 6, 15, 8, 1, 13, 12]
+        first, second = order[:10], order[10:]
+        interp = build_interpretation(
+            make_signature(3, 1, 0), 20,
+            {"A0": {first[-1], second[-1]}, "A1": set(first), "A2": set(second)},
+            {"r0": {(a, b) for path in (first, second) for a, b in zip(path, path[1:])}}, {})
+        graph = to_labeled_graph(interp)
+        for phi in ("", "Q"):
+            part, trace = compute_partition(FeatureSet.from_string(phi), graph)
+            assert part.block_of.tolist() == [12, 6, 7, 5, 16, 0, 13, 18, 8, 3,
+                                              1, 9, 2, 4, 14, 10, 17, 11, 19, 15]
+            # two splits a round, each one fresh id, by ascending touched element
+            parents = [0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
+            assert [(e.level, e.parent, e.subs) for e in trace.events] == [
+                (1 + i // 2, b, (b, 4 + i)) for i, b in enumerate(parents)]
+
+
+def _shuffled_copy(rng, interp, cut):
+    """interp with its elements shuffled, its individuals with them, and
+    with cut one edge fewer, when it has one."""
+    perm = list(range(interp.n))
+    rng.shuffle(perm)
+    roles = {r: {(perm[x], perm[y]) for x, y in pairs} for r, pairs in interp.role_ext.items()}
+    edged = sorted(r for r, pairs in roles.items() if pairs)
+    if cut and edged:
+        role = rng.choice(edged)
+        roles[role].discard(rng.choice(sorted(roles[role])))
+    return build_interpretation(
+        interp.signature, interp.n,
+        {a: {perm[x] for x in ext} for a, ext in interp.concept_ext.items()}, roles,
+        {a: perm[x] for a, x in interp.individual_map.items()})
+
+
+def _watched_pairs(seed, count):
+    """Seeded interpretation pairs with individuals: random pairs from gen,
+    whose individuals mostly part within a round or two, and random models
+    with shuffled copies, a third of them whole and the others missing one
+    edge, whose individuals part late or never."""
+    rng = H.seeded(seed)
+    pairs = []
+    for i in range(count):
+        pairs.append(H.instance_pair(rng, max_individuals=2, max_n=9))
+        interp = H.small_instance(rng, max_individuals=3, max_n=12)
+        pairs.append((interp, _shuffled_copy(rng, interp, cut=i % 3 != 0)))
+    return pairs
+
+
+def _union_watch(ia, ib):
+    return [(ia.individual_map[a], ia.n + ib.individual_map[a])
+            for a in ia.signature.individual_names]
+
+
+def _unwatched_size(phi, ia, ib):
+    """bisimulation_size decided on the coarsest partition of the union."""
+    part, _ = compute_partition(phi, disjoint_union_graph(ia, ib), want_trace=False)
+    left, right = part.block_of[:ia.n], part.block_of[ia.n:]
+    for x, y in _union_watch(ia, ib):
+        if part.block_of[x] != part.block_of[y]:
+            return None
+    if phi.universal and set(left.tolist()) != set(right.tolist()):
+        return None
+    k = part.n_blocks
+    return int(np.bincount(left, minlength=k) @ np.bincount(right, minlength=k))
+
+
+class TestWatchedRuns:
+    """compute_partition(watch=...) stops at the first level that parts a
+    watched pair; the levels up to it are those of the unwatched run."""
+
+    def test_verdicts_and_pair_counts_are_the_unwatched_ones(self):
+        stopped = 0
+        for ia, ib in _watched_pairs(421, 12):
+            for phi in H.ALL_PHIS:
+                with recorded_runs() as runs:
+                    size = bisimulation_size(phi, ia, ib)
+                unwatched = _unwatched_size(phi, ia, ib)
+                assert size == unwatched, str(phi)
+                assert bisimilar(phi, ia, ib) == (size is not None)
+                full, _ = compute_partition(phi, disjoint_union_graph(ia, ib), want_trace=False)
+                assert runs[0]["counters"]["rounds"] <= full.counters.rounds
+                stopped += runs[0]["counters"]["rounds"] < full.counters.rounds
+        assert stopped > 100, stopped
+
+    def test_levels_up_to_the_stop_are_the_unwatched_ones(self):
+        shapes = [(ia, ib) for ia, ib in _watched_pairs(422, 8)]
+        shapes.append((H.marked_path(30), None))
+        for ia, ib in shapes:
+            if ib is None:
+                graph, watch = to_labeled_graph(ia), [(20, 21), (3, 3)]
+            else:
+                graph, watch = disjoint_union_graph(ia, ib), _union_watch(ia, ib)
+            everything = np.arange(graph.n)
+            for phi in H.ALL_PHIS:
+                part, trace = compute_partition(phi, graph, watch=watch)
+                _, full = compute_partition(phi, graph)
+                parts = [d for d in range(full.depth + 1)
+                         if any(full.blocks_at(d, x) != full.blocks_at(d, y) for x, y in watch)]
+                depth = parts[0] if parts else full.depth
+                assert trace.depth == part.counters.rounds == depth, str(phi)
+                for d in range(depth + 1):
+                    assert np.array_equal(trace.blocks_at(d, everything),
+                                          full.blocks_at(d, everything)), (str(phi), d)
+                assert np.array_equal(part.block_of, full.blocks_at(depth, everything))
+                assert part.n_blocks == len(np.unique(part.block_of))
+                assert trace.events == tuple(e for e in full.events if e.level <= depth)
+
+    def test_witnesses_are_the_full_traces_ones(self):
+        rng = H.seeded(423)
+        shapes = [H.small_instance(rng, max_individuals=2, max_n=9) for _ in range(6)]
+        shapes += [H.marked_path(30), H.binary_tree(4)]
+        for interp in shapes:
+            graph = to_labeled_graph(interp)
+            candidates = [(x, y) for x in range(interp.n) for y in range(x + 1, interp.n)]
+            for phi in H.ALL_PHIS:
+                part, full = compute_partition(phi, graph)
+                split = [pair for pair in candidates if not part.same_block(*pair)]
+                for x, y in split[:: max(1, len(split) // 5)]:
+                    _, watched = compute_partition(phi, graph, watch=[(x, y)])
+                    assert watched.depth <= full.depth
+                    text = to_text(separating_concept(interp, watched, x, y).concept)
+                    assert text == to_text(separating_concept(interp, full, x, y).concept)
+
+    def test_a_pair_parting_in_single_touch_rounds_stops_them(self):
+        # on a path with a marked end, element n - 1 - d parts at level d,
+        # in incremental rounds that each touch one element
+        graph = to_labeled_graph(H.marked_path(50))
+        for phi in ("", "Q"):
+            phi = FeatureSet.from_string(phi)
+            part, trace = compute_partition(phi, graph, watch=[(45, 46)])
+            assert part.counters.rounds == trace.depth == 3
+            assert part.counters.moves == part.counters.splits == 3
+            assert not part.same_block(45, 46) and part.same_block(0, 45)
+
+    def test_one_edge_cut_under_q_makes_one_round(self):
+        rng = H.seeded(424)
+        interp = H.sparse_model(rng, 60)
+        x = next(x for x in range(interp.n) if interp.successors("r0", x))
+        sig = make_signature(0, 3, 1)
+        ia = build_interpretation(sig, interp.n, {}, interp.role_ext, {"a0": x})
+        roles = {r: set(pairs) for r, pairs in interp.role_ext.items()}
+        roles["r0"].discard((x, min(interp.successors("r0", x))))
+        ib = build_interpretation(sig, interp.n, {}, roles, {"a0": x})
+        phi = FeatureSet.from_string("Q")
+        with recorded_runs() as runs:
+            assert not bisimilar(phi, ia, ib)
+        assert runs[0]["counters"]["rounds"] == 1
+        full, _ = compute_partition(phi, disjoint_union_graph(ia, ib), want_trace=False)
+        assert full.counters.rounds > 1
+
+    def test_a_pair_with_different_labels_makes_no_round(self):
+        sig = make_signature(1, 1, 1)
+        ia = build_interpretation(sig, 2, {"A0": {0}}, {"r0": {(0, 1)}}, {"a0": 0})
+        ib = build_interpretation(sig, 2, {"A0": {1}}, {"r0": {(0, 1)}}, {"a0": 0})
+        with recorded_runs() as runs:
+            assert not bisimilar(FeatureSet(), ia, ib)
+        assert runs[0]["counters"] == {"edges_scanned": 0, "rounds": 0, "splits": 0, "moves": 0}
+        part, trace = compute_partition(FeatureSet(), to_labeled_graph(ia), watch=[(0, 1)])
+        assert part.counters.rounds == trace.depth == 0
+        assert to_text(separating_concept(ia, trace, 0, 1).concept) == "A0"
+
+    # pinned counters of unwatched runs: path, tree, sparse model, cut copy
+    # union, and a graph whose one edge leaves a singleton after round 1
+    COUNTERS = {
+        "path": {"": (144, 48, 48, 48), "Q": (96, 48, 48, 48), "I": (280, 24, 24, 48),
+                 "IOQUS": (186, 24, 24, 48)},
+        "tree": {"": (400, 6, 5, 57), "Q": (274, 6, 5, 57), "I": (1018, 4, 3, 49),
+                 "IOQUS": (768, 4, 3, 49)},
+        "sparse": {"": (5316, 3, 79, 464), "Q": (3544, 3, 18, 312), "I": (7088, 2, 12, 306),
+                   "IOQUS": (3544, 1, 4, 293)},
+        "cut": {"": (10051, 8, 253, 782), "Q": (5710, 7, 209, 608), "I": (15444, 5, 206, 600),
+                "IOQUS": (10600, 4, 200, 584)},
+        "dead": {"": (1, 2, 1, 1), "Q": (1, 2, 1, 1), "I": (2, 1, 1, 2), "IOQUS": (2, 1, 1, 2)},
+    }
+
+    def test_an_empty_watch_gives_the_unwatched_counters(self):
+        rng = H.seeded(5)
+        model = H.sparse_model(rng, 200, n_concepts=1)
+        graphs = {
+            "path": to_labeled_graph(H.marked_path(50)),
+            "tree": to_labeled_graph(H.binary_tree(6)),
+            "sparse": to_labeled_graph(H.sparse_model(H.seeded(3), 300, n_concepts=1)),
+            "cut": disjoint_union_graph(model, H.cut_copy(rng, model)[0]),
+            "dead": to_labeled_graph(build_interpretation(make_signature(0, 1, 0), 3, {},
+                                                          {"r0": {(0, 1)}}, {})),
+        }
+        for name, graph in graphs.items():
+            for phi, counters in self.COUNTERS[name].items():
+                phi = FeatureSet.from_string(phi)
+                part, trace = compute_partition(phi, graph)
+                assert tuple(part.counters) == counters, (name, str(phi))
+                # a pair that never parts stops nothing
+                for watch in ([], [(0, 0)]):
+                    same, again = compute_partition(phi, graph, watch=watch)
+                    assert same.counters == part.counters
+                    assert np.array_equal(same.block_of, part.block_of)
+                    assert again.events == trace.events
