@@ -119,6 +119,13 @@ def _element_ref(ws: Workspace, iname: str, ref: str) -> int:
         return ws.resolve(iname, index)
 
 
+def _names_of(names, elements) -> list[str]:
+    """The names of the elements; an index domain makes them in one pass."""
+    if isinstance(names, IndexNames):
+        return names.of(elements)
+    return list(map(names.__getitem__, elements))
+
+
 def cmd_partition(args) -> int:
     ws = _load(args)
     interp = ws.interpretation(args.interpretation)
@@ -129,10 +136,11 @@ def cmd_partition(args) -> int:
         order, bounds = partition._runs
         _write(args, lambda: dumps_blocks(order, bounds, partition.canonical_order, names))
     else:
-        # without names to_lines writes each element's index, which is its
-        # name in an index domain
-        display = None if isinstance(names, IndexNames) else names
-        _write(args, lambda: "\n".join(partition.to_lines(display)) + "\n")
+        if isinstance(names, IndexNames):
+            # without names to_lines writes each element's index, which is
+            # its name in an index domain without a prefix
+            names = names.of(range(len(names))) if names.prefix else None
+        _write(args, lambda: "\n".join(partition.to_lines(names)) + "\n")
     return 0
 
 
@@ -142,11 +150,10 @@ def cmd_minimize(args) -> int:
     phi = _phi_of(ws, args)
     partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
-    # each block's smallest element, the first of its run, names it; in an
-    # index domain the name of x is str(x)
+    # each block's smallest element, the first of its run, names it
     order, bounds = partition._runs
     firsts = order[bounds[:-1]][list(partition.canonical_order)].tolist()
-    qnames = list(map(str if isinstance(names, IndexNames) else names.__getitem__, firsts))
+    qnames = _names_of(names, firsts)
     if args.qs:
         qsi = qs_quotient(interp, partition)
         body = InterpretationBody(qsi.base, qnames, qsi)
@@ -212,7 +219,7 @@ def cmd_eval(args) -> int:
         ext = eval_concept_qs(qsi, node, phi)
     else:
         ext = eval_concept(interp, node, phi)
-    _write(args, lambda: "".join(names[x] + "\n" for x in sorted(ext)))
+    _write(args, lambda: "".join(name + "\n" for name in _names_of(names, sorted(ext))))
     return 0
 
 

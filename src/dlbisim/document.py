@@ -44,12 +44,17 @@ if, by whole-text passes (bytes methods, numpy, one np.fromstring), it
 proves to be a flat list, or a list of rows of width 2 or 3, of JSON
 integers or strings of digits below 10**18 without leading zeros,
 every reference bare or every one quoted, the counts of rows bare; its
-first token is looked at first, so most other lists cost O(1).  A
-marker becomes an array only where the loader reads references: the
-domain (its names, when they are all quoted decimals; "0", "1", ... in
-order is a domain given as a size), "concepts", "roles", "counts" and
-"self_loops".  Bare references are indices; quoted ones are names,
-found by value among decimal names.  Anywhere else, and when a
+first token is looked at first, so most other lists cost O(1).  The
+strings may also all be one prefix of letters and "_" followed by such
+digits, as in the names x0, x1, ... that gen writes; such a list is
+read from 256 bytes up (_PREFIXED_FLOOR), and its prefix is recorded
+with it.  A marker becomes an array only where the loader reads
+references: the domain (its names, when they are all quoted decimals
+after one prefix; prefix + "0", prefix + "1", ... in order loads as
+IndexNames, like a domain given as a size), "concepts", "roles",
+"counts" and "self_loops".  Bare references are indices; quoted ones
+are names, found by value among the decimals of the domain's names,
+when the list's prefix is the domain's.  Anywhere else, and when a
 reference names no element, a marker is turned back into the list
 json.loads reads from its text.  Every list not read from the bytes is
 read as before: one type check, one name lookup per name and one array
@@ -133,32 +138,46 @@ def _str_list(val, where: str) -> list[str]:
 
 
 class IndexNames(Sequence):
-    """Names of a domain given as a size: element i is named str(i).
+    """Names of a domain given as a size, element i named str(i), or of
+    the name list prefix + "0", prefix + "1", ... in order: element i is
+    named prefix + str(i).
 
-    Names are made on demand.  get is the name index: it maps a name in
-    canonical decimal form to its element, like the dict of a name list.
+    Names are made on demand.  get is the name index: it maps a name
+    that is the prefix and a canonical decimal to its element, like the
+    dict of a name list.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "prefix")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, prefix: str = ""):
         self.n = n
+        self.prefix = prefix
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [str(x) for x in range(self.n)[i]]
-        return str(range(self.n)[i])
+            return self.of(range(self.n)[i])
+        return self.prefix + str(range(self.n)[i])
 
     def __iter__(self):
-        return map(str, range(self.n))
+        words = map(str, range(self.n))
+        return map(self.prefix.__add__, words) if self.prefix else words
+
+    def of(self, elements) -> list[str]:
+        """The names of the elements, which must be in the domain."""
+        words = list(map(str, elements))
+        prefix = self.prefix
+        return [prefix + word for word in words] if prefix else words
 
     def get(self, name: str) -> int | None:
-        if (name.isascii() and name.isdigit() and len(name) <= len(str(self.n))
-                and str(int(name)) == name and int(name) < self.n):
-            return int(name)
+        if not name.startswith(self.prefix):
+            return None
+        digits = name[len(self.prefix):]
+        if (digits.isascii() and digits.isdigit() and len(digits) <= len(str(self.n))
+                and str(int(digits)) == digits and int(digits) < self.n):
+            return int(digits)
         return None
 
 
@@ -319,13 +338,58 @@ def _decimal_list(seg: bytes):
     return values, width, quoted
 
 
-def _may_be_decimal(data: bytes, start: int) -> bool:
-    """Whether the list at data[start] opens like a _decimal_list: a
-    look at its first token only."""
+# a string's opening quote, a prefix of name characters and a digit
+_PREFIXED = re.compile(rb'"([A-Za-z_]*)[0-9]')
+# Prefixed lists shorter than this many bytes are left to json.loads: the
+# numpy passes cost about 20 us a list, more than parsing and looking up
+# a list as short as a signature's names (["A0", "A1"], about 5 us); at
+# 24 names, about 200 bytes, the two cost the same.
+_PREFIXED_FLOOR = 256
+
+
+def _list_prefix(data: bytes, start: int) -> bytes | None:
+    """The prefix of the list at data[start] when it opens like a
+    _decimal_list once the prefix is deleted from its strings: b"" for
+    none, or the run of name characters that opens its first string,
+    followed by a digit; else None.  A look at its first token only."""
     head = data[start + 1:start + 80].lstrip(_WS)
     if head[:1] == b"[":
         head = head[1:].lstrip(_WS)
-    return head[:1] == b"]" or head[:1].isdigit() or (head[:1] == b'"' and head[1:2].isdigit())
+    if head[:1] == b"]" or head[:1].isdigit():
+        return b""
+    match = _PREFIXED.match(head)
+    return match.group(1) if match else None
+
+
+def _prefixed_list(data: bytes, start: int, end: int, prefix: bytes):
+    """_decimal_list of the list data[start:end + 1] read with prefix
+    deleted from its strings, when each of them is prefix followed by a
+    canonical decimal; else None.
+
+    The quotes of even rank in the list (0, 2, ...) must each be followed
+    by prefix.  In a copy of the list each of them moves past its prefix,
+    which turns into spaces: '"x5"' reads ' "5"'.  The copy keeps the
+    order of the quotes, so once _decimal_list has proved it a list of
+    digit strings, whose quotes alternate between opening and closing,
+    the moved quotes are the opening ones: each string of the list is
+    prefix and digits, and nothing else changed.  The copy holds as many
+    quotes as the list, so an odd number is refused by _decimal_list.
+    """
+    text = np.frombuffer(data, dtype=np.uint8, count=end + 1 - start, offset=start)
+    opening = np.flatnonzero(text == 34)[0::2]
+    # text[q + j] is read once text[q + 1:q + j] matched the prefix, so
+    # it is in the list, which ends in "]"
+    for j, char in enumerate(prefix, 1):
+        if np.count_nonzero(text[opening + j] != char):
+            return None
+    moved = text.copy()
+    for j in range(len(prefix)):
+        moved[opening + j] = 32
+    moved[opening + len(prefix)] = 34
+    seg = moved.tobytes()
+    # freed before the passes of _decimal_list, which peak at a few copies
+    del moved, opening
+    return _decimal_list(seg)
 
 
 class _Reader:
@@ -333,17 +397,19 @@ class _Reader:
     and the counts of its load (see LoadCounters).
 
     scan cuts every list of decimal references that is an object value
-    out of the text; in the parsed skeleton the string "\\0i" stands for
-    list i.  elements makes a marker at a reference position the array;
-    unmark and restore turn markers anywhere else back into the lists
-    json.loads reads from their text.
+    out of the text, or of strings that are all one prefix followed by
+    decimals (see _prefixed_list), and records the prefix ("" for none);
+    in the parsed skeleton the string "\\0i" stands for list i.  elements
+    makes a marker at a reference position the array; unmark and restore
+    turn markers anywhere else back into the lists json.loads reads from
+    their text.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.data = b""
         self.spans: list[tuple[int, int]] = []
-        self.found: list[tuple[np.ndarray, int, bool]] = []
+        self.found: list[tuple[np.ndarray, int, bool, str]] = []
         self.scanned = self.declined = 0
 
     def scan(self, data: bytes) -> bytes:
@@ -365,16 +431,20 @@ class _Reader:
                 quotes += data.count(b'"', counted, colon)
                 counted = colon
                 start = match.end() - 1
-                if quotes % 2 or not _may_be_decimal(data, start):
+                prefix = None if quotes % 2 else _list_prefix(data, start)
+                if prefix is None:
                     continue
                 stop = data.find(b":", start)
                 end = data.rfind(b"]", start, stop if stop >= 0 else len(data))
-                found = _decimal_list(data[start:end + 1]) if end >= 0 else None
+                if end < 0 or (prefix and end - start < _PREFIXED_FLOOR):
+                    continue
+                found = (_prefixed_list(data, start, end, prefix) if prefix
+                         else _decimal_list(data[start:end + 1]))
                 if found is None:
                     continue
                 pieces += (data[done:start], b'"\\u0000%d"' % len(self.found))
                 self.spans.append((start, end))
-                self.found.append(found)
+                self.found.append(found + (prefix.decode(),))
                 # a list read holds an even number of quotes
                 done = counted = end + 1
         if not pieces:
@@ -406,23 +476,26 @@ class _Reader:
             return list(map(self.restore, val))
         return self.unmark(val)
 
-    def elements(self, val, width: int, n: int, lookup) -> np.ndarray | None:
+    def elements(self, val, width: int, n: int, lookup, prefix: str) -> np.ndarray | None:
         """The references of the list val stands for, as the int64 array
         (width 1) or (m, width) array the loader reads, or None when val
         is no marker, or its list is of another width, or some reference
-        is not an element: quoted ones go through lookup (see
-        _load_domain), bare ones must be below n."""
+        is not an element: quoted ones, whose prefix must be the domain's
+        prefix, go through lookup (see _load_domain), bare ones must be
+        below n."""
         i = self.listed(val)
         if i is None:
             return None
-        values, w, quoted = self.found[i]
+        values, w, quoted, named = self.found[i]
         if len(values) and w != width:
             return None
         rows = values.reshape(-1, width) if width > 1 else values
         if len(values):
             refs = rows[:, :2] if width == 3 else rows
+            if quoted and named != prefix:
+                return None
             if quoted and lookup is not _same:
-                mapped = lookup(refs) if lookup is not None else None
+                mapped = lookup(refs)
                 if mapped is None:
                     return None
                 refs[...] = mapped
@@ -437,20 +510,22 @@ def _same(values: np.ndarray) -> np.ndarray:
 
 
 def _load_domain(val, where: str, reader: _Reader):
-    """The domain's names, their index (see _name_index) and the lookup
-    of quoted decimal references: the elements of an array of decimal
-    values, or None when one names no element; None when names are not
-    decimals.  In a domain given as a size, and in the name list "0",
-    "1", ... in order, which loads as one, a decimal is its element."""
+    """The domain's names, their index (see _name_index), and the lookup
+    and the prefix of quoted references read from the bytes: the lookup
+    gives the elements of an array of decimal values, or None when one
+    names no element; both are None when the names are not one prefix
+    followed by decimals.  In a domain given as a size, and in the name
+    list prefix + "0", prefix + "1", ... in order, which loads as
+    IndexNames, a decimal is its element."""
     i = reader.listed(val)
     if i is not None:
-        values, width, quoted = reader.found[i]
+        values, width, quoted, prefix = reader.found[i]
         if width == 1 and quoted:
             _check_domain_size(len(values), where)
             if np.array_equal(values, np.arange(len(values))):
-                names = IndexNames(len(values))
+                names = IndexNames(len(values), prefix)
                 reader.scanned += 1
-                return names, names, _same
+                return names, names, _same, prefix
             order = np.argsort(values)
             ordered = values[order]
             if (ordered[1:] != ordered[:-1]).all():
@@ -458,9 +533,9 @@ def _load_domain(val, where: str, reader: _Reader):
                     at = np.minimum(np.searchsorted(ordered, refs), len(ordered) - 1)
                     return order[at] if (ordered[at] == refs).all() else None
 
-                names = tuple(map(str, values.tolist()))
+                names = tuple(prefix + word for word in map(str, values.tolist()))
                 reader.scanned += 1
-                return names, _name_index(names), lookup
+                return names, _name_index(names), lookup, prefix
         val = reader.unmark(val)
     if isinstance(val, bool):
         raise DocumentError("%s.domain must be a size or a list of names" % where)
@@ -468,7 +543,7 @@ def _load_domain(val, where: str, reader: _Reader):
         _expect(val > 0, "%s.domain must be positive" % where)
         _check_domain_size(val, where)
         names = IndexNames(val)
-        return names, names, _same
+        return names, names, _same, ""
     if isinstance(val, list):
         reader.declined += 1
         _check_domain_size(len(val), where)
@@ -476,7 +551,7 @@ def _load_domain(val, where: str, reader: _Reader):
         _expect(len(names) > 0, "%s.domain must not be empty" % where)
         index = _name_index(names)
         _expect(len(index) == len(names), "%s.domain has duplicate names" % where)
-        return names, index, None
+        return names, index, None, None
     raise DocumentError("%s.domain must be a size or a list of names" % where)
 
 
@@ -561,14 +636,14 @@ def _load_interpretation(obj, sig: Signature, where: str, reader: _Reader):
     _expect(isinstance(obj, dict), "%s must be an object" % where)
     _check_keys(obj, ("domain", "concepts", "roles", "individuals", "counts", "self_loops"), where)
     _expect("domain" in obj, "%s is missing the domain field" % where)
-    names, index, lookup = _load_domain(obj["domain"], where, reader)
+    names, index, lookup, prefix = _load_domain(obj["domain"], where, reader)
     n = len(names)
 
     def refs(val, width: int, field: str, at: str = "", shape: str = "") -> np.ndarray:
         """The array of the reference list val of the field: read from the
         bytes, or else from its JSON list; at names a bad reference (by
         default the field), shape a malformed row."""
-        out = reader.elements(val, width, n, lookup)
+        out = reader.elements(val, width, n, lookup, prefix)
         if out is not None:
             return out
         val = reader.unmark(val)

@@ -689,15 +689,18 @@ class TestStats:
     def test_load_counts(self):
         # every list of a document of indices, and of the quotient written
         # from it, whose names are decimals, is read from the bytes; gen
-        # names elements x0, x1, ..., so no list of its output is
+        # names elements x0, x1, ..., and its lists of those names are read
+        # from the bytes too, but for the ones below the floor: here the
+        # members of A0 and A1 (225 and 175 bytes)
         index = json.dumps({
             "signature": {"concepts": ["A"], "roles": ["r"], "individuals": []},
             "interpretations": {"I": {"domain": 5, "concepts": {"A": [0, 4]},
                                       "roles": {"r": [[0, 1], [1, 2], [2, 2], [4, 3]]}}}})
         written = run("minimize", "-i", "-", "-I", "I", "--qs", stdin=index).stdout
         named = run("gen", "--seed", "3", "--n", "30", "--roles", "2", "--concepts", "3").stdout
+        larger = run("gen", "--seed", "3", "--n", "60", "--roles", "2", "--concepts", "3").stdout
         for doc, scanned, declined in ((index, 2, 0), (written, 1 + 1 + 1 + 3, 0),
-                                       (named, 0, 1 + 3 + 2)):
+                                       (named, 1 + 1 + 2, 2), (larger, 1 + 3 + 2, 0)):
             out = run("partition", "-i", "-", "-I", "I", "--stats", stdin=doc)
             assert out.returncode == 0
             load = json.loads(out.stderr)["load"]
@@ -711,6 +714,42 @@ class TestStats:
         searches = json.loads(out.stderr)["searches"]
         assert searches["searches"] == 1
         assert searches["passes"] == 0 and searches["walked"] >= 1
+
+
+class TestPrefixedNames:
+    """gen names elements x0, x1, ...: loaded as a prefixed index domain,
+    its documents print what they print when every list is parsed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "-I", "I"],
+        ["partition", "-I", "I", "--json"],
+        ["minimize", "-I", "I", "--phi", "IQ"],
+        ["minimize", "-I", "I", "--qs", "--phi", "Q"],
+        ["witness", "-I", "I", "--left", "x3", "--right", "x7"],
+        ["witness", "-I", "I", "--phi", "IQ", "--left", "3", "--right", "x7"],
+        ["eval", "-I", "I", "-c", "some r0 (A1 and all r1 A0)"],
+        ["eval", "-I", "I", "--phi", "I", "--role", "(r0 ; inv(r1))"],
+        ["bisim", "-l", "I", "-r", "I", "--json"],
+    ])
+    def test_output_as_without_the_scan(self, argv, tmp_path, monkeypatch, capsys):
+        from dlbisim import cli, document
+
+        path = str(tmp_path / "gen.json")
+        assert cli.main(["gen", "--seed", "11", "--n", "80", "--roles", "2", "--concepts", "2",
+                         "--edge-density", "0.03", "--output", path]) == 0
+        names = document.load_workspace(path).element_names["I"]
+        assert isinstance(names, document.IndexNames) and names.prefix == "x"
+        runs = []
+        for scan in (True, False):
+            if not scan:
+                monkeypatch.setattr(document._Reader, "scan", lambda self, data: data)
+            with document.recorded_loads() as counts:
+                code = cli.main(argv + ["-i", path])
+            out = capsys.readouterr()
+            runs.append((code, out.out, out.err))
+            assert (counts.declined == 0) == scan
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 1) and runs[0][1]
 
 
 class TestParser:

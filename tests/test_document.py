@@ -6,6 +6,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from dlbisim.errors import (
     DocumentError,
     ElementOutOfRangeError,
     ParseError,
+    TooLargeError,
     UnknownNameError,
 )
 from dlbisim.gen import make_signature, random_interpretation
@@ -244,6 +246,26 @@ class TestLoading:
         assert ws.interpretation("I").role_ext["r"] == {(0, 2), (1, 1)}
         assert ws.qs["I"].se["r"] == {1}
 
+    def test_prefixed_index_names(self):
+        names = IndexNames(12, "x")
+        assert len(names) == 12 and names.prefix == "x"
+        assert (names[0], names[11], names[-1], names[-12]) == ("x0", "x11", "x11", "x0")
+        for i in (12, -13):
+            with pytest.raises(IndexError):
+                names[i]
+        assert names[2:5] == ["x2", "x3", "x4"] and names[::-5] == ["x11", "x6", "x1"]
+        assert names[20:] == [] and list(names) == ["x%d" % i for i in range(12)]
+        assert names.of([3, 0, 3]) == ["x3", "x0", "x3"]
+        for probe, element in (("x5", 5), ("x0", 0), ("x11", 11), ("x05", None), ("5", None),
+                               ("x", None), ("x12", None), ("x00", None), ("X5", None),
+                               ("xx5", None), ("x-1", None), ("x 5", None), ("x5 ", None),
+                               ("x+5", None), ("x\u0665", None), ("", None)):
+            assert names.get(probe) == element, probe
+        assert IndexNames(10 ** 6, "x").get("x" + "9" * 400) is None
+        plain = IndexNames(3)
+        assert plain.prefix == "" and list(plain) == ["0", "1", "2"] and plain.of([2]) == ["2"]
+        assert (plain.get("2"), plain.get("x2"), plain.get("02")) == (2, None, None)
+
     def test_later_count_row_wins(self):
         doc = _doc({"roles": {"r": [[0, 1], [1, 2]]},
                     "counts": {"r": {"forward": [[1, 2, 5], [0, 1, 2], [0, 1, 3]]}}})
@@ -279,7 +301,7 @@ def _outcome(load):
     except BisimError as exc:
         return type(exc), str(exc)
     names = {i: list(names) for i, names in ws.element_names.items()}
-    probes = ["0", "1", "2", "01", " 1", "x", "5", "-0"]
+    probes = ["0", "1", "2", "01", " 1", "x", "5", "-0", "x1", "x01", "X1", "x5"]
     lookups = {i: [ws.element_index[i].get(name) for name in names[i] + probes] for i in names}
     return (ws.signature, ws.phi, ws.interpretations, ws.qs, ws.kb_strings, names, lookups)
 
@@ -287,6 +309,27 @@ def _outcome(load):
 def _unscanned(text: str):
     """The workspace of text read without the scan: every list parsed."""
     return document._workspace(document._parse_json(text), document._Reader(0))
+
+
+@contextmanager
+def _floor(size: int):
+    """Prefixed lists from size bytes up are read from the bytes."""
+    kept = document._PREFIXED_FLOOR
+    document._PREFIXED_FLOOR = size
+    try:
+        yield
+    finally:
+        document._PREFIXED_FLOOR = kept
+
+
+def _names_doc(domain, concept, roles=None, individual=None) -> str:
+    """A document of the name list domain: concept A's members and, if
+    given, role r's rows are the lists given."""
+    interp = {"domain": domain, "concepts": {"A": concept},
+              "individuals": {"a": domain[0] if individual is None else individual}}
+    if roles is not None:
+        interp["roles"] = {"r": roles}
+    return json.dumps({"signature": SIG, "interpretations": {"I": interp}})
 
 
 def _scan_counts(text):
@@ -313,13 +356,19 @@ _GAPS = st.sampled_from(["", "", "", " ", "\n    ", "\t", "\r\n"])
 _SOUP = st.text(alphabet='0123456789,[]"- \t\n\r\x0bx', max_size=14)
 
 
+# strings near a name of prefix "x" and a canonical decimal, and other
+# references, for lists whose quoted references have that prefix
+_ODD_NAMES = st.sampled_from(['"x5"', '"x05"', '"xy5"', '"x"', '"x_5"', '"x5 "', '"x-1"',
+                              '"x1y2"', '"x%d"' % 10 ** 18, '"X1"', '"y1"', '"1"', '1', '"x 1"'])
+
+
 @st.composite
-def _list_text(draw, items):
+def _list_text(draw, items, prefix=""):
     """The text of a list of items, each a reference, a count or a list
-    of them: references bare, quoted or either, with gaps of JSON
-    whitespace, now and then a token that no scan reads; one list in
-    eight is noisy: a token soup, or a list with tokens that are not
-    JSON."""
+    of them: references bare, quoted (after the prefix) or either, with
+    gaps of JSON whitespace, now and then a token that no scan reads, or
+    with a prefix one near a prefixed name; one list in eight is noisy:
+    a token soup, or a list with tokens that are not JSON."""
     noisy = draw(st.integers(0, 7)) == 7
     if noisy and draw(st.integers(0, 3)) == 3:
         return draw(_SOUP)
@@ -331,9 +380,9 @@ def _list_text(draw, items):
         if noisy and draw(st.integers(0, 2)) == 2:
             return draw(_BAD)
         if draw(st.integers(0, 9)) == 9:
-            return draw(_ODD)
+            return draw(_ODD_NAMES if prefix and not count else _ODD)
         quote = not count and (style == "quoted" or style == "mixed" and draw(st.booleans()))
-        return '"%d"' % item if quote else str(item)
+        return '"%s%d"' % (prefix, item) if quote else str(item)
 
     def join(texts):
         gaps = draw(st.lists(_GAPS, min_size=2 * len(texts), max_size=2 * len(texts)))
@@ -353,26 +402,32 @@ def _rows(width):
 
 
 @st.composite
-def _texts(draw):
+def _texts(draw, prefix=""):
     """Documents with lists drawn at reference positions, at other
-    positions, and after a ": [" inside keys and strings."""
+    positions, and after a ": [" inside keys and strings; their quoted
+    references and domain names have the prefix, or now and then one
+    that differs in case."""
 
     def lists(*shapes):
         return draw(st.one_of(*[
-            (st.lists(_ELEMENT, max_size=5) if width == 1 else _rows(width)).flatmap(_list_text)
+            (st.lists(_ELEMENT, max_size=5) if width == 1 else _rows(width)).flatmap(
+                lambda items: _list_text(items, prefix))
             for width in shapes]))
 
     def rarely(usual, *other):
         return lists(*other) if draw(st.integers(0, 5)) == 5 else usual
 
-    domain = draw(st.sampled_from(["3", "4", '["0", "1", "2"]', '["2", "0", "1", "3"]',
+    def names(*refs):
+        return "[%s]" % ", ".join('"%s%s"' % (prefix, ref) for ref in refs)
+
+    domain = draw(st.sampled_from(["3", "4", names(0, 1, 2), names(2, 0, 1, 3),
                                    '["x", "y", "z", "w"]'] * 3
-                                  + ['["0", "1", "01"]', '["0", "0", "1"]', '["1", "0", "3"]',
-                                     "[]"]))
+                                  + [names(0, 1, "01"), names(0, 0, 1), names(1, 0, 3), "[]",
+                                     names(0, 1, 2).swapcase()]))
     fields = ['"domain": ' + rarely(domain, 1),
               '"concepts": {"A": %s, "B: [1, 2]": %s}' % (lists(1), lists(1)),
               '"individuals": {"a": %s}' % rarely(draw(st.sampled_from(
-                  ["0", '"1"', '"x"', '"01"'])), 1)]
+                  ["0", '"%s1"' % prefix, '"x"', '"%s01"' % prefix])), 1)]
     edges = draw(st.lists(st.tuples(_ELEMENT, _ELEMENT), unique=True, max_size=3))
     if draw(st.booleans()):
         # multiplicities of the role's own edges, now and then of others
@@ -607,11 +662,125 @@ class TestScan:
             _same_as_unscanned(text)
 
     def test_named_documents_scan_none(self):
+        # lists of prefixed names below the floor, and names without a
+        # shared prefix above it, are parsed lists
         doc = {"signature": SIG, "interpretations": {"I": {
             "domain": ["x0", "x1", "x2"], "concepts": {"A": ["x1"]},
             "roles": {"r": [["x0", "x2"]]}, "individuals": {"a": "x0"}}}}
         counts = _scan_counts(json.dumps(doc))
         assert (counts.scanned, counts.declined) == (0, 3)
+        names = ["a", "b"] * 30 + ["a%d" % i for i in range(60)]
+        text = _names_doc(names[60:] + names[:2], names[:40], [names[:2]] * 30)
+        assert len(text) > 3 * document._PREFIXED_FLOOR
+        assert (_scan_counts(text).scanned, _scan_counts(text).declined) == (0, 3)
+        _same_as_unscanned(text)
+
+    @given(st.sampled_from(["x", "x_", "X", "ab"]).flatmap(_texts))
+    @settings(max_examples=600, deadline=None)
+    def test_prefixed_documents_load_as_without_the_scan(self, text):
+        with _floor(0):
+            _same_as_unscanned(text)
+
+    @pytest.mark.parametrize("name", ["x5", "x05", "xy5", "x", "x_5", "x5 ", "x-1", "x1y2",
+                                      "x%d" % 10 ** 18, "X5", "5", 5])
+    def test_prefixed_names(self, name):
+        # a list of names x0, x2, ... ending in name: only "x5" keeps it
+        # readable from the bytes, and the index 5 is taken from the
+        # parsed list
+        domain = ["x%d" % i for i in range(80)]
+        text = _names_doc(domain, domain[::2] + [name])
+        got = _same_as_unscanned(text)
+        if name in ("x5", 5):
+            assert got[2]["I"].concept_ext["A"] == set(range(0, 80, 2)) | {5}
+            counts = _scan_counts(text)
+            assert (counts.scanned, counts.declined) == ((2, 0) if name == "x5" else (1, 1))
+        else:
+            assert got == (DocumentError,
+                           "interpretations.I.concepts.A: unknown element %r" % name)
+        # a domain that holds the name is read from the bytes only when
+        # all its names are one prefix and canonical decimals
+        if isinstance(name, str) and name not in domain:
+            text = _names_doc(domain + [name], [name] * 40, [[name, "x1"]])
+            got = _same_as_unscanned(text)
+            assert got[5]["I"] == domain + [name] and got[6]["I"][80] == 80
+            assert type(loads_workspace(text).element_names["I"]) is tuple
+            counts = _scan_counts(text)
+            assert (counts.scanned, counts.declined) == (0, 3)
+
+    def test_prefixed_documents_are_read_from_the_bytes(self):
+        # names x0, x1, ... in order, and names by value
+        for step in (1, 3):
+            domain = ["x%d" % i for i in range(0, 80 * step, step)]
+            rows = [[domain[x], domain[3 * x % 80]] for x in range(40)]
+            text = _names_doc(domain, domain[::2], rows, domain[-1])
+            got = _same_as_unscanned(text)
+            ws = loads_workspace(text)
+            names = ws.element_names["I"]
+            assert type(names) is (IndexNames if step == 1 else tuple)
+            assert list(names) == domain and got[5]["I"] == domain
+            assert ws.interpretation("I").role_ext["r"] == {(x, 3 * x % 80) for x in range(40)}
+            assert ws.interpretation("I").individual_map["a"] == 79
+            assert (_scan_counts(text).scanned, _scan_counts(text).declined) == (3, 0)
+        # the quoted references of a list must have the domain's prefix
+        domain = ["x%d" % i for i in range(60)]
+        for other in ("X", "y", "x_", ""):
+            members = [other + name[1:] for name in domain[::2]]
+            text = _names_doc(domain, members)
+            assert _same_as_unscanned(text) == (
+                DocumentError, "interpretations.I.concepts.A: unknown element %r" % members[0])
+            text = _names_doc(members, domain[::2])
+            got = _same_as_unscanned(text)
+            assert got[0] is DocumentError and "unknown element 'x0'" in got[1]
+        with _floor(0):
+            text = _names_doc(["X0", "X1", "X2"], ["x1"], [["X0", "X1"]])
+            assert _same_as_unscanned(text) == (
+                DocumentError, "interpretations.I.concepts.A: unknown element 'x1'")
+
+    def test_prefixed_domains_that_are_no_name_list(self):
+        # duplicate names, and a domain out of order, whose names are
+        # found by value
+        for size in (2, 60):
+            text = _names_doc(["x1"] * size, ["x1"] * 40)
+            assert _same_as_unscanned(text) == (DocumentError,
+                                                "interpretations.I.domain has duplicate names")
+        domain = ["x%d" % i for i in range(3, 123)][::-1]
+        text = _names_doc(domain, domain[::2], [[domain[0], domain[119]]])
+        got = _same_as_unscanned(text)
+        assert type(loads_workspace(text).element_names["I"]) is tuple
+        assert got[2]["I"].concept_ext["A"] == set(range(0, 120, 2))
+        assert got[2]["I"].role_ext["r"] == {(0, 119)}
+        assert (_scan_counts(text).scanned, _scan_counts(text).declined) == (2, 1)
+        assert _same_as_unscanned(_names_doc(domain, ["x2"] * 60)) == (
+            DocumentError, "interpretations.I.concepts.A: unknown element 'x2'")
+
+    def test_prefixed_domain_above_the_limit(self, monkeypatch):
+        # refused before names or their index are made
+        def made(*args):
+            raise AssertionError("names made")
+
+        monkeypatch.setattr(document, "MAX_ELEMENTS", 50)
+        monkeypatch.setattr(document, "IndexNames", made)
+        monkeypatch.setattr(document, "_name_index", made)
+        for domain in (["x%d" % i for i in range(51)], ["x%d" % i for i in range(51)][::-1]):
+            with pytest.raises(TooLargeError, match="51 elements, more than the limit of 50"):
+                loads_workspace(_names_doc(domain, []))
+        monkeypatch.undo()
+        assert len(loads_workspace(_names_doc(domain[1:], [])).element_names["I"]) == 50
+
+    def test_short_prefixed_lists_are_parsed(self):
+        # the floor: a list below it is left to json.loads, whatever its
+        # names; one above it is read from the bytes
+        short = ["x%d" % i for i in range(3)]
+        long = ["x%d" % i for i in range(40)]
+        assert len(json.dumps(short)) < document._PREFIXED_FLOOR <= len(json.dumps(long))
+        for domain, concept, counts in ((short, short, (0, 2)), (long, short, (1, 1)),
+                                        (long, long, (2, 0))):
+            text = _names_doc(domain, concept)
+            _same_as_unscanned(text)
+            assert (_scan_counts(text).scanned, _scan_counts(text).declined) == counts
+            with _floor(0):
+                _same_as_unscanned(text)
+                assert _scan_counts(text).scanned == 2
 
 
 class TestBytes:
