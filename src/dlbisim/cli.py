@@ -14,8 +14,8 @@ or JSON to stdout or a file.  Exit codes are uniform across commands:
 The `bench` command times the partition refinement on seeded random
 graphs and emits CSV.  Timing figures are the only part of the output
 that is not reproducible byte for byte: bench's millis column, and the
-wall_s, load_s and write_s fields that --stats writes to stderr.
-Everything else is.
+wall_s, load_s, graph_s, quotient_s, witness_s, validate_s, eval_s and
+write_s fields that --stats writes to stderr.  Everything else is.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import functools
 import json
 import sys
 import time
-from contextlib import contextmanager
 
 from .bisim import (
     bisimulation_pairs,
@@ -36,6 +35,7 @@ from .bisim import (
 )
 from .core import FeatureSet, qs_embedding, to_labeled_graph
 from .document import (
+    MAX_ELEMENTS,
     IndexNames,
     InterpretationBody,
     Workspace,
@@ -44,21 +44,20 @@ from .document import (
     dumps_pairs,
     load_workspace,
     loads_workspace,
-    recorded_loads,
     signature_to_json,
 )
 from .errors import BisimError, DocumentError, NotSeparatedError, ParseError, TooLargeError
 from .gen import benchmark_graph, random_document
 from .quotient import qs_quotient, quotient_interpretation, separating_concept
-from .refine import compute_partition, recorded_runs
+from .refine import compute_partition
 from .semantics import (
     check_kb,
     eval_concept,
     eval_concept_qs,
     eval_role,
     least_r_extension,
-    recorded_searches,
 )
+from .stats import recorded, timed
 from .syntax import ast_size, parse_concept, parse_role, to_text
 
 EXPLAIN_LIMIT = 40_000
@@ -67,19 +66,8 @@ EXPLAIN_LIMIT = 40_000
 WITNESS_LIMIT = 2 ** 22
 
 
-@contextmanager
-def _timed(args, key: str):
-    """Adds the wall time of the block to args.layer_times[key], which
-    --stats reports (see _run)."""
-    start = time.perf_counter()
-    yield
-    times = getattr(args, "layer_times", None)
-    if times is not None:
-        times[key] += time.perf_counter() - start
-
-
 def _load(args) -> Workspace:
-    with _timed(args, "load_s"):
+    with timed("load_s"):
         if args.input == "-":
             return loads_workspace(sys.stdin.buffer.read())
         return load_workspace(args.input)
@@ -97,7 +85,7 @@ def _phi_of(ws: Workspace, args) -> FeatureSet:
 def _write(args, render) -> None:
     """Writes render(), the command's output text, to args.output; the
     formatting and the writing are timed together as write_s."""
-    with _timed(args, "write_s"):
+    with timed("write_s"):
         text = render()
         if args.output == "-":
             sys.stdout.write(text)
@@ -150,15 +138,16 @@ def cmd_minimize(args) -> int:
     phi = _phi_of(ws, args)
     partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
-    # each block's smallest element, the first of its run, names it
-    order, bounds = partition._runs
-    firsts = order[bounds[:-1]][list(partition.canonical_order)].tolist()
-    qnames = _names_of(names, firsts)
-    if args.qs:
-        qsi = qs_quotient(interp, partition)
-        body = InterpretationBody(qsi.base, qnames, qsi)
-    else:
-        body = InterpretationBody(quotient_interpretation(interp, partition), qnames)
+    with timed("quotient_s"):
+        # each block's smallest element, the first of its run, names it
+        order, bounds = partition._runs
+        firsts = order[bounds[:-1]][list(partition.canonical_order)].tolist()
+        qnames = _names_of(names, firsts)
+        if args.qs:
+            qsi = qs_quotient(interp, partition)
+            body = InterpretationBody(qsi.base, qnames, qsi)
+        else:
+            body = InterpretationBody(quotient_interpretation(interp, partition), qnames)
     doc = {
         "signature": signature_to_json(interp.signature),
         "interpretations": {args.interpretation: body},
@@ -210,15 +199,17 @@ def cmd_eval(args) -> int:
     phi = _phi_of(ws, args)
     names = ws.element_names[args.interpretation]
     if args.role is not None:
-        pairs = eval_role(interp, parse_role(args.role), phi)
+        with timed("eval_s"):
+            pairs = eval_role(interp, parse_role(args.role), phi)
         _write(args, lambda: "".join("%s %s\n" % (names[x], names[y]) for x, y in sorted(pairs)))
         return 0
-    node = parse_concept(args.concept)
-    if args.qs:
-        qsi = ws.qs.get(args.interpretation) or qs_embedding(interp)
-        ext = eval_concept_qs(qsi, node, phi)
-    else:
-        ext = eval_concept(interp, node, phi)
+    with timed("eval_s"):
+        node = parse_concept(args.concept)
+        if args.qs:
+            qsi = ws.qs.get(args.interpretation) or qs_embedding(interp)
+            ext = eval_concept_qs(qsi, node, phi)
+        else:
+            ext = eval_concept(interp, node, phi)
     _write(args, lambda: "".join(name + "\n" for name in _names_of(names, sorted(ext))))
     return 0
 
@@ -229,7 +220,8 @@ def cmd_check_kb(args) -> int:
     phi = _phi_of(ws, args)
     if ws.kb is None:
         raise DocumentError("document has no kb section")
-    report = check_kb(interp, ws.kb, phi)
+    with timed("eval_s"):
+        report = check_kb(interp, ws.kb, phi)
     _write(args, lambda: "\n".join(report.to_lines()) + "\n")
     return 0 if report.ok else 1
 
@@ -277,6 +269,8 @@ def cmd_extend_rbox(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.n > MAX_ELEMENTS:
+        raise TooLargeError("--n is %d, more than the limit of %d elements" % (args.n, MAX_ELEMENTS))
     doc = random_document(args.seed, args.n, args.concepts, args.roles,
                           args.individuals, args.phi or "",
                           args.edge_density, args.concept_density)
@@ -312,6 +306,24 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    return integer
+
+
+def _fraction(text: str) -> float:
+    """An argparse type: a number from 0 to 1."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError("must be from 0 to 1, got %s" % text)
+    return value
+
+
 def _add_io(sp, interp=True, json_flag=False):
     """The options every document command shares."""
     sp.add_argument("--input", "-i", required=True,
@@ -328,7 +340,8 @@ def _add_io(sp, interp=True, json_flag=False):
     sp.add_argument("--stats", action="store_true",
                     help="print the counters and wall time of every refinement run, "
                          "the counters of the preimage searches and of the document load, "
-                         "and the document load and output write times, "
+                         "and the wall time of each layer (load, graph build, quotient, "
+                         "witness build and validation, evaluation, output write), "
                          "as one JSON object on stderr")
 
 
@@ -381,27 +394,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="write a seeded random workspace document")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--concepts", type=int, default=2)
-    sp.add_argument("--roles", type=int, default=2)
-    sp.add_argument("--individuals", type=int, default=2)
+    sp.add_argument("--n", type=_at_least(1), default=8,
+                    help="elements, from 1 to document.MAX_ELEMENTS")
+    sp.add_argument("--concepts", type=_at_least(0), default=2)
+    sp.add_argument("--roles", type=_at_least(0), default=2)
+    sp.add_argument("--individuals", type=_at_least(0), default=2)
     sp.add_argument("--phi", default="")
-    sp.add_argument("--edge-density", type=float, default=0.15)
-    sp.add_argument("--concept-density", type=float, default=0.5)
+    sp.add_argument("--edge-density", type=_fraction, default=0.15)
+    sp.add_argument("--concept-density", type=_fraction, default=0.5)
     sp.add_argument("--output", "-o", default="-")
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("bench", help="time the refinement kernel, report CSV")
     sp.add_argument("--sizes", default="10000,20000,40000,80000",
                     help="comma separated node counts")
-    sp.add_argument("--roles", type=int, default=3)
-    sp.add_argument("--concepts", type=int, default=2)
-    sp.add_argument("--max-out", type=int, default=4)
+    sp.add_argument("--roles", type=_at_least(0), default=3)
+    sp.add_argument("--concepts", type=_at_least(0), default=2)
+    sp.add_argument("--max-out", type=_at_least(0), default=4)
     sp.add_argument("--phi", default="Q")
     sp.add_argument("--engine", choices=("numpy",), default="numpy",
                     help="refinement engine to time; numpy, the signature rounds, is the only one")
-    sp.add_argument("--repeats", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--repeats", type=_at_least(1), default=3)
+    sp.add_argument("--seed", type=_at_least(0), default=7)
     sp.add_argument("--output", "-o", default="-")
     sp.set_defaults(func=cmd_bench)
     return parser
@@ -414,19 +428,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """The command; with --stats, then its refinements, the counters of its
-    preimage searches and of its document load (see LoadCounters), and the
-    wall time of that load and of formatting and writing its output on
-    stderr."""
+    """The command; with --stats, then the stats.Record of its work as one
+    JSON object on stderr."""
     if not getattr(args, "stats", False):
         return args.func(args)
-    args.layer_times = {"load_s": 0.0, "write_s": 0.0}
-    with recorded_runs() as runs, recorded_searches() as searches, recorded_loads() as loads:
+    with recorded() as record:
         code = args.func(args)
-    sys.stderr.write(json.dumps({"command": args.command, "refinements": runs,
-                                 "searches": dataclasses.asdict(searches),
-                                 "load": dataclasses.asdict(loads),
-                                 **args.layer_times}) + "\n")
+    sys.stderr.write(json.dumps({"command": args.command, "refinements": record.runs,
+                                 "searches": dataclasses.asdict(record.searches),
+                                 "load": dataclasses.asdict(record.load),
+                                 **record.times}) + "\n")
     return code
 
 

@@ -41,6 +41,7 @@ from .errors import (
     SignatureMismatchError,
     UnknownNameError,
 )
+from .stats import timed
 
 FEATURE_LETTERS = "IOQUS"
 
@@ -551,6 +552,7 @@ def _assemble(sig: Signature, sizes: list[int], side_members, side_individuals,
                         tails, roles, heads)
 
 
+@timed("graph_s")
 def _interpretations_graph(parts: list[Interpretation]) -> LabeledGraph:
     sig = parts[0].signature
     return _assemble(sig, [interp.n for interp in parts],

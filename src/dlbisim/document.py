@@ -92,13 +92,12 @@ import json
 import re
 import warnings
 from collections.abc import Sequence
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 
+from . import stats
 from .core import (
     FeatureSet,
     Interpretation,
@@ -108,6 +107,7 @@ from .core import (
     build_qs_interpretation,
 )
 from .errors import BisimError, DocumentError, ParseError, TooLargeError
+from .stats import LoadCounters  # noqa: F401 - re-exported, the type of stats.Record.load
 from .syntax import (
     KnowledgeBase,
     parse_assertion,
@@ -241,32 +241,6 @@ def _check_domain_size(size: int, where: str) -> None:
     if size > MAX_ELEMENTS:
         raise TooLargeError("%s.domain has %d elements, more than the limit of %d"
                             % (where, size, MAX_ELEMENTS))
-
-
-@dataclass
-class LoadCounters:
-    """Deterministic counts of document loads: the bytes read, and the
-    reference lists read straight from the bytes (scanned) or from the
-    parsed JSON lists (declined)."""
-
-    bytes: int = 0
-    scanned: int = 0
-    declined: int = 0
-
-
-# the LoadCounters that recorded_loads() counts into, in the current context
-_LOADS: ContextVar[LoadCounters | None] = ContextVar("loads", default=None)
-
-
-@contextmanager
-def recorded_loads():
-    """Count every document load inside the block into one LoadCounters."""
-    counters = LoadCounters()
-    token = _LOADS.set(counters)
-    try:
-        yield counters
-    finally:
-        _LOADS.reset(token)
 
 
 # The bytes that _decimal_list reads a list with: JSON whitespace, digits,
@@ -870,11 +844,11 @@ def loads_workspace(text: str | bytes) -> Workspace:
         if deep is None:
             raise
         raise deep from None
-    counters = _LOADS.get()
-    if counters is not None:
-        counters.bytes += reader.size
-        counters.scanned += reader.scanned
-        counters.declined += reader.declined
+    record = stats.current()
+    if record is not None:
+        record.load.bytes += reader.size
+        record.load.scanned += reader.scanned
+        record.load.declined += reader.declined
     return ws
 
 

@@ -34,6 +34,7 @@ from .core import (
 from .errors import BisimError, ElementOutOfRangeError, NotSeparatedError
 from .refine import Partition, RefinementTrace, _edge_ends, check_partition
 from .semantics import eval_concept
+from .stats import timed
 from .syntax import (
     And,
     AtLeast,
@@ -311,8 +312,10 @@ def separating_concept(interp: Interpretation, trace: RefinementTrace,
     bx, by = trace.blocks_at(trace.depth, np.array((x, y))).tolist()
     if bx == by:
         raise NotSeparatedError("elements %d and %d share a block" % (x, y))
-    concept = _LevelWitness(trace).separate(x, y)
-    ext = eval_concept(interp, concept, trace.phi)
+    with timed("witness_s"):
+        concept = _LevelWitness(trace).separate(x, y)
+    with timed("validate_s"):
+        ext = eval_concept(interp, concept, trace.phi)
     if x not in ext or y in ext:
         raise BisimError("internal: separating concept failed validation")
     return WitnessConcept(concept, x, y)

@@ -76,14 +76,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import stats
 from .core import BisimRelation, FeatureSet, LabeledGraph
 from .errors import PartitionMismatchError
 
@@ -588,32 +587,15 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
     return np.array(blk, dtype=np.int32), k, (rounds, scanned, splits, moves), changes, events
 
 
-# the list recorded_runs() collects into, in the current context
-_RUNS: ContextVar[list | None] = ContextVar("refinement_runs", default=None)
-
-
-@contextmanager
-def recorded_runs():
-    """Collect every refinement run inside the block: one dict each, with
-    its function, feature set, element and edge counts, block count,
-    counters and wall time in seconds."""
-    runs: list = []
-    token = _RUNS.set(runs)
-    try:
-        yield runs
-    finally:
-        _RUNS.reset(token)
-
-
 def _record(function: str, phi: FeatureSet, graph: LabeledGraph, n_blocks: int,
             counters: Counters, start: float) -> None:
-    """Append a run to the recorded_runs list in force, if any."""
-    runs = _RUNS.get()
-    if runs is not None:
-        runs.append({"function": function, "phi": str(phi), "n": graph.n,
-                     "edges": int(graph.n_edges), "blocks": int(n_blocks),
-                     "counters": {k: int(v) for k, v in counters._asdict().items()},
-                     "wall_s": time.perf_counter() - start})
+    """Append a run to the runs of the stats record in force, if any."""
+    record = stats.current()
+    if record is not None:
+        record.runs.append({"function": function, "phi": str(phi), "n": graph.n,
+                            "edges": int(graph.n_edges), "blocks": int(n_blocks),
+                            "counters": {k: int(v) for k, v in counters._asdict().items()},
+                            "wall_s": time.perf_counter() - start})
 
 
 def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = True,
@@ -688,14 +670,14 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
         changes.append(more)
         events += more_events
     counters = Counters(scanned, rounds, splits, moves)
-    partition = Partition(block_of, k, counters)
+    partition, trace = Partition(block_of, k, counters), None
+    if want_trace:
+        xs, levels, ids = (np.concatenate(column) for column in zip(*changes))
+        keys = xs * (rounds + 1) + levels
+        order = np.argsort(keys)
+        trace = RefinementTrace(graph, phi, rounds, keys[order], ids[order], events)
     _record("compute_partition", phi, graph, k, counters, start)
-    if not want_trace:
-        return partition, None
-    xs, levels, ids = (np.concatenate(column) for column in zip(*changes))
-    keys = xs * (rounds + 1) + levels
-    order = np.argsort(keys)
-    return partition, RefinementTrace(graph, phi, rounds, keys[order], ids[order], events)
+    return partition, trace
 
 
 def partition_to_relation(partition: Partition) -> BisimRelation:

@@ -57,15 +57,15 @@ for p pairs reached.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import stats
 from . import syntax as sx
 from .core import Interpretation, QSInterpretation, _sorted_unique, build_interpretation
 from .errors import FeatureViolationError, UnknownNameError
+from .stats import SearchCounters
 
 # cells per bool matrix of singleton targets in Evaluator.role
 _BATCH_CELLS = 1 << 22
@@ -88,33 +88,6 @@ def _ranges(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = ptr[rows]
     cnt = ptr[rows + 1] - lo
     return np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum()), cnt
-
-
-@dataclass
-class SearchCounters:
-    """Deterministic work counts of preimage searches."""
-
-    searches: int = 0
-    passes: int = 0      # numpy passes, one per frontier that is not walked
-    pass_edges: int = 0  # edges the numpy passes read
-    walked: int = 0      # cells the walk expanded one at a time
-    walk_edges: int = 0  # edges the walk read
-
-
-# the SearchCounters that recorded_searches() counts into, in the current context
-_SEARCHES: ContextVar[SearchCounters | None] = ContextVar("searches", default=None)
-
-
-@contextmanager
-def recorded_searches():
-    """Count the work of every preimage search inside the block into one
-    SearchCounters: evaluators made inside it count into it."""
-    counters = SearchCounters()
-    token = _SEARCHES.set(counters)
-    try:
-        yield counters
-    finally:
-        _SEARCHES.reset(token)
 
 
 class _Walk:
@@ -224,8 +197,8 @@ class Evaluator:
         self.qs = qs
         self._memo: dict[int, np.ndarray | None] = {}
         self._keepalive: list = []
-        recorded = _SEARCHES.get()
-        self.counters = recorded if recorded is not None else SearchCounters()
+        record = stats.current()
+        self.counters = record.searches if record is not None else SearchCounters()
 
     def concept(self, c) -> frozenset[int]:
         _require(self.phi, c)

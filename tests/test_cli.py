@@ -446,6 +446,50 @@ class TestBench:
         assert out.returncode == 3
 
 
+class TestFlagRanges:
+    # MAX_ELEMENTS is patched to 40, so a missing check makes 41 elements
+    # and fails rather than running for days; bench runs a size of 20
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--max-out", "-1"],
+        ["bench", "--concepts", "-1"],
+        ["bench", "--roles", "-1"],
+        ["bench", "--repeats", "0"],
+        ["bench", "--seed", "-1"],
+        ["gen", "--n", "0"],
+        ["gen", "--n", "-3"],
+        ["gen", "--n", "41"],
+        ["gen", "--edge-density", "2"],
+        ["gen", "--concept-density", "-0.5"],
+        ["gen", "--edge-density", "nan"],
+        ["gen", "--roles", "-1"],
+        ["gen", "--concepts", "-2"],
+        ["gen", "--individuals", "-1"],
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_refused(self, argv, monkeypatch, capsys):
+        from dlbisim import cli
+
+        monkeypatch.setattr(cli, "MAX_ELEMENTS", 40)
+        extra = ["--sizes", "20"] if argv[0] == "bench" else []
+        try:
+            code = cli.main(argv + extra + ["--output", os.devnull])
+        except SystemExit as usage:
+            code = usage.code
+        assert code in (2, 3)
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert argv[1] in message and "internal error" not in message
+
+    def test_bounds_are_accepted(self, monkeypatch, capsys):
+        from dlbisim import cli
+
+        monkeypatch.setattr(cli, "MAX_ELEMENTS", 40)
+        assert cli.main(["gen", "--n", "40", "--edge-density", "1", "--concept-density", "0",
+                         "--roles", "0", "--concepts", "0", "--individuals", "0"]) == 0
+        assert cli.main(["gen", "--n", "1"]) == 0
+        assert cli.main(["bench", "--sizes", "20", "--repeats", "1", "--max-out", "0",
+                         "--roles", "0", "--concepts", "0", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("20,0,")
+
+
 class TestFailureModes:
     def test_invalid_json_is_a_parse_error(self):
         out = run("partition", "-i", "-", "--phi", "", "-I", "I", stdin="{bad json")
@@ -667,9 +711,10 @@ class TestStats:
         if not refining:
             assert searches["searches"] >= 1
             assert searches["passes"] + searches["walked"] >= 1
-        # the counters of the document load, and the load and the output
-        # write, timed apart
-        assert list(report) == ["command", "refinements", "searches", "load", "load_s", "write_s"]
+        # the counters of the document load, and the wall time of each
+        # layer, 0.0 for a layer the command does not run
+        assert list(report) == ["command", "refinements", "searches", "load", "load_s", "graph_s",
+                                "quotient_s", "witness_s", "validate_s", "eval_s", "write_s"]
         assert list(report["load"]) == [f.name for f in dataclasses.fields(LoadCounters)]
         assert report["load"]["bytes"] == os.path.getsize(FIG2)
         assert report["load_s"] > 0 and report["write_s"] > 0
@@ -732,7 +777,7 @@ class TestPrefixedNames:
         ["bisim", "-l", "I", "-r", "I", "--json"],
     ])
     def test_output_as_without_the_scan(self, argv, tmp_path, monkeypatch, capsys):
-        from dlbisim import cli, document
+        from dlbisim import cli, document, stats
 
         path = str(tmp_path / "gen.json")
         assert cli.main(["gen", "--seed", "11", "--n", "80", "--roles", "2", "--concepts", "2",
@@ -743,11 +788,11 @@ class TestPrefixedNames:
         for scan in (True, False):
             if not scan:
                 monkeypatch.setattr(document._Reader, "scan", lambda self, data: data)
-            with document.recorded_loads() as counts:
+            with stats.recorded() as record:
                 code = cli.main(argv + ["-i", path])
             out = capsys.readouterr()
             runs.append((code, out.out, out.err))
-            assert (counts.declined == 0) == scan
+            assert (record.load.declined == 0) == scan
         assert runs[0] == runs[1]
         assert runs[0][0] in (0, 1) and runs[0][1]
 

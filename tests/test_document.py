@@ -35,7 +35,6 @@ from dlbisim.document import (
     interpretation_to_json,
     load_workspace,
     loads_workspace,
-    recorded_loads,
     signature_to_json,
 )
 from dlbisim.errors import (
@@ -49,6 +48,7 @@ from dlbisim.errors import (
 from dlbisim.gen import make_signature, random_interpretation
 from dlbisim.quotient import qs_quotient
 from dlbisim.refine import Partition, compute_partition
+from dlbisim.stats import recorded
 
 ROOT = Path(__file__).resolve().parent.parent
 FIG2 = str(ROOT / "tests" / "fixtures" / "fig2.kbi")
@@ -333,9 +333,9 @@ def _names_doc(domain, concept, roles=None, individual=None) -> str:
 
 
 def _scan_counts(text):
-    with recorded_loads() as counts:
+    with recorded() as record:
         loads_workspace(text)
-    return counts
+    return record.load
 
 
 def _same_as_unscanned(text: str):

@@ -30,7 +30,7 @@ from dlbisim.errors import (
 from dlbisim.gen import make_signature, random_interpretation
 from dlbisim.quotient import qs_quotient, quotient_interpretation, separating_concept
 from dlbisim import refine
-from dlbisim.refine import Partition, compute_partition, recorded_runs
+from dlbisim.refine import Partition, compute_partition
 from dlbisim.semantics import (
     check_assertion,
     check_gci,
@@ -39,6 +39,7 @@ from dlbisim.semantics import (
     eval_concept_qs,
 )
 from dlbisim import syntax as sx
+from dlbisim.stats import recorded
 
 import helpers as H
 
@@ -555,12 +556,12 @@ class TestSeparatingConcepts:
         # the rounds stop after one that splits nothing: the trace is complete
         # and a pair in one of its blocks is not separated without more work
         interp = two_cycle()
-        with recorded_runs() as runs:
+        with recorded() as record:
             _, trace = auto(EMPTY, interp, want_trace=True)
             with pytest.raises(NotSeparatedError):
                 separating_concept(interp, trace, 0, 1)
-        assert [r["function"] for r in runs] == ["compute_partition"]
-        assert runs[0]["counters"]["rounds"] == trace.depth == 1
+        assert [r["function"] for r in record.runs] == ["compute_partition"]
+        assert record.runs[0]["counters"]["rounds"] == trace.depth == 1
         assert [trace.blocks_at(d, np.arange(2)).tolist() for d in (0, 1)] == [[0, 0], [0, 0]]
 
     def test_a_pair_parting_two_thousand_levels_deep(self):

@@ -30,9 +30,9 @@ from dlbisim.refine import (
     compute_partition,
     econd_partition,
     partition_to_relation,
-    recorded_runs,
 )
 from dlbisim.semantics import eval_concept
+from dlbisim.stats import recorded
 from dlbisim.syntax import to_text
 
 import helpers as H
@@ -331,43 +331,43 @@ class TestCounters:
         assert a.counters.moves >= a.counters.splits > 0
         assert Partition(a.block_of, a.n_blocks).counters is None
 
-    def test_recorded_runs(self):
+    def test_runs_are_recorded(self):
         graph = to_labeled_graph(H.marked_path(50))
-        with recorded_runs() as runs:
+        with recorded() as record:
             part, trace = compute_partition(FeatureSet(), graph, want_trace=True)
-            assert [r["function"] for r in runs] == ["compute_partition"]
+            assert [r["function"] for r in record.runs] == ["compute_partition"]
             for d in range(trace.depth + 1):
                 trace.blocks_at(d, np.arange(graph.n))
         untraced, _ = compute_partition(FeatureSet(), graph, want_trace=False)
         # outside the block: not recorded
-        assert [r["function"] for r in runs] == ["compute_partition"]
-        assert runs[0]["counters"] == part.counters._asdict() == untraced.counters._asdict()
-        assert runs[0]["blocks"] == part.n_blocks and runs[0]["wall_s"] >= 0
+        assert [r["function"] for r in record.runs] == ["compute_partition"]
+        assert record.runs[0]["counters"] == part.counters._asdict() == untraced.counters._asdict()
+        assert record.runs[0]["blocks"] == part.n_blocks and record.runs[0]["wall_s"] >= 0
         # the trace is the run's own: one level per round, each round
         # splitting one element off the unmarked rest
-        assert runs[0]["counters"]["rounds"] == trace.depth == 48
-        assert runs[0]["counters"]["splits"] == runs[0]["counters"]["moves"] == 48
-        assert runs[0]["blocks"] == len(np.unique(trace.blocks_at(trace.depth, np.arange(50))))
+        assert record.runs[0]["counters"]["rounds"] == trace.depth == 48
+        assert record.runs[0]["counters"]["splits"] == record.runs[0]["counters"]["moves"] == 48
+        assert record.runs[0]["blocks"] == len(np.unique(trace.blocks_at(trace.depth, np.arange(50))))
 
     def test_level_witnesses_run_no_recorded_loop(self):
         interp = H.sparse_model(H.seeded(3), 300)
         graph = to_labeled_graph(interp)
         phi = FeatureSet.from_string("Q")
-        with recorded_runs() as runs:
+        with recorded() as record:
             part, trace = compute_partition(phi, graph)
             y = int(np.flatnonzero(part.block_of != part.block_of[0])[0])
             separating_concept(interp, trace, 0, y)
-        assert [r["function"] for r in runs] == ["compute_partition"]
-        assert runs[0]["counters"]["rounds"] == trace.depth
+        assert [r["function"] for r in record.runs] == ["compute_partition"]
+        assert record.runs[0]["counters"]["rounds"] == trace.depth
         # a pair that parts deep in the incremental rounds costs no more runs
         path = H.marked_path(50)
-        with recorded_runs() as runs:
+        with recorded() as record:
             part, trace = compute_partition(FeatureSet(), to_labeled_graph(path))
             for x in (0, 1):
                 separating_concept(path, trace, x, x + 1)
-        assert [r["function"] for r in runs] == ["compute_partition"]
-        assert runs[0]["counters"]["rounds"] == trace.depth
-        assert runs[0]["blocks"] == part.n_blocks == 50
+        assert [r["function"] for r in record.runs] == ["compute_partition"]
+        assert record.runs[0]["counters"]["rounds"] == trace.depth
+        assert record.runs[0]["blocks"] == part.n_blocks == 50
 
 
 class TestMemory:
@@ -708,14 +708,14 @@ class TestWatchedRuns:
         stopped = 0
         for ia, ib in _watched_pairs(421, 12):
             for phi in H.ALL_PHIS:
-                with recorded_runs() as runs:
+                with recorded() as record:
                     size = bisimulation_size(phi, ia, ib)
                 unwatched = _unwatched_size(phi, ia, ib)
                 assert size == unwatched, str(phi)
                 assert bisimilar(phi, ia, ib) == (size is not None)
                 full, _ = compute_partition(phi, disjoint_union_graph(ia, ib), want_trace=False)
-                assert runs[0]["counters"]["rounds"] <= full.counters.rounds
-                stopped += runs[0]["counters"]["rounds"] < full.counters.rounds
+                assert record.runs[0]["counters"]["rounds"] <= full.counters.rounds
+                stopped += record.runs[0]["counters"]["rounds"] < full.counters.rounds
         assert stopped > 100, stopped
 
     def test_levels_up_to_the_stop_are_the_unwatched_ones(self):
@@ -778,9 +778,9 @@ class TestWatchedRuns:
         roles["r0"].discard((x, min(interp.successors("r0", x))))
         ib = build_interpretation(sig, interp.n, {}, roles, {"a0": x})
         phi = FeatureSet.from_string("Q")
-        with recorded_runs() as runs:
+        with recorded() as record:
             assert not bisimilar(phi, ia, ib)
-        assert runs[0]["counters"]["rounds"] == 1
+        assert record.runs[0]["counters"]["rounds"] == 1
         full, _ = compute_partition(phi, disjoint_union_graph(ia, ib), want_trace=False)
         assert full.counters.rounds > 1
 
@@ -788,9 +788,9 @@ class TestWatchedRuns:
         sig = make_signature(1, 1, 1)
         ia = build_interpretation(sig, 2, {"A0": {0}}, {"r0": {(0, 1)}}, {"a0": 0})
         ib = build_interpretation(sig, 2, {"A0": {1}}, {"r0": {(0, 1)}}, {"a0": 0})
-        with recorded_runs() as runs:
+        with recorded() as record:
             assert not bisimilar(FeatureSet(), ia, ib)
-        assert runs[0]["counters"] == {"edges_scanned": 0, "rounds": 0, "splits": 0, "moves": 0}
+        assert record.runs[0]["counters"] == {"edges_scanned": 0, "rounds": 0, "splits": 0, "moves": 0}
         part, trace = compute_partition(FeatureSet(), to_labeled_graph(ia), watch=[(0, 1)])
         assert part.counters.rounds == trace.depth == 0
         assert to_text(separating_concept(ia, trace, 0, 1).concept) == "A0"

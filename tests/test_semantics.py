@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlbisim import semantics
+from dlbisim import semantics, stats
 from dlbisim import syntax as sx
 from dlbisim.core import (
     FeatureSet,
@@ -372,13 +372,13 @@ class TestWalkAndPass:
     def test_counters_add_up_across_evaluators_in_a_recording(self):
         interp = H.marked_path(50)
         concept = sx.parse_concept("(some (r0)* A0 and all r0 A0)")
-        with semantics.recorded_searches() as recorded:
+        with stats.recorded() as record:
             eval_concept(interp, concept, FeatureSet())
             eval_concept(interp, concept, FeatureSet())
         ev = Evaluator(interp, FeatureSet())
         ev.concept(concept)
-        assert recorded.searches == 2 * ev.counters.searches == 4
-        assert recorded.walked == 2 * ev.counters.walked
+        assert record.searches.searches == 2 * ev.counters.searches == 4
+        assert record.searches.walked == 2 * ev.counters.walked
 
 
 class TestLongPath:
