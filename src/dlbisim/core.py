@@ -401,7 +401,8 @@ def build_qs_interpretation(base: Interpretation, qu, se) -> QSInterpretation:
     as a mapping from edges (u, v) to counts or as an (m, 3) integer array
     of (u, v, count) rows, where of two rows for one edge the later counts.
     Edges with count 0 are dropped, and the rest must be exactly the
-    basic role's edges.  se maps role names to elements.
+    basic role's edges.  A basic role that qu leaves out has multiplicity
+    1 on each edge.  se maps role names to elements.
     """
     weights = {}
     for key, counts in qu.items():
@@ -423,6 +424,9 @@ def build_qs_interpretation(base: Interpretation, qu, se) -> QSInterpretation:
         weights[(role, bool(inverted))] = _frozen(rows[:, 2].copy())
     loops = {}
     for role in base.signature.role_names:
+        for key in ((role, False), (role, True)):
+            if key not in weights:
+                weights[key] = _frozen(np.ones(len(base.role_edges[role][0]), dtype=np.int64))
         elems = _sorted_unique(_int_array(se.get(role, ())))
         if len(elems) and (elems[0] < 0 or elems[-1] >= base.n):
             raise ElementOutOfRangeError("se set for %r contains element outside the domain" % role)
@@ -436,12 +440,8 @@ def qs_embedding(interp: Interpretation) -> QSInterpretation:
     Every edge gets multiplicity 1 in both directions and se(r) is the
     diagonal of r.  Concept evaluation agrees with the plain semantics.
     """
-    weights = {}
-    loops = {}
-    for role, (src, dst) in interp.role_edges.items():
-        weights[(role, False)] = weights[(role, True)] = _frozen(np.ones(len(src), dtype=np.int64))
-        loops[role] = _frozen(src[src == dst])
-    return QSInterpretation(interp, weights, loops)
+    return build_qs_interpretation(
+        interp, {}, {role: src[src == dst] for role, (src, dst) in interp.role_edges.items()})
 
 
 @dataclass(frozen=True)
@@ -526,7 +526,7 @@ def _runs(names: np.ndarray, width: int, columns) -> list[tuple[np.ndarray, ...]
 
 def _assemble(sig: Signature, sizes: list[int], side_members, side_individuals,
               side_edges) -> LabeledGraph:
-    """Shared assembly for to_labeled_graph, disjoint_union_graph and from_arrays.
+    """Shared assembly for to_labeled_graph and disjoint_union_graph.
 
     Per side, in that side's own element ids: side_members lists per
     concept name (its sorted members,), side_individuals maps every
@@ -584,7 +584,8 @@ def disjoint_union_graph(a: Interpretation, b: Interpretation) -> LabeledGraph:
 
 def from_arrays(signature: Signature, n: int, atom_bits: np.ndarray,
                 role_edges, individual_map: Mapping[str, int] | None = None) -> LabeledGraph:
-    """Build a LabeledGraph straight from numpy data.
+    """The graph of build_interpretation's interpretation of numpy data,
+    which it validates.
 
     atom_bits is an (n, concept names) array whose nonzero cells are the
     memberships.  role_edges is a sequence of (src, dst) array pairs, one
@@ -598,20 +599,13 @@ def from_arrays(signature: Signature, n: int, atom_bits: np.ndarray,
     if atom_bits.shape != (n, len(signature.concept_names)):
         raise SignatureMismatchError("expected atom bits of shape (%d, %d)"
                                      % (n, len(signature.concept_names)))
-    individual_map = dict(individual_map or {})
-    edges = []
-    for src, dst in role_edges:
-        rows = np.column_stack((_int_array(src), _int_array(dst)))
-        if len(rows) and (rows.min() < 0 or rows.max() >= n):
-            raise ElementOutOfRangeError("edge endpoint outside 0..%d" % (n - 1))
-        rows = _sorted_rows(rows)
-        edges.append((rows[:, 0], rows[:, 1]))
-    for name in signature.individual_names:
-        if name not in individual_map:
-            raise PartialIndividualMapError("individual %r has no assigned element" % name)
     concepts, members = np.nonzero(atom_bits.T)  # sorted by concept, then node
-    return _assemble(signature, [n], [_runs(concepts, len(signature.concept_names), (members,))],
-                     [individual_map], [edges])
+    runs = _runs(concepts, len(signature.concept_names), (members,))
+    return to_labeled_graph(build_interpretation(
+        signature, n, {name: x for name, (x,) in zip(signature.concept_names, runs)},
+        {name: np.column_stack((_int_array(src), _int_array(dst)))
+         for name, (src, dst) in zip(signature.role_names, role_edges)},
+        individual_map))
 
 
 def extract_interpretation(graph: LabeledGraph, side: int) -> Interpretation:

@@ -567,33 +567,32 @@ def _index_array(refs: list, index, counted: bool = False) -> np.ndarray | None:
         return None
 
 
-def _load_refs(refs: list, n: int, index, where: str, reader: _Reader) -> np.ndarray:
-    """Element indices of a list of references."""
-    out = _index_array(refs, index)
-    if out is None or (len(out) and (out.min() < 0 or out.max() >= n)):
-        # some reference is invalid: resolve one by one to report the first
-        refs = reader.restore(refs)
-        out = np.array([_resolve_ref(ref, n, index, where) for ref in refs], dtype=np.int64)
-    return out
-
-
-def _load_rows(items: list, width: int, n: int, index, where: str, reader: _Reader,
-               shape: str, count: str = "") -> np.ndarray:
-    """The (m, width) int64 array of [src, dst] (width 2) or [src, dst,
-    count] (width 3) rows.  The rows are flattened and read as one array;
-    when one is malformed, they are checked again one by one, which
-    reports the first problem in document order: shape is the message
-    for an entry of the wrong form, count the one for a bad count."""
-    if set(map(type, items)) <= {list} and set(map(len, items)) <= {width}:
-        rows = _index_array(list(chain.from_iterable(items)), index, width == 3)
-        if rows is not None:
-            rows = rows.reshape(-1, width)
-            refs = rows[:, :2]
-            if not len(rows) or (refs.min() >= 0 and refs.max() < n
-                                 and (width == 2 or rows[:, 2].min() >= 0)):
-                return rows
+def _load_list(items: list, width: int, n: int, index, where: str, reader: _Reader,
+               shape: str = "", count: str = "") -> np.ndarray:
+    """The int64 array of a list of references (width 1), or the (m,
+    width) array of its [src, dst] (width 2) or [src, dst, count] (width
+    3) rows.  The entries are flattened and read as one array; when one
+    is malformed, they are checked again one by one, which reports the
+    first problem in document order: shape is the message for a row of
+    the wrong form, count the one for a bad count."""
+    if width == 1:
+        flat = items
+    elif set(map(type, items)) <= {list} and set(map(len, items)) <= {width}:
+        flat = list(chain.from_iterable(items))
+    else:
+        flat = None
+    out = None if flat is None else _index_array(flat, index, width == 3)
+    if out is not None:
+        rows = out.reshape(-1, width) if width > 1 else out
+        refs = rows[:, :2] if width == 3 else rows
+        if not len(rows) or (refs.min() >= 0 and refs.max() < n
+                             and (width < 3 or rows[:, 2].min() >= 0)):
+            return rows
     rows = []
     for item in reader.restore(items):
+        if width == 1:
+            rows.append(_resolve_ref(item, n, index, where))
+            continue
         _expect(isinstance(item, list) and len(item) == width, shape)
         row = [_resolve_ref(item[0], n, index, where), _resolve_ref(item[1], n, index, where)]
         if width == 3:
@@ -603,7 +602,7 @@ def _load_rows(items: list, width: int, n: int, index, where: str, reader: _Read
             _expect(k < 2 ** 63, "%s: count %d is not below 2**63" % (count, k))
             row.append(k)
         rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(-1, width)
+    return np.array(rows, dtype=np.int64).reshape((-1, width) if width > 1 else -1)
 
 
 def _load_interpretation(obj, sig: Signature, where: str, reader: _Reader):
@@ -623,9 +622,7 @@ def _load_interpretation(obj, sig: Signature, where: str, reader: _Reader):
         val = reader.unmark(val)
         _expect(isinstance(val, list), "%s must be a list" % field)
         reader.declined += 1
-        if width == 1:
-            return _load_refs(val, n, index, at or field, reader)
-        return _load_rows(val, width, n, index, at or field, reader, shape, field)
+        return _load_list(val, width, n, index, at or field, reader, shape, field)
 
     concepts = obj.get("concepts", {})
     _expect(isinstance(concepts, dict), "%s.concepts must be an object" % where)
@@ -660,11 +657,6 @@ def _load_interpretation(obj, sig: Signature, where: str, reader: _Reader):
                     field = "%s.counts.%s.%s" % (where, role, key)
                     qu[(role, inverted)] = refs(spec[key], 3, field, where,
                                                 "%s entries must be [src, dst, count]" % field)
-        for role in sig.role_names:
-            for inverted in (False, True):
-                if (role, inverted) not in qu:
-                    u, v = interp.edges(role, inverted)
-                    qu[(role, inverted)] = np.column_stack((u, v, np.ones_like(u)))
         if "self_loops" in obj:
             loops_obj = obj["self_loops"]
             _expect(isinstance(loops_obj, dict), "%s.self_loops must be an object" % where)

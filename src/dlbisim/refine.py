@@ -38,12 +38,12 @@ have equal deltas: the (role, fresh block) pairs over their edges into
 moved elements, with their edge counts under counting, and without
 counting also the (role, old block) pairs whose last edge moved out,
 found by records of the edge count per (element, role, block), at most
-m of them.  The touched elements of each non-singleton block are
-grouped by their sorted deltas, and its untouched elements form one
-class.  Each element moves at most log2 n times, so the incremental
-rounds read O(m log n) edges in all.  A round in which no block has two
-touched elements, as on a path, moves each touched element to a fresh
-block of its own, by ascending element, with no sort and no grouping.
+m of them.  A round makes one pass over its touched elements, grouped
+by block, blocks in order of their least touched element.  A block with
+one touched element moves it to a fresh block of its own, with no sort;
+a block with more groups them by their sorted deltas, and its untouched
+elements form one class.  Each element moves at most log2 n times, so
+the incremental rounds read O(m log n) edges in all.
 
 Full rounds run while the in-edges of the elements that the last round
 moved number at least m/8; the rounds after that are incremental.  The
@@ -56,7 +56,9 @@ one or two.
 
 With want_trace, the same run keeps every level for the witness
 builder, as changes of one element's id at one level (RefinementTrace):
-one per element at level 0 and one per move, O(n log n) in all.
+one per element at level 0 and one per move, O(n log n) in all.  The
+splits are read off those changes (RefinementTrace.events); no round
+records them.
 
 A run may watch pairs of nodes.  Rounds only split blocks, so two nodes
 that part at level d stay parted, and a concept of modal depth d tells
@@ -168,7 +170,7 @@ class RefinementTrace:
     """
 
     def __init__(self, graph: LabeledGraph, phi: FeatureSet, depth: int, keys: np.ndarray,
-                 ids: np.ndarray, splits: list[tuple[int, int, int, int]]):
+                 ids: np.ndarray):
         self.graph = graph
         self.phi = phi
         self.use_counts = bool(phi.counting)
@@ -176,7 +178,6 @@ class RefinementTrace:
         self.depth = depth
         self._keys = keys
         self._ids = ids
-        self._splits = splits  # (level, parent, first fresh id, end)
 
     def blocks_at(self, d: int, xs):
         """The level d block ids of xs, one element or an array of them:
@@ -187,9 +188,23 @@ class RefinementTrace:
 
     @property
     def events(self) -> tuple[SplitEvent, ...]:
-        """The splits, one per block that a round split, in level order."""
-        return tuple(SplitEvent(d, parent, (parent, *range(lo, hi)))
-                     for d, parent, lo, hi in self._splits)
+        """The splits, one per block that a round split, in level order,
+        read off the changes.  A change at a level d above 0 gives its
+        element a fresh id, and the change before it, the same element's,
+        holds its level d - 1 block: the fresh block's parent.  The
+        rounds hand out fresh ids in ascending order, each split's as one
+        run, so the runs of equal (level, parent) over the fresh ids in
+        order are the splits."""
+        levels = self._keys % (self.depth + 1)
+        moves = np.flatnonzero(levels)
+        fresh, first = np.unique(self._ids[moves], return_index=True)
+        at = moves[first]
+        parent, level = self._ids[at - 1], levels[at]
+        edges = np.flatnonzero(np.diff(parent, prepend=-1, append=-1)
+                               | np.diff(level, prepend=-1, append=-1)).tolist()
+        parent, level, fresh = parent.tolist(), level.tolist(), fresh.tolist()
+        return tuple(SplitEvent(level[lo], parent[lo], (parent[lo], *fresh[lo:hi]))
+                     for lo, hi in zip(edges, edges[1:]))
 
     def splitter_role(self, idx: int) -> tuple[str, bool]:
         """Role name and inverted flag for a splitter role index."""
@@ -294,10 +309,10 @@ def _edge_ends(phi: FeatureSet, graph: LabeledGraph):
 def _signature_round(block_of, k, origin, heads, nsr, counting):
     """One signature round against the partition block_of of k blocks,
     over the edges origin = x * nsr + s, of tail x and splitter role s,
-    into heads: the new block ids, their count, and the parent block of
-    each fresh id.  The largest sub-block of every block keeps the
-    block's id, the first in signature order of equal largest ones; the
-    other sub-blocks get the fresh ids k, k + 1, ... by parent.
+    into heads: the new block ids, their count, and the number of blocks
+    split.  The largest sub-block of every block keeps the block's id,
+    the first in signature order of equal largest ones; the other
+    sub-blocks get the fresh ids k, k + 1, ... by parent.
 
     An element's signature is its block and the keys s * k + C of its
     edges, C the head's block, with their edge counts when counting.
@@ -323,7 +338,7 @@ def _signature_round(block_of, k, origin, heads, nsr, counting):
         ids, total = _signature_ids(blocks, k, np.unique(keys, return_counts=True), nsr,
                                     counting)
     if total == k:  # no block split: every block keeps its id
-        return block_of, k, np.zeros(0, dtype=np.int64)
+        return block_of, k, 0
     parent = np.empty(total, dtype=np.int64)
     parent[ids] = blocks
     # by parent, then largest first; lexsort is stable
@@ -333,7 +348,8 @@ def _signature_round(block_of, k, origin, heads, nsr, counting):
     np.equal(parent[1:], parent[:-1], out=fresh[1:])
     renumber = np.empty(total, dtype=np.int32)
     renumber[order] = np.where(fresh, k - 1 + np.cumsum(fresh), parent)
-    return renumber[ids], total, parent[fresh]
+    # a split block's first fresh id follows the id it keeps
+    return renumber[ids], total, int(np.count_nonzero(fresh[1:] > fresh[:-1]))
 
 
 def _signature_ids(blocks, k, pairs, nsr, counting):
@@ -382,12 +398,11 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
 
     Returns the final block ids and count; the rounds, edges scanned,
     splits and moves; and, with trace, the moves as arrays of elements,
-    levels and fresh ids, and the splits as (level, parent, first fresh
-    id, end).  The elements are kept in block order, every block a
-    segment of it (Valmari's array form), so that a split moves only its
-    touched elements.  When no edge leaves a block that can split, the
-    first round reads nothing and splits nothing, and it is counted
-    without the set-up.
+    levels and fresh ids.  The elements are kept in block order, every
+    block a segment of it (Valmari's array form), so that a split moves
+    only its touched elements.  When no edge leaves a block that can
+    split, the first round reads nothing and splits nothing, and it is
+    counted without the set-up.
 
     A delta entry is q * nsr + s for an edge along splitter role s into
     fresh block q, and span + p * nsr + s, span = n * nsr, for a record
@@ -397,9 +412,15 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
     a missing record of such a block counts 1 edge, while a fresh block's
     records are there from its first edge on.
 
-    A round in which no block has two touched elements splits each
-    touched block in two: its touched element moves to a fresh id, by
-    ascending element, as the grouping would move it, with no sort.
+    A round makes one pass over the sorted codes x * wide + entry, wide =
+    2 * span, of its touched elements x, which groups them by block,
+    blocks in order of their least touched element.  A block with one
+    touched element splits in two: the element moves to the back of the
+    block's segment and to a fresh id, with no sort.  A block with more
+    sorts its touched elements by delta and cuts the segment.  The keys
+    of that sort (_delta_keys) are made once in a round, at its first
+    such block, over all its touched elements in element order, so that
+    no fresh id depends on which blocks have one touched element.
     """
     n = len(block_of)
     size = np.bincount(block_of, minlength=k)
@@ -410,7 +431,7 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
     if not live.any():
         changes = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                    np.zeros(0, dtype=np.int32)) if trace else None
-        return block_of, k, (1, 0, 0, 0), changes, []
+        return block_of, k, (1, 0, 0, 0), changes
     tails, roles, heads = tails[live], roles[live], heads[live]
     order = np.argsort(heads)
     ptr = np.zeros(n + 1, dtype=np.int64)
@@ -438,7 +459,7 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
     fst, lst = bounds[:-1], bounds[1:]
     moved, olds = moved.tolist(), olds.tolist()
     rounds = splits = moves = 0
-    moved_elems, moved_ids, per_round, events = [], [], [], []
+    moved_elems, moved_ids, per_round = [], [], []
     while moved and k < n:
         rounds += 1
         level += 1
@@ -466,17 +487,24 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
                     else:
                         found.append(x * wide + span + p * nsr + role[j])
         moved, olds = [], []
-        # the touched element of each block, while no block has two
-        single = {}
+        # the touched elements of each block, blocks in order of their least
+        # touched element
+        found.sort()
+        groups = {}
+        last = -1
         for code in found:
             x = code // wide
-            if single.setdefault(blk[x], x) != x:
-                single = None
-                break
-        if single is not None:
-            for x in sorted(single.values()):
-                b = blk[x]
-                t = lst[b] - 1
+            if x != last:
+                last = x
+                groups.setdefault(blk[x], []).append(x)
+        keyof = None
+        for b, group in groups.items():
+            fb = fst[b]
+            lb = lst[b]
+            if len(group) == 1:
+                # the touched element moves to a fresh block of its own
+                x = group[0]
+                t = lb - 1
                 i = pos[x]
                 z = el[t]
                 el[t] = x
@@ -485,93 +513,60 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
                 pos[z] = i
                 q = len(fst)
                 fst.append(t)
-                lst.append(t + 1)
+                lst.append(lb)
                 lst[b] = t
                 blk[x] = q
                 moved.append(x)
                 olds.append(b)
                 if trace:
                     moved_ids.append(q)
-                    events.append((level, b, q, q + 1))
-            splits += len(moved)
-        else:
-            # each touched element's sorted delta, as its one entry or as the
-            # complement of its index among the longer deltas, and the touched
-            # elements of each block
-            found.sort()
-            found.append(n * wide)  # closes the last element's run
-            keyof = {}
-            shapes = {}
-            groups = {}
-            run = []
-            last = found[0] // wide
-            for code in found:
-                x, entry = divmod(code, wide)
-                if x != last:
-                    if len(run) == 1:
-                        keyof[last] = run[0]
-                    else:
-                        keyof[last] = ~shapes.setdefault(tuple(run), len(shapes))
-                    b = blk[last]
-                    group = groups.get(b)
-                    if group is None:
-                        groups[b] = [last]
-                    else:
-                        group.append(last)
-                    run.clear()
-                    last = x
-                if counting or not run or run[-1] != entry:  # without counting, a set
-                    run.append(entry)
-            for b, group in groups.items():
-                fb = fst[b]
-                lb = lst[b]
-                if len(group) > 1:
-                    group.sort(key=keyof.__getitem__)
-                t = lb - len(group)
-                if t == fb and keyof[group[0]] == keyof[group[-1]]:
-                    continue
-                # the touched elements go to the back of b's segment in delta
-                # order; the untouched elements and each run of equal deltas
-                # are the classes, between consecutive cuts
-                cuts = [fb] if t > fb else []
-                last = None
-                for x in group:
-                    if keyof[x] != last:
-                        cuts.append(t)
-                        last = keyof[x]
-                    i = pos[x]
-                    z = el[t]
-                    el[t] = x
-                    el[i] = z
-                    pos[x] = t
-                    pos[z] = i
-                    t += 1
-                cuts.append(lb)
-                keep = 0
-                for c in range(1, len(cuts) - 1):
-                    if cuts[c + 1] - cuts[c] > cuts[keep + 1] - cuts[keep]:
-                        keep = c
-                first = len(fst)
-                for c in range(len(cuts) - 1):
-                    lo = cuts[c]
-                    hi = cuts[c + 1]
-                    if c == keep:
-                        fst[b] = lo
-                        lst[b] = hi
-                        continue
-                    q = len(fst)
-                    fst.append(lo)
-                    lst.append(hi)
-                    members = el[lo:hi]
-                    for x in members:
-                        blk[x] = q
-                    moved += members
-                    olds += [b] * (hi - lo)
-                    if trace:
-                        moved_ids += [q] * (hi - lo)
                 splits += 1
+                continue
+            if keyof is None:
+                keyof = _delta_keys(found, wide, counting)
+            group.sort(key=keyof.__getitem__)
+            t = lb - len(group)
+            if t == fb and keyof[group[0]] == keyof[group[-1]]:
+                continue
+            # the touched elements go to the back of b's segment in delta
+            # order; the untouched elements and each run of equal deltas
+            # are the classes, between consecutive cuts
+            cuts = [fb] if t > fb else []
+            last = None
+            for x in group:
+                if keyof[x] != last:
+                    cuts.append(t)
+                    last = keyof[x]
+                i = pos[x]
+                z = el[t]
+                el[t] = x
+                el[i] = z
+                pos[x] = t
+                pos[z] = i
+                t += 1
+            cuts.append(lb)
+            keep = 0
+            for c in range(1, len(cuts) - 1):
+                if cuts[c + 1] - cuts[c] > cuts[keep + 1] - cuts[keep]:
+                    keep = c
+            for c in range(len(cuts) - 1):
+                lo = cuts[c]
+                hi = cuts[c + 1]
+                if c == keep:
+                    fst[b] = lo
+                    lst[b] = hi
+                    continue
+                q = len(fst)
+                fst.append(lo)
+                lst.append(hi)
+                members = el[lo:hi]
+                for x in members:
+                    blk[x] = q
+                moved += members
+                olds += [b] * (hi - lo)
                 if trace:
-                    events.append((level, b, first, len(fst)))
+                    moved_ids += [q] * (hi - lo)
+            splits += 1
         k = len(fst)
         moves += len(moved)
         if trace:
@@ -584,7 +579,27 @@ def _incremental_rounds(block_of, k, moved, olds, level, tails, roles, heads, ns
         changes = (np.array(moved_elems, dtype=np.int64),
                    np.repeat(np.arange(level - rounds + 1, level + 1), per_round),
                    np.array(moved_ids, dtype=np.int32))
-    return np.array(blk, dtype=np.int32), k, (rounds, scanned, splits, moves), changes, events
+    return np.array(blk, dtype=np.int32), k, (rounds, scanned, splits, moves), changes
+
+
+def _delta_keys(found: list[int], wide: int, counting: bool) -> dict[int, int]:
+    """The sort key of each touched element's delta, from the sorted codes
+    x * wide + entry of an incremental round: its one entry, or the
+    complement of its index among the longer deltas, numbered in order of
+    their least element.  Without counting, a delta is a set."""
+    keyof = {}
+    shapes = {}
+    run = []
+    last = found[0] // wide
+    for code in found + [-1]:  # -1 closes the last element's run
+        x, entry = divmod(code, wide)
+        if x != last:
+            keyof[last] = run[0] if len(run) == 1 else ~shapes.setdefault(tuple(run), len(shapes))
+            run.clear()
+            last = x
+        if counting or not run or run[-1] != entry:
+            run.append(entry)
+    return keyof
 
 
 def _record(function: str, phi: FeatureSet, graph: LabeledGraph, n_blocks: int,
@@ -633,25 +648,20 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
     rounds = scanned = splits = moves = 0
     # with the trace, every (element, level, id) change: level 0, then the moves
     changes = [(np.arange(n), np.zeros(n, dtype=np.int64), label)] if want_trace else []
-    events: list[tuple[int, int, int, int]] = []
     watched = len(watch) > 0
     if watched:
         left, right = np.array(watch, dtype=np.int64).T
     parted = watched and bool(np.any(label[left] != label[right]))
     moved_in = m  # every edge is new to the first round
     while not parted and k < n and 8 * moved_in >= m:
-        ids, total, parents = _signature_round(block_of, k, origin, heads, nsr, counting)
+        ids, total, split = _signature_round(block_of, k, origin, heads, nsr, counting)
         rounds += 1
         scanned += m
         moved = np.flatnonzero(ids >= k)
-        firsts = np.flatnonzero(np.diff(parents, prepend=-1))
-        splits += len(firsts)
+        splits += split
         moves += len(moved)
         if want_trace:
             changes.append((moved, np.full(len(moved), rounds), ids[moved]))
-            ends = np.append(firsts[1:], len(parents))
-            events += [(rounds, parent, k + lo, k + hi) for parent, lo, hi in
-                       zip(parents[firsts].tolist(), firsts.tolist(), ends.tolist())]
         olds, block_of, k = block_of[moved], ids, total
         if not len(moved):
             break  # the round split no block: the fixpoint
@@ -663,19 +673,18 @@ def compute_partition(phi: FeatureSet, graph: LabeledGraph, want_trace: bool = T
             for x, y in zip(left.tolist(), right.tolist()):
                 partners.setdefault(x, []).append(y)
                 partners.setdefault(y, []).append(x)
-        block_of, k, counts, more, more_events = _incremental_rounds(
+        block_of, k, counts, more = _incremental_rounds(
             block_of, k, moved, olds, rounds, tails, roles, heads, nsr, counting, want_trace,
             partners)
         rounds, scanned, splits, moves = map(sum, zip((rounds, scanned, splits, moves), counts))
         changes.append(more)
-        events += more_events
     counters = Counters(scanned, rounds, splits, moves)
     partition, trace = Partition(block_of, k, counters), None
     if want_trace:
         xs, levels, ids = (np.concatenate(column) for column in zip(*changes))
         keys = xs * (rounds + 1) + levels
         order = np.argsort(keys)
-        trace = RefinementTrace(graph, phi, rounds, keys[order], ids[order], events)
+        trace = RefinementTrace(graph, phi, rounds, keys[order], ids[order])
     _record("compute_partition", phi, graph, k, counters, start)
     return partition, trace
 

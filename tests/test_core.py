@@ -355,6 +355,17 @@ class TestLabeledGraph:
         with pytest.raises(ElementOutOfRangeError):
             from_arrays(sig, 3, atom, [(np.array([0]), np.array([3])), edges[1]])
 
+    def test_from_arrays_checks_the_individuals(self):
+        sig = make_signature(0, 1, 1)
+        edges = [(np.array([0]), np.array([1]))]
+        graph = from_arrays(sig, 3, np.zeros((3, 0)), edges, {"a0": 2})
+        assert graph.individual_nodes == {"a0": (2,)}
+        for x in (3, 7, -1):
+            with pytest.raises(ElementOutOfRangeError):
+                from_arrays(sig, 3, np.zeros((3, 0)), edges, {"a0": x})
+        with pytest.raises(PartialIndividualMapError):
+            from_arrays(sig, 3, np.zeros((3, 0)), edges)
+
 
 class TestQSEmbedding:
     def test_unit_multiplicities(self):

@@ -254,6 +254,12 @@ def _cut_union(seed, n):
 CUT_UNION = _cut_union(409, 30)
 
 
+def marked_cycle(n, marks):
+    """An r0-cycle of n elements, the marks in A0."""
+    return build_interpretation(make_signature(1, 1, 0), n, {"A0": marks},
+                                {"r0": {(i, (i + 1) % n) for i in range(n)}}, {})
+
+
 def as_graph(shape):
     """The graph of an interpretation, or of a pair's disjoint union."""
     if isinstance(shape, tuple):
@@ -508,15 +514,31 @@ class TestTraces:
         assert trace.use_counts is False
         assert np.array_equal(level(trace, 0), econd_partition(phi, graph).block_of)
         assert len(np.unique(level(trace, trace.depth))) == part.n_blocks
-        # one event per block that a round split, into the blocks of its
-        # level; the largest keeps the parent's id
-        assert [ev.level for ev in trace.events] == sorted(ev.level for ev in trace.events)
-        for ev in trace.events:
-            coarse, fine = level(trace, ev.level - 1), level(trace, ev.level)
-            subs = np.unique(fine[coarse == ev.parent]).tolist()
-            assert len(subs) > 1 and tuple(subs) == ev.subs and subs[0] == ev.parent
-            sizes = np.bincount(fine)[subs]
-            assert sizes[0] == sizes.max()
+
+    def test_events_are_the_splits_of_the_levels(self):
+        rng = H.seeded(431)
+        shapes = [H.marked_path(n) for n in (2, 9, 30)] + [H.binary_tree(d) for d in (2, 4)]
+        shapes += [marked_cycle(12, {0, 5}), marked_cycle(31, {3, 10, 17, 29})]
+        shapes += [H.small_instance(rng, max_individuals=3, max_n=20) for _ in range(6)]
+        shapes += [H.instance_pair(rng, max_n=12) for _ in range(4)] + [CUT_UNION]
+        for shape in shapes:
+            graph = as_graph(shape)
+            watches = ([], [(0, graph.n - 1), (rng.randrange(graph.n), rng.randrange(graph.n))])
+            for phi in H.ALL_PHIS:
+                for watch in watches:
+                    part, trace = compute_partition(phi, graph, watch=watch)
+                    events = trace.events
+                    assert len(events) == part.counters.splits, str(phi)
+                    assert [ev.level for ev in events] == sorted(ev.level for ev in events)
+                    # one event per block that a round split, into the blocks
+                    # of its level inside it; the largest keeps the parent's id
+                    for ev in events:
+                        coarse, fine = level(trace, ev.level - 1), level(trace, ev.level)
+                        subs = np.unique(fine[coarse == ev.parent]).tolist()
+                        assert len(subs) > 1 and tuple(subs) == ev.subs, (str(phi), ev)
+                        assert subs[0] == ev.parent
+                        sizes = np.bincount(fine)[subs]
+                        assert sizes[0] == sizes.max(), (str(phi), ev)
 
     def test_counting_traces_expose_degree_presplit(self):
         sig = Signature((), ("r",), ())
@@ -563,8 +585,8 @@ class TestSignatureRounds:
             heads = np.concatenate([heads, np.arange(n)])
             roles = np.concatenate([roles, rng.integers(0, nsr, n)])
         for counting in (False, True):
-            ids, total, parents = _signature_round(block_of, k, tails * nsr + roles, heads,
-                                                   nsr, counting)
+            ids, total, split = _signature_round(block_of, k, tails * nsr + roles, heads,
+                                                 nsr, counting)
             pairs = {x: Counter() for x in range(n)}
             for x, y, s in zip(tails.tolist(), heads.tolist(), roles.tolist()):
                 pairs[x][s, int(block_of[y])] += 1
@@ -576,15 +598,16 @@ class TestSignatureRounds:
             assert all(len(v) == 1 for v in classes.values())
             assert total == len(classes) == len(set(ids.tolist()))
             # the largest sub-block of every block keeps its id, the others
-            # get the fresh ids k..total-1, whose parents are listed in order
+            # get the fresh ids k..total-1, by parent
             size = np.bincount(ids, minlength=total)
+            parents = []
             for b in range(k):
                 subs = np.unique(ids[block_of == b])
                 assert b in subs and size[b] == size[subs].max()
-                assert all(parents[sub - k] == b for sub in subs if sub != b)
-            assert len(parents) == total - k and np.all(np.diff(parents) >= 0)
+                parents += [b] * (len(subs) - 1)
+            assert parents == [int(block_of[ids == q][0]) for q in range(k, total)]
             splits = Counter(b for b, _ in classes)
-            assert len(set(parents.tolist())) == sum(1 for c in splits.values() if c > 1)
+            assert split == sum(1 for c in splits.values() if c > 1)
 
     def test_counting_model_settles_by_rounds(self):
         interp = H.sparse_model(H.seeded(3), 300)
@@ -650,6 +673,27 @@ class TestSingleTouchRounds:
             parents = [0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
             assert [(e.level, e.parent, e.subs) for e in trace.events] == [
                 (1 + i // 2, b, (b, 4 + i)) for i, b in enumerate(parents)]
+
+    def test_one_touched_and_several_touched_blocks_in_one_round(self, monkeypatch):
+        # a marked path 0..11 and u, v, w = 12, 13, 14 in A1, u and v into
+        # 9, w into 0: incremental round 3 touches 8 alone in the path's
+        # block and u and v in theirs, which keep their id as the larger
+        # class while w moves; 8 < u, so the path's block splits first
+        edges = {(i, i + 1) for i in range(11)} | {(12, 9), (13, 9), (14, 0)}
+        interp = build_interpretation(make_signature(2, 1, 0), 15,
+                                      {"A0": {11}, "A1": {12, 13, 14}}, {"r0": edges}, {})
+        graph = to_labeled_graph(interp)
+        starts = []
+        rounds = refine._incremental_rounds
+        monkeypatch.setattr(refine, "_incremental_rounds",
+                            lambda *a: starts.append(a[4]) or rounds(*a))
+        for phi in ("", "Q"):
+            part, trace = compute_partition(FeatureSet.from_string(phi), graph)
+            assert part.counters.rounds == 11 and starts.pop() == 1
+            assert part.block_of.tolist() == [0, 13, 12, 11, 10, 9, 8, 7, 5, 4, 3, 2, 1, 1, 6]
+            assert [(e.level, e.parent, e.subs) for e in trace.events] == [
+                (1, 0, (0, 3)), (2, 0, (0, 4)), (3, 0, (0, 5)), (3, 1, (1, 6)),
+                *((d, 0, (0, d + 3)) for d in range(4, 11))]
 
 
 def _shuffled_copy(rng, interp, cut):

@@ -636,6 +636,21 @@ class TestQSReading:
             for c in concepts:
                 assert eval_concept_qs(qsi, c, FULL) == eval_concept(interp, c, FULL)
 
+    def test_left_out_basic_roles_count_each_edge_once(self):
+        rng = H.seeded(109)
+        sig = make_signature(1, 2, 1)
+        concepts = H.enumerate_concepts(FULL, sig, 3) + (sx.parse_concept("atleast 1 r0 A0"),)
+        for _ in range(5):
+            interp = random_interpretation(rng, sig, rng.randint(2, 7))
+            diagonal = {r: src[src == dst] for r, (src, dst) in interp.role_edges.items()}
+            embedded = qs_embedding(interp)
+            assert build_qs_interpretation(interp, {}, diagonal) == embedded
+            partial = {("r1", True): embedded.qu[("r1", True)]}
+            for qu in ({}, partial):
+                qsi = build_qs_interpretation(interp, qu, diagonal)
+                for c in concepts:
+                    assert eval_concept_qs(qsi, c, FULL) == eval_concept_qs(embedded, c, FULL)
+
     def test_multiplicities_feed_counting(self):
         from dlbisim.core import build_qs_interpretation
         sig = make_signature(0, 1, 0)
