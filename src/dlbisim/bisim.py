@@ -50,6 +50,7 @@ from .core import (
 )
 from .errors import ElementOutOfRangeError, SignatureMismatchError, TooLargeError
 from .refine import Partition, compute_partition
+from .stats import timed
 
 
 @dataclass(frozen=True)
@@ -368,9 +369,8 @@ def bisimulation_pairs(phi: FeatureSet, ia: Interpretation,
     if found is None:
         return None
     left, right, n_blocks = found
-    rights: list[list[int]] = [[] for _ in range(n_blocks)]
-    for y, b in enumerate(right.tolist()):
-        rights[b].append(y)
+    with timed("pairs_s"):
+        rights = Partition(right, n_blocks).blocks
     return ((x, y) for x, b in enumerate(left.tolist()) for y in rights[b])
 
 

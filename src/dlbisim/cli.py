@@ -186,7 +186,8 @@ def cmd_bisim(args) -> int:
     lines = ["NOT BISIMILAR"]
     if ia.n * ib.n <= EXPLAIN_LIMIT:
         log = []
-        naive_largest_bisimulation(phi, ia, ib, log=log)
+        with timed("explain_s"):
+            naive_largest_bisimulation(phi, ia, ib, log=log)
         if log:
             lines.append(_format_record(log[0], ws, args.left, args.right))
     _write(args, lambda: "\n".join(lines) + "\n")
@@ -252,7 +253,8 @@ def cmd_extend_rbox(args) -> int:
     interp = ws.interpretation(args.interpretation)
     if ws.kb is None:
         raise DocumentError("document has no kb section")
-    closed = least_r_extension(interp, ws.kb.rbox)
+    with timed("closure_s"):
+        closed = least_r_extension(interp, ws.kb.rbox)
     doc = {
         "signature": signature_to_json(interp.signature),
         "interpretations": {
@@ -286,7 +288,10 @@ def cmd_bench(args) -> int:
     sizes = []
     for part in args.sizes.split(","):
         part = part.strip()
-        if not part.isdigit() or int(part) <= 0:
+        # only ASCII digits, no more of them than an array size has, reach
+        # int(): isdigit() also takes other scripts' digits and superscripts
+        if (not (part.isascii() and part.isdigit()) or len(part) > len(str(sys.maxsize))
+                or int(part) <= 0):
             raise DocumentError("sizes must be positive integers, got %r" % part)
         sizes.append(int(part))
 
@@ -341,7 +346,8 @@ def _add_io(sp, interp=True, json_flag=False):
                     help="print the counters and wall time of every refinement run, "
                          "the counters of the preimage searches and of the document load, "
                          "and the wall time of each layer (load, graph build, quotient, "
-                         "witness build and validation, evaluation, output write), "
+                         "witness build and validation, evaluation, output write, "
+                         "bisim's pair lists and explanation, extend-rbox's closure), "
                          "as one JSON object on stderr")
 
 

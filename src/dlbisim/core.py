@@ -394,7 +394,7 @@ class QSInterpretation:
         return MappingProxyType({r: frozenset(x.tolist()) for r, x in self.loops.items()})
 
 
-def build_qs_interpretation(base: Interpretation, qu, se) -> QSInterpretation:
+def build_qs_interpretation(base: Interpretation, qu, se=None) -> QSInterpretation:
     """Validate multiplicities and self sets over base.
 
     qu maps a basic role (role name, inverted flag) to its multiplicities,
@@ -402,8 +402,11 @@ def build_qs_interpretation(base: Interpretation, qu, se) -> QSInterpretation:
     of (u, v, count) rows, where of two rows for one edge the later counts.
     Edges with count 0 are dropped, and the rest must be exactly the
     basic role's edges.  A basic role that qu leaves out has multiplicity
-    1 on each edge.  se maps role names to elements.
+    1 on each edge.  se maps role names to elements, a role it leaves out
+    to none; None, the default, gives each role its diagonal.
     """
+    if se is None:
+        se = {role: src[src == dst] for role, (src, dst) in base.role_edges.items()}
     weights = {}
     for key, counts in qu.items():
         role, inverted = key
@@ -440,8 +443,7 @@ def qs_embedding(interp: Interpretation) -> QSInterpretation:
     Every edge gets multiplicity 1 in both directions and se(r) is the
     diagonal of r.  Concept evaluation agrees with the plain semantics.
     """
-    return build_qs_interpretation(
-        interp, {}, {role: src[src == dst] for role, (src, dst) in interp.role_edges.items()})
+    return build_qs_interpretation(interp, {})
 
 
 @dataclass(frozen=True)

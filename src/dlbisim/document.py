@@ -65,11 +65,12 @@ is parsed again), are those of a plain json.loads.  Each interpretation
 keeps its edges in those arrays (see the core module); a repeated edge
 counts once, and of two "counts" rows for one edge the later one
 counts.  Writing goes the other way: dumps_document writes an
-InterpretationBody from the arrays, each list of rows as whole-array
-sums of per-element pieces (object arrays of strings), appends every
-piece of the document to one list and joins it once.  The text is
-exactly what json.dumps(indent=2, sort_keys=True) writes for the same
-data.
+InterpretationBody from the arrays.  One layout, _Refs, writes every
+list of names: flat, in rows, or in runs (the blocks of a partition).
+Each item is its name's literal, made once per element, followed by the
+piece that ends it; the pieces of the whole document go into one list,
+which is joined once.  The text is exactly what json.dumps(indent=2,
+sort_keys=True) writes for the same data.
 
 Bytes that are not UTF-8, malformed JSON, JSON that nests arrays and
 objects more than MAX_NESTING = 100 levels deep (brackets inside strings
@@ -93,7 +94,7 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -657,6 +658,7 @@ def _load_interpretation(obj, sig: Signature, where: str, reader: _Reader):
                     field = "%s.counts.%s.%s" % (where, role, key)
                     qu[(role, inverted)] = refs(spec[key], 3, field, where,
                                                 "%s entries must be [src, dst, count]" % field)
+        se = None
         if "self_loops" in obj:
             loops_obj = obj["self_loops"]
             _expect(isinstance(loops_obj, dict), "%s.self_loops must be an object" % where)
@@ -665,8 +667,6 @@ def _load_interpretation(obj, sig: Signature, where: str, reader: _Reader):
                 _expect(role in sig.role_index,
                         "%s.self_loops: %r is not a role name" % (where, role))
                 se[role] = refs(val, 1, "%s.self_loops.%s" % (where, role))
-        else:
-            se = {role: src[src == dst] for role, (src, dst) in interp.role_edges.items()}
         qsi = build_qs_interpretation(interp, qu, se)
     return interp, names, index, qsi
 
@@ -688,7 +688,8 @@ def _load_kb(obj) -> tuple[KnowledgeBase, dict[str, tuple[str, ...]]]:
 
 
 def _parse_json(text: str):
-    """json.loads with the cyclic garbage collector paused.
+    """json.loads with the cyclic garbage collector paused; ParseError
+    when the text is not JSON that Python reads.
 
     The parse allocates one list or dict per JSON array or object, and
     each allocation counts towards the collector's thresholds, so without
@@ -702,6 +703,10 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc.msg, exc.lineno, exc.colno)
+    except ValueError:
+        # the one other ValueError: an integer of more digits than int()
+        # reads (sys.get_int_max_str_digits)
+        raise ParseError("invalid JSON: an integer has too many digits") from None
     finally:
         if was_enabled:
             gc.enable()
@@ -895,59 +900,64 @@ def interpretation_to_json(interp: Interpretation, names=None,
 
 
 class _Literals:
-    """The JSON literals of a domain's element names, and row pieces made
-    from them, each an object array indexed by element and made once."""
+    """The JSON literals of a domain's element names, an object array
+    indexed by element and made once."""
 
     def __init__(self, names):
         self.text = np.array(list(map(_literal, names)), dtype=object)
-        self._pieces: dict[tuple[str, str], np.ndarray] = {}
-
-    def pieces(self, before: str, after: str) -> np.ndarray:
-        key = (before, after)
-        if key not in self._pieces:
-            self._pieces[key] = before + self.text + after
-        return self._pieces[key]
-
-
-def _rows(xs: np.ndarray, ys: np.ndarray, left: _Literals, right: _Literals, pad: str,
-          counts: np.ndarray | None = None) -> list[str]:
-    """The JSON texts of the [left, right] rows of the index arrays xs
-    and ys, or with counts of the [left, right, count] rows, in a list
-    whose first line is indented as pad ("\\n" and spaces) says.  Each
-    row is a sum of object arrays: the pieces of its elements and the
-    text of its count, made once per distinct count."""
-    item, inner = pad + "  ", pad + "    "
-    rows = left.pieces("[" + inner, "," + inner)[xs]
-    if counts is None:
-        rows += right.pieces("", item + "]")[ys]
-    else:
-        rows += right.pieces("", "," + inner)[ys]
-        distinct, which = np.unique(counts, return_inverse=True)
-        rows += np.array([str(k) + item + "]" for k in distinct.tolist()], dtype=object)[which]
-    return rows.tolist()
 
 
 class _Refs:
     """A list of element names (one index array), or of [src, dst] or
-    [src, dst, count] rows (two or three arrays), written by dumps_document."""
+    [src, dst, count] rows (two or three arrays), written by dumps_document.
+    The dst of a row names an element of right when it is given; with
+    run_ends, the names are the runs between those positions, written as
+    lists of names.
 
-    __slots__ = ("literals", "cols")
+    write lays each item out as its literal, a shared object, followed by
+    the piece that ends it: the separator inside a row, a row's close and
+    the next row's open, or the list's close.  Rows of one width end
+    alike, so their ends are one list repeated; runs pick each element's
+    end from two.  The pieces go into the document's list, which is
+    joined once."""
 
-    def __init__(self, literals: _Literals, *cols: np.ndarray):
+    __slots__ = ("literals", "cols", "right", "run_ends")
+
+    def __init__(self, literals: _Literals, *cols: np.ndarray, right: _Literals | None = None,
+                 run_ends: np.ndarray | None = None):
         self.literals = literals
         self.cols = cols
+        self.right = right or literals
+        self.run_ends = run_ends
 
     def write(self, pad: str, out: list[str]) -> None:
-        cols = self.cols
-        if not len(cols[0]):
+        cols, runs = self.cols, self.run_ends
+        m = len(cols[0])
+        if not m:
             out.append("[]")
             return
-        if len(cols) == 1:
-            items = self.literals.text[cols[0]].tolist()
-        else:
-            items = _rows(cols[0], cols[1], self.literals, self.literals, pad, *cols[2:])
-        item = pad + "  "
-        out += ("[" + item, ("," + item).join(items), pad + "]")
+        texts = [self.literals.text, self.right.text]
+        if len(cols) == 3:
+            distinct, which = np.unique(cols[2], return_inverse=True)
+            texts.append(np.array(list(map(str, distinct.tolist())), dtype=object))
+            cols = (cols[0], cols[1], which)
+        width, item = len(cols), pad + "  "
+        nested = width > 1 or runs is not None
+        inner = item + "  " if nested else item
+        sep, next_row = "," + inner, item + "]," + item + "[" + inner
+        out.append("[" + item + "[" + inner if nested else "[" + item)
+        unit = [None, sep] * width
+        if nested:
+            unit[-1] = next_row
+        pieces = unit * m
+        if runs is not None:
+            last = np.zeros(m, dtype=np.intp)
+            last[runs - 1] = 1
+            pieces[1::2] = np.array([sep, next_row], dtype=object)[last].tolist()
+        for j, (text, col) in enumerate(zip(texts, cols)):
+            pieces[2 * j::2 * width] = text[col].tolist()
+        pieces[-1] = item + "]" + pad + "]" if nested else pad + "]"
+        out += pieces
 
 
 def _write(value, pad: str, out: list[str]) -> None:
@@ -996,56 +1006,26 @@ def dumps_document(doc: dict) -> str:
 def dumps_blocks(order: np.ndarray, bounds, block_order, names) -> str:
     """dumps_document of {"blocks": [[name, ...], ...]}, for the blocks
     that are the runs order[bounds[b]:bounds[b + 1]], listed in
-    block_order.  Like the rows of _rows, the text is one join of
-    per-element pieces: each element's literal between the line breaks
-    and brackets that its place in its block calls for."""
+    block_order."""
     bounds = np.asarray(bounds, dtype=np.int64)
     block_order = np.asarray(block_order, dtype=np.int64)
     sizes = np.diff(bounds)[block_order]
     ends = np.cumsum(sizes)
     # the elements, block after block in block_order
     elems = order[np.repeat(bounds[block_order] - (ends - sizes), sizes) + np.arange(len(order))]
-    place = np.zeros(len(elems), dtype=np.int64)
-    place[ends - sizes] += 1  # first of its block
-    place[ends - 1] += 2      # last of its block
-    item, inner = "\n    ", "\n      "
-    close = item + "]," + item
-    heads = ["", "[" + inner, "", "[" + inner]
-    tails = ["," + inner, "," + inner, close, close]
-    parts = [""] * (3 * len(elems))
-    parts[0::3] = np.array(heads, dtype=object)[place].tolist()
-    parts[1::3] = _Literals(names).text[elems].tolist()
-    parts[2::3] = np.array(tails, dtype=object)[place].tolist()
-    parts[0] = '{\n  "blocks": [' + item + parts[0]
-    parts[-1] = item + "]\n  ]\n}\n"
-    return "".join(parts)
-
-
-# pairs that dumps_pairs reads and writes at a time
-_PAIR_CHUNK = 1 << 16
+    return dumps_document({"blocks": _Refs(_Literals(names), elems, run_ends=ends)})
 
 
 def dumps_pairs(pairs, left_names, right_names) -> str:
     """dumps_document of {"bisimilar": ..., "pairs": [[left, right], ...]}.
 
     pairs iterates over (left index, right index) tuples, or is None for
-    a negative verdict, which has no "pairs" key.  The pairs are read
-    _PAIR_CHUNK at a time into index arrays and written as _rows, so at
-    most _PAIR_CHUNK rows are held as separate strings, and the text is
-    the same as the general encoder's.
+    a negative verdict, which has no "pairs" key.  The pairs are read into
+    one int32 array, so no row is held as a Python object; an index fits,
+    since _Literals holds every name of both domains.
     """
     if pairs is None:
         return dumps_document({"bisimilar": False})
-    pairs = iter(pairs)
-    left, right = _Literals(left_names), _Literals(right_names)
-    sep = ",\n    "
-    parts = ['{\n  "bisimilar": true,\n  "pairs": [\n    ']
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(pairs, _PAIR_CHUNK)), dtype=np.int64)
-        if not len(flat):
-            break
-        parts += (sep.join(_rows(flat[0::2], flat[1::2], left, right, "\n  ")), sep)
-    if len(parts) == 1:
-        return dumps_document({"bisimilar": True, "pairs": []})
-    parts[-1] = "\n  ]\n}\n"
-    return "".join(parts)
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int32)
+    return dumps_document({"bisimilar": True, "pairs": _Refs(
+        _Literals(left_names), flat[0::2], flat[1::2], right=_Literals(right_names))})

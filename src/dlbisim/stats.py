@@ -20,7 +20,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 # the wall-time keys of a record, in the order --stats reports them
-LAYERS = ("load_s", "graph_s", "quotient_s", "witness_s", "validate_s", "eval_s", "write_s")
+LAYERS = ("load_s", "graph_s", "quotient_s", "witness_s", "validate_s", "eval_s", "write_s",
+          "pairs_s", "explain_s", "closure_s")
 
 
 @dataclass

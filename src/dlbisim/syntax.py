@@ -22,6 +22,8 @@ separated ASCII:
               | role "(" NAME "," NAME ")" | "not" role "(" NAME "," NAME ")"
               | concept "(" NAME ")"
 
+INT is a run of the ASCII digits 0-9, at most MAX_COUNT; other
+characters that Unicode counts as digits are not read as numbers.
 Keywords (top bottom not and or some all atleast atmost self inv test
 eps sub U) are reserved and cannot be used as names.  The printer emits
 exactly this grammar, so print and parse are mutually inverse.
@@ -608,9 +610,9 @@ def _tokenize(text: str) -> list[_Tok]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Tok("INT", text[i:j], line, col))
             col += j - i
@@ -684,6 +686,10 @@ class _Parser:
 
     def int_bound(self) -> int:
         tok = self.expect("INT", "a non-negative integer")
+        # int() is not asked to read a bound too long to be below MAX_COUNT
+        if len(tok.value.lstrip("0")) > len(str(MAX_COUNT)):
+            raise ParseError("counting bound of %d digits is too large" % len(tok.value),
+                             tok.line, tok.col)
         value = int(tok.value)
         if value > MAX_COUNT:
             raise ParseError("counting bound %d is too large" % value, tok.line, tok.col)

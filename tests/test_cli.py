@@ -445,6 +445,12 @@ class TestBench:
         out = run("bench", "--sizes", "12,-3")
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("size", ["\u00b2", "\u0663", "7" * 5000])
+    def test_rejects_non_ascii_and_long_sizes(self, size):
+        out = run("bench", "--sizes", size)
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.startswith("error: sizes must be positive integers")
+
 
 class TestFlagRanges:
     # MAX_ELEMENTS is patched to 40, so a missing check makes 41 elements
@@ -617,6 +623,35 @@ class TestFailureModes:
             assert out.stderr == ("parse error: invalid JSON: Unexpected UTF-8 BOM (decode "
                                   "using utf-8-sig) (line 1, column 1)\n")
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_long_and_non_ascii_integers_are_parse_errors(self, source, tmp_path):
+        # a bound in a concept, and an integer of more digits than int()
+        # reads as the domain, a concept member or a count
+        long = "7" * 5000
+
+        def command(text, *argv):
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            if source == "file":
+                return run(*argv, "-i", str(path))
+            return run(*argv, "-i", "-", stdin=text)
+
+        fig2 = open(FIG2, encoding="utf-8").read()
+        for bound in ("\u00b2", "\u0663", long):
+            out = command(fig2, "eval", "-I", "I1", "--phi", "Q", "-c", "atleast %s r top" % bound)
+            assert out.returncode == 2, out.stderr
+            assert out.stderr.startswith("parse error: ")
+        if not hasattr(sys, "get_int_max_str_digits"):
+            return  # int() reads any number of digits
+        for body in ({"domain": "N"}, {"domain": 3, "concepts": {"A": ["N"]}},
+                     {"domain": 3, "roles": {"r": [[0, 1]]},
+                      "counts": {"r": {"forward": [[0, 1, "N"]]}}}):
+            text = json.dumps({"signature": {"concepts": ["A"], "roles": ["r"], "individuals": []},
+                               "interpretations": {"I": body}}).replace('"N"', long)
+            out = command(text, "partition", "-I", "I")
+            assert out.returncode == 2, (body, out.stderr)
+            assert out.stderr == "parse error: invalid JSON: an integer has too many digits\n"
+
     def test_unknown_feature_letter(self):
         out = run("partition", "-i", FIG2, "--phi", "XYZ", "-I", "I1")
         assert out.returncode == 3
@@ -714,7 +749,8 @@ class TestStats:
         # the counters of the document load, and the wall time of each
         # layer, 0.0 for a layer the command does not run
         assert list(report) == ["command", "refinements", "searches", "load", "load_s", "graph_s",
-                                "quotient_s", "witness_s", "validate_s", "eval_s", "write_s"]
+                                "quotient_s", "witness_s", "validate_s", "eval_s", "write_s",
+                                "pairs_s", "explain_s", "closure_s"]
         assert list(report["load"]) == [f.name for f in dataclasses.fields(LoadCounters)]
         assert report["load"]["bytes"] == os.path.getsize(FIG2)
         assert report["load_s"] > 0 and report["write_s"] > 0

@@ -274,6 +274,17 @@ class TestLoading:
         assert qsi.qu[("r", True)] == {(1, 0): 1, (2, 1): 1}
         assert qsi.se["r"] == frozenset()
 
+    def test_self_loops_default_to_the_diagonal(self):
+        # counts without self_loops: each role's diagonal, as if listed; a
+        # role left out of a given self_loops has none
+        roles = {"r": [[0, 1], [2, 2], [1, 1]]}
+        counts = {"r": {"forward": [[0, 1, 2], [1, 1, 1], [2, 2, 1]]}}
+        implied, listed, empty = (
+            loads_workspace(json.dumps(_doc(dict(roles=roles, counts=counts, **loops)))).qs["I"]
+            for loops in ({}, {"self_loops": {"r": [1, 2]}}, {"self_loops": {}}))
+        assert implied == listed and implied.se["r"] == {1, 2}
+        assert empty.se["r"] == frozenset()
+
     def test_collector_state_is_restored(self):
         assert gc.isenabled()
         loads_workspace(json.dumps(_doc({})))

@@ -651,6 +651,16 @@ class TestQSReading:
                 for c in concepts:
                     assert eval_concept_qs(qsi, c, FULL) == eval_concept_qs(embedded, c, FULL)
 
+    def test_self_sets_default_to_the_diagonal(self):
+        sig = make_signature(1, 2, 1)
+        interp = build_interpretation(sig, 3, {}, {"r0": {(0, 0), (0, 1), (2, 2)},
+                                                   "r1": {(1, 1)}}, {"a0": 0})
+        embedded = qs_embedding(interp)
+        assert build_qs_interpretation(interp, {}) == embedded
+        assert embedded.se == {"r0": {0, 2}, "r1": {1}}
+        # a role left out of a given se has no self loops
+        assert build_qs_interpretation(interp, {}, {"r0": [2]}).se == {"r0": {2}, "r1": set()}
+
     def test_multiplicities_feed_counting(self):
         from dlbisim.core import build_qs_interpretation
         sig = make_signature(0, 1, 0)

@@ -99,6 +99,10 @@ PROBES = [
     (WITNESS, "dlbisim.quotient", "_LevelWitness.separate", "witness_s"),
     (WITNESS, "dlbisim.quotient", "eval_concept", "validate_s"),
     (["check-kb", "-I", "I3"], "dlbisim.cli", "check_kb", "eval_s"),
+    (["bisim", "-l", "I1", "-r", "I1", "--json"], "dlbisim.bisim", "Partition", "pairs_s"),
+    (["bisim", "-l", "I1", "-r", "I2", "--phi", "Q"], "dlbisim.cli", "naive_largest_bisimulation",
+     "explain_s"),
+    (["extend-rbox", "-I", "I1"], "dlbisim.cli", "least_r_extension", "closure_s"),
 ]
 DELAY = 0.2
 

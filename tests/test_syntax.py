@@ -138,6 +138,26 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             sx.parse_concept("atleast %d r0 top" % (sx.MAX_COUNT + 1))
 
+    def test_long_bounds_are_refused_before_they_are_read(self):
+        # leading zeros do not count; more digits than MAX_COUNT has do,
+        # however many, so int() never reads an over-long bound
+        padded = "atleast %s r0 top" % str(sx.MAX_COUNT).zfill(40)
+        assert sx.parse_concept(padded) == sx.parse_concept("atleast %d r0 top" % sx.MAX_COUNT)
+        for digits in (len(str(sx.MAX_COUNT)) + 1, 5000):
+            with pytest.raises(ParseError, match="counting bound of %d digits is too large"
+                               % digits) as err:
+                sx.parse_concept("atleast %s r0 top" % ("9" * digits))
+            assert (err.value.line, err.value.col) == (1, 9)
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13", "\U0001d7d1"])
+    def test_only_ascii_digits_are_numbers(self, digit):
+        # superscript two, Arabic-Indic three, fullwidth three, bold three
+        with pytest.raises(ParseError, match="unexpected character %r" % digit) as err:
+            sx.parse_concept("atleast %s r0 top" % digit)
+        assert (err.value.line, err.value.col) == (1, 9)
+        with pytest.raises(ParseError):
+            sx.parse_concept("atleast 1%s r0 top" % digit)
+
     def test_nesting_limit(self):
         # names, keyword constructors, stars and bracket pairs each open one level
         deep = sx.MAX_DEPTH
