@@ -14,8 +14,9 @@ or JSON to stdout or a file.  Exit codes are uniform across commands:
 The `bench` command times the partition refinement on seeded random
 graphs and emits CSV.  Timing figures are the only part of the output
 that is not reproducible byte for byte: bench's millis column, and the
-wall_s, load_s, graph_s, quotient_s, witness_s, validate_s, eval_s and
-write_s fields that --stats writes to stderr.  Everything else is.
+time fields that --stats writes to stderr: each refinement run's wall_s,
+and load_s, graph_s, quotient_s, witness_s, validate_s, eval_s, write_s,
+pairs_s, explain_s and closure_s (stats.LAYERS).  Everything else is.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .bisim import (
     largest_auto_bisimulation,
     naive_largest_bisimulation,
 )
-from .core import FeatureSet, qs_embedding, to_labeled_graph
+from .core import FeatureSet, Interpretation, qs_embedding, to_labeled_graph
 from .document import (
     MAX_ELEMENTS,
     IndexNames,
@@ -82,6 +83,12 @@ def _phi_of(ws: Workspace, args) -> FeatureSet:
     return ws.phi if ws.phi is not None else FeatureSet()
 
 
+def _open(args) -> tuple[Workspace, Interpretation, FeatureSet]:
+    """The document, its interpretation args.interpretation and the feature set."""
+    ws = _load(args)
+    return ws, ws.interpretation(args.interpretation), _phi_of(ws, args)
+
+
 def _write(args, render) -> None:
     """Writes render(), the command's output text, to args.output; the
     formatting and the writing are timed together as write_s."""
@@ -115,27 +122,20 @@ def _names_of(names, elements) -> list[str]:
 
 
 def cmd_partition(args) -> int:
-    ws = _load(args)
-    interp = ws.interpretation(args.interpretation)
-    phi = _phi_of(ws, args)
+    ws, interp, phi = _open(args)
     partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
     if args.json:
         order, bounds = partition._runs
         _write(args, lambda: dumps_blocks(order, bounds, partition.canonical_order, names))
     else:
-        if isinstance(names, IndexNames):
-            # without names to_lines writes each element's index, which is
-            # its name in an index domain without a prefix
-            names = names.of(range(len(names))) if names.prefix else None
+        names = _names_of(names, range(len(names)))
         _write(args, lambda: "\n".join(partition.to_lines(names)) + "\n")
     return 0
 
 
 def cmd_minimize(args) -> int:
-    ws = _load(args)
-    interp = ws.interpretation(args.interpretation)
-    phi = _phi_of(ws, args)
+    ws, interp, phi = _open(args)
     partition = largest_auto_bisimulation(phi, interp)
     names = ws.element_names[args.interpretation]
     with timed("quotient_s"):
@@ -162,11 +162,8 @@ def _format_record(rec, ws: Workspace, lname: str, rname: str) -> str:
     if rec.left is not None and rec.right is not None:
         return "condition %d fails at (%s, %s)" % (
             rec.condition, ws.display(lname, rec.left), ws.display(rname, rec.right))
-    if rec.left is not None:
-        return "condition %d fails: %s has no partner" % (
-            rec.condition, ws.display(lname, rec.left))
-    return "condition %d fails: %s has no partner" % (
-        rec.condition, ws.display(rname, rec.right))
+    lone = ws.display(lname, rec.left) if rec.left is not None else ws.display(rname, rec.right)
+    return "condition %d fails: %s has no partner" % (rec.condition, lone)
 
 
 def cmd_bisim(args) -> int:
@@ -195,9 +192,7 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ws = _load(args)
-    interp = ws.interpretation(args.interpretation)
-    phi = _phi_of(ws, args)
+    ws, interp, phi = _open(args)
     names = ws.element_names[args.interpretation]
     if args.role is not None:
         with timed("eval_s"):
@@ -216,9 +211,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check_kb(args) -> int:
-    ws = _load(args)
-    interp = ws.interpretation(args.interpretation)
-    phi = _phi_of(ws, args)
+    ws, interp, phi = _open(args)
     if ws.kb is None:
         raise DocumentError("document has no kb section")
     with timed("eval_s"):
@@ -228,9 +221,7 @@ def cmd_check_kb(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    ws = _load(args)
-    interp = ws.interpretation(args.interpretation)
-    phi = _phi_of(ws, args)
+    ws, interp, phi = _open(args)
     x = _element_ref(ws, args.interpretation, args.left)
     y = _element_ref(ws, args.interpretation, args.right)
     # the concept is read off the levels up to the one where x and y part

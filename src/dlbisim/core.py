@@ -27,7 +27,7 @@ bisimulation check and is not itself a model of the signature.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -64,39 +64,26 @@ class FeatureSet:
     @classmethod
     def from_string(cls, text: str) -> "FeatureSet":
         text = text.strip()
-        seen = set()
         for ch in text:
             if ch not in FEATURE_LETTERS:
                 raise ValueError("unknown feature letter %r (use I O Q U S)" % ch)
-            seen.add(ch)
-        return cls(
-            inverse="I" in seen,
-            nominals="O" in seen,
-            counting="Q" in seen,
-            universal="U" in seen,
-            local_refl="S" in seen,
-        )
+        return cls(*(ch in text for ch in FEATURE_LETTERS))
+
+    def _flags(self) -> tuple[bool, ...]:
+        """The flags, in the order of FEATURE_LETTERS."""
+        return tuple(getattr(self, field.name) for field in fields(self))
 
     def __str__(self) -> str:
-        flags = (self.inverse, self.nominals, self.counting, self.universal, self.local_refl)
-        return "".join(ch for ch, on in zip(FEATURE_LETTERS, flags) if on)
+        return "".join(ch for ch, on in zip(FEATURE_LETTERS, self._flags()) if on)
 
     def issubset(self, other: "FeatureSet") -> bool:
-        return (
-            (not self.inverse or other.inverse)
-            and (not self.nominals or other.nominals)
-            and (not self.counting or other.counting)
-            and (not self.universal or other.universal)
-            and (not self.local_refl or other.local_refl)
-        )
+        return all(theirs or not ours for ours, theirs in zip(self._flags(), other._flags()))
 
     @classmethod
     def all_subsets(cls) -> tuple["FeatureSet", ...]:
         """All 32 feature sets, in a fixed order."""
-        out = []
-        for bits in itertools.product((False, True), repeat=5):
-            out.append(cls(*bits))
-        return tuple(out)
+        bits = itertools.product((False, True), repeat=len(FEATURE_LETTERS))
+        return tuple(cls(*flags) for flags in bits)
 
 
 def _check_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
@@ -305,15 +292,14 @@ def build_interpretation(
     role_ext = dict(role_ext or {})
     individual_map = dict(individual_map or {})
 
-    for name in concept_ext:
-        if name not in signature.concept_index:
-            raise UnknownNameError("concept extension for %r: not a concept name" % name)
-    for name in role_ext:
-        if name not in signature.role_index:
-            raise UnknownNameError("role extension for %r: not a role name" % name)
-    for name in individual_map:
-        if name not in signature.individual_index:
-            raise UnknownNameError("individual assignment for %r: not an individual name" % name)
+    for given, index, message in (
+            (concept_ext, signature.concept_index, "concept extension for %r: not a concept name"),
+            (role_ext, signature.role_index, "role extension for %r: not a role name"),
+            (individual_map, signature.individual_index,
+             "individual assignment for %r: not an individual name")):
+        for name in given:
+            if name not in index:
+                raise UnknownNameError(message % name)
 
     norm_concepts = {}
     for name in signature.concept_names:

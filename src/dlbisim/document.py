@@ -91,6 +91,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -705,11 +706,25 @@ def _parse_json(text: str):
         raise ParseError("invalid JSON: %s" % exc.msg, exc.lineno, exc.colno)
     except ValueError:
         # the one other ValueError: an integer of more digits than int()
-        # reads (sys.get_int_max_str_digits)
-        raise ParseError("invalid JSON: an integer has too many digits") from None
+        # reads (sys.get_int_max_str_digits), which json.loads gives no position
+        raise ParseError("invalid JSON: an integer has too many digits",
+                         *_long_integer_at(text)) from None
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _long_integer_at(text: str) -> tuple[int | None, int | None]:
+    """(line, column) of the first digit of text's first integer, outside
+    strings, of more digits than int() reads; (None, None) if none is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # a JSON string, or a number: its integer digits, fraction and exponent;
+    # compiled here, on the error path, not when the module is imported
+    for match in re.finditer(r'"[^"\\]*(?:\\.[^"\\]*)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?', text):
+        at, end = match.span(1)
+        if limit and end - at > limit and match.lastindex == 1:
+            return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    return None, None
 
 
 def _decode(data: bytes) -> str:

@@ -47,8 +47,7 @@ def make_signature(n_concepts: int, n_roles: int, n_individuals: int) -> Signatu
 
 def random_document(seed: int, n: int, n_concepts: int = 2, n_roles: int = 2,
                     n_individuals: int = 2, phi: str = "",
-                    edge_density: float = 0.15, concept_density: float = 0.5,
-                    name: str = "I") -> dict:
+                    edge_density: float = 0.15, concept_density: float = 0.5) -> dict:
     """A complete workspace document with one random interpretation,
     ready for document.dumps_document."""
     rng = random.Random(seed)
@@ -57,7 +56,7 @@ def random_document(seed: int, n: int, n_concepts: int = 2, n_roles: int = 2,
     names = tuple("x%d" % i for i in range(n))
     doc = {
         "signature": signature_to_json(sig),
-        "interpretations": {name: InterpretationBody(interp, names)},
+        "interpretations": {"I": InterpretationBody(interp, names)},
     }
     if phi:
         doc["phi"] = phi

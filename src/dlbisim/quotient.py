@@ -107,35 +107,27 @@ def _role_node(trace: RefinementTrace, role_idx: int):
     return Inverse(node) if inverted else node
 
 
-def _label_probes(trace: RefinementTrace):
-    """The tests of the label partition, as (kind, key, name)."""
-    sig = trace.graph.signature
+def _label_tests(trace: RefinementTrace, x: int):
+    """The tests of the label partition, as (literal, whether x passes it)."""
+    g = trace.graph
+    sig = g.signature
+
+    def entries(names, nodes, key: int) -> tuple[int, int]:
+        # the entries of key at x, by bisection: both lists are sorted by
+        # name and then by node
+        lo, hi = np.searchsorted(names, (key, key + 1)).tolist()
+        return (lo + np.searchsorted(nodes[lo:hi], (x, x + 1))).tolist()
+
     for a_idx, a in enumerate(sig.concept_names):
-        yield ("atom", a_idx, a)
+        lo, hi = entries(g.concepts, g.members, a_idx)
+        yield ConceptName(a), hi > lo
     if trace.phi.nominals:
         for a in sig.individual_names:
-            yield ("nominal", a, a)
+            yield Nominal(a), x in g.individual_nodes.get(a, ())
     if trace.phi.local_refl:
         for r_idx, r in enumerate(sig.role_names):
-            yield ("self", r_idx, r)
-
-
-def _label_value(trace: RefinementTrace, probe, x: int) -> bool:
-    g = trace.graph
-    kind, key, _ = probe
-    if kind == "nominal":
-        return x in g.individual_nodes.get(key, ())
-    # by bisection: both lists are sorted by name and then by node
-    names, nodes = (g.concepts, g.members) if kind == "atom" else (g.roles, g.tails)
-    lo, hi = np.searchsorted(names, (key, key + 1)).tolist()
-    lo, hi = (lo + np.searchsorted(nodes[lo:hi], (x, x + 1))).tolist()
-    return hi > lo if kind == "atom" else x in g.heads[lo:hi].tolist()
-
-
-def _label_literal(probe, holds: bool) -> Concept:
-    kind, _, name = probe
-    node = {"atom": ConceptName, "nominal": Nominal, "self": HasSelf}[kind](name)
-    return node if holds else Not(node)
+            lo, hi = entries(g.roles, g.tails, r_idx)
+            yield HasSelf(r), x in g.heads[lo:hi].tolist()
 
 
 def _count_literal(role, counting: bool, cx: int, cy: int, target: Concept) -> Concept:
@@ -229,11 +221,10 @@ class _LevelWitness:
         return memo[goal[0]]
 
     def _label_separation(self, x: int, y: int) -> Concept:
-        trace = self.trace
-        for probe in _label_probes(trace):
-            holds = _label_value(trace, probe, x)
-            if holds != _label_value(trace, probe, y):
-                return _label_literal(probe, holds)
+        tests = zip(_label_tests(self.trace, x), _label_tests(self.trace, y))
+        for (literal, at_x), (_, at_y) in tests:
+            if at_x != at_y:
+                return literal if at_x else Not(literal)
         raise BisimError("internal: label blocks differ but labels agree")
 
     def _successors(self, d: int, x: int) -> dict[int, dict[int, tuple[int, int]]]:

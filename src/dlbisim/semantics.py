@@ -515,8 +515,7 @@ def least_r_extension(interp: Interpretation, axioms) -> Interpretation:
         if ax.role not in interp.signature.role_index:
             raise UnknownNameError("unknown role name %r in role axiom" % ax.role)
 
-    rels: dict[str, set] = {r: set(zip(src.tolist(), dst.tolist()))
-                            for r, (src, dst) in interp.role_edges.items()}
+    rels: dict[str, set] = {r: set() for r in interp.role_edges}
     succ: dict[str, dict[int, set]] = {r: {} for r in rels}
     pred: dict[str, dict[int, set]] = {r: {} for r in rels}
 
@@ -530,11 +529,9 @@ def least_r_extension(interp: Interpretation, axioms) -> Interpretation:
         pred[role].setdefault(y, set()).add(x)
         queue.append((role, x, y))
 
-    for role, pairs in rels.items():
-        for x, y in pairs:
-            succ[role].setdefault(x, set()).add(y)
-            pred[role].setdefault(y, set()).add(x)
-            queue.append((role, x, y))
+    for role, (src, dst) in interp.role_edges.items():
+        for x, y in zip(src.tolist(), dst.tolist()):
+            add(role, x, y)
     for ax in axioms:
         if isinstance(ax, sx.EpsilonSub):
             for x in interp.domain:
@@ -543,18 +540,14 @@ def least_r_extension(interp: Interpretation, axioms) -> Interpretation:
     chains = [(tuple(_basic_parts(b) for b in ax.chain), ax.role)
               for ax in axioms if isinstance(ax, sx.ChainSub)]
 
-    def step_back(basic, frontier):
+    def step(basic, frontier, forward: bool):
+        """The heads of the basic role's edges out of frontier (forward),
+        or the tails of its edges into frontier."""
         name, inverted = basic
+        ends = (succ if forward != inverted else pred)[name]
         out = set()
         for z in frontier:
-            out |= (pred[name].get(z, set()) if not inverted else succ[name].get(z, set()))
-        return out
-
-    def step_fwd(basic, frontier):
-        name, inverted = basic
-        out = set()
-        for z in frontier:
-            out |= (succ[name].get(z, set()) if not inverted else pred[name].get(z, set()))
+            out |= ends.get(z, set())
         return out
 
     while queue:
@@ -566,14 +559,14 @@ def least_r_extension(interp: Interpretation, axioms) -> Interpretation:
                 px, py = ((x, y) if not inverted else (y, x))
                 left = {px}
                 for j in range(i - 1, -1, -1):
-                    left = step_back(chain[j], left)
+                    left = step(chain[j], left, False)
                     if not left:
                         break
                 if not left:
                     continue
                 right = {py}
                 for j in range(i + 1, len(chain)):
-                    right = step_fwd(chain[j], right)
+                    right = step(chain[j], right, True)
                     if not right:
                         break
                 for u in left:

@@ -576,6 +576,12 @@ _PUNCT = {
     ";": "SEMI", "|": "PIPE", "*": "STAR", ",": "COMMA", "=": "EQ",
 }
 
+# keywords and operators that differ only in the node they make
+_QUANTIFIERS = {"some": Some, "all": All}
+_COUNTERS = {"atleast": AtLeast, "atmost": AtMost}
+_CONNECTIVES = {"and": And, "or": Or}
+_ROLE_OPERATORS = {"SEMI": Compose, "PIPE": RoleUnion}
+
 
 @dataclass(frozen=True)
 class _Tok:
@@ -716,28 +722,19 @@ class _Parser:
         if self.at_keyword("not"):
             self.advance()
             return Not(self.concept())
-        if self.at_keyword("some"):
+        tok = self.peek()
+        if tok.kind == "NAME" and tok.value in _QUANTIFIERS:
             self.advance()
             role = self.role()
-            return Some(role, self.concept())
-        if self.at_keyword("all"):
-            self.advance()
-            role = self.role()
-            return All(role, self.concept())
-        if self.at_keyword("atleast"):
+            return _QUANTIFIERS[tok.value](role, self.concept())
+        if tok.kind == "NAME" and tok.value in _COUNTERS:
             self.advance()
             bound = self.int_bound()
             role = self.basic_role()
-            return AtLeast(bound, role, self.concept())
-        if self.at_keyword("atmost"):
-            self.advance()
-            bound = self.int_bound()
-            role = self.basic_role()
-            return AtMost(bound, role, self.concept())
+            return _COUNTERS[tok.value](bound, role, self.concept())
         if self.at_keyword("self"):
             self.advance()
             return HasSelf(self.name("a role name"))
-        tok = self.peek()
         if tok.kind == "LBRACE":
             self.advance()
             name = self.name("an individual name")
@@ -746,16 +743,10 @@ class _Parser:
         if tok.kind == "LPAREN":
             self.advance()
             left = self.concept()
-            if self.at_keyword("and"):
+            op = self.peek()
+            if op.kind == "NAME" and op.value in _CONNECTIVES:
                 self.advance()
-                right = self.concept()
-                self.expect("RPAREN", "')'")
-                return And(left, right)
-            if self.at_keyword("or"):
-                self.advance()
-                right = self.concept()
-                self.expect("RPAREN", "')'")
-                return Or(left, right)
+                left = _CONNECTIVES[op.value](left, self.concept())
             self.expect("RPAREN", "')'")
             return left
         if tok.kind == "NAME":
@@ -804,16 +795,10 @@ class _Parser:
         if tok.kind == "LPAREN":
             self.advance()
             left = self.role()
-            if self.peek().kind == "SEMI":
+            op = _ROLE_OPERATORS.get(self.peek().kind)
+            if op is not None:
                 self.advance()
-                right = self.role()
-                self.expect("RPAREN", "')'")
-                return Compose(left, right)
-            if self.peek().kind == "PIPE":
-                self.advance()
-                right = self.role()
-                self.expect("RPAREN", "')'")
-                return RoleUnion(left, right)
+                left = op(left, self.role())
             self.expect("RPAREN", "')'")
             return left
         if tok.kind == "NAME":
@@ -885,22 +870,13 @@ def parse_assertion(text: str) -> Assertion:
             p.eof()
             return DifferentFrom(a, b)
         p.rewind(mark)
-    # R(a, b)
-    try:
-        role = p.role()
-        p.expect("LPAREN", "'('")
-        a = p.name("an individual name")
-        p.expect("COMMA", "','")
-        b = p.name("an individual name")
-        p.expect("RPAREN", "')'")
-        p.eof()
-        return RoleAssertion(role, a, b)
-    except ParseError:
-        p.rewind(mark)
-    # not R(a, b)
-    if p.at_keyword("not"):
-        try:
+    # R(a, b), then not R(a, b)
+    for node in (RoleAssertion, NegatedRoleAssertion):
+        if node is NegatedRoleAssertion:
+            if not p.at_keyword("not"):
+                break
             p.advance()
+        try:
             role = p.role()
             p.expect("LPAREN", "'('")
             a = p.name("an individual name")
@@ -908,7 +884,7 @@ def parse_assertion(text: str) -> Assertion:
             b = p.name("an individual name")
             p.expect("RPAREN", "')'")
             p.eof()
-            return NegatedRoleAssertion(role, a, b)
+            return node(role, a, b)
         except ParseError:
             p.rewind(mark)
     # C(a)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -650,7 +651,8 @@ class TestFailureModes:
                                "interpretations": {"I": body}}).replace('"N"', long)
             out = command(text, "partition", "-I", "I")
             assert out.returncode == 2, (body, out.stderr)
-            assert out.stderr == "parse error: invalid JSON: an integer has too many digits\n"
+            assert out.stderr == ("parse error: invalid JSON: an integer has too many digits "
+                                  "(line 1, column %d)\n" % (text.index(long) + 1))
 
     def test_unknown_feature_letter(self):
         out = run("partition", "-i", FIG2, "--phi", "XYZ", "-I", "I1")
@@ -859,3 +861,45 @@ class TestParser:
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(argv + ["--help"])
             assert capsys.readouterr().out == cached
+
+
+def _readme_session() -> list[tuple[str, str]]:
+    """(command, output) of each command in README.md's example session,
+    bench left out: its millis vary from run to run."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Example session\n", 1)[1]
+    block = section.split("```console\n", 1)[1].split("\n```", 1)[0]
+    steps = []
+    for entry in block.split("$ dlbisim ")[1:]:
+        command, _, output = entry.partition("\n")
+        if not command.startswith("bench "):
+            steps.append((command, output.rstrip("\n") + "\n"))
+    return steps
+
+
+README_SESSION = _readme_session()
+
+
+class TestReadme:
+    def test_session_covers_the_commands(self):
+        assert {command.split()[0] for command, _ in README_SESSION} >= {
+            "partition", "bisim", "witness", "check-kb", "gen"}
+
+    @pytest.mark.parametrize("command, output", README_SESSION,
+                             ids=[command.split()[0] for command, _ in README_SESSION])
+    def test_example_session_prints_what_the_readme_shows(self, command, output):
+        # a pipeline's later stages are dlbisim commands reading stdin or head -N
+        first, *rest = command.split(" | ")
+        out = run(*shlex.split(first))
+        assert out.stderr == "" and out.returncode in (0, 1), out.stderr
+        text = out.stdout
+        for stage in rest:
+            words = shlex.split(stage)
+            if words[0] == "head":
+                text = "".join(text.splitlines(keepends=True)[:int(words[1].lstrip("-"))])
+            else:
+                assert words[0] == "dlbisim", stage
+                out = run(*words[1:], stdin=text)
+                assert out.stderr == "" and out.returncode == 0, out.stderr
+                text = out.stdout
+        assert text == output

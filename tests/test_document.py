@@ -218,6 +218,23 @@ class TestLoaderErrors:
         with pytest.raises(DocumentError, match="count 9223372036854775808 is not below 2"):
             loads_workspace(json.dumps(_with_counts({"forward": [[0, 1, 2 ** 63]]})))
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() reads any number of digits")
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_long_integer_is_reported_at_its_first_digit(self, as_bytes):
+        # json.loads gives this error no position; strings and the fraction
+        # and exponent digits of the numbers before it are not integers
+        long = "7" * 5000
+        text = ('{"signature": {"concepts": ["%s"], "roles": [], "individuals": []},\n'
+                '  "interpretations": {"I": {"x": 1.%se%s, "domain": -%s}}}'
+                % (long, long, long, long))
+        with pytest.raises(ParseError) as info:
+            loads_workspace(text.encode("ascii") if as_bytes else text)
+        col = len(text.splitlines()[1].rsplit("-", 1)[0]) + 2
+        assert str(info.value) == ("invalid JSON: an integer has too many digits "
+                                   "(line 2, column %d)" % col)
+        assert (info.value.line, info.value.col) == (2, col)
+
 
 class TestLoading:
     def test_repeated_edges_count_once(self):

@@ -121,6 +121,33 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             sx.parse_concept(text)
 
+    @pytest.mark.parametrize("parse, text, message, line, col", [
+        (sx.parse_assertion, "r0(a0 a1)", "expected ')', got 'a1'", 1, 7),
+        (sx.parse_assertion, "not inv(r0)(a0, a1",
+         "reserved word cannot be used as a concept name, got 'inv'", 1, 5),
+        (sx.parse_assertion, "not r0(a0, a1) x", "expected ')', got ','", 1, 10),
+        (sx.parse_assertion, "some r0 (A0 and A1)(a0", "expected ')', got 'end of input'", 1, 23),
+        (sx.parse_concept, "atmost 2 (r0 | r1) top",
+         "number restrictions take a role name or its inverse, got 'top'", 1, 20),
+        (sx.parse_concept, "atleast 2 (r0 ; r1) top",
+         "number restrictions take a role name or its inverse, got 'top'", 1, 21),
+        (sx.parse_concept, "(A0 or", "expected a concept, got 'end of input'", 1, 7),
+        (sx.parse_concept, "(A0 xor A1)", "expected ')', got 'xor'", 1, 5),
+        (sx.parse_concept, "some (r0 ; r1 top", "expected ')', got 'top'", 1, 15),
+        (sx.parse_role, "(r0 | r1", "expected ')', got 'end of input'", 1, 9),
+        (sx.parse_role, "(r0 ; )", "expected a role, got ')'", 1, 7),
+        (sx.parse_role, "(r0 ; r1 | r0)", "expected ')', got '|'", 1, 10),
+        (sx.parse_role_axiom, "r0 ; r1 sub", "expected a role name, got 'end of input'", 1, 12),
+        (sx.parse_role_axiom, "eps sub", "expected a role name, got 'end of input'", 1, 8),
+        (sx.parse_gci, "A0 sub (A0 and", "expected a concept, got 'end of input'", 1, 15),
+        (sx.parse_gci, "all (r0 | ) top sub A0", "expected a role, got ')'", 1, 11),
+    ])
+    def test_message_and_position(self, parse, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == "%s (line %d, column %d)" % (message, line, col)
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             sx.parse_concept("some r0\n   @")
